@@ -26,10 +26,10 @@ __all__ = [
     "from_analytic",
     "zero_function",
     "build",
+    "extend_symmetric",
     "act_position",
     "symmetrize",
     "wall_jump",
-    "higher_wall_jump",
     "dunkl",
     "reflection_integral",
     "deformed_transposition_position",
@@ -37,7 +37,6 @@ __all__ = [
     "propagation",
     "afn_add",
     "afn_scale",
-    "afn_mul_analytic",
     "afn_derivative",
     "sample_interior",
     "sample_wall",
@@ -67,9 +66,6 @@ class AlcoveFunction:
         perms = all_permutations(self.n)
         if set(self.pieces) != set(perms):
             raise ValueError(f"expected {len(perms)} pieces for N={self.n}")
-
-    def piece(self, sigma: Permutation) -> ExpPolySum:
-        return self.pieces[sigma]
 
     def eval(self, x: Iterable[float], side: Permutation | None = None) -> complex:
         """Value at x, using the piece whose ordering x satisfies.
@@ -138,13 +134,6 @@ def afn_scale(c: complex, f: AlcoveFunction) -> AlcoveFunction:
     )
 
 
-def afn_mul_analytic(g: ExpPolySum, f: AlcoveFunction) -> AlcoveFunction:
-    """Multiply every piece by the same analytic factor."""
-    return AlcoveFunction(
-        f.n, {s: exppoly.mul(g, p) for s, p in f.pieces.items()}, f.continuous
-    )
-
-
 def afn_derivative(f: AlcoveFunction, j: int) -> AlcoveFunction:
     """Piecewise d/dx_j (one-sided on walls)."""
     return AlcoveFunction(
@@ -161,6 +150,16 @@ def afn_canonicalize(f: AlcoveFunction) -> AlcoveFunction:
 def act_analytic(w: Permutation, f: ExpPolySum) -> ExpPolySum:
     """(w f)(x) = f(w^{-1} x) for analytic f: slot m is relabeled to w(m)."""
     return exppoly.remap(f, {m: w(m) for m in range(1, f.n + 1)}, f.n)
+
+
+def extend_symmetric(piece: ExpPolySum, continuous: bool) -> AlcoveFunction:
+    """The symmetric function whose fundamental-alcove piece is piece: the
+    piece on the alcove labeled sigma is sigma applied to it."""
+    return AlcoveFunction(
+        piece.n,
+        {sigma: act_analytic(sigma, piece) for sigma in all_permutations(piece.n)},
+        continuous,
+    )
 
 
 def act_position(w: Permutation, F: AlcoveFunction) -> AlcoveFunction:
@@ -216,22 +215,6 @@ def wall_jump(
     Per sample reports the one-sided limits of (d_j - d_k)F and the residual
     (d_j - d_k)F|+ - (d_j - d_k)F|- - 2 gamma F|_wall.
     """
-    return higher_wall_jump(F, j, k, gamma, samples, order=1)
-
-
-def higher_wall_jump(
-    F: AlcoveFunction,
-    j: int,
-    k: int,
-    gamma: float,
-    samples: Iterable[WallSample],
-    order: int = 1,
-) -> list[dict]:
-    """Order-r jump condition across V_jk.
-
-    The jump of (d_j - d_k)^r equals (1 - (-1)^r) gamma (d_j - d_k)^{r-1} F
-    on the wall: zero for even r, 2 gamma (...) for odd r.
-    """
     if not (1 <= j < k <= F.n):
         raise ValueError("need 1 <= j < k <= N")
     reports = []
@@ -239,17 +222,10 @@ def higher_wall_jump(
         if sample.j != j or sample.k != k:
             raise ValueError("sample belongs to a different wall")
         plus, minus = _side_orderings(sample, F.n)
-        dp = F.pieces[plus]
-        dm = F.pieces[minus]
-        wall = F.pieces[plus]
-        for _ in range(order):
-            dp = exppoly.derivative(dp, j) - exppoly.derivative(dp, k)
-            dm = exppoly.derivative(dm, j) - exppoly.derivative(dm, k)
-        for _ in range(order - 1):
-            wall = exppoly.derivative(wall, j) - exppoly.derivative(wall, k)
-        lim_p = dp.eval(sample.x)
-        lim_m = dm.eval(sample.x)
-        target = (1 - (-1) ** order) * gamma * wall.eval(sample.x)
+        up, down = F.pieces[plus], F.pieces[minus]
+        lim_p = (exppoly.derivative(up, j) - exppoly.derivative(up, k)).eval(sample.x)
+        lim_m = (exppoly.derivative(down, j) - exppoly.derivative(down, k)).eval(sample.x)
+        target = 2 * gamma * up.eval(sample.x)
         reports.append(
             {
                 "x": sample.x,
@@ -394,6 +370,7 @@ def check_continuity(
 def to_json(F: AlcoveFunction) -> dict:
     return {
         "n": F.n,
+        "continuous": F.continuous,
         "pieces": {
             ",".join(map(str, s.images)): exppoly.to_json(p)
             for s, p in sorted(F.pieces.items(), key=lambda kv: kv[0].images)
@@ -407,4 +384,4 @@ def from_json(data: dict) -> AlcoveFunction:
         Permutation(tuple(int(v) for v in key.split(","))): exppoly.from_json(val, n)
         for key, val in data["pieces"].items()
     }
-    return AlcoveFunction(n, pieces)
+    return AlcoveFunction(n, pieces, data.get("continuous", False))

@@ -1,4 +1,4 @@
-"""Bethe equations on the interval: residuals, solver, eigenvalues.
+"""Bethe equations on the interval: rapidity sets, residuals, solver, eigenvalues.
 
 The exponential form reads e^{i lambda_j L} = prod_{k != j}
 (lambda_j - lambda_k + i gamma)/(lambda_j - lambda_k).  For gamma > 0 and
@@ -12,13 +12,16 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .momrep import EPS_REG, tau_pm
+
 __all__ = [
     "QuantumNumbers",
+    "RapiditySet",
     "bae_residual",
     "log_bae_residual",
     "yang_yang",
@@ -30,15 +33,21 @@ __all__ = [
     "NEWTON_TOL_FACTOR",
     "NEWTON_MAX_ITER",
     "DIAGONAL_SWITCH",
+    "ON_SHELL_TOL",
 ]
 
 # convergence: ||grad||_inf < NEWTON_TOL_FACTOR * L
 NEWTON_TOL_FACTOR = 1e-12
 NEWTON_MAX_ITER = 100
 ARMIJO_C = 1e-4
+# a predicted decrease below this many ulps of the action is lost in its
+# rounding, so the line search is skipped there
+ARMIJO_ULPS = 4
 # below this distance |mu - lambda_j| the eigenvalue switches to a
 # series-safe partial-fraction form
 DIAGONAL_SWITCH = 1e-6
+# a rapidity set may only be flagged on-shell below this BAE residual
+ON_SHELL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,49 @@ def bae_residual(
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class RapiditySet:
+    """Rapidities with the model parameters they live in.
+
+    regularity is the minimum pairwise gap |lam_j - lam_k|; on_shell may
+    only be set when the Bethe-equation residual is below ON_SHELL_TOL.
+    """
+
+    lam: tuple[complex, ...]
+    gamma: float
+    length: float
+    on_shell: bool = False
+    regularity: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        lam = tuple(complex(v) for v in self.lam)
+        object.__setattr__(self, "lam", lam)
+        if self.length <= 0:
+            raise ValueError("length must be positive")
+        gaps = [
+            abs(lam[a] - lam[b])
+            for a in range(len(lam))
+            for b in range(a + 1, len(lam))
+        ]
+        object.__setattr__(self, "regularity", min(gaps) if gaps else float("inf"))
+        if self.on_shell:
+            res = max(
+                (abs(v) for v in bae_residual(lam, self.gamma, self.length)),
+                default=0.0,
+            )
+            if res > ON_SHELL_TOL:
+                raise ValueError(
+                    f"on_shell flag refused: BAE residual {res:.3e} > {ON_SHELL_TOL}"
+                )
+
+    @property
+    def n(self) -> int:
+        return len(self.lam)
+
+    def is_regular(self) -> bool:
+        return self.regularity > EPS_REG
+
+
 def log_bae_residual(
     lam: Sequence[float], gamma: float, length: float, n: QuantumNumbers
 ) -> tuple[float, ...]:
@@ -165,7 +217,7 @@ def solve_bae(
     gamma: float,
     length: float,
     max_iter: int = NEWTON_MAX_ITER,
-):
+) -> RapiditySet:
     """Newton minimization of the action from the free solution
     lambda_j = 2 pi n_j / L, with Armijo backtracking.
 
@@ -192,7 +244,8 @@ def solve_bae(
         )
         slope = float(grad @ step)
         t = 1.0
-        while True:
+        # convexity makes the full step safe where Armijo cannot judge it
+        while -slope > ARMIJO_ULPS * math.ulp(max(abs(value), 1.0)):
             trial = lam + t * step
             trial_value = yang_yang(trial, gamma, length, n)[0]
             if trial_value <= value + ARMIJO_C * t * slope:
@@ -204,22 +257,12 @@ def solve_bae(
         value, grad, hess = yang_yang(lam, gamma, length, n)
         iterations += 1
     solve_bae.last_iterations = iterations
-    from .wavefn import RapiditySet
-
     return RapiditySet(
         tuple(complex(v) for v in lam), gamma, length, on_shell=True
     )
 
 
 solve_bae.last_iterations = 0
-
-
-def _tau_pm(mu: complex, lam: Sequence[complex], gamma: float, sign: int) -> complex:
-    out = 1.0 + 0j
-    for lj in lam:
-        d = lj - mu
-        out *= (d - sign * 1j * gamma) / d
-    return out
 
 
 def _exp_ratio(d: complex, length: float) -> complex:
@@ -230,7 +273,7 @@ def _exp_ratio(d: complex, length: float) -> complex:
     return (cmath.exp(1j * length * d) - 1) / d
 
 
-def transfer_eigenvalue(mu: complex, r) -> complex:
+def transfer_eigenvalue(mu: complex, r: RapiditySet) -> complex:
     """tau_mu(lambda) = e^{-i mu L/2} tau^+_mu + e^{i mu L/2} tau^-_mu.
 
     Near mu = lambda_j the poles of tau^+/- cancel for on-shell lambda;
@@ -240,9 +283,9 @@ def transfer_eigenvalue(mu: complex, r) -> complex:
     lam, gamma, length = r.lam, r.gamma, r.length
     gap = min((abs(mu - lj) for lj in lam), default=float("inf"))
     if gap >= DIAGONAL_SWITCH:
-        return cmath.exp(-1j * mu * length / 2) * _tau_pm(
+        return cmath.exp(-1j * mu * length / 2) * tau_pm(
             mu, lam, gamma, 1
-        ) + cmath.exp(1j * mu * length / 2) * _tau_pm(mu, lam, gamma, -1)
+        ) + cmath.exp(1j * mu * length / 2) * tau_pm(mu, lam, gamma, -1)
     if not r.on_shell:
         raise ValueError(
             "transfer eigenvalue at mu near a rapidity requires on-shell data"
@@ -254,7 +297,7 @@ def transfer_eigenvalue(mu: complex, r) -> complex:
             cmath.exp(-1j * mu * length / 2)
             * 1j
             * gamma
-            * _tau_pm(lj, rest, gamma, -1)
+            * tau_pm(lj, rest, gamma, -1)
             * cmath.exp(1j * mu * length)
             * _exp_ratio(lj - mu, length)
         )
@@ -262,7 +305,7 @@ def transfer_eigenvalue(mu: complex, r) -> complex:
 
 
 def asymptotic_check(
-    r, mu_scales: Sequence[float] = (1e2, 1e3)
+    r: RapiditySet, mu_scales: Sequence[float] = (1e2, 1e3)
 ) -> dict:
     """Large-|mu| behavior of log(e^{i mu L/2} tau_mu) at mu = i t.
 
@@ -280,8 +323,8 @@ def asymptotic_check(
         # e^{i mu L/2} tau_mu = tau^+_mu + e^{i mu L} tau^-_mu, evaluated
         # without the overflowing intermediate factors
         exact = cmath.log(
-            _tau_pm(mu, lam, gamma, 1)
-            + cmath.exp(1j * mu * r.length) * _tau_pm(mu, lam, gamma, -1)
+            tau_pm(mu, lam, gamma, 1)
+            + cmath.exp(1j * mu * r.length) * tau_pm(mu, lam, gamma, -1)
         )
         g = 1j * gamma
         series = (
@@ -307,7 +350,7 @@ def solve_request_from_json(text: str) -> tuple[QuantumNumbers, float, float]:
     return n, float(data["gamma"]), float(data["L"])
 
 
-def solution_to_json(r, residual: float, iterations: int) -> str:
+def solution_to_json(r: RapiditySet, residual: float, iterations: int) -> str:
     return json.dumps(
         {
             "lambda": [[v.real, v.imag] for v in r.lam],

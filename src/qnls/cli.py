@@ -221,25 +221,24 @@ def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int) -> lis
 
         # bridges between the position action and the momentum tables,
         # tested on the plane-wave orbit
-        pw = momrep.orbit_from_function(lam, lambda m: exppoly.plane_wave(m))
         worst_t = worst_i = worst_g = 0.0
         for j in range(1, n):
             k = j + 1
             pos = alcovefn.act_analytic(
-                transposition(j, k, n), pw.entries[identity(n)]
+                transposition(j, k, n), base.entries[identity(n)]
             )
-            mom = momrep.act_table(transposition(j, k, n), pw).entries[identity(n)]
+            mom = momrep.act_table(transposition(j, k, n), base).entries[identity(n)]
             worst_t = max(worst_t, max(abs(pos.eval(x) - mom.eval(x)) for x in xs))
-            pos_i = alcovefn.reflection_integral(pw.entries[identity(n)], j, k)
-            mom_i = momrep.orbit_scale(-1j, momrep.divided_difference(pw, j, k))
+            pos_i = alcovefn.reflection_integral(base.entries[identity(n)], j, k)
+            mom_i = momrep.orbit_scale(-1j, momrep.divided_difference(base, j, k))
             worst_i = max(
                 worst_i,
                 max(abs(pos_i.eval(x) - mom_i.entries[identity(n)].eval(x)) for x in xs),
             )
             pos_g = alcovefn.deformed_transposition_position(
-                pw.entries[identity(n)], j, gamma
+                base.entries[identity(n)], j, gamma
             )
-            mom_g = momrep.deformed_transposition_momentum(pw, j, gamma)
+            mom_g = momrep.deformed_transposition_momentum(base, j, gamma)
             worst_g = max(
                 worst_g,
                 max(abs(pos_g.eval(x) - mom_g.entries[identity(n)].eval(x)) for x in xs),
@@ -768,11 +767,12 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int) -
     def _sub(F, G):
         return alcovefn.afn_add(F, alcovefn.afn_scale(-1.0, G))
 
-    def check(name, lhs, rhs):
+    def check(name, lhs, rhs, ref):
+        """Worst pointwise |lhs - rhs|, relative to the input ref's size."""
         pts = alcovefn.sample_interior(lhs.n, 6, length, seed) if lhs.n else [()]
         scale = max(
             [1.0]
-            + [abs(Psi.eval(x)) for x in alcovefn.sample_interior(n, 6, length, seed)]
+            + [abs(ref.eval(x)) for x in alcovefn.sample_interior(n, 6, length, seed)]
         )
         worst = max(abs(lhs.eval(x) - rhs.eval(x)) for x in pts) / scale
         records.append(_record(name, n, gamma, length, worst, OPERATOR_TOL))
@@ -780,7 +780,7 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int) -
     zero2 = alcovefn.zero_function
     for fam in ("A", "B", "C", "D"):
         out = comm(fam, lam, fam, mu, Psi)
-        check(f"symmetric-{fam}{fam}-commutation", out, zero2(out.n))
+        check(f"symmetric-{fam}{fam}-commutation", out, zero2(out.n), Psi)
     pairs = [
         ("A", "B", -weight), ("B", "A", -weight),
         ("A", "C", weight), ("C", "A", weight),
@@ -792,31 +792,31 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int) -
         rhs = alcovefn.afn_scale(
             c, _sub(S(f2, lam, S(f1, mu, Psi)), S(f2, mu, S(f1, lam, Psi)))
         )
-        check(f"symmetric-{f1}{f2}-exchange", lhs, rhs)
+        check(f"symmetric-{f1}{f2}-exchange", lhs, rhs, Psi)
     lhs = comm("A", lam, "D", mu, Psi)
     rhs = alcovefn.afn_scale(
         -1j * gamma**2 / (lam - mu),
         _sub(S("B", lam, S("C", mu, Psi)), S("B", mu, S("C", lam, Psi))),
     )
-    check("symmetric-AD-exchange", lhs, rhs)
+    check("symmetric-AD-exchange", lhs, rhs, Psi)
     lhs = comm("D", lam, "A", mu, Psi)
     rhs = alcovefn.afn_scale(
         -1j * gamma**2 / (lam - mu),
         _sub(S("C", lam, S("B", mu, Psi)), S("C", mu, S("B", lam, Psi))),
     )
-    check("symmetric-DA-exchange", lhs, rhs)
+    check("symmetric-DA-exchange", lhs, rhs, Psi)
     lhs = comm("B", lam, "C", mu, Psi)
     rhs = alcovefn.afn_scale(
         -1j / (lam - mu),
         _sub(S("A", lam, S("D", mu, Psi)), S("A", mu, S("D", lam, Psi))),
     )
-    check("symmetric-BC-exchange", lhs, rhs)
+    check("symmetric-BC-exchange", lhs, rhs, Psi)
     lhs = comm("C", lam, "B", mu, Psi)
     rhs = alcovefn.afn_scale(
         -1j / (lam - mu),
         _sub(S("D", lam, S("A", mu, Psi)), S("D", mu, S("A", lam, Psi))),
     )
-    check("symmetric-CB-exchange", lhs, rhs)
+    check("symmetric-CB-exchange", lhs, rhs, Psi)
 
     # non-symmetric refinements on a pre-wavefunction input
     psi = wavefn.prewavefunction(r)
@@ -827,21 +827,12 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int) -
     def ncomm(f1, nu1, f2, nu2, f):
         return _sub(NS(f1, nu1, NS(f2, nu2, f)), NS(f2, nu2, NS(f1, nu1, f)))
 
-    def ncheck(name, lhs, rhs):
-        pts = alcovefn.sample_interior(lhs.n, 6, length, seed) if lhs.n else [()]
-        worst = max(abs(lhs.eval(x) - rhs.eval(x)) for x in pts)
-        scale = max(
-            [1.0]
-            + [abs(psi.eval(x)) for x in alcovefn.sample_interior(n, 6, length, seed)]
-        )
-        records.append(_record(name, n, gamma, length, worst / scale, OPERATOR_TOL))
-
-    ncheck("nonsymmetric-aa-commutation", ncomm("a", lam, "a", mu, psi), zero2(n))
-    ncheck("nonsymmetric-dd-commutation", ncomm("d", lam, "d", mu, psi), zero2(n))
+    check("nonsymmetric-aa-commutation", ncomm("a", lam, "a", mu, psi), zero2(n), psi)
+    check("nonsymmetric-dd-commutation", ncomm("d", lam, "d", mu, psi), zero2(n), psi)
     out = ncomm("b-", lam, "b+", mu, psi)
-    ncheck("nonsymmetric-raising-mixed-commutation", out, zero2(out.n))
+    check("nonsymmetric-raising-mixed-commutation", out, zero2(out.n), psi)
     out = ncomm("c-", lam, "c+", mu, psi)
-    ncheck("nonsymmetric-lowering-mixed-commutation", out, zero2(out.n))
+    check("nonsymmetric-lowering-mixed-commutation", out, zero2(out.n), psi)
     npairs = [
         ("a", "b+", -weight), ("b+", "a", -weight),
         ("d", "b-", weight), ("b-", "d", weight),
@@ -855,17 +846,17 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int) -
         )
         t1 = f1.replace("+", "plus").replace("-", "minus")
         t2 = f2.replace("+", "plus").replace("-", "minus")
-        ncheck(f"nonsymmetric-{t1}-{t2}-exchange", lhs, rhs)
+        check(f"nonsymmetric-{t1}-{t2}-exchange", lhs, rhs, psi)
     lhs = ncomm("a", lam, "d", mu, psi)
     rhs = alcovefn.afn_scale(
         gamma, _sub(NS("c-", mu, NS("b+", lam, psi)), NS("c+", lam, NS("b-", mu, psi)))
     )
-    ncheck("nonsymmetric-ad-via-lowering-raising", lhs, rhs)
+    check("nonsymmetric-ad-via-lowering-raising", lhs, rhs, psi)
     lhs = ncomm("d", lam, "a", mu, psi)
     rhs = alcovefn.afn_scale(
         gamma, _sub(NS("c+", mu, NS("b-", lam, psi)), NS("c-", lam, NS("b+", mu, psi)))
     )
-    ncheck("nonsymmetric-da-via-lowering-raising", lhs, rhs)
+    check("nonsymmetric-da-via-lowering-raising", lhs, rhs, psi)
 
     # position transposition against double raising:
     # s b_lam b_mu - b_mu b_lam = +-(i gamma/(lam-mu)) [b_lam, b_mu]
@@ -878,7 +869,7 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int) -
         swap = transposition(j_swap, j_swap + 1, n + 2)
         lhs = _sub(alcovefn.act_position(swap, lam_mu), mu_lam)
         rhs = alcovefn.afn_scale(c, _sub(lam_mu, mu_lam))
-        ncheck(f"nonsymmetric-{label}-transposition-exchange", lhs, rhs)
+        check(f"nonsymmetric-{label}-transposition-exchange", lhs, rhs, psi)
     return records
 
 

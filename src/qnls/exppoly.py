@@ -145,9 +145,6 @@ class ExpPolySum:
         xv = tuple(x)
         return sum((t.eval(xv) for t in self.terms), 0j)
 
-    def is_zero(self) -> bool:
-        return not canonicalize(self).terms
-
     def __add__(self, other: "ExpPolySum") -> "ExpPolySum":
         return add(self, other)
 

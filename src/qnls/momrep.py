@@ -32,7 +32,6 @@ __all__ = [
     "OrbitFunction",
     "EPS_REG",
     "orbit_planewave",
-    "orbit_from_function",
     "act_table",
     "divided_difference",
     "deformed_transposition_momentum",
@@ -81,9 +80,6 @@ class OrbitFunction:
         """The orbit point sigma lambda."""
         return sigma.act_vector(self.lam)
 
-    def entry(self, sigma: Permutation) -> ExpPolySum:
-        return self.entries[sigma]
-
 
 def orbit_planewave(lam: tuple[complex, ...]) -> OrbitFunction:
     """The seed orbit: entries[sigma] = exp(i <sigma lambda, x>)."""
@@ -92,16 +88,6 @@ def orbit_planewave(lam: tuple[complex, ...]) -> OrbitFunction:
     return OrbitFunction(
         lam,
         {s: exppoly.plane_wave(s.act_vector(lam)) for s in all_permutations(len(lam))},
-    )
-
-
-def orbit_from_function(
-    lam: tuple[complex, ...], fn: Callable[[tuple[complex, ...]], ExpPolySum]
-) -> OrbitFunction:
-    """Tabulate an arbitrary momentum-space function on the orbit."""
-    lam = tuple(complex(v) for v in lam)
-    return OrbitFunction(
-        lam, {s: fn(s.act_vector(lam)) for s in all_permutations(len(lam))}
     )
 
 

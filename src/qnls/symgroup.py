@@ -72,14 +72,8 @@ class Permutation:
             inv[wj - 1] = j
         return Permutation(tuple(inv))
 
-    def inversion_set(self) -> frozenset[tuple[int, int]]:
-        return inversion_set(self)
-
     def length(self) -> int:
         return length(self)
-
-    def is_identity(self) -> bool:
-        return all(wj == j for j, wj in enumerate(self.images, start=1))
 
     def act_vector(self, x: tuple) -> tuple:
         """Permute the entries of x: (w x)_{w(j)} = x_j, i.e. (w x)_j = x_{w^{-1}(j)}.

@@ -11,11 +11,11 @@ Dunkl eigen-system) and for periodicity on the interval [-L/2, L/2].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable
 
-from . import alcovefn, bae, exppoly, momrep, ybops
+from . import alcovefn, exppoly, momrep, ybops
 from .alcovefn import AlcoveFunction
+from .bae import ON_SHELL_TOL, RapiditySet
 from .exppoly import ExpPolySum
 from .symgroup import Permutation, all_permutations, identity
 
@@ -35,8 +35,6 @@ __all__ = [
     "DEGENERATE_TOL",
 ]
 
-# a rapidity set may only be flagged on-shell below this BAE residual
-ON_SHELL_TOL = 1e-9
 # pointwise relative disagreement beyond this aborts route comparisons
 ROUTE_TOL = 1e-9
 # a mismatch dump keeps at most this many terms of each piece
@@ -56,49 +54,6 @@ BETHE_ROUTES = ("symmetrize", "explicit", "creationB")
 
 class RouteMismatchError(AssertionError):
     """Two constructions of the same wavefunction disagree."""
-
-
-@dataclass(frozen=True)
-class RapiditySet:
-    """Rapidities with the model parameters they live in.
-
-    regularity is the minimum pairwise gap |lam_j - lam_k|; on_shell may
-    only be set when the Bethe-equation residual is below ON_SHELL_TOL.
-    """
-
-    lam: tuple[complex, ...]
-    gamma: float
-    length: float
-    on_shell: bool = False
-    regularity: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        lam = tuple(complex(v) for v in self.lam)
-        object.__setattr__(self, "lam", lam)
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-        gaps = [
-            abs(lam[a] - lam[b])
-            for a in range(len(lam))
-            for b in range(a + 1, len(lam))
-        ]
-        object.__setattr__(self, "regularity", min(gaps) if gaps else float("inf"))
-        if self.on_shell:
-            res = max(
-                (abs(v) for v in bae.bae_residual(lam, self.gamma, self.length)),
-                default=0.0,
-            )
-            if res > ON_SHELL_TOL:
-                raise ValueError(
-                    f"on_shell flag refused: BAE residual {res:.3e} > {ON_SHELL_TOL}"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.lam)
-
-    def is_regular(self) -> bool:
-        return self.regularity > momrep.EPS_REG
 
 
 def _require_regular(r: RapiditySet) -> None:
@@ -241,15 +196,6 @@ def prewavefunction_coincident_pair(lam: complex, gamma: float) -> AlcoveFunctio
     )
 
 
-def _extend_by_symmetry(piece: ExpPolySum, n: int) -> AlcoveFunction:
-    """All alcoves of a symmetric function from its fundamental piece."""
-    pieces = {
-        sigma: exppoly.remap(piece, {t: sigma(t) for t in range(1, n + 1)}, n)
-        for sigma in all_permutations(n)
-    }
-    return AlcoveFunction(n, pieces, continuous=True)
-
-
 def bethe_wavefunction(r: RapiditySet, route: str = "symmetrize") -> AlcoveFunction:
     """Psi_lam, symmetric in both positions and momenta; Psi_lam(0) = 1.
 
@@ -272,7 +218,7 @@ def bethe_wavefunction(r: RapiditySet, route: str = "symmetrize") -> AlcoveFunct
         piece = exppoly.canonicalize(
             exppoly.scale(1.0 / len(all_permutations(n)), acc)
         )
-        return _extend_by_symmetry(piece, n)
+        return alcovefn.extend_symmetric(piece, continuous=True)
     if route == "creationB":
         F = alcovefn.from_analytic(exppoly.constant(1.0, 0))
         for mu in r.lam:

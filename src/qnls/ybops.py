@@ -29,14 +29,12 @@ from .exppoly import Bound, ExpPolySum
 from .symgroup import Permutation, all_permutations, identity
 
 __all__ = [
-    "ModelParams",
     "multi_indices",
     "ordered_multi_indices",
     "elementary_symmetric_op",
     "elementary_nonsymmetric_op",
     "apply_symmetric",
     "apply_nonsymmetric",
-    "apply_A_altform",
     "insert_top",
     "insert_bottom",
     "rmatrix",
@@ -51,16 +49,6 @@ __all__ = [
 # exact application is refused above this many input particles; the output
 # would carry (N+1)! alcove pieces
 PARTICLE_CAP = 4
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    gamma: float
-    length: float
-
-    def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError("box length must be positive")
 
 
 def multi_indices(n: int, N: int) -> list[tuple[int, ...]]:
@@ -79,7 +67,7 @@ def ordered_multi_indices(n: int, N: int) -> list[tuple[int, ...]]:
 # A plan describes one elementary block:
 #   levels   strictly decreasing chain of entities; integration variable y_m
 #            lives on (levels[m], levels[m-1])
-#   phase    plane-wave exponent: (entity-or-y, coefficient) pairs
+#   phase    plane-wave exponent: (coordinate-or-y, coefficient) pairs
 #   args     what each operand slot receives: a coordinate or a y
 #   scalar   constant prefactor
 # Entities are ("coord", p) or ("const", +1/-1) for +/- L/2.
@@ -122,16 +110,12 @@ def _plan_piece(
     ext_n = P + n_y
 
     wv = [0j] * ext_n
-    const_phase = 0j
     for target, coeff in plan.phase:
         if target[0] == "coord":
             wv[target[1] - 1] += coeff
-        elif target[0] == "y":
-            wv[P + target[1] - 1] += coeff
         else:
-            const_phase += coeff * target[1] * length / 2
-    prefactor = plan.scalar * cmath.exp(1j * const_phase)
-    prefwave = exppoly.scale(prefactor, exppoly.plane_wave(wv))
+            wv[P + target[1] - 1] += coeff
+    prefwave = exppoly.scale(plan.scalar, exppoly.plane_wave(wv))
 
     # split every interval at the output coordinates inside it
     per_interval = []
@@ -198,7 +182,9 @@ def _check_index(i: tuple[int, ...], N: int, ordered: bool) -> None:
         raise ValueError("multi-index must be strictly increasing")
 
 
-def _nonsymmetric_plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan:
+def _nonsymmetric_plan(
+    kind: str, mu: complex, i: tuple[int, ...], N: int, length: float
+) -> _Plan:
     """N is the input particle number."""
     k = len(i)
     ys_minus = [(_Y(m), -mu) for m in range(1, k + 1)]
@@ -237,6 +223,7 @@ def _nonsymmetric_plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _P
             args=tuple(
                 _Y(i.index(r) + 1) if r in i else _C(r) for r in range(1, N + 1)
             ),
+            scalar=cmath.exp(-1j * sign * mu * length / 2),
         )
     if kind in ("e_check+", "e_check-"):
         # input has N particles, output N-1; indices live in 1..N-1
@@ -261,7 +248,9 @@ def _nonsymmetric_plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _P
     raise ValueError(f"unknown elementary kind {kind!r}")
 
 
-def _symmetric_plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan:
+def _symmetric_plan(
+    kind: str, mu: complex, i: tuple[int, ...], N: int, length: float
+) -> _Plan:
     """N is the input particle number; i is strictly increasing."""
     k = len(i)
     if kind == "E_hat":
@@ -294,6 +283,7 @@ def _symmetric_plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan
                 *((_Y(m), -mu) for m in range(1, k + 1)),
             ),
             args=tuple(_C(r) for r in rest) + tuple(_Y(m) for m in range(1, k + 1)),
+            scalar=cmath.exp(-1j * sign * mu * length / 2),
         )
     if kind == "E_check":
         # input N, output N-1; indices in 1..N-1, k+1 integrals
@@ -312,50 +302,13 @@ def _symmetric_plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan
     raise ValueError(f"unknown elementary kind {kind!r}")
 
 
-def _nonsymmetric_plan_sized(kind, mu, i, N, length) -> _Plan:
-    plan = _nonsymmetric_plan(kind, mu, i, N)
-    if kind in ("e_bar+", "e_bar-"):
-        sign = 1 if kind.endswith("+") else -1
-        plan = _Plan(
-            plan.out_n,
-            plan.levels,
-            plan.phase,
-            plan.args,
-            cmath.exp(-1j * sign * mu * length / 2),
-        )
-    return plan
-
-
-def _symmetric_plan_sized(kind, mu, i, N, length) -> _Plan:
-    plan = _symmetric_plan(kind, mu, i, N)
-    if kind in ("E_bar+", "E_bar-"):
-        sign = 1 if kind.endswith("+") else -1
-        plan = _Plan(
-            plan.out_n,
-            plan.levels,
-            plan.phase,
-            plan.args,
-            cmath.exp(-1j * sign * mu * length / 2),
-        )
-    return plan
-
-
-def _extend_symmetric(piece0: ExpPolySum, out_n: int) -> AlcoveFunction:
-    """Extend a fundamental-alcove piece by symmetry to all alcoves."""
-    pieces = {
-        sigma: exppoly.remap(piece0, {r: sigma(r) for r in range(1, out_n + 1)}, out_n)
-        for sigma in all_permutations(out_n)
-    }
-    return AlcoveFunction(out_n, pieces, continuous=False)
-
-
 def elementary_nonsymmetric_op(
     kind: str, mu: complex, i: tuple[int, ...], f: AlcoveFunction, length: float
 ) -> AlcoveFunction:
     """One elementary block (kinds e_hat+/-, e_bar+/-, e_check+/-)."""
     if f.n > PARTICLE_CAP:
         raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
-    plan = _nonsymmetric_plan_sized(kind, mu, tuple(i), f.n, length)
+    plan = _nonsymmetric_plan(kind, mu, tuple(i), f.n, length)
     pieces = {
         sigma: _plan_piece(plan, f, sigma, length)
         for sigma in all_permutations(plan.out_n)
@@ -369,9 +322,9 @@ def elementary_symmetric_op(
     """One elementary block on symmetric input (kinds E_hat, E_bar+/-, E_check)."""
     if F.n > PARTICLE_CAP:
         raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
-    plan = _symmetric_plan_sized(kind, mu, tuple(i), F.n, length)
+    plan = _symmetric_plan(kind, mu, tuple(i), F.n, length)
     piece0 = _plan_piece(plan, F, identity(plan.out_n), length)
-    return _extend_symmetric(piece0, plan.out_n)
+    return alcovefn.extend_symmetric(piece0, continuous=False)
 
 
 def apply_nonsymmetric(
@@ -432,7 +385,7 @@ def _gamma_sum(
     plans = []
     for n in range(idx_n + 1):
         for i in multi_indices(n, idx_n):
-            plans.append((gamma**n, _nonsymmetric_plan_sized(kind, mu, i, f.n, length)))
+            plans.append((gamma**n, _nonsymmetric_plan(kind, mu, i, f.n, length)))
     out_n = plans[0][1].out_n
     pieces = {}
     for sigma in all_permutations(out_n):
@@ -456,12 +409,12 @@ def apply_symmetric(
         kind = "E_bar+" if family == "A" else "E_bar-"
         for n in range(N + 1):
             for i in ordered_multi_indices(n, N):
-                plans.append((gamma**n, _symmetric_plan_sized(kind, mu, i, N, length)))
+                plans.append((gamma**n, _symmetric_plan(kind, mu, i, N, length)))
     elif family == "B":
         scalar = 1.0 / (N + 1)
         for n in range(N + 1):
             for i in ordered_multi_indices(n + 1, N + 1):
-                plans.append((gamma**n, _symmetric_plan_sized("E_hat", mu, i, N, length)))
+                plans.append((gamma**n, _symmetric_plan("E_hat", mu, i, N, length)))
     elif family == "C":
         if N == 0:
             # annihilating the vacuum gives zero; keep the empty-variable space
@@ -471,7 +424,7 @@ def apply_symmetric(
         scalar = float(N)
         for n in range(out_n + 1):
             for i in ordered_multi_indices(n, out_n):
-                plans.append((gamma**n, _symmetric_plan_sized("E_check", mu, i, N, length)))
+                plans.append((gamma**n, _symmetric_plan("E_check", mu, i, N, length)))
     else:
         raise ValueError(f"unknown family {family!r}")
     out_n = plans[0][1].out_n
@@ -480,60 +433,7 @@ def apply_symmetric(
         acc = acc + exppoly.scale(
             weight * scalar, _plan_piece(plan, F, identity(out_n), length)
         )
-    return _extend_symmetric(exppoly.canonicalize(acc), out_n)
-
-
-def apply_A_altform(
-    mu: complex, F: AlcoveFunction, gamma: float, length: float
-) -> AlcoveFunction:
-    """A via the split-interval decomposition: for each increasing index i
-    the integration intervals are cut at the coordinates between
-    consecutive entries, indexed by a second tuple j with
-    i_m <= j_m < i_{m+1}, so every term has a fixed argument order."""
-    N = F.n
-    if N > 3:
-        raise ValueError("alternative route capped at 3 particles")
-    piece = F.pieces[identity(N)]
-    acc = exppoly.zero(N)
-    for n in range(N + 1):
-        for i in ordered_multi_indices(n, N):
-            bounds_hi = list(i) + [N + 1]
-            j_ranges = [range(i[m], bounds_hi[m + 1]) for m in range(n)]
-            for j in product(*j_ranges):
-                # y_m sits between coordinates j_m and j_m + 1 in decreasing
-                # order; entries of i are deleted from the argument list
-                ext_n = N + n
-                entities: list[tuple] = []
-                for p in range(1, N + 1):
-                    entities.append(("coord", p))
-                    for m in range(n):
-                        if j[m] == p:
-                            entities.append(("y", m + 1))
-                args = [e for e in entities if not (e[0] == "coord" and e[1] in i)]
-                rows = {}
-                for r, a in enumerate(args, start=1):
-                    slot = a[1] if a[0] == "coord" else N + a[1]
-                    rows[r] = ({slot: 1.0 + 0j}, 0j)
-                g = exppoly.pullback(piece, rows, ext_n)
-                wv = [0j] * ext_n
-                for p in i:
-                    wv[p - 1] += mu
-                for m in range(n):
-                    wv[N + m] -= mu
-                pref = exppoly.scale(
-                    gamma**n * cmath.exp(-1j * mu * length / 2),
-                    exppoly.plane_wave(wv),
-                )
-                g = exppoly.mul(g, pref)
-                for m in range(n, 0, -1):
-                    lo = (
-                        Bound.coord(j[m - 1] + 1)
-                        if j[m - 1] + 1 <= N
-                        else Bound.const(-length / 2)
-                    )
-                    g = exppoly.integrate(g, N + m, lo, Bound.coord(j[m - 1]))
-                acc = acc + exppoly.remap(g, {p: p for p in range(1, N + 1)}, N)
-    return _extend_symmetric(exppoly.canonicalize(acc), N)
+    return alcovefn.extend_symmetric(exppoly.canonicalize(acc), continuous=False)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qnls import alcovefn, exppoly
+from qnls import alcovefn, exppoly, wavefn
 from qnls.alcovefn import ordering_permutation
 from qnls.symgroup import all_permutations, compose, identity, transposition
 
@@ -104,6 +104,11 @@ def test_json_round_trip():
     back = alcovefn.from_json(alcovefn.to_json(F))
     for x in alcovefn.sample_interior(2, 6, 6.0):
         assert abs(back.eval(x) - F.eval(x)) < 1e-14
+    # a continuous function stays evaluable on walls after the round trip
+    Psi = wavefn.bethe_wavefunction(wavefn.RapiditySet((0.8, -0.3), 1.3, 6.0), "explicit")
+    back = alcovefn.from_json(alcovefn.to_json(Psi))
+    assert back.continuous
+    assert abs(back.eval((1.0, 1.0)) - Psi.eval((1.0, 1.0))) < 1e-14
 
 
 def test_eval_on_tie_requires_side():

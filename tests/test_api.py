@@ -1,0 +1,37 @@
+"""Public surface: exported names resolve and bae stands below wavefn."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import qnls
+from qnls import bae, wavefn
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(qnls.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"qnls.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing
+
+
+def test_rapidity_set_has_one_home():
+    assert bae.RapiditySet is wavefn.RapiditySet
+    assert bae.ON_SHELL_TOL is wavefn.ON_SHELL_TOL
+
+
+def test_bae_does_not_import_wavefn():
+    tree = ast.parse(Path(bae.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(a.name for a in node.names)
+    assert "wavefn" not in imported

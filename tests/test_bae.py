@@ -36,7 +36,7 @@ def test_solver_frozen_two_particle_solution():
 
 def test_residuals_vanish_on_shell():
     for gamma in (0.5, 2.0):
-        for twice in ((3, 1), (4, 0, -2)):
+        for twice in ((3, 1), (4, 0, -2), (4, 2, 0, -2, -4)):
             n = QuantumNumbers(twice)
             r = bae.solve_bae(n, gamma, 10.0)
             assert max(abs(v) for v in bae.bae_residual(r.lam, gamma, 10.0)) < 1e-10
