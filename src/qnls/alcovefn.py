@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from . import exppoly
 from .exppoly import Bound, ExpPolySum
 from .symgroup import Permutation, all_permutations, compose, reduced_word, simple, transposition
@@ -82,6 +84,35 @@ class AlcoveFunction:
         if tied and not self.continuous:
             raise ValueError("point lies on a wall of a discontinuous function")
         return self.pieces[sigma].eval(xv)
+
+    def eval_many(self, points, side: Permutation | None = None) -> np.ndarray:
+        """Values at the rows of the real array points (count x n), each
+        taken as eval takes it, walls included.
+
+        The batch is sorted into alcoves in one pass: one piece serves it
+        when every row has the first row's ordering, otherwise the rows are
+        grouped by ordering.
+        """
+        X = np.asarray(points, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError("dimension mismatch")
+        if side is not None:
+            return self.pieces[side].eval_many(X)
+        if not self.continuous:
+            ranked = np.sort(X, axis=1)
+            if (ranked[:, 1:] == ranked[:, :-1]).any():
+                raise ValueError("point lies on a wall of a discontinuous function")
+        # a stable sort breaks ties by index, as ordering_permutation does
+        order = np.argsort(-X, axis=1, kind="stable")
+        if len(X) and (order == order[0]).all():
+            return self.pieces[Permutation(tuple(order[0] + 1))].eval_many(X)
+        labels, group = np.unique(order, axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        out = np.empty(len(X), dtype=complex)
+        for g, label in enumerate(labels):
+            rows = group == g
+            out[rows] = self.pieces[Permutation(tuple(label + 1))].eval_many(X[rows])
+        return out
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import sys
+import traceback
 from typing import Callable, Sequence
 
 from . import alcovefn, bae, exppoly, momrep, oracle, wavefn, ybops
@@ -997,6 +998,26 @@ def run_suite(
 # ---------------------------------------------------------------------------
 
 
+def _suite_records(name: str, max_n: int, gamma: float, length: float, seed: int) -> list[dict]:
+    """The suite's records, or one failing record naming the exception
+    the suite raised; its traceback goes to stderr."""
+    try:
+        return run_suite(name, max_n, gamma, length, seed)
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        return [
+            {
+                "identity_id": "suite-error",
+                "n": max_n,
+                "gamma": gamma,
+                "length": length,
+                "max_residual": None,
+                "pass": False,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+        ]
+
+
 def _format_record(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True)
 
@@ -1099,7 +1120,7 @@ def _cmd_verify(args) -> int:
     failed = False
     out_lines = []
     for name in names:
-        for rec in run_suite(name, max_n, args.gamma, args.length, args.seed):
+        for rec in _suite_records(name, max_n, args.gamma, args.length, args.seed):
             rec = dict(rec, suite=name)
             out_lines.append(_format_record(rec))
             failed = failed or not rec["pass"]
@@ -1113,7 +1134,7 @@ def _cmd_report(args) -> int:
     suites = {}
     failed = False
     for name in SUITES:
-        recs = run_suite(name, max_n, args.gamma, args.length, args.seed)
+        recs = _suite_records(name, max_n, args.gamma, args.length, args.seed)
         suites[name] = {
             "records": recs,
             "pass": all(rec["pass"] for rec in recs),

@@ -2,9 +2,12 @@
 
 Everything here evaluates operands strictly pointwise and integrates with
 adaptive Gauss-Legendre quadrature; no symbolic integration code is shared
-with the exact path.  The nested-integral layouts of the operators are
-restated from their definitions rather than imported, so a bookkeeping
-error on either side shows up as a cross-check failure.
+with the exact path.  Operands are evaluated in panel batches: each
+adaptive step evaluates its integrand once, on the nodes of an interval
+and of its two halves, through AlcoveFunction.eval_many at the innermost
+integral.  The nested-integral layouts of the operators are restated from
+their definitions rather than imported, so a bookkeeping error on either
+side shows up as a cross-check failure.
 """
 
 from __future__ import annotations
@@ -52,23 +55,46 @@ def _nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     return _NODE_CACHE[count]
 
 
-def _panel(func: Callable[[float], complex], a: float, b: float, nodes: int) -> complex:
-    xs, ws = _nodes(nodes)
-    mid, half = (a + b) / 2, (b - a) / 2
-    return half * sum(w * func(mid + half * t) for t, w in zip(xs, ws))
-
-
-def _adaptive(func, a, b, config: QuadConfig, depth: int) -> complex:
-    whole = _panel(func, a, b, config.nodes)
+def _adaptive(
+    batch: Callable[[np.ndarray], np.ndarray], a: float, b: float, config: QuadConfig, depth: int
+) -> complex:
+    """One step: the panel rule on (a, b) against the sum over its halves,
+    with the integrand evaluated once on the nodes of all three panels."""
+    xs, ws = _nodes(config.nodes)
     mid = (a + b) / 2
-    split = _panel(func, a, mid, config.nodes) + _panel(func, mid, b, config.nodes)
+    lo, hi = np.array([a, a, mid]), np.array([b, mid, b])
+    centers, halves = (lo + hi) / 2, (hi - lo) / 2
+    values = batch((centers[:, None] + halves[:, None] * xs).reshape(-1))
+    whole, left, right = halves * (values.reshape(3, -1) @ ws)
+    split = left + right
     if abs(split - whole) <= max(config.rtol * abs(split), config.abs_floor):
-        return split
+        return complex(split)
     if depth >= config.max_subdivisions:
         raise RuntimeError("quadrature failed to converge within the depth limit")
-    return _adaptive(func, a, mid, config, depth + 1) + _adaptive(
-        func, mid, b, config, depth + 1
+    return _adaptive(batch, a, mid, config, depth + 1) + _adaptive(
+        batch, mid, b, config, depth + 1
     )
+
+
+def _quad_batched(
+    batch: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    config: QuadConfig,
+    breaks: Sequence[float] = (),
+) -> complex:
+    """Integral over (a, b) of an integrand that maps an array of nodes to
+    an array of values, split first at the interior breakpoints."""
+    if a == b:
+        return 0.0 + 0j
+    sign = 1.0
+    if a > b:
+        a, b, sign = b, a, -1.0
+    cuts = sorted({a, b, *(t for t in breaks if a < t < b)})
+    total = 0.0 + 0j
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += _adaptive(batch, lo, hi, config, 0)
+    return sign * total
 
 
 def adaptive_quad(
@@ -80,16 +106,17 @@ def adaptive_quad(
 ) -> complex:
     """Integral of a complex-valued func over (a, b), split first at the
     supplied interior breakpoints (kink locations)."""
-    if a == b:
-        return 0.0 + 0j
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
-    cuts = sorted({a, b, *(t for t in breaks if a < t < b)})
-    total = 0.0 + 0j
-    for lo, hi in zip(cuts, cuts[1:]):
-        total += _adaptive(func, lo, hi, config, 0)
-    return sign * total
+    return _quad_batched(
+        lambda ts: np.array([func(t) for t in ts], dtype=complex), a, b, config, breaks
+    )
+
+
+def _points(coords: Sequence, count: int) -> np.ndarray:
+    """count points (rows) from coordinates that are numbers or node arrays."""
+    pts = np.empty((count, len(coords)))
+    for j, c in enumerate(coords):
+        pts[:, j] = c
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +257,21 @@ def quad_elementary(
         lay.levels[m] >= lay.levels[m - 1] for m in range(1, len(lay.levels))
     ):
         return 0.0 + 0j
+    if lay.n_y == 0:
+        return lay.scalar * lay.x_phase * f.eval(lay.args(()))
     breaks = tuple(x)
 
+    def innermost(ys: tuple) -> np.ndarray:
+        # ys ends with the node array of the innermost variable
+        phase = np.exp(-1j * lay.mu * sum(ys))
+        values = f.eval_many(_points(lay.args(ys), len(ys[-1])))
+        return lay.scalar * lay.x_phase * phase * values
+
     def nest(m: int, ys: tuple[float, ...]) -> complex:
-        if m > lay.n_y:
-            phase = cmath.exp(-1j * lay.mu * sum(ys))
-            return lay.scalar * lay.x_phase * phase * f.eval(lay.args(ys))
-        return adaptive_quad(
-            lambda t: nest(m + 1, ys + (t,)),
-            lay.levels[m],
-            lay.levels[m - 1],
-            config,
-            breaks,
-        )
+        lower, upper = lay.levels[m], lay.levels[m - 1]
+        if m == lay.n_y:
+            return _quad_batched(lambda ts: innermost(ys + (ts,)), lower, upper, config, breaks)
+        return adaptive_quad(lambda t: nest(m + 1, ys + (t,)), lower, upper, config, breaks)
 
     return nest(1, ())
 
@@ -345,16 +374,18 @@ def inner_product(
     total = 0.0 + 0j
     for sigma in all_permutations(n):
 
+        def innermost(ts: tuple) -> np.ndarray:
+            # ts ends with the node array of the innermost variable
+            x = [0.0] * n
+            for r, t in enumerate(ts, start=1):
+                x[sigma(r) - 1] = t
+            pts = _points(x, len(ts[-1]))
+            return np.conj(f.eval_many(pts, side=sigma)) * g.eval_many(pts, side=sigma)
+
         def region(m: int, ts: tuple[float, ...]) -> complex:
-            if m > n:
-                x = [0.0] * n
-                for r, t in enumerate(ts, start=1):
-                    x[sigma(r) - 1] = t
-                xt = tuple(x)
-                return complex(f.eval(xt, side=sigma)).conjugate() * g.eval(
-                    xt, side=sigma
-                )
             upper = half if m == 1 else ts[-1]
+            if m == n:
+                return _quad_batched(lambda t: innermost(ts + (t,)), -half, upper, config)
             return adaptive_quad(
                 lambda t: region(m + 1, ts + (t,)), -half, upper, config
             )

@@ -1,12 +1,17 @@
 """Alcove-wise functions: ordering, actions, walls, serialization."""
 
 import random
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnls import alcovefn, exppoly, wavefn
 from qnls.alcovefn import ordering_permutation
 from qnls.symgroup import all_permutations, compose, identity, transposition
+
+EVAL_MANY_TOL = 1e-13
 
 
 def test_ordering_permutation_sorts_decreasing():
@@ -121,3 +126,71 @@ def test_eval_on_tie_requires_side():
     with pytest.raises(ValueError):
         F.eval((0.5, 0.5))
     F.eval((0.5, 0.5), side=identity(2))
+
+
+@lru_cache(maxsize=None)
+def _eval_many_cases() -> tuple[alcovefn.AlcoveFunction, ...]:
+    """Regular pre- and Bethe wavefunctions at N=2..4, the degenerate-limit
+    extrapolant, and two functions whose pieces carry nonzero monomial
+    degrees (the coincident-pair closed form and the propagated plane wave
+    at a coinciding pair)."""
+    rng = random.Random(15)
+    cases = []
+    for n in (2, 3, 4):
+        while True:
+            lam = tuple(complex(rng.uniform(-1.6, 1.6), rng.uniform(-0.3, 0.3)) for _ in range(n))
+            if min(abs(a - b) for a, b in combinations(lam, 2)) > 0.2:
+                break
+        r = wavefn.RapiditySet(lam, 1.3, 10.0)
+        cases += [wavefn.prewavefunction(r), wavefn.bethe_wavefunction(r, "explicit")]
+    degenerate = wavefn.RapiditySet((0.5, 0.5, -0.3), 1.0, 10.0)
+    cases.append(wavefn.prewavefunction_degenerate(degenerate)[0])
+    cases.append(wavefn.prewavefunction_coincident_pair(0.5, 1.0))
+    cases.append(alcovefn.propagation(exppoly.plane_wave((0.5, 0.5, -0.3)), 1.0))
+    return tuple(cases)
+
+
+@st.composite
+def _function_and_batch(draw):
+    F = draw(st.sampled_from(_eval_many_cases()))
+    coord = st.floats(-5.0, 5.0, allow_nan=False)
+    rows = draw(st.lists(st.tuples(*[coord] * F.n), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        # every row in the first row's alcove: the one-piece path
+        sigma, _ = ordering_permutation(rows[0])
+        rows = [sigma.act_vector(tuple(sorted(x, reverse=True))) for x in rows]
+    return F, rows
+
+
+@settings(deadline=None, max_examples=80)
+@given(_function_and_batch())
+def test_eval_many_agrees_with_eval(case):
+    F, rows = case
+    assert F.continuous  # rows may tie, which a continuous function accepts
+    for x, got in zip(rows, F.eval_many(rows)):
+        want = F.eval(x)
+        assert abs(got - want) <= EVAL_MANY_TOL * max(abs(want), 1.0)
+
+
+def test_eval_many_groups_rows_by_alcove():
+    F = _eval_many_cases()[4]  # pre-wavefunction at N=4
+    rows = alcovefn.sample_interior(4, 60, 10.0)
+    assert len({ordering_permutation(x)[0] for x in rows}) > 1
+    for x, got in zip(rows, F.eval_many(rows)):
+        want = F.eval(x)
+        assert abs(got - want) <= EVAL_MANY_TOL * max(abs(want), 1.0)
+
+
+def test_eval_many_on_a_wall():
+    rng = random.Random(16)
+    pieces = {
+        sigma: exppoly.plane_wave(tuple(rng.uniform(-1, 1) for _ in range(2)))
+        for sigma in all_permutations(2)
+    }
+    rows = [(0.3, -0.2), (0.5, 0.5)]
+    with pytest.raises(ValueError):
+        alcovefn.build(pieces).eval_many(rows)
+    Psi = wavefn.bethe_wavefunction(wavefn.RapiditySet((0.8, -0.3), 1.3, 6.0), "explicit")
+    for x, got in zip(rows, Psi.eval_many(rows)):
+        want = Psi.eval(x)
+        assert abs(got - want) <= EVAL_MANY_TOL * max(abs(want), 1.0)

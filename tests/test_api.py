@@ -1,4 +1,5 @@
-"""Public surface: exported names resolve and bae stands below wavefn."""
+"""Public surface: exported names resolve, bae stands below wavefn, and
+the quadrature oracle stays independent of the exact calculus."""
 
 import ast
 import importlib
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qnls
-from qnls import bae, wavefn
+from qnls import bae, oracle, wavefn
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qnls.__path__))
 
@@ -35,3 +36,15 @@ def test_bae_does_not_import_wavefn():
             imported.add((node.module or "").split(".")[-1])
             imported.update(a.name for a in node.names)
     assert "wavefn" not in imported
+
+
+def test_oracle_imports_only_pointwise_evaluation():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qnls")):
+            module = (node.module or "").removeprefix("qnls").strip(".")
+            internal.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            internal.update(a.name.removeprefix("qnls.") for a in node.names if a.name.startswith("qnls."))
+    assert internal == {"alcovefn", "symgroup"}

@@ -3,7 +3,7 @@
 import cmath
 import json
 
-from qnls import cli
+from qnls import cli, wavefn
 
 
 def test_parse_complex():
@@ -152,6 +152,31 @@ def test_identity_failure_exit_three(tmp_path, monkeypatch):
         ["verify", "--suite", "wavefunction-routes", "--out", str(tmp_path / "v")]
     )
     assert code == 3
+
+
+def test_raising_suite_becomes_failing_record(tmp_path, monkeypatch):
+    def raising(max_n, gamma, length, seed):
+        raise wavefn.RouteMismatchError("routes disagree")
+
+    broken = "nonsymmetric-YBA"
+    monkeypatch.setitem(cli.SUITES, broken, raising)
+    out = tmp_path / "v.jsonl"
+    assert cli.main(["verify", "--max-n", "2", "--out", str(out)]) == 3
+    records = [json.loads(l) for l in out.read_text().strip().splitlines()]
+    failed = [rec for rec in records if rec["suite"] == broken]
+    assert len(failed) == 1 and not failed[0]["pass"]
+    assert failed[0]["error"] == "RouteMismatchError: routes disagree"
+    others = [rec for rec in records if rec["suite"] != broken]
+    # suites on both sides of the broken one still write their records
+    assert {"ABA", "Q-operator", "oracle-crosscheck"} <= {rec["suite"] for rec in others}
+    assert all(rec["pass"] and "error" not in rec for rec in others)
+
+    report = tmp_path / "r.json"
+    assert cli.main(["report", "--max-n", "2", "--out", str(report)]) == 3
+    suites = json.loads(report.read_text())["suites"]
+    assert not suites[broken]["pass"]
+    assert suites[broken]["records"][0]["error"] == "RouteMismatchError: routes disagree"
+    assert all(suites[name]["pass"] for name in cli.SUITES if name != broken)
 
 
 def test_config_file_with_flag_override(tmp_path):

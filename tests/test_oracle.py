@@ -25,6 +25,19 @@ def test_adaptive_quad_orientation_and_breakpoints():
     assert abs(rev + 1.0) < 1e-10
 
 
+def test_adaptive_quad_subdivides_at_an_unmarked_kink():
+    calls = []
+
+    def kinked(t):
+        calls.append(t)
+        return abs(t - 0.3)
+
+    val = adaptive_quad(kinked, -1.0, 1.0)
+    assert abs(val - 1.09) < 1e-10
+    # one step evaluates three panels; more calls mean the step subdivided
+    assert len(calls) > 3 * QuadConfig().nodes
+
+
 def test_inner_product_conjugate_symmetry():
     r = RapiditySet((0.8, -0.3), GAMMA, LENGTH)
     f = wavefn.prewavefunction(r)
