@@ -144,10 +144,6 @@ def _msym(j: int):
     return lambda o: momrep.mult_symbol(o, j)
 
 
-def _mscal(field):
-    return lambda o: momrep.mult_scalar(o, field)
-
-
 def _one_plus(op, weight: complex):
     return lambda o: momrep.orbit_add(o, momrep.orbit_scale(weight, op(o)))
 
@@ -291,9 +287,10 @@ def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int) -> lis
 
 def suite_appendix_a(max_n: int, gamma: float, length: float, seed: int) -> list[dict]:
     """Identities of the divided-difference calculus in the momentum
-    representation, tested on plane-wave orbit tables."""
+    representation, tested on plane-wave orbit tables.  Every identity
+    needs three particles, so a max_n below 3 still runs n = 3."""
     records = []
-    for n in range(3, min(max_n, 4) + 1):
+    for n in range(3, min(max(max_n, 3), 4) + 1):
         lam = _seeded_lambda(n, seed, tag=1)
         base = momrep.orbit_planewave(lam)
         xs = alcovefn.sample_interior(n, 4, length, seed)
@@ -581,7 +578,7 @@ def suite_wavefunction_routes(max_n: int, gamma: float, length: float, seed: int
             )
         )
     rd = RapiditySet((0.5, 0.5), gamma, length)
-    F, _ = wavefn.prewavefunction_degenerate(rd)
+    F = wavefn.prewavefunction_degenerate(rd)
     ref = wavefn.prewavefunction_coincident_pair(0.5, gamma)
     pts = alcovefn.sample_interior(2, 20, length, seed)
     records.append(
@@ -1069,7 +1066,7 @@ def _cmd_eval(args) -> int:
         psi = wavefn.prewavefunction(r)
         Psi = wavefn.bethe_wavefunction(r)
     elif args.allow_degenerate:
-        psi, _ = wavefn.prewavefunction_degenerate(r)
+        psi = wavefn.prewavefunction_degenerate(r)
         Psi = alcovefn.symmetrize(psi)
     else:
         print(
@@ -1107,6 +1104,15 @@ def _fmt_complex(v: complex) -> str:
     return f"{v.real:.17g}{v.imag:+.17g}i"
 
 
+def _max_n(args) -> int:
+    """The effective max-n (--n wins over --max-n).  Below 2 several
+    suites would check nothing and still read as a pass."""
+    max_n = args.n if args.n is not None else args.max_n
+    if max_n < 2:
+        raise ValueError(f"max-n must be at least 2, got {max_n}")
+    return max_n
+
+
 def _cmd_verify(args) -> int:
     by_lower = {name.lower(): name for name in SUITES}
     if args.suite in (None, "all"):
@@ -1116,7 +1122,7 @@ def _cmd_verify(args) -> int:
     else:
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return EXIT_USAGE
-    max_n = args.n if args.n is not None else args.max_n
+    max_n = _max_n(args)
     failed = False
     out_lines = []
     for name in names:
@@ -1129,7 +1135,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    max_n = args.n if args.n is not None else args.max_n
+    max_n = _max_n(args)
     report = {"max_n": max_n, "gamma": args.gamma, "length": args.length, "seed": args.seed}
     suites = {}
     failed = False

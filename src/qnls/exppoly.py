@@ -595,8 +595,3 @@ def from_json(data: dict, n: int | None = None) -> ExpPolySum:
         raise ValueError("cannot infer dimension from an empty sum")
     return ExpPolySum(n, tuple(terms))
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

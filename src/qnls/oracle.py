@@ -394,15 +394,9 @@ def inner_product(
     return total
 
 
-def fd_derivative(
-    F: AlcoveFunction,
-    j: int,
-    x: tuple[float, ...],
-    step: float = 1e-4,
-    richardson: bool = True,
-) -> complex:
-    """Central finite difference of F in coordinate j at x, with one
-    Richardson stage by default; refuses stencils that cross a wall."""
+def fd_derivative(F: AlcoveFunction, j: int, x: tuple[float, ...]) -> complex:
+    """Central finite difference of F in coordinate j at x, step 1e-4
+    with one Richardson stage; refuses stencils that cross a wall."""
     x = tuple(x)
     base, _ = ordering_permutation(x)
 
@@ -415,8 +409,6 @@ def fd_derivative(
                 raise ValueError("difference stencil crosses a wall")
         return (F.eval(hi, side=base) - F.eval(lo, side=base)) / (2 * h)
 
-    coarse = central(step)
-    if not richardson:
-        return coarse
-    fine = central(step / 2)
+    coarse = central(1e-4)
+    fine = central(1e-4 / 2)
     return (4 * fine - coarse) / 3.0

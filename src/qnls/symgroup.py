@@ -193,8 +193,3 @@ def longest_element(n: int) -> Permutation:
     """The order-reversing permutation w_0, of length n(n-1)/2."""
     return Permutation(tuple(range(n, 0, -1)))
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -3,9 +3,10 @@
 The pre-wavefunction psi_lam is the image of the plane wave e^{i<lam,x>}
 under the propagation operator; the Bethe wavefunction Psi_lam is its
 position symmetrization.  psi comes with four constructions and Psi with
-three, each set agreeing pointwise, along with a degenerate-rapidity limit
-and verifiers for the eigenvalue problem (Laplacian, derivative jumps,
-Dunkl eigen-system) and for periodicity on the interval [-L/2, L/2].
+three, each set agreeing pointwise.  At coinciding rapidities psi is
+exact too: the plane wave at the coinciding rapidities, propagated.
+Verifiers cover the eigenvalue problem (Laplacian, derivative jumps,
+Dunkl eigen-system) and periodicity on the interval [-L/2, L/2].
 """
 
 from __future__ import annotations
@@ -31,22 +32,12 @@ __all__ = [
     "check_periodicity",
     "ON_SHELL_TOL",
     "ROUTE_TOL",
-    "DEGENERATE_DELTAS",
-    "DEGENERATE_TOL",
 ]
 
 # pointwise relative disagreement beyond this aborts route comparisons
 ROUTE_TOL = 1e-9
 # a mismatch dump keeps at most this many terms of each piece
 DUMP_TERMS_PER_PIECE = 2
-# central-difference step levels for the degenerate limit (halving for
-# Richardson extrapolation in delta^2; four levels give two second-stage
-# extrapolants whose spread estimates the remaining error).  Divided
-# differences amplify roundoff like delta^{-3} on a triple cluster, so
-# the base step stays this large.
-DEGENERATE_DELTAS = (8e-3, 4e-3, 2e-3, 1e-3)
-# abort threshold on the extrapolation disagreement estimate
-DEGENERATE_TOL = 1e-5
 
 PRE_ROUTES = ("orbit", "propagation", "creation", "creation_plus")
 BETHE_ROUTES = ("symmetrize", "explicit", "creationB")
@@ -95,88 +86,23 @@ def prewavefunction(r: RapiditySet, route: str = "propagation") -> AlcoveFunctio
     raise ValueError(f"unknown route {route!r}; choose from {PRE_ROUTES}")
 
 
-def _degenerate_direction(lam: tuple[complex, ...]) -> tuple[float, ...]:
-    """Unit direction splitting every repeated cluster symmetrically."""
-    n = len(lam)
-    assigned = [0.0] * n
-    used = [False] * n
-    for a in range(n):
-        if used[a]:
-            continue
-        cluster = [a] + [
-            b for b in range(a + 1, n) if abs(lam[a] - lam[b]) <= momrep.EPS_REG
-        ]
-        for b in cluster:
-            used[b] = True
-        if len(cluster) == 1:
-            continue
-        m = len(cluster)
-        # symmetric integer offsets m-1, m-3, ..., -(m-1); the +/-1 split
-        # of a coincident pair is the m=2 case
-        for t, b in enumerate(cluster):
-            assigned[b] = float(m - 1 - 2 * t)
-    norm = sum(v * v for v in assigned) ** 0.5
-    if norm == 0.0:
-        raise ValueError("no repeated rapidities to split")
-    return tuple(v / norm for v in assigned)
+def prewavefunction_degenerate(r: RapiditySet) -> AlcoveFunction:
+    """psi_lam at coinciding rapidities, in closed form.
 
+    The propagation operator needs no regular rapidities, so its image of
+    the plane wave e^{i lam} is the exact limit; the repeated clusters
+    show up as polynomial prefactors.
 
-def prewavefunction_degenerate(
-    r: RapiditySet, deltas: tuple[float, ...] = DEGENERATE_DELTAS
-) -> tuple[AlcoveFunction, float]:
-    """psi_lam at coinciding rapidities by an extrapolated central limit.
-
-    Averages psi_{lam + delta e} and psi_{lam - delta e} along a
-    direction e that splits the repeated clusters (the average kills the
-    odd orders in delta), then Richardson-extrapolates twice across the
-    halving delta levels.  Returns the finest extrapolant and the spread
-    between the last two extrapolants as an error estimate; aborts if
-    the estimate exceeds DEGENERATE_TOL.
+    >>> r = RapiditySet((0.5, 0.5), 1.0, 10.0)
+    >>> F = prewavefunction_degenerate(r)
+    >>> ref = prewavefunction_coincident_pair(0.5, 1.0)
+    >>> x = (-1.25, 2.5)
+    >>> abs(F.eval(x) - ref.eval(x)) < 1e-14
+    True
     """
     if r.is_regular():
         raise ValueError("rapidities are regular; use prewavefunction")
-    if len(deltas) < 4 or any(
-        not (a > b > 0) or abs(a / b - 2) > 1e-12 for a, b in zip(deltas, deltas[1:])
-    ):
-        raise ValueError("deltas must be at least four positive halving levels")
-    e = _degenerate_direction(r.lam)
-
-    def central(delta: float) -> AlcoveFunction:
-        shift = tuple(delta * v for v in e)
-        plus = RapiditySet(
-            tuple(l + s for l, s in zip(r.lam, shift)), r.gamma, r.length
-        )
-        minus = RapiditySet(
-            tuple(l - s for l, s in zip(r.lam, shift)), r.gamma, r.length
-        )
-        return alcovefn.afn_scale(
-            0.5,
-            alcovefn.afn_add(
-                prewavefunction(plus, "propagation"),
-                prewavefunction(minus, "propagation"),
-            ),
-        )
-
-    def richardson(fine: AlcoveFunction, coarse: AlcoveFunction, p: int) -> AlcoveFunction:
-        w = float(2**p)
-        return alcovefn.afn_add(
-            alcovefn.afn_scale(w / (w - 1), fine),
-            alcovefn.afn_scale(-1.0 / (w - 1), coarse),
-        )
-
-    levels = [central(d) for d in deltas]
-    # first stage removes the delta^2 error, second the delta^4 error
-    stage1 = [richardson(levels[t + 1], levels[t], 2) for t in range(len(levels) - 1)]
-    stage2 = [richardson(stage1[t + 1], stage1[t], 4) for t in range(len(stage1) - 1)]
-    first, second = stage2[-2], stage2[-1]
-    points = alcovefn.sample_interior(r.n, 20, r.length)
-    estimate = max(abs(second.eval(x) - first.eval(x)) for x in points)
-    if estimate > DEGENERATE_TOL:
-        raise ValueError(
-            f"degenerate-limit extrapolation disagreement {estimate:.3e} "
-            f"exceeds {DEGENERATE_TOL}"
-        )
-    return second, estimate
+    return alcovefn.propagation(exppoly.plane_wave(r.lam), r.gamma)
 
 
 def prewavefunction_coincident_pair(lam: complex, gamma: float) -> AlcoveFunction:

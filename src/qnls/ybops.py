@@ -31,7 +31,6 @@ from .symgroup import Permutation, all_permutations, identity
 __all__ = [
     "multi_indices",
     "ordered_multi_indices",
-    "elementary_symmetric_op",
     "elementary_nonsymmetric_op",
     "apply_symmetric",
     "apply_nonsymmetric",
@@ -314,17 +313,6 @@ def elementary_nonsymmetric_op(
         for sigma in all_permutations(plan.out_n)
     }
     return AlcoveFunction(plan.out_n, pieces, continuous=False)
-
-
-def elementary_symmetric_op(
-    kind: str, mu: complex, i: tuple[int, ...], F: AlcoveFunction, length: float
-) -> AlcoveFunction:
-    """One elementary block on symmetric input (kinds E_hat, E_bar+/-, E_check)."""
-    if F.n > PARTICLE_CAP:
-        raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
-    plan = _symmetric_plan(kind, mu, tuple(i), F.n, length)
-    piece0 = _plan_piece(plan, F, identity(plan.out_n), length)
-    return alcovefn.extend_symmetric(piece0, continuous=False)
 
 
 def apply_nonsymmetric(

@@ -169,7 +169,7 @@ def test_criterion_10_oracle_independence():
 def test_criterion_11_degenerate_limit():
     gamma = 1.0
     rd = RapiditySet((0.5, 0.5), gamma, LENGTH)
-    F, _ = wavefn.prewavefunction_degenerate(rd)
+    F = wavefn.prewavefunction_degenerate(rd)
     ref = wavefn.prewavefunction_coincident_pair(0.5, gamma)
     worst = max(
         abs(F.eval(x) - ref.eval(x)) for x in alcovefn.sample_interior(2, 20, LENGTH)

@@ -130,10 +130,10 @@ def test_eval_on_tie_requires_side():
 
 @lru_cache(maxsize=None)
 def _eval_many_cases() -> tuple[alcovefn.AlcoveFunction, ...]:
-    """Regular pre- and Bethe wavefunctions at N=2..4, the degenerate-limit
-    extrapolant, and two functions whose pieces carry nonzero monomial
-    degrees (the coincident-pair closed form and the propagated plane wave
-    at a coinciding pair)."""
+    """Regular pre- and Bethe wavefunctions at N=2..4 and two functions
+    whose pieces carry nonzero monomial degrees: the degenerate limit at
+    a coinciding pair (the propagated plane wave) and the coincident-pair
+    closed form."""
     rng = random.Random(15)
     cases = []
     for n in (2, 3, 4):
@@ -144,9 +144,8 @@ def _eval_many_cases() -> tuple[alcovefn.AlcoveFunction, ...]:
         r = wavefn.RapiditySet(lam, 1.3, 10.0)
         cases += [wavefn.prewavefunction(r), wavefn.bethe_wavefunction(r, "explicit")]
     degenerate = wavefn.RapiditySet((0.5, 0.5, -0.3), 1.0, 10.0)
-    cases.append(wavefn.prewavefunction_degenerate(degenerate)[0])
+    cases.append(wavefn.prewavefunction_degenerate(degenerate))
     cases.append(wavefn.prewavefunction_coincident_pair(0.5, 1.0))
-    cases.append(alcovefn.propagation(exppoly.plane_wave((0.5, 0.5, -0.3)), 1.0))
     return tuple(cases)
 
 

@@ -111,10 +111,11 @@ def test_eval_two_particle_closed_form(tmp_path):
 
 
 def test_eval_degenerate_needs_flag(tmp_path):
-    base = ["eval", "--lambda", "0.5,0.5", "--gamma", "1", "--length", "10",
-            "--count", "2", "--out", str(tmp_path / "d.csv")]
-    assert cli.main(base) == 1
-    assert cli.main(base + ["--allow-degenerate"]) == 0
+    for lam in ("0.5,0.5", "0.3,0.3,0.3,0.3"):
+        base = ["eval", "--lambda", lam, "--gamma", "1", "--length", "10",
+                "--count", "2", "--out", str(tmp_path / "d.csv")]
+        assert cli.main(base) == 1
+        assert cli.main(base + ["--allow-degenerate"]) == 0
 
 
 def test_verify_single_suite_exit_zero(tmp_path):
@@ -138,6 +139,17 @@ def test_verify_lowercase_suite_alias(tmp_path):
 
 def test_verify_unknown_suite_exit_one():
     assert cli.main(["verify", "--suite", "bogus"]) == 1
+
+
+def test_appendix_a_checks_something_below_three_particles():
+    records = cli.run_suite("appendix-A", 2, 1.0, 10.0)
+    assert records and all(rec["pass"] for rec in records)
+
+
+def test_max_n_below_two_rejected(capsys):
+    assert cli.main(["verify", "--max-n", "1"]) == 1
+    assert cli.main(["report", "--n", "1"]) == 1
+    assert "max-n" in capsys.readouterr().err
 
 
 def test_identity_failure_exit_three(tmp_path, monkeypatch):

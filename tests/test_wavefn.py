@@ -87,11 +87,36 @@ def test_bethe_wavefunction_is_symmetric():
 
 def test_degenerate_pair_matches_closed_form():
     rd = RapiditySet((0.5, 0.5), GAMMA, LENGTH)
-    F, estimate = wavefn.prewavefunction_degenerate(rd)
-    assert estimate < wavefn.DEGENERATE_TOL
+    F = wavefn.prewavefunction_degenerate(rd)
     ref = wavefn.prewavefunction_coincident_pair(0.5, GAMMA)
     for x in alcovefn.sample_interior(2, 20, LENGTH):
         assert abs(F.eval(x) - ref.eval(x)) < 1e-6
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.3])
+def test_degenerate_pair_is_exact(gamma):
+    F = wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5), gamma, LENGTH))
+    ref = wavefn.prewavefunction_coincident_pair(0.5, gamma)
+    for x in alcovefn.sample_interior(2, 20, LENGTH):
+        assert abs(F.eval(x) - ref.eval(x)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "lam, rearrangements",
+    [
+        ((0.5, 0.5, -0.3), 3),
+        ((0.2, 0.2, 0.2), 1),
+        ((0.4 + 0.1j, 0.4 + 0.1j, -0.6, -0.6), 6),
+        ((0.3, 0.3, 0.3, 0.3), 1),
+    ],
+)
+def test_degenerate_limit_solves_qnls(lam, rearrangements):
+    """The exact limit solves the eigenvalue problem (Dunkl included),
+    and each piece carries one term per distinct rearrangement of lam."""
+    r = RapiditySet(lam, 1.0, LENGTH)
+    F = wavefn.prewavefunction_degenerate(r)
+    assert wavefn.verify_qnls(F, r, check_dunkl=True)["max_residual"] < 1e-9
+    assert max(len(piece.terms) for piece in F.pieces.values()) <= rearrangements
 
 
 def test_degenerate_rejected_by_exact_routes():
