@@ -11,6 +11,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import random
 import sys
 import traceback
@@ -91,24 +92,23 @@ def _record(
     }
 
 
-def _orbit_residual(o1: OrbitFunction, o2: OrbitFunction, xs) -> float:
-    worst, scale = 0.0, 1.0
-    for sigma in o1.entries:
+def _gap(pairs, xs, scale: float | None = None) -> float:
+    """Worst |F(x) - G(x)| over the (F, G) pairs and the points xs, divided
+    by scale; by default the largest |value| seen, or 1 if that is smaller."""
+    worst, seen = 0.0, 1.0
+    for F, G in pairs:
         for x in xs:
-            v1 = o1.entries[sigma].eval(x)
-            v2 = o2.entries[sigma].eval(x)
+            v1, v2 = F.eval(x), G.eval(x)
             worst = max(worst, abs(v1 - v2))
-            scale = max(scale, abs(v1), abs(v2))
-    return worst / scale
+            seen = max(seen, abs(v1), abs(v2))
+    return worst / (seen if scale is None else scale)
 
 
-def _afn_residual(F: AlcoveFunction, G: AlcoveFunction, xs) -> float:
-    worst, scale = 0.0, 1.0
-    for x in xs:
-        v1, v2 = F.eval(x), G.eval(x)
-        worst = max(worst, abs(v1 - v2))
-        scale = max(scale, abs(v1), abs(v2))
-    return worst / scale
+def _op(family: str, nu: complex, F: AlcoveFunction, gamma: float, length: float):
+    """Any generator, named as oracle.quad_apply names them."""
+    if family in ("A", "B", "C", "D"):
+        return ybops.apply_symmetric(family, nu, F, gamma, length)
+    return ybops.apply_nonsymmetric(family, nu, F, gamma, length)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int) -> lis
         xs = alcovefn.sample_interior(n, 4, length, seed)
 
         def res(o1, o2):
-            return _orbit_residual(o1, o2, xs)
+            return _gap([(o1.entries[s], o2.entries[s]) for s in o1.entries], xs)
 
         worst = max(
             res(_chain(_tg(j, gamma), _tg(j, gamma))(base), base)
@@ -217,38 +217,27 @@ def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int) -> lis
         )
 
         # bridges between the position action and the momentum tables,
-        # tested on the plane-wave orbit
-        worst_t = worst_i = worst_g = 0.0
-        for j in range(1, n):
-            k = j + 1
-            pos = alcovefn.act_analytic(
-                transposition(j, k, n), base.entries[identity(n)]
-            )
-            mom = momrep.act_table(transposition(j, k, n), base).entries[identity(n)]
-            worst_t = max(worst_t, max(abs(pos.eval(x) - mom.eval(x)) for x in xs))
-            pos_i = alcovefn.reflection_integral(base.entries[identity(n)], j, k)
-            mom_i = momrep.orbit_scale(-1j, momrep.divided_difference(base, j, k))
-            worst_i = max(
-                worst_i,
-                max(abs(pos_i.eval(x) - mom_i.entries[identity(n)].eval(x)) for x in xs),
-            )
-            pos_g = alcovefn.deformed_transposition_position(
-                base.entries[identity(n)], j, gamma
-            )
-            mom_g = momrep.deformed_transposition_momentum(base, j, gamma)
-            worst_g = max(
-                worst_g,
-                max(abs(pos_g.eval(x) - mom_g.entries[identity(n)].eval(x)) for x in xs),
-            )
-        records.append(
-            _record("transposition-on-plane-waves", n, gamma, length, worst_t, IDENTITY_TOL)
-        )
-        records.append(
-            _record("reflection-integral-on-plane-waves", n, gamma, length, worst_i, IDENTITY_TOL)
-        )
-        records.append(
-            _record("deformed-transposition-on-plane-waves", n, gamma, length, worst_g, IDENTITY_TOL)
-        )
+        # tested on the plane-wave orbit: absolute residuals
+        e = identity(n)
+        wave = base.entries[e]
+        for name, pairs in (
+            ("transposition-on-plane-waves", [
+                (alcovefn.act_analytic(transposition(j, j + 1, n), wave),
+                 momrep.act_table(transposition(j, j + 1, n), base).entries[e])
+                for j in range(1, n)
+            ]),
+            ("reflection-integral-on-plane-waves", [
+                (alcovefn.reflection_integral(wave, j, j + 1),
+                 momrep.orbit_scale(-1j, momrep.divided_difference(base, j, j + 1)).entries[e])
+                for j in range(1, n)
+            ]),
+            ("deformed-transposition-on-plane-waves", [
+                (alcovefn.deformed_transposition_position(wave, j, gamma),
+                 momrep.deformed_transposition_momentum(base, j, gamma).entries[e])
+                for j in range(1, n)
+            ]),
+        ):
+            records.append(_record(name, n, gamma, length, _gap(pairs, xs, 1.0), IDENTITY_TOL))
 
         # Dunkl-type operators on the pre-wavefunction
         r = RapiditySet(lam, gamma, length)
@@ -258,7 +247,7 @@ def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int) -> lis
             for k in range(j + 1, n + 1):
                 jk = alcovefn.dunkl(alcovefn.dunkl(psi, k, gamma), j, gamma)
                 kj = alcovefn.dunkl(alcovefn.dunkl(psi, j, gamma), k, gamma)
-                worst = max(worst, _afn_residual(jk, kj, xs))
+                worst = max(worst, _gap([(jk, kj)], xs))
         records.append(
             _record("dunkl-commutativity", n, gamma, length, worst, IDENTITY_TOL)
         )
@@ -270,7 +259,7 @@ def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int) -> lis
                 rhs = alcovefn.dunkl(alcovefn.act_position(sj, psi), sj(k), gamma)
                 shift = gamma * ((1 if k == j else 0) - (1 if k == j + 1 else 0))
                 rhs = alcovefn.afn_add(rhs, alcovefn.afn_scale(shift, psi))
-                worst = max(worst, _afn_residual(lhs, rhs, xs))
+                worst = max(worst, _gap([(lhs, rhs)], xs))
         records.append(
             _record("dunkl-transposition-exchange", n, gamma, length, worst, IDENTITY_TOL)
         )
@@ -278,7 +267,7 @@ def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int) -> lis
         for j in range(1, n + 1):
             dj = alcovefn.dunkl(psi, j, gamma)
             want = alcovefn.afn_scale(1j * lam[j - 1], psi)
-            worst = max(worst, _afn_residual(dj, want, xs))
+            worst = max(worst, _gap([(dj, want)], xs))
         records.append(
             _record("dunkl-eigen-prewavefunction", n, gamma, length, worst, IDENTITY_TOL)
         )
@@ -296,7 +285,7 @@ def suite_appendix_a(max_n: int, gamma: float, length: float, seed: int) -> list
         xs = alcovefn.sample_interior(n, 4, length, seed)
 
         def res(o1, o2):
-            return _orbit_residual(o1, o2, xs)
+            return _gap([(o1.entries[s], o2.entries[s]) for s in o1.entries], xs)
 
         j, k, l = 1, 2, 3
         # divided difference against symbol multiplication
@@ -487,65 +476,53 @@ def suite_appendix_b(max_n: int, gamma: float, length: float, seed: int) -> list
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     records.append(_record("elementary-adjointness", 1, gamma, length, worst, QUAD_TOL))
 
-    # permutation equivariance, 2 -> 3 and 3 -> 2 particles
+    # permutation equivariance, 2 -> 3 and 3 -> 2 particles: each case is
+    # (kind, input, index tuples, permutation after, permutation before,
+    # points); the index tuple is ordered data, so w acts entrywise
     n = 2
-    rin = RapiditySet(_seeded_lambda(n, seed, tag=3), gamma, length)
-    fin = wavefn.prewavefunction(rin)
+    fin = wavefn.prewavefunction(RapiditySet(_seeded_lambda(n, seed, tag=3), gamma, length))
+    g3 = wavefn.prewavefunction(RapiditySet(_seeded_lambda(3, seed, tag=4), gamma, length))
     xs3 = alcovefn.sample_interior(n + 1, 4, length, seed)
     xs2 = alcovefn.sample_interior(n, 4, length, seed)
     w = transposition(1, 2, n)
     w_out = Permutation((2, 1, 3))
     w_plus = Permutation((1, 3, 2))
-    worst = 0.0
-    for i in ((), (1,), (2,), (1, 2), (2, 1)):
-        # the index tuple is ordered data: w acts entrywise
-        wi = tuple(w(p) for p in i)
-        for kind, left_w in (("e_hat-", w_out), ("e_hat+", w_plus)):
-            lhs = alcovefn.act_position(
-                left_w, ybops.elementary_nonsymmetric_op(kind, lam, i, fin, length)
-            )
-            rhs = ybops.elementary_nonsymmetric_op(
-                kind, lam, wi, alcovefn.act_position(w, fin), length
-            )
-            worst = max(worst, max(abs(lhs.eval(x) - rhs.eval(x)) for x in xs3))
-        for kind2 in ("e_bar+", "e_bar-"):
-            lhs = alcovefn.act_position(
-                w, ybops.elementary_nonsymmetric_op(kind2, lam, i, fin, length)
-            )
-            rhs = ybops.elementary_nonsymmetric_op(
-                kind2, lam, wi, alcovefn.act_position(w, fin), length
-            )
-            worst = max(worst, max(abs(lhs.eval(x) - rhs.eval(x)) for x in xs2))
-    r3 = RapiditySet(_seeded_lambda(3, seed, tag=4), gamma, length)
-    g3 = wavefn.prewavefunction(r3)
-    for i in ((), (1,), (2,)):
-        wi = tuple(w(p) for p in i)
-        lhs = alcovefn.act_position(
-            w, ybops.elementary_nonsymmetric_op("e_check+", lam, i, g3, length)
+    up, down = ((), (1,), (2,), (1, 2), (2, 1)), ((), (1,), (2,))
+
+    def elem(kind, i, F):
+        return ybops.elementary_nonsymmetric_op(kind, lam, i, F, length)
+
+    worst = max(
+        _gap(
+            [(
+                alcovefn.act_position(after, elem(kind, i, F)),
+                elem(kind, tuple(w(p) for p in i), alcovefn.act_position(before, F)),
+            )],
+            pts, 1.0,
         )
-        rhs = ybops.elementary_nonsymmetric_op(
-            "e_check+", lam, wi, alcovefn.act_position(w_out, g3), length
+        for kind, F, indices, after, before, pts in (
+            ("e_hat-", fin, up, w_out, w, xs3),
+            ("e_hat+", fin, up, w_plus, w, xs3),
+            ("e_bar+", fin, up, w, w, xs2),
+            ("e_bar-", fin, up, w, w, xs2),
+            ("e_check+", g3, down, w, w_out, xs2),
+            ("e_check-", g3, down, w, w_plus, xs2),
         )
-        worst = max(worst, max(abs(lhs.eval(x) - rhs.eval(x)) for x in xs2))
-        lhs = alcovefn.act_position(
-            w, ybops.elementary_nonsymmetric_op("e_check-", lam, i, g3, length)
-        )
-        rhs = ybops.elementary_nonsymmetric_op(
-            "e_check-", lam, wi, alcovefn.act_position(w_plus, g3), length
-        )
-        worst = max(worst, max(abs(lhs.eval(x) - rhs.eval(x)) for x in xs2))
+        for i in indices
+    )
     records.append(
         _record("elementary-permutation-equivariance", n, gamma, length, worst, IDENTITY_TOL)
     )
 
     # on symmetric input the two lowering operators coincide
-    rsym = RapiditySet(_seeded_lambda(3, seed, tag=5), gamma, length)
-    Fsym = wavefn.bethe_wavefunction(rsym)
-    worst = 0.0
-    for i in ((), (1,), (2,), (1, 2)):
-        plus = ybops.elementary_nonsymmetric_op("e_check+", lam, i, Fsym, length)
-        minus = ybops.elementary_nonsymmetric_op("e_check-", lam, i, Fsym, length)
-        worst = max(worst, max(abs(plus.eval(x) - minus.eval(x)) for x in xs2))
+    Fsym = wavefn.bethe_wavefunction(RapiditySet(_seeded_lambda(3, seed, tag=5), gamma, length))
+    worst = _gap(
+        [
+            (elem("e_check+", i, Fsym), elem("e_check-", i, Fsym))
+            for i in ((), (1,), (2,), (1, 2))
+        ],
+        xs2, 1.0,
+    )
     records.append(
         _record("lowering-coincidence-on-symmetric", 3, gamma, length, worst, IDENTITY_TOL)
     )
@@ -577,18 +554,10 @@ def suite_wavefunction_routes(max_n: int, gamma: float, length: float, seed: int
                 wavefn.ROUTE_TOL,
             )
         )
-    rd = RapiditySet((0.5, 0.5), gamma, length)
-    F = wavefn.prewavefunction_degenerate(rd)
+    F = wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5), gamma, length))
     ref = wavefn.prewavefunction_coincident_pair(0.5, gamma)
-    pts = alcovefn.sample_interior(2, 20, length, seed)
-    records.append(
-        _record(
-            "degenerate-pair-closed-form",
-            2, gamma, length,
-            max(abs(F.eval(x) - ref.eval(x)) for x in pts),
-            QUAD_TOL,
-        )
-    )
+    worst = _gap([(F, ref)], alcovefn.sample_interior(2, 20, length, seed), 1.0)
+    records.append(_record("degenerate-pair-closed-form", 2, gamma, length, worst, QUAD_TOL))
     return records
 
 
@@ -652,9 +621,7 @@ def suite_aba(max_n: int, gamma: float, length: float, seed: int) -> list[dict]:
                     alcovefn.afn_scale(coeff, wavefn.bethe_wavefunction(swapped)),
                 )
             name = "diagonal-action-raising" if family == "A" else "diagonal-action-lowering"
-            records.append(
-                _record(name, n, gamma, length, _afn_residual(lhs, rhs, pts), OPERATOR_TOL)
-            )
+            records.append(_record(name, n, gamma, length, _gap([(lhs, rhs)], pts), OPERATOR_TOL))
 
         # expansion of gamma C
         lhs = alcovefn.afn_scale(
@@ -697,7 +664,7 @@ def suite_aba(max_n: int, gamma: float, length: float, seed: int) -> list[dict]:
         records.append(
             _record(
                 "offdiagonal-action-lowering",
-                n, gamma, length, _afn_residual(lhs, rhs, pts_low), OPERATOR_TOL,
+                n, gamma, length, _gap([(lhs, rhs)], pts_low), OPERATOR_TOL,
             )
         )
 
@@ -709,11 +676,13 @@ def suite_aba(max_n: int, gamma: float, length: float, seed: int) -> list[dict]:
         r = bae.solve_bae(qn, gamma, length)
         Psi = wavefn.bethe_wavefunction(r)
         pts = alcovefn.sample_interior(n, 30, length, seed)
-        worst = 0.0
-        for mu in (0.31, -0.83, 1.27, 2.9, -2.2):
-            applied = ybops.transfer(mu, Psi, gamma, length)
-            want = alcovefn.afn_scale(bae.transfer_eigenvalue(mu, r), Psi)
-            worst = max(worst, _afn_residual(applied, want, pts))
+        worst = max(
+            _gap([(
+                ybops.transfer(mu, Psi, gamma, length),
+                alcovefn.afn_scale(bae.transfer_eigenvalue(mu, r), Psi),
+            )], pts)
+            for mu in (0.31, -0.83, 1.27, 2.9, -2.2)
+        )
         records.append(
             _record("transfer-eigenvalue-on-shell", n, gamma, length, worst, OPERATOR_TOL)
         )
@@ -754,120 +723,89 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int) -
 
     n = 2 if max_n >= 2 else 1
     r = RapiditySet(_seeded_lambda(n, seed, tag=9), gamma, length)
-    Psi = wavefn.bethe_wavefunction(r)
+    inputs = {"Psi": wavefn.bethe_wavefunction(r), "psi": wavefn.prewavefunction(r)}
+    # each residual is relative to the size of the input it acts on
+    ref_pts = alcovefn.sample_interior(n, 6, length, seed)
+    scales = {key: max([1.0] + [abs(F.eval(x)) for x in ref_pts]) for key, F in inputs.items()}
 
-    def S(fam, nu, F):
-        return ybops.apply_symmetric(fam, nu, F, gamma, length)
+    def op(family, nu, F):
+        return _op(family, nu, F, gamma, length)
 
-    def comm(f1, nu1, f2, nu2, F):
-        return _sub(S(f1, nu1, S(f2, nu2, F)), S(f2, nu2, S(f1, nu1, F)))
-
-    def _sub(F, G):
+    def sub(F, G):
         return alcovefn.afn_add(F, alcovefn.afn_scale(-1.0, G))
 
-    def check(name, lhs, rhs, ref):
-        """Worst pointwise |lhs - rhs|, relative to the input ref's size."""
+    def comm(x, y, F):
+        return sub(op(x, lam, op(y, mu, F)), op(y, mu, op(x, lam, F)))
+
+    def check(name, lhs, rhs, key):
         pts = alcovefn.sample_interior(lhs.n, 6, length, seed) if lhs.n else [()]
-        scale = max(
-            [1.0]
-            + [abs(ref.eval(x)) for x in alcovefn.sample_interior(n, 6, length, seed)]
-        )
-        worst = max(abs(lhs.eval(x) - rhs.eval(x)) for x in pts) / scale
+        worst = _gap([(lhs, rhs)], pts, scales[key])
         records.append(_record(name, n, gamma, length, worst, OPERATOR_TOL))
 
-    zero2 = alcovefn.zero_function
-    for fam in ("A", "B", "C", "D"):
-        out = comm(fam, lam, fam, mu, Psi)
-        check(f"symmetric-{fam}{fam}-commutation", out, zero2(out.n), Psi)
-    pairs = [
-        ("A", "B", -weight), ("B", "A", -weight),
-        ("A", "C", weight), ("C", "A", weight),
-        ("B", "D", weight), ("D", "B", weight),
-        ("C", "D", -weight), ("D", "C", -weight),
-    ]
-    for f1, f2, c in pairs:
-        lhs = comm(f1, lam, f2, mu, Psi)
-        rhs = alcovefn.afn_scale(
-            c, _sub(S(f2, lam, S(f1, mu, Psi)), S(f2, mu, S(f1, lam, Psi)))
+    def label(family):
+        return family.replace("+", "plus").replace("-", "minus")
+
+    cross, inverse = -1j * gamma**2 / (lam - mu), -1j / (lam - mu)
+    # (name, X, Y, c, P, Q, input): [X_lam, Y_mu] = c (P_lam Q_mu - P_mu Q_lam)
+    # on the input; a row without P states [X_lam, Y_mu] = 0
+    rows = [(f"symmetric-{f}{f}-commutation", f, f, None, None, None, "Psi") for f in "ABCD"]
+    rows += [
+        (f"symmetric-{x}{y}-exchange", x, y, c, y, x, "Psi")
+        for x, y, c in (
+            ("A", "B", -weight), ("B", "A", -weight),
+            ("A", "C", weight), ("C", "A", weight),
+            ("B", "D", weight), ("D", "B", weight),
+            ("C", "D", -weight), ("D", "C", -weight),
         )
-        check(f"symmetric-{f1}{f2}-exchange", lhs, rhs, Psi)
-    lhs = comm("A", lam, "D", mu, Psi)
-    rhs = alcovefn.afn_scale(
-        -1j * gamma**2 / (lam - mu),
-        _sub(S("B", lam, S("C", mu, Psi)), S("B", mu, S("C", lam, Psi))),
-    )
-    check("symmetric-AD-exchange", lhs, rhs, Psi)
-    lhs = comm("D", lam, "A", mu, Psi)
-    rhs = alcovefn.afn_scale(
-        -1j * gamma**2 / (lam - mu),
-        _sub(S("C", lam, S("B", mu, Psi)), S("C", mu, S("B", lam, Psi))),
-    )
-    check("symmetric-DA-exchange", lhs, rhs, Psi)
-    lhs = comm("B", lam, "C", mu, Psi)
-    rhs = alcovefn.afn_scale(
-        -1j / (lam - mu),
-        _sub(S("A", lam, S("D", mu, Psi)), S("A", mu, S("D", lam, Psi))),
-    )
-    check("symmetric-BC-exchange", lhs, rhs, Psi)
-    lhs = comm("C", lam, "B", mu, Psi)
-    rhs = alcovefn.afn_scale(
-        -1j / (lam - mu),
-        _sub(S("D", lam, S("A", mu, Psi)), S("D", mu, S("A", lam, Psi))),
-    )
-    check("symmetric-CB-exchange", lhs, rhs, Psi)
-
-    # non-symmetric refinements on a pre-wavefunction input
-    psi = wavefn.prewavefunction(r)
-
-    def NS(fam, nu, f):
-        return ybops.apply_nonsymmetric(fam, nu, f, gamma, length)
-
-    def ncomm(f1, nu1, f2, nu2, f):
-        return _sub(NS(f1, nu1, NS(f2, nu2, f)), NS(f2, nu2, NS(f1, nu1, f)))
-
-    check("nonsymmetric-aa-commutation", ncomm("a", lam, "a", mu, psi), zero2(n), psi)
-    check("nonsymmetric-dd-commutation", ncomm("d", lam, "d", mu, psi), zero2(n), psi)
-    out = ncomm("b-", lam, "b+", mu, psi)
-    check("nonsymmetric-raising-mixed-commutation", out, zero2(out.n), psi)
-    out = ncomm("c-", lam, "c+", mu, psi)
-    check("nonsymmetric-lowering-mixed-commutation", out, zero2(out.n), psi)
-    npairs = [
-        ("a", "b+", -weight), ("b+", "a", -weight),
-        ("d", "b-", weight), ("b-", "d", weight),
-        ("a", "c+", weight), ("c+", "a", weight),
-        ("d", "c-", -weight), ("c-", "d", -weight),
     ]
-    for f1, f2, c in npairs:
-        lhs = ncomm(f1, lam, f2, mu, psi)
-        rhs = alcovefn.afn_scale(
-            c, _sub(NS(f2, lam, NS(f1, mu, psi)), NS(f2, mu, NS(f1, lam, psi)))
+    rows += [
+        ("symmetric-AD-exchange", "A", "D", cross, "B", "C", "Psi"),
+        ("symmetric-DA-exchange", "D", "A", cross, "C", "B", "Psi"),
+        ("symmetric-BC-exchange", "B", "C", inverse, "A", "D", "Psi"),
+        ("symmetric-CB-exchange", "C", "B", inverse, "D", "A", "Psi"),
+        ("nonsymmetric-aa-commutation", "a", "a", None, None, None, "psi"),
+        ("nonsymmetric-dd-commutation", "d", "d", None, None, None, "psi"),
+        ("nonsymmetric-raising-mixed-commutation", "b-", "b+", None, None, None, "psi"),
+        ("nonsymmetric-lowering-mixed-commutation", "c-", "c+", None, None, None, "psi"),
+    ]
+    rows += [
+        (f"nonsymmetric-{label(x)}-{label(y)}-exchange", x, y, c, y, x, "psi")
+        for x, y, c in (
+            ("a", "b+", -weight), ("b+", "a", -weight),
+            ("d", "b-", weight), ("b-", "d", weight),
+            ("a", "c+", weight), ("c+", "a", weight),
+            ("d", "c-", -weight), ("c-", "d", -weight),
         )
-        t1 = f1.replace("+", "plus").replace("-", "minus")
-        t2 = f2.replace("+", "plus").replace("-", "minus")
-        check(f"nonsymmetric-{t1}-{t2}-exchange", lhs, rhs, psi)
-    lhs = ncomm("a", lam, "d", mu, psi)
-    rhs = alcovefn.afn_scale(
-        gamma, _sub(NS("c-", mu, NS("b+", lam, psi)), NS("c+", lam, NS("b-", mu, psi)))
-    )
-    check("nonsymmetric-ad-via-lowering-raising", lhs, rhs, psi)
-    lhs = ncomm("d", lam, "a", mu, psi)
-    rhs = alcovefn.afn_scale(
-        gamma, _sub(NS("c+", mu, NS("b-", lam, psi)), NS("c-", lam, NS("b+", mu, psi)))
-    )
-    check("nonsymmetric-da-via-lowering-raising", lhs, rhs, psi)
+    ]
+    for name, x, y, c, p, q, key in rows:
+        F = inputs[key]
+        lhs = comm(x, y, F)
+        if p is None:
+            rhs = alcovefn.zero_function(lhs.n)
+        else:
+            rhs = alcovefn.afn_scale(c, sub(op(p, lam, op(q, mu, F)), op(p, mu, op(q, lam, F))))
+        check(name, lhs, rhs, key)
+
+    # [x_lam, y_mu] = gamma (P_mu Q_lam - P'_lam Q'_mu) on the pre-wavefunction
+    psi = inputs["psi"]
+    for x, y, (p1, q1, p2, q2) in (
+        ("a", "d", ("c-", "b+", "c+", "b-")),
+        ("d", "a", ("c+", "b-", "c-", "b+")),
+    ):
+        rhs = alcovefn.afn_scale(
+            gamma, sub(op(p1, mu, op(q1, lam, psi)), op(p2, lam, op(q2, mu, psi)))
+        )
+        check(f"nonsymmetric-{x}{y}-via-lowering-raising", comm(x, y, psi), rhs, "psi")
 
     # position transposition against double raising:
     # s b_lam b_mu - b_mu b_lam = +-(i gamma/(lam-mu)) [b_lam, b_mu]
-    for fam, j_swap, c, label in (
-        ("b-", n + 1, weight, "bminus"),
-        ("b+", 1, -weight, "bplus"),
-    ):
-        lam_mu = NS(fam, lam, NS(fam, mu, psi))
-        mu_lam = NS(fam, mu, NS(fam, lam, psi))
+    for fam, j_swap, c in (("b-", n + 1, weight), ("b+", 1, -weight)):
+        lam_mu = op(fam, lam, op(fam, mu, psi))
+        mu_lam = op(fam, mu, op(fam, lam, psi))
         swap = transposition(j_swap, j_swap + 1, n + 2)
-        lhs = _sub(alcovefn.act_position(swap, lam_mu), mu_lam)
-        rhs = alcovefn.afn_scale(c, _sub(lam_mu, mu_lam))
-        check(f"nonsymmetric-{label}-transposition-exchange", lhs, rhs, psi)
+        lhs = sub(alcovefn.act_position(swap, lam_mu), mu_lam)
+        rhs = alcovefn.afn_scale(c, sub(lam_mu, mu_lam))
+        check(f"nonsymmetric-{label(fam)}-transposition-exchange", lhs, rhs, "psi")
     return records
 
 
@@ -884,10 +822,7 @@ def suite_q_operator(max_n: int, gamma: float, length: float, seed: int) -> list
         Psi = wavefn.bethe_wavefunction(r)
         pts = alcovefn.sample_interior(n, 8, length, seed)
         want = alcovefn.afn_scale(math.exp(-gamma * length / 2), Psi)
-        worst = 0.0
-        for mu in (0.37, -1.21):
-            out = ybops.qdet(mu, Psi, gamma, length)
-            worst = max(worst, _afn_residual(out, want, pts))
+        worst = max(_gap([(ybops.qdet(mu, Psi, gamma, length), want)], pts) for mu in (0.37, -1.21))
         records.append(
             _record("quantum-determinant-eigenvalue", n, gamma, length, worst, OPERATOR_TOL)
         )
@@ -912,17 +847,15 @@ def suite_q_operator(max_n: int, gamma: float, length: float, seed: int) -> list
     Psi = wavefn.bethe_wavefunction(r)
     pts = alcovefn.sample_interior(2, 8, length, seed)
     scale = max(abs(Psi.eval(x)) for x in pts)
-    worst = 0.0
-    for j in range(2):
-        out = ybops.q_operator_apply(Psi, r.lam[j], gamma)
-        worst = max(worst, max(abs(out.eval(x)) for x in pts) / scale)
+    zero = alcovefn.zero_function(2)
+    worst = _gap([(ybops.q_operator_apply(Psi, v, gamma), zero) for v in r.lam], pts, scale)
     records.append(_record("q-annihilation-at-roots", 2, gamma, length, worst, 1e-10))
 
     # Q commutes with the transfer operator on a Bethe wavefunction
     mu, nu = 0.52, -0.73
     lhs = ybops.q_operator_apply(ybops.transfer(nu, Psi, gamma, length), mu, gamma)
     rhs = ybops.transfer(nu, ybops.q_operator_apply(Psi, mu, gamma), gamma, length)
-    worst = max(abs(lhs.eval(x) - rhs.eval(x)) for x in pts) / scale
+    worst = _gap([(lhs, rhs)], pts, scale)
     records.append(_record("transfer-q-commutation", 2, gamma, length, worst, OPERATOR_TOL))
     return records
 
@@ -943,10 +876,7 @@ def suite_oracle_crosscheck(max_n: int, gamma: float, length: float, seed: int) 
         ("A", Psi2, 2), ("B", Psi2, 3), ("C", Psi2, 1), ("D", Psi2, 2),
     ]
     for fam, f, out_n in cases:
-        if fam in ("a", "b+", "b-", "c+", "c-", "d"):
-            exact = ybops.apply_nonsymmetric(fam, mu, f, gamma, length)
-        else:
-            exact = ybops.apply_symmetric(fam, mu, f, gamma, length)
+        exact = _op(fam, mu, f, gamma, length)
         pts = alcovefn.sample_interior(out_n, 20, length, seed) if out_n else [()]
         worst = 0.0
         for x in pts:
@@ -1115,7 +1045,7 @@ def _max_n(args) -> int:
 
 def _cmd_verify(args) -> int:
     by_lower = {name.lower(): name for name in SUITES}
-    if args.suite in (None, "all"):
+    if args.suite == "all":
         names = list(SUITES)
     elif args.suite.lower() in by_lower:
         names = [by_lower[args.suite.lower()]]
@@ -1156,11 +1086,46 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone (say, `| head`); quiet the flush at exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# add_argument keywords of each option, by long name
+_OPTIONS: dict[str, dict] = {
+    "n": dict(type=int),
+    "gamma": dict(type=float, default=1.0),
+    "length": dict(type=float, default=10.0),
+    "seed": dict(type=int, default=alcovefn.DEFAULT_SEED),
+    "out": {},
+    "quantum-numbers": {},
+    "lambda": dict(dest="lam", help="rapidities, i-suffix complex"),
+    "count": dict(type=int, default=20, help="number of sample points"),
+    "allow-degenerate": dict(action="store_true"),
+    "suite": dict(default="all"),
+    "max-n": dict(type=int, default=3),
+}
+
+# each subcommand: handler, help and the long names of its options
+_COMMANDS = {
+    "solve": (_cmd_solve, "solve the Bethe equations", "n gamma length out quantum-numbers"),
+    "eval": (
+        _cmd_eval,
+        "tabulate wavefunction values as CSV",
+        "n gamma length seed out quantum-numbers lambda count allow-degenerate",
+    ),
+    "verify": (_cmd_verify, "run one identity suite (or all)", "n gamma length seed out suite max-n"),
+    "report": (
+        _cmd_report, "run every suite and emit one JSON report", "n gamma length seed out max-n"
+    ),
+}
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and, by name, its subcommand parsers."""
     parser = argparse.ArgumentParser(
         prog="qnls",
         description="Exact construction and verification for the quantum "
@@ -1168,45 +1133,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file; flags override it")
     sub = parser.add_subparsers(dest="command")
-    defs = dict(
-        gamma=1.0, length=10.0, seed=alcovefn.DEFAULT_SEED, max_n=3, count=20
-    )
+    commands = {}
+    for command, (_, text, names) in _COMMANDS.items():
+        commands[command] = sub.add_parser(command, help=text)
+        for name in names.split():
+            commands[command].add_argument(f"--{name}", **_OPTIONS[name])
+    return parser, commands
 
-    def common(p, *names):
-        if "n" in names:
-            p.add_argument("--n", type=int, default=None)
-        if "gamma" in names:
-            p.add_argument("--gamma", type=float, default=None)
-        if "length" in names:
-            p.add_argument("--length", type=float, default=None)
-        if "seed" in names:
-            p.add_argument("--seed", type=int, default=None)
-        if "out" in names:
-            p.add_argument("--out", default=None)
-        if "qn" in names:
-            p.add_argument("--quantum-numbers", dest="quantum_numbers", default=None)
 
-    p = sub.add_parser("solve", help="solve the Bethe equations")
-    common(p, "n", "gamma", "length", "out", "qn")
-
-    p = sub.add_parser("eval", help="tabulate wavefunction values as CSV")
-    common(p, "n", "gamma", "length", "seed", "out", "qn")
-    p.add_argument("--lambda", dest="lam", default=None, help="rapidities, i-suffix complex")
-    p.add_argument("--count", type=int, default=None, help="number of sample points")
-    p.add_argument("--allow-degenerate", action="store_true")
-
-    p = sub.add_parser("verify", help="run one identity suite (or all)")
-    common(p, "n", "gamma", "length", "seed", "out")
-    p.add_argument("--suite", default="all")
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
-
-    p = sub.add_parser("report", help="run every suite and emit one JSON report")
-    common(p, "n", "gamma", "length", "seed", "out")
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
-
-    parser.set_defaults(**{k: None for k in defs})
-    parser._qnls_defaults = defs  # type: ignore[attr-defined]
-    return parser
+def _config_defaults(command: str, path: str) -> dict[str, str]:
+    """The config file's values by option dest.  A key is a long option name
+    of the command, in - or _ spelling; allow-degenerate is a flag only."""
+    names = _COMMANDS[command][2].split()
+    defaults = {}
+    for key, value in load_config(path).items():
+        name = key.replace("_", "-")
+        if name not in names or name == "allow-degenerate":
+            raise ValueError(f"{command} takes no option {key!r}")
+        defaults[_OPTIONS[name].get("dest", name.replace("-", "_"))] = value
+    return defaults
 
 
 def _join_value_flags(argv: list[str]) -> list[str]:
@@ -1228,55 +1173,31 @@ def _join_value_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    parser, commands = _build_parser()
+    argv = _join_value_flags(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = parser.parse_args(_join_value_flags(list(argv)))
+        args = parser.parse_args(argv)
+        if args.command is not None and args.config:
+            # config values become the defaults, so flags win and argparse
+            # converts them with each option's own type
+            commands[args.command].set_defaults(**_config_defaults(args.command, args.config))
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except (OSError, ValueError) as exc:
+        print(f"bad config file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
-    config = {}
-    if args.config:
-        try:
-            config = load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"bad config file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    # resolution order: flag > config file > built-in default
-    for key, default in parser._qnls_defaults.items():  # type: ignore[attr-defined]
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None:
-            if key in config:
-                cast = int if key in ("seed", "max_n", "count") else float
-                setattr(args, key, cast(config[key]))
-            else:
-                setattr(args, key, default)
-    for key in ("quantum_numbers", "lam", "suite", "out"):
-        if hasattr(args, key) and getattr(args, key) is None:
-            alias = {"quantum_numbers": "quantum-numbers", "lam": "lambda"}.get(key, key)
-            if alias in config:
-                setattr(args, key, config[alias])
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        return _COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    parser.print_help()
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ __all__ = [
     "derivative",
     "integrate",
     "substitute",
-    "subst_affine",
     "pullback",
     "remap",
     "canonicalize",
@@ -381,7 +380,7 @@ def integrate(f: ExpPolySum, j: int, lower: Bound, upper: Bound) -> ExpPolySum:
 
 
 def substitute(f: ExpPolySum, j: int, b: Bound) -> ExpPolySum:
-    """Set x_j := b (constant, or another coordinate x_k).
+    """Set x_j := b (constant, or another coordinate x_k), exactly.
 
     The result no longer depends on x_j (slot kept, unused).
 
@@ -392,20 +391,9 @@ def substitute(f: ExpPolySum, j: int, b: Bound) -> ExpPolySum:
     if b.kind == "coordinate":
         if b.value == j:
             raise ValueError("self-substitution")
-        return subst_affine(f, j, {int(b.value): 1.0 + 0j}, 0j)
-    return subst_affine(f, j, {}, complex(b.value))
-
-
-def subst_affine(
-    f: ExpPolySum, j: int, lin: Mapping[int, complex], const: complex
-) -> ExpPolySum:
-    """Set x_j := const + sum_m lin[m] * x_m (m != j), exactly.
-
-    The workhorse behind substitute, the reflection integral's shear, and
-    the nested-integral engine.
-    """
-    if j in lin:
-        raise ValueError("affine substitution may not reference the target slot")
+        lin, const = {int(b.value): 1.0 + 0j}, 0j
+    else:
+        lin, const = {}, complex(b.value)
     out: list[ExpPolyTerm] = []
     for t in f.terms:
         muj = t.wavevector[j - 1]
@@ -420,7 +408,7 @@ def subst_affine(
             base = deg[: j - 1] + (0,) + deg[j:]
             # expand (const + sum_m c_m x_m)^a term by term
             for extra, w in _affine_power(lin, const, a, t.n):
-                d = tuple(b + e for b, e in zip(base, extra))
+                d = tuple(p + e for p, e in zip(base, extra))
                 coeffs[d] = coeffs.get(d, 0j) + c * w * phase
         out.append(_term(t.n, wv, coeffs))
     return ExpPolySum(f.n, tuple(out))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -276,26 +277,6 @@ def quad_elementary(
     return nest(1, ())
 
 
-def _multi_indices(n: int, N: int, ordered: bool) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for p in range(1, N + 1):
-            if p in prefix:
-                continue
-            if ordered and prefix and p <= prefix[-1]:
-                continue
-            rec(prefix + (p,))
-
-    rec(())
-    return out
-
-
 def quad_apply(
     family: str,
     mu: complex,
@@ -314,7 +295,7 @@ def quad_apply(
         return sum(
             gamma**n * quad_elementary(kind, mu, i, f, length, x, config)
             for n in range(N + 1)
-            for i in _multi_indices(n, N, ordered=False)
+            for i in permutations(range(1, N + 1), n)
         )
     if family == "a":
         return quad_apply("b+", mu, f, gamma, length, (-length / 2,) + x, config)
@@ -327,7 +308,7 @@ def quad_apply(
         return sum(
             gamma**n * quad_elementary(kind, mu, i, f, length, x, config)
             for n in range(N)
-            for i in _multi_indices(n, N - 1, ordered=False)
+            for i in permutations(range(1, N), n)
         )
     if family in ("A", "B", "C", "D"):
         # the output is symmetric, so evaluate on the decreasing rearrangement
@@ -337,20 +318,20 @@ def quad_apply(
             return sum(
                 gamma**n * quad_elementary(kind, mu, i, f, length, xs, config)
                 for n in range(N + 1)
-                for i in _multi_indices(n, N, ordered=True)
+                for i in combinations(range(1, N + 1), n)
             )
         if family == "B":
             return (1.0 / (N + 1)) * sum(
                 gamma**n * quad_elementary("E_hat", mu, i, f, length, xs, config)
                 for n in range(N + 1)
-                for i in _multi_indices(n + 1, N + 1, ordered=True)
+                for i in combinations(range(1, N + 2), n + 1)
             )
         if N == 0:
             return 0.0 + 0j
         return float(N) * sum(
             gamma**n * quad_elementary("E_check", mu, i, f, length, xs, config)
             for n in range(N)
-            for i in _multi_indices(n, N - 1, ordered=True)
+            for i in combinations(range(1, N), n)
         )
     raise ValueError(f"unknown family {family!r}")
 

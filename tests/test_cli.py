@@ -2,6 +2,10 @@
 
 import cmath
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qnls import cli, wavefn
 
@@ -203,6 +207,56 @@ def test_config_file_with_flag_override(tmp_path):
     rec = json.loads(out.read_text().strip().splitlines()[0])
     assert rec["gamma"] == 1.5  # flag wins
     assert rec["length"] == 8.0  # config applies
+
+
+def test_config_suite_key(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("suite=ABA\n")
+    out = tmp_path / "v.jsonl"
+    assert cli.main(["--config", str(cfg), "verify", "--max-n", "2", "--out", str(out)]) == 0
+    records = [json.loads(l) for l in out.read_text().strip().splitlines()]
+    assert records and {rec["suite"] for rec in records} == {"ABA"}
+
+
+def test_config_n_checked_against_quantum_numbers(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n=3\nquantum-numbers=-0.5,0.5\n")
+    args = ["--config", str(cfg), "solve", "--gamma", "1", "--length", "10"]
+    assert cli.main(args + ["--out", str(tmp_path / "s.json")]) == 1
+
+
+def test_config_max_n_in_either_spelling(tmp_path):
+    out = tmp_path / "v.jsonl"
+    for key in ("max-n", "max_n"):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key}=2\n")
+        args = ["--config", str(cfg), "verify", "--suite", "QNLS-eigen", "--out", str(out)]
+        assert cli.main(args) == 0
+        records = [json.loads(l) for l in out.read_text().strip().splitlines()]
+        assert {rec["n"] for rec in records} == {2}
+
+
+def test_config_unknown_key_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    for key, args in (
+        ("gama", ["verify", "--max-n", "2"]),
+        ("allow-degenerate", ["eval", "--lambda", "0.5,-0.5"]),
+    ):
+        cfg.write_text(f"{key}=2\n")
+        assert cli.main(["--config", str(cfg)] + args) == 1
+        assert key in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qnls.cli", "verify", "--suite", "QNLS-eigen", "--max-n", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert "Traceback" not in err
 
 
 def test_output_is_deterministic(tmp_path):
