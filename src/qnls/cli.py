@@ -451,7 +451,6 @@ def suite_appendix_b(max_n: int, gamma: float, length: float, seed: int) -> list
     coincidence of the elementary integral operators."""
     records = []
     lam = 0.41 + 0.17j
-    cfg = oracle.QuadConfig()
 
     # adjointness via quadrature inner products, 1 -> 2 particles
     f = alcovefn.from_analytic(exppoly.plane_wave((0.7,)))
@@ -464,15 +463,15 @@ def suite_appendix_b(max_n: int, gamma: float, length: float, seed: int) -> list
             down = ybops.elementary_nonsymmetric_op(
                 down_kind, lam.conjugate(), i, g, length
             )
-            lhs = oracle.inner_product(up, g, length, cfg)
-            rhs = oracle.inner_product(f, down, length, cfg)
+            lhs = oracle.inner_product(up, g, length)
+            rhs = oracle.inner_product(f, down, length)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     for i in ((), (1,)):
         up = ybops.elementary_nonsymmetric_op("e_bar+", lam, i, f, length)
         f2 = alcovefn.from_analytic(exppoly.plane_wave((-0.55,)))
         down = ybops.elementary_nonsymmetric_op("e_bar-", lam.conjugate(), i, f2, length)
-        lhs = oracle.inner_product(up, f2, length, cfg)
-        rhs = oracle.inner_product(f, down, length, cfg)
+        lhs = oracle.inner_product(up, f2, length)
+        rhs = oracle.inner_product(f, down, length)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     records.append(_record("elementary-adjointness", 1, gamma, length, worst, QUAD_TOL))
 
@@ -865,7 +864,6 @@ def suite_oracle_crosscheck(max_n: int, gamma: float, length: float, seed: int) 
     and finite differences."""
     records = []
     mu = 0.37
-    cfg = oracle.QuadConfig()
     r2 = RapiditySet(_seeded_lambda(2, seed, tag=11), gamma, length)
     f2 = wavefn.prewavefunction(r2)
     Psi2 = wavefn.bethe_wavefunction(r2)
@@ -881,7 +879,7 @@ def suite_oracle_crosscheck(max_n: int, gamma: float, length: float, seed: int) 
         worst = 0.0
         for x in pts:
             e = exact.eval(x)
-            q = oracle.quad_apply(fam, mu, f, gamma, length, x, cfg)
+            q = oracle.quad_apply(fam, mu, f, gamma, length, x)
             worst = max(worst, abs(e - q) / max(abs(e), 1.0))
         label = fam.replace("+", "p").replace("-", "m")
         records.append(
@@ -974,8 +972,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.lam is not None:
         lam = parse_complex_list(args.lam)
+        if not lam:
+            raise ValueError("--lambda needs at least one rapidity")
     elif args.quantum_numbers is not None:
         qn = bae.QuantumNumbers.from_values(
             [float(v) for v in args.quantum_numbers.split(",")]
@@ -1045,7 +1047,7 @@ def _max_n(args) -> int:
 
 def _cmd_verify(args) -> int:
     by_lower = {name.lower(): name for name in SUITES}
-    if args.suite == "all":
+    if args.suite.lower() == "all":
         names = list(SUITES)
     elif args.suite.lower() in by_lower:
         names = [by_lower[args.suite.lower()]]

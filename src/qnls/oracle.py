@@ -23,7 +23,6 @@ from .alcovefn import AlcoveFunction, ordering_permutation
 from .symgroup import all_permutations
 
 __all__ = [
-    "QuadConfig",
     "adaptive_quad",
     "quad_elementary",
     "quad_apply",
@@ -37,14 +36,13 @@ __all__ = [
 QUAD_NEST_CAP = 3
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Adaptive Gauss-Legendre settings."""
-
-    rtol: float = 1e-8
-    abs_floor: float = 1e-12
-    max_subdivisions: int = 20
-    nodes: int = 15
+# adaptive Gauss-Legendre: a step is accepted when the panel rule and the
+# sum over its halves agree within QUAD_RTOL relative or QUAD_ABS_FLOOR
+# absolute; an interval is halved at most QUAD_MAX_SUBDIVISIONS times
+QUAD_RTOL = 1e-8
+QUAD_ABS_FLOOR = 1e-12
+QUAD_MAX_SUBDIVISIONS = 20
+QUAD_NODES = 15
 
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -57,31 +55,28 @@ def _nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _adaptive(
-    batch: Callable[[np.ndarray], np.ndarray], a: float, b: float, config: QuadConfig, depth: int
+    batch: Callable[[np.ndarray], np.ndarray], a: float, b: float, depth: int
 ) -> complex:
     """One step: the panel rule on (a, b) against the sum over its halves,
     with the integrand evaluated once on the nodes of all three panels."""
-    xs, ws = _nodes(config.nodes)
+    xs, ws = _nodes(QUAD_NODES)
     mid = (a + b) / 2
     lo, hi = np.array([a, a, mid]), np.array([b, mid, b])
     centers, halves = (lo + hi) / 2, (hi - lo) / 2
     values = batch((centers[:, None] + halves[:, None] * xs).reshape(-1))
     whole, left, right = halves * (values.reshape(3, -1) @ ws)
     split = left + right
-    if abs(split - whole) <= max(config.rtol * abs(split), config.abs_floor):
+    if abs(split - whole) <= max(QUAD_RTOL * abs(split), QUAD_ABS_FLOOR):
         return complex(split)
-    if depth >= config.max_subdivisions:
+    if depth >= QUAD_MAX_SUBDIVISIONS:
         raise RuntimeError("quadrature failed to converge within the depth limit")
-    return _adaptive(batch, a, mid, config, depth + 1) + _adaptive(
-        batch, mid, b, config, depth + 1
-    )
+    return _adaptive(batch, a, mid, depth + 1) + _adaptive(batch, mid, b, depth + 1)
 
 
 def _quad_batched(
     batch: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    config: QuadConfig,
     breaks: Sequence[float] = (),
 ) -> complex:
     """Integral over (a, b) of an integrand that maps an array of nodes to
@@ -94,7 +89,7 @@ def _quad_batched(
     cuts = sorted({a, b, *(t for t in breaks if a < t < b)})
     total = 0.0 + 0j
     for lo, hi in zip(cuts, cuts[1:]):
-        total += _adaptive(batch, lo, hi, config, 0)
+        total += _adaptive(batch, lo, hi, 0)
     return sign * total
 
 
@@ -102,13 +97,12 @@ def adaptive_quad(
     func: Callable[[float], complex],
     a: float,
     b: float,
-    config: QuadConfig = QuadConfig(),
     breaks: Sequence[float] = (),
 ) -> complex:
     """Integral of a complex-valued func over (a, b), split first at the
     supplied interior breakpoints (kink locations)."""
     return _quad_batched(
-        lambda ts: np.array([func(t) for t in ts], dtype=complex), a, b, config, breaks
+        lambda ts: np.array([func(t) for t in ts], dtype=complex), a, b, breaks
     )
 
 
@@ -247,7 +241,6 @@ def quad_elementary(
     f: AlcoveFunction,
     length: float,
     x: tuple[float, ...],
-    config: QuadConfig = QuadConfig(),
 ) -> complex:
     """Value at x of one elementary operator applied to f, by nested
     adaptive quadrature of the defining integral."""
@@ -271,8 +264,8 @@ def quad_elementary(
     def nest(m: int, ys: tuple[float, ...]) -> complex:
         lower, upper = lay.levels[m], lay.levels[m - 1]
         if m == lay.n_y:
-            return _quad_batched(lambda ts: innermost(ys + (ts,)), lower, upper, config, breaks)
-        return adaptive_quad(lambda t: nest(m + 1, ys + (t,)), lower, upper, config, breaks)
+            return _quad_batched(lambda ts: innermost(ys + (ts,)), lower, upper, breaks)
+        return adaptive_quad(lambda t: nest(m + 1, ys + (t,)), lower, upper, breaks)
 
     return nest(1, ())
 
@@ -284,7 +277,6 @@ def quad_apply(
     gamma: float,
     length: float,
     x: tuple[float, ...],
-    config: QuadConfig = QuadConfig(),
 ) -> complex:
     """Value at x of a generator (a, b+, b-, c+, c-, d, A, B, C, D)
     applied to f, via the gamma-weighted sums of elementary quadratures."""
@@ -293,20 +285,20 @@ def quad_apply(
     if family in ("b+", "b-"):
         kind = "e_hat+" if family == "b+" else "e_hat-"
         return sum(
-            gamma**n * quad_elementary(kind, mu, i, f, length, x, config)
+            gamma**n * quad_elementary(kind, mu, i, f, length, x)
             for n in range(N + 1)
             for i in permutations(range(1, N + 1), n)
         )
     if family == "a":
-        return quad_apply("b+", mu, f, gamma, length, (-length / 2,) + x, config)
+        return quad_apply("b+", mu, f, gamma, length, (-length / 2,) + x)
     if family == "d":
-        return quad_apply("b-", mu, f, gamma, length, x + (length / 2,), config)
+        return quad_apply("b-", mu, f, gamma, length, x + (length / 2,))
     if family in ("c+", "c-"):
         if N == 0:
             return 0.0 + 0j
         kind = "e_check+" if family == "c+" else "e_check-"
         return sum(
-            gamma**n * quad_elementary(kind, mu, i, f, length, x, config)
+            gamma**n * quad_elementary(kind, mu, i, f, length, x)
             for n in range(N)
             for i in permutations(range(1, N), n)
         )
@@ -316,20 +308,20 @@ def quad_apply(
         if family in ("A", "D"):
             kind = "E_bar+" if family == "A" else "E_bar-"
             return sum(
-                gamma**n * quad_elementary(kind, mu, i, f, length, xs, config)
+                gamma**n * quad_elementary(kind, mu, i, f, length, xs)
                 for n in range(N + 1)
                 for i in combinations(range(1, N + 1), n)
             )
         if family == "B":
             return (1.0 / (N + 1)) * sum(
-                gamma**n * quad_elementary("E_hat", mu, i, f, length, xs, config)
+                gamma**n * quad_elementary("E_hat", mu, i, f, length, xs)
                 for n in range(N + 1)
                 for i in combinations(range(1, N + 2), n + 1)
             )
         if N == 0:
             return 0.0 + 0j
         return float(N) * sum(
-            gamma**n * quad_elementary("E_check", mu, i, f, length, xs, config)
+            gamma**n * quad_elementary("E_check", mu, i, f, length, xs)
             for n in range(N)
             for i in combinations(range(1, N), n)
         )
@@ -340,7 +332,6 @@ def inner_product(
     f: AlcoveFunction,
     g: AlcoveFunction,
     length: float,
-    config: QuadConfig = QuadConfig(),
 ) -> complex:
     """<f, g> = integral over [-L/2, L/2]^N of conj(f) g, accumulated
     alcove by alcove over the ordered regions."""
@@ -366,9 +357,9 @@ def inner_product(
         def region(m: int, ts: tuple[float, ...]) -> complex:
             upper = half if m == 1 else ts[-1]
             if m == n:
-                return _quad_batched(lambda t: innermost(ts + (t,)), -half, upper, config)
+                return _quad_batched(lambda t: innermost(ts + (t,)), -half, upper)
             return adaptive_quad(
-                lambda t: region(m + 1, ts + (t,)), -half, upper, config
+                lambda t: region(m + 1, ts + (t,)), -half, upper
             )
 
         total += region(1, ())

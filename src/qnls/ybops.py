@@ -2,8 +2,10 @@
 
 Symmetric generators A, B, C, D and their non-symmetric extensions a, b+,
 b-, c+, c-, d act on piecewise exp-polynomial functions in closed form.
-Every operator is a gamma-power sum of elementary nested-integral blocks;
-one engine evaluates all of them.
+Every operator is a gamma-power sum of elementary nested-integral blocks.
+A block is its chain of integration levels and the arguments it hands the
+operand; its plane-wave prefactor follows from the levels.  One builder
+makes the blocks of every kind and one weighted sum evaluates them all.
 
 The engine works per output alcove: each unit step factor is resolved to
 0 or 1 by the alcove ordering, each integration interval is split at the
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import combinations, permutations as _perm_tuples, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -29,8 +31,6 @@ from .exppoly import Bound, ExpPolySum
 from .symgroup import Permutation, all_permutations, identity
 
 __all__ = [
-    "multi_indices",
-    "ordered_multi_indices",
     "elementary_nonsymmetric_op",
     "apply_symmetric",
     "apply_nonsymmetric",
@@ -50,36 +50,26 @@ __all__ = [
 PARTICLE_CAP = 4
 
 
-def multi_indices(n: int, N: int) -> list[tuple[int, ...]]:
-    """All tuples of n distinct indices from 1..N, order significant."""
-    return list(_perm_tuples(range(1, N + 1), n))
-
-
-def ordered_multi_indices(n: int, N: int) -> list[tuple[int, ...]]:
-    """All strictly increasing n-tuples from 1..N."""
-    return list(combinations(range(1, N + 1), n))
-
-
 # ---------------------------------------------------------------------------
 # the nested-integral engine
 #
-# A plan describes one elementary block:
+# A plan is one elementary block with parameter mu on out_n coordinates:
 #   levels   strictly decreasing chain of entities; integration variable y_m
 #            lives on (levels[m], levels[m-1])
-#   phase    plane-wave exponent: (coordinate-or-y, coefficient) pairs
 #   args     what each operand slot receives: a coordinate or a y
-#   scalar   constant prefactor
-# Entities are ("coord", p) or ("const", +1/-1) for +/- L/2.
+# Entities are ("coord", p), ("y", m), or ("const", +1/-1) for +/- L/2.
+# Every block carries the plane wave exp(i mu (sum of levels - sum of y)),
+# so its prefactor follows from the levels: the constant ones give the
+# boundary scalar.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Plan:
     out_n: int
+    mu: complex
     levels: tuple
-    phase: tuple
     args: tuple
-    scalar: complex = 1.0 + 0j
 
 
 def _rank(entity, pos: dict, out_n: int) -> float:
@@ -108,13 +98,17 @@ def _plan_piece(
     n_y = len(plan.levels) - 1
     ext_n = P + n_y
 
+    mu = plan.mu
     wv = [0j] * ext_n
-    for target, coeff in plan.phase:
-        if target[0] == "coord":
-            wv[target[1] - 1] += coeff
-        else:
-            wv[P + target[1] - 1] += coeff
-    prefwave = exppoly.scale(plan.scalar, exppoly.plane_wave(wv))
+    for e in plan.levels:
+        if e[0] == "coord":
+            wv[e[1] - 1] += mu
+    for m in range(1, n_y + 1):
+        wv[P + m - 1] += -mu
+    # the constant levels: one of them is exp(-/+ i mu L/2); two cancel
+    sign = -sum(e[1] for e in plan.levels if e[0] == "const")
+    scalar = cmath.exp(-1j * sign * mu * length / 2) if sign else 1.0 + 0j
+    prefwave = exppoly.scale(scalar, exppoly.plane_wave(wv))
 
     # split every interval at the output coordinates inside it
     per_interval = []
@@ -159,146 +153,76 @@ def _plan_piece(
     )
 
 
-# ---------------------------------------------------------------------------
-# plans for the elementary blocks
-# ---------------------------------------------------------------------------
+def _block_sum(
+    blocks: list[tuple[complex, _Plan]], f: AlcoveFunction, sigmas, length: float
+) -> dict[Permutation, ExpPolySum]:
+    """The canonicalized sum over (weight, plan) blocks on each alcove in sigmas."""
+    pieces = {}
+    for sigma in sigmas:
+        acc = exppoly.zero(sigma.n)
+        for weight, plan in blocks:
+            acc = acc + exppoly.scale(weight, _plan_piece(plan, f, sigma, length))
+        pieces[sigma] = exppoly.canonicalize(acc)
+    return pieces
 
 
-def _C(p: int):  # noqa: N802 - terse entity constructors keep plans readable
-    return ("coord", p)
+_TOP, _BOTTOM = ("const", 1), ("const", -1)
+
+# kind -> (output minus input particle number, levels above and below the
+# indexed coordinates): the shapes hat, bar+, bar- and check
+_SHAPES = {
+    "e_hat+": (1, (), ()), "e_hat-": (1, (), ()), "E_hat": (1, (), ()),
+    "e_bar+": (0, (), (_BOTTOM,)), "E_bar+": (0, (), (_BOTTOM,)),
+    "e_bar-": (0, (_TOP,), ()), "E_bar-": (0, (_TOP,), ()),
+    "e_check+": (-1, (_TOP,), (_BOTTOM,)), "e_check-": (-1, (_TOP,), (_BOTTOM,)),
+    "E_check": (-1, (_TOP,), (_BOTTOM,)),
+}
 
 
-def _Y(m: int):  # noqa: N802
-    return ("y", m)
-
-
-def _check_index(i: tuple[int, ...], N: int, ordered: bool) -> None:
+def _plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan:
+    """The block of an elementary kind on N input particles."""
+    if kind not in _SHAPES:
+        raise ValueError(f"unknown elementary kind {kind!r}")
+    dn, above, below = _SHAPES[kind]
+    out_n = N + dn
+    symmetric = kind[0] == "E"
+    # e_hat+/- index the input coordinates, every other kind the output ones
+    top = out_n if symmetric or dn < 1 else N
     if len(set(i)) != len(i):
         raise ValueError("multi-index entries must be distinct")
-    if any(not (1 <= p <= N) for p in i):
-        raise ValueError(f"multi-index entry out of range 1..{N}")
-    if ordered and list(i) != sorted(i):
+    if any(not (1 <= p <= top) for p in i):
+        raise ValueError(f"multi-index entry out of range 1..{top}")
+    if symmetric and list(i) != sorted(i):
         raise ValueError("multi-index must be strictly increasing")
-
-
-def _nonsymmetric_plan(
-    kind: str, mu: complex, i: tuple[int, ...], N: int, length: float
-) -> _Plan:
-    """N is the input particle number."""
-    k = len(i)
-    ys_minus = [(_Y(m), -mu) for m in range(1, k + 1)]
-    if kind == "e_hat-":
-        _check_index(i, N, ordered=False)
-        return _Plan(
-            out_n=N + 1,
-            levels=(_C(N + 1), *(_C(p) for p in i)),
-            phase=((_C(N + 1), mu), *((_C(p), mu) for p in i), *ys_minus),
-            args=tuple(
-                _Y(i.index(r) + 1) if r in i else _C(r) for r in range(1, N + 1)
-            ),
-        )
+    # e_hat+ creates coordinate 1 below the others, e_hat- coordinate N+1 above
+    shift = 1 if kind == "e_hat+" else 0
     if kind == "e_hat+":
-        _check_index(i, N, ordered=False)
-        return _Plan(
-            out_n=N + 1,
-            levels=(*(_C(p + 1) for p in i), _C(1)),
-            phase=((_C(1), mu), *((_C(p + 1), mu) for p in i), *ys_minus),
-            args=tuple(
-                _Y(i.index(r) + 1) if r in i else _C(r + 1) for r in range(1, N + 1)
-            ),
-        )
-    if kind in ("e_bar+", "e_bar-"):
-        _check_index(i, N, ordered=False)
-        sign = 1 if kind.endswith("+") else -1
-        levels = (
-            (*(_C(p) for p in i), ("const", -1))
-            if sign > 0
-            else (("const", 1), *(_C(p) for p in i))
-        )
-        return _Plan(
-            out_n=N,
-            levels=levels,
-            phase=(*((_C(p), mu) for p in i), *ys_minus),
-            args=tuple(
-                _Y(i.index(r) + 1) if r in i else _C(r) for r in range(1, N + 1)
-            ),
-            scalar=cmath.exp(-1j * sign * mu * length / 2),
-        )
-    if kind in ("e_check+", "e_check-"):
-        # input has N particles, output N-1; indices live in 1..N-1
-        out_n = N - 1
-        _check_index(i, out_n, ordered=False)
-        levels = (("const", 1), *(_C(p) for p in i), ("const", -1))
-        ys = [(_Y(m), -mu) for m in range(1, k + 2)]
-        if kind == "e_check+":
-            args = tuple(
-                _Y(i.index(r) + 2) if r in i else _C(r) for r in range(1, out_n + 1)
-            ) + (_Y(1),)
-        else:
-            args = (_Y(k + 1),) + tuple(
-                _Y(i.index(r) + 1) if r in i else _C(r) for r in range(1, out_n + 1)
-            )
-        return _Plan(
-            out_n=out_n,
-            levels=levels,
-            phase=(*((_C(p), mu) for p in i), *ys),
-            args=args,
-        )
-    raise ValueError(f"unknown elementary kind {kind!r}")
+        below = (("coord", 1),)
+    elif kind == "e_hat-":
+        above = (("coord", out_n),)
+    levels = (*above, *(("coord", p + shift) for p in i), *below)
+    ys = [("y", m) for m in range(1, len(levels))]
+    if symmetric:
+        # the remaining coordinates, then the y's
+        args = (*(("coord", r) for r in range(1, out_n + 1) if r not in i), *ys)
+        return _Plan(out_n, mu, levels, args)
+    # slot r takes the y of its index, if it has one; e_check+ hands the top
+    # y to one more slot at the end, e_check- the bottom y to one at the front
+    own = ys[1:] if kind == "e_check+" else ys
+    args = tuple(
+        own[i.index(r)] if r in i else ("coord", r + shift) for r in range(1, top + 1)
+    )
+    if kind == "e_check+":
+        args = (*args, ys[0])
+    elif kind == "e_check-":
+        args = (ys[-1], *args)
+    return _Plan(out_n, mu, levels, args)
 
 
-def _symmetric_plan(
-    kind: str, mu: complex, i: tuple[int, ...], N: int, length: float
-) -> _Plan:
-    """N is the input particle number; i is strictly increasing."""
-    k = len(i)
-    if kind == "E_hat":
-        # i has n+1 entries in 1..N+1 and there are n integrals
-        _check_index(i, N + 1, ordered=True)
-        rest = [r for r in range(1, N + 2) if r not in i]
-        return _Plan(
-            out_n=N + 1,
-            levels=tuple(_C(p) for p in i),
-            phase=(
-                *((_C(p), mu) for p in i),
-                *((_Y(m), -mu) for m in range(1, k)),
-            ),
-            args=tuple(_C(r) for r in rest) + tuple(_Y(m) for m in range(1, k)),
-        )
-    if kind in ("E_bar+", "E_bar-"):
-        _check_index(i, N, ordered=True)
-        sign = 1 if kind.endswith("+") else -1
-        rest = [r for r in range(1, N + 1) if r not in i]
-        levels = (
-            (*(_C(p) for p in i), ("const", -1))
-            if sign > 0
-            else (("const", 1), *(_C(p) for p in i))
-        )
-        return _Plan(
-            out_n=N,
-            levels=levels,
-            phase=(
-                *((_C(p), mu) for p in i),
-                *((_Y(m), -mu) for m in range(1, k + 1)),
-            ),
-            args=tuple(_C(r) for r in rest) + tuple(_Y(m) for m in range(1, k + 1)),
-            scalar=cmath.exp(-1j * sign * mu * length / 2),
-        )
-    if kind == "E_check":
-        # input N, output N-1; indices in 1..N-1, k+1 integrals
-        out_n = N - 1
-        _check_index(i, out_n, ordered=True)
-        rest = [r for r in range(1, out_n + 1) if r not in i]
-        return _Plan(
-            out_n=out_n,
-            levels=(("const", 1), *(_C(p) for p in i), ("const", -1)),
-            phase=(
-                *((_C(p), mu) for p in i),
-                *((_Y(m), -mu) for m in range(1, k + 2)),
-            ),
-            args=tuple(_C(r) for r in rest) + tuple(_Y(m) for m in range(1, k + 2)),
-        )
-    raise ValueError(f"unknown elementary kind {kind!r}")
+def _nonsymmetric_sum(blocks, f: AlcoveFunction, length: float) -> AlcoveFunction:
+    out_n = blocks[0][1].out_n
+    pieces = _block_sum(blocks, f, all_permutations(out_n), length)
+    return AlcoveFunction(out_n, pieces, continuous=False)
 
 
 def elementary_nonsymmetric_op(
@@ -307,12 +231,9 @@ def elementary_nonsymmetric_op(
     """One elementary block (kinds e_hat+/-, e_bar+/-, e_check+/-)."""
     if f.n > PARTICLE_CAP:
         raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
-    plan = _nonsymmetric_plan(kind, mu, tuple(i), f.n, length)
-    pieces = {
-        sigma: _plan_piece(plan, f, sigma, length)
-        for sigma in all_permutations(plan.out_n)
-    }
-    return AlcoveFunction(plan.out_n, pieces, continuous=False)
+    if not kind.startswith("e_"):
+        raise ValueError(f"unknown elementary kind {kind!r}")
+    return _nonsymmetric_sum([(1.0, _plan(kind, mu, tuple(i), f.n))], f, length)
 
 
 def apply_nonsymmetric(
@@ -331,57 +252,37 @@ def apply_nonsymmetric(
     """
     if f.n > PARTICLE_CAP:
         raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
-    if family in ("b+", "b-"):
-        kind = "e_hat+" if family == "b+" else "e_hat-"
-        return _gamma_sum(kind, mu, f, gamma, length, f.n)
-    if family in ("a", "d"):
-        if method == "direct":
-            kind = "e_bar+" if family == "a" else "e_bar-"
-            return _gamma_sum(kind, mu, f, gamma, length, f.n)
-        if family == "a":
-            return insert_bottom(
-                apply_nonsymmetric("b+", mu, f, gamma, length), length
-            )
+    N = f.n
+    # family -> its elementary kind and index range; the weight is gamma^n
+    # on n indices
+    direct = {
+        "b+": ("e_hat+", N), "b-": ("e_hat-", N), "a": ("e_bar+", N), "d": ("e_bar-", N),
+        "c+": ("e_check+", N - 1), "c-": ("e_check-", N - 1),
+    }
+    if family not in direct:
+        raise ValueError(f"unknown family {family!r}")
+    if family in ("c+", "c-") and N == 0:
+        # annihilating the vacuum gives zero; keep the empty-variable space
+        return alcovefn.zero_function(0)
+    if family in ("b+", "b-") or method == "direct" or (family in ("c+", "c-") and gamma == 0):
+        kind, top = direct[family]
+        blocks = [
+            (gamma**n, _plan(kind, mu, i, N))
+            for n in range(top + 1)
+            for i in permutations(range(1, top + 1), n)
+        ]
+        return _nonsymmetric_sum(blocks, f, length)
+    if family == "a":
+        return insert_bottom(apply_nonsymmetric("b+", mu, f, gamma, length), length)
+    if family == "d":
         return insert_top(apply_nonsymmetric("b-", mu, f, gamma, length), length)
-    if family in ("c+", "c-"):
-        if f.n == 0:
-            # annihilating the vacuum gives zero; keep the empty-variable space
-            return alcovefn.zero_function(0)
-        if method == "direct" or gamma == 0:
-            kind = "e_check+" if family == "c+" else "e_check-"
-            return _gamma_sum(kind, mu, f, gamma, length, f.n - 1)
-        if family == "c+":
-            lhs = insert_top(apply_nonsymmetric("a", mu, f, gamma, length), length)
-            rhs = apply_nonsymmetric(
-                "a", mu, insert_top(f, length), gamma, length
-            )
-        else:
-            lhs = insert_bottom(
-                apply_nonsymmetric("d", mu, f, gamma, length), length
-            )
-            rhs = apply_nonsymmetric(
-                "d", mu, insert_bottom(f, length), gamma, length
-            )
-        return alcovefn.afn_scale(1.0 / gamma, alcovefn.afn_add(lhs, alcovefn.afn_scale(-1.0, rhs)))
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _gamma_sum(
-    kind: str, mu: complex, f: AlcoveFunction, gamma: float, length: float, idx_n: int
-) -> AlcoveFunction:
-    """Sum gamma^n over all distinct multi-indices of the elementary kind."""
-    plans = []
-    for n in range(idx_n + 1):
-        for i in multi_indices(n, idx_n):
-            plans.append((gamma**n, _nonsymmetric_plan(kind, mu, i, f.n, length)))
-    out_n = plans[0][1].out_n
-    pieces = {}
-    for sigma in all_permutations(out_n):
-        acc = exppoly.zero(out_n)
-        for weight, plan in plans:
-            acc = acc + exppoly.scale(weight, _plan_piece(plan, f, sigma, length))
-        pieces[sigma] = exppoly.canonicalize(acc)
-    return AlcoveFunction(out_n, pieces, continuous=False)
+    if family == "c+":
+        lhs = insert_top(apply_nonsymmetric("a", mu, f, gamma, length), length)
+        rhs = apply_nonsymmetric("a", mu, insert_top(f, length), gamma, length)
+    else:
+        lhs = insert_bottom(apply_nonsymmetric("d", mu, f, gamma, length), length)
+        rhs = apply_nonsymmetric("d", mu, insert_bottom(f, length), gamma, length)
+    return alcovefn.afn_scale(1.0 / gamma, alcovefn.afn_add(lhs, alcovefn.afn_scale(-1.0, rhs)))
 
 
 def apply_symmetric(
@@ -391,37 +292,28 @@ def apply_symmetric(
     if F.n > PARTICLE_CAP:
         raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
     N = F.n
-    plans: list[tuple[complex, _Plan]] = []
-    scalar = 1.0 + 0j
-    if family in ("A", "D"):
-        kind = "E_bar+" if family == "A" else "E_bar-"
-        for n in range(N + 1):
-            for i in ordered_multi_indices(n, N):
-                plans.append((gamma**n, _symmetric_plan(kind, mu, i, N, length)))
-    elif family == "B":
-        scalar = 1.0 / (N + 1)
-        for n in range(N + 1):
-            for i in ordered_multi_indices(n + 1, N + 1):
-                plans.append((gamma**n, _symmetric_plan("E_hat", mu, i, N, length)))
-    elif family == "C":
-        if N == 0:
-            # annihilating the vacuum gives zero; keep the empty-variable space
-            return alcovefn.zero_function(0)
-        # input has N particles, output N-1
-        out_n = N - 1
-        scalar = float(N)
-        for n in range(out_n + 1):
-            for i in ordered_multi_indices(n, out_n):
-                plans.append((gamma**n, _symmetric_plan("E_check", mu, i, N, length)))
-    else:
+    # family -> its elementary kind, index range, extra indices over the
+    # gamma power n, and scalar; the weight is gamma^n times the scalar
+    sums = {
+        "A": ("E_bar+", N, 0, 1.0),
+        "B": ("E_hat", N + 1, 1, 1.0 / (N + 1)),
+        "C": ("E_check", N - 1, 0, float(N)),
+        "D": ("E_bar-", N, 0, 1.0),
+    }
+    if family not in sums:
         raise ValueError(f"unknown family {family!r}")
-    out_n = plans[0][1].out_n
-    acc = exppoly.zero(out_n)
-    for weight, plan in plans:
-        acc = acc + exppoly.scale(
-            weight * scalar, _plan_piece(plan, F, identity(out_n), length)
-        )
-    return alcovefn.extend_symmetric(exppoly.canonicalize(acc), continuous=False)
+    if family == "C" and N == 0:
+        # annihilating the vacuum gives zero; keep the empty-variable space
+        return alcovefn.zero_function(0)
+    kind, top, extra, scalar = sums[family]
+    blocks = [
+        (gamma**n * scalar, _plan(kind, mu, i, N))
+        for n in range(top - extra + 1)
+        for i in combinations(range(1, top + 1), n + extra)
+    ]
+    sigma = identity(blocks[0][1].out_n)
+    piece = _block_sum(blocks, F, [sigma], length)[sigma]
+    return alcovefn.extend_symmetric(piece, continuous=False)
 
 
 # ---------------------------------------------------------------------------

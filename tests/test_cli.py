@@ -122,6 +122,20 @@ def test_eval_degenerate_needs_flag(tmp_path):
         assert cli.main(base + ["--allow-degenerate"]) == 0
 
 
+def test_eval_negative_count_exit_one(tmp_path, capsys):
+    args = ["eval", "--lambda", "0.8,-0.45", "--gamma", "1", "--length", "10",
+            "--count", "-1", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(args) == 1
+    assert "--count" in capsys.readouterr().err
+
+
+def test_eval_empty_lambda_exit_one(tmp_path, capsys):
+    args = ["eval", "--lambda", ",", "--gamma", "1", "--length", "10",
+            "--out", str(tmp_path / "e.csv")]
+    assert cli.main(args) == 1
+    assert "--lambda" in capsys.readouterr().err
+
+
 def test_verify_single_suite_exit_zero(tmp_path):
     out = tmp_path / "v.jsonl"
     code = cli.main(
@@ -139,6 +153,18 @@ def test_verify_single_suite_exit_zero(tmp_path):
 def test_verify_lowercase_suite_alias(tmp_path):
     out = tmp_path / "v.jsonl"
     assert cli.main(["verify", "--suite", "aba", "--n", "2", "--out", str(out)]) == 0
+
+
+def test_verify_all_in_any_case(tmp_path, monkeypatch):
+    def passing(max_n, gamma, length, seed):
+        return [{"identity_id": "ok", "n": max_n, "gamma": gamma, "length": length,
+                 "max_residual": 0.0, "pass": True}]
+
+    monkeypatch.setattr(cli, "SUITES", {"one": passing, "two": passing})
+    out = tmp_path / "v.jsonl"
+    assert cli.main(["verify", "--suite", "ALL", "--out", str(out)]) == 0
+    records = [json.loads(l) for l in out.read_text().strip().splitlines()]
+    assert [rec["suite"] for rec in records] == ["one", "two"]
 
 
 def test_verify_unknown_suite_exit_one():

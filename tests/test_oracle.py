@@ -5,7 +5,7 @@ import cmath
 import pytest
 
 from qnls import alcovefn, exppoly, oracle, wavefn, ybops
-from qnls.oracle import QuadConfig, adaptive_quad
+from qnls.oracle import QUAD_NODES, adaptive_quad
 from qnls.wavefn import RapiditySet
 
 GAMMA = 1.0
@@ -35,16 +35,15 @@ def test_adaptive_quad_subdivides_at_an_unmarked_kink():
     val = adaptive_quad(kinked, -1.0, 1.0)
     assert abs(val - 1.09) < 1e-10
     # one step evaluates three panels; more calls mean the step subdivided
-    assert len(calls) > 3 * QuadConfig().nodes
+    assert len(calls) > 3 * QUAD_NODES
 
 
 def test_inner_product_conjugate_symmetry():
     r = RapiditySet((0.8, -0.3), GAMMA, LENGTH)
     f = wavefn.prewavefunction(r)
     g = wavefn.bethe_wavefunction(r)
-    cfg = QuadConfig()
-    fg = oracle.inner_product(f, g, LENGTH, cfg)
-    gf = oracle.inner_product(g, f, LENGTH, cfg)
+    fg = oracle.inner_product(f, g, LENGTH)
+    gf = oracle.inner_product(g, f, LENGTH)
     assert abs(fg - gf.conjugate()) < 1e-8 * max(abs(fg), 1.0)
 
 

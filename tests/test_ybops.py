@@ -16,12 +16,6 @@ def test_rmatrix_satisfies_yang_baxter():
     assert ybops.ybe_check(1.2 + 0.4j, 0.1 - 0.2j, 0.7) < 1e-13
 
 
-def test_multi_index_counts():
-    assert len(ybops.multi_indices(2, 4)) == 12
-    assert len(ybops.ordered_multi_indices(2, 4)) == 6
-    assert ybops.multi_indices(0, 3) == [()]
-
-
 def test_insert_ops_pin_boundary_coordinates():
     r = RapiditySet((0.6, -0.9), GAMMA, LENGTH)
     G = wavefn.prewavefunction(r)
@@ -81,10 +75,24 @@ def test_elementary_op_against_quadrature_oracle():
     r = RapiditySet((0.8, -0.3), GAMMA, LENGTH)
     f = wavefn.prewavefunction(r)
     mu = 0.37
-    exact = ybops.elementary_nonsymmetric_op("e_bar+", mu, (1,), f, LENGTH)
-    for x in alcovefn.sample_interior(2, 4, LENGTH):
-        q = oracle.quad_elementary("e_bar+", mu, (1,), f, LENGTH, x)
-        assert abs(exact.eval(x) - q) < 1e-8
+    cases = [
+        (kind, i, out_n)
+        for kind, out_n in (("e_hat+", 3), ("e_hat-", 3), ("e_bar+", 2), ("e_bar-", 2))
+        for i in ((), (1,), (2, 1))
+    ] + [(kind, i, 1) for kind in ("e_check+", "e_check-") for i in ((), (1,))]
+    for kind, i, out_n in cases:
+        exact = ybops.elementary_nonsymmetric_op(kind, mu, i, f, LENGTH)
+        assert exact.n == out_n
+        for x in alcovefn.sample_interior(out_n, 4, LENGTH):
+            q = oracle.quad_elementary(kind, mu, i, f, LENGTH, x)
+            assert abs(exact.eval(x) - q) < 1e-8, (kind, i, x)
+
+
+def test_elementary_op_rejects_bad_kind_and_index():
+    f = wavefn.prewavefunction(RapiditySet((0.8, -0.3), GAMMA, LENGTH))
+    for kind, i in (("E_bar+", (1,)), ("e_wedge+", (1,)), ("e_bar+", (1, 1)), ("e_bar+", (3,))):
+        with pytest.raises(ValueError):
+            ybops.elementary_nonsymmetric_op(kind, 0.37, i, f, LENGTH)
 
 
 def test_particle_cap_enforced():
