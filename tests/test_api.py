@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qnls
-from qnls import bae, oracle, wavefn
+from qnls import bae, oracle, suites, wavefn
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qnls.__path__))
 
@@ -26,16 +26,24 @@ def test_rapidity_set_has_one_home():
     assert bae.ON_SHELL_TOL is wavefn.ON_SHELL_TOL
 
 
-def test_bae_does_not_import_wavefn():
-    tree = ast.parse(Path(bae.__file__).read_text())
+def _imported_names(module) -> set[str]:
+    """Every module and name that the module's source imports."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.Import):
             imported.update(a.name.split(".")[-1] for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").split(".")[-1])
             imported.update(a.name for a in node.names)
-    assert "wavefn" not in imported
+    return imported
+
+
+def test_bae_does_not_import_wavefn():
+    assert "wavefn" not in _imported_names(bae)
+
+
+def test_suites_do_not_import_cli():
+    assert "cli" not in _imported_names(suites)
 
 
 def test_oracle_imports_only_pointwise_evaluation():

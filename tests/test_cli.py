@@ -2,12 +2,15 @@
 
 import cmath
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from qnls import cli, wavefn
+import pytest
+
+from qnls import bae, cli, wavefn
 
 
 def test_parse_complex():
@@ -48,6 +51,62 @@ def test_solve_usage_errors():
         )
         == 1
     )
+
+
+def test_solver_failure_exit_two(tmp_path, monkeypatch, capsys):
+    def diverging(qn, gamma, length):
+        raise RuntimeError("Armijo backtracking failed")
+
+    monkeypatch.setattr(bae, "solve_bae", diverging)
+    for command in ("solve", "eval"):
+        args = [command, "--quantum-numbers", "-0.5,0.5", "--out", str(tmp_path / "o")]
+        assert cli.main(args) == 2
+        assert "Armijo backtracking failed" in capsys.readouterr().err
+
+
+def test_nonfinite_gamma_refused_by_solve(capsys):
+    args = ["solve", "--quantum-numbers", "-0.5,0.5", "--gamma", "inf"]
+    assert cli.main(args) == 1
+    assert "--gamma" in capsys.readouterr().err
+
+
+def test_nonfinite_gamma_refused_by_verify(tmp_path):
+    out = tmp_path / "v.jsonl"
+    assert cli.main(["verify", "--suite", "QNLS-eigen", "--gamma", "nan", "--out", str(out)]) == 1
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("gamma=nan\n")
+    assert cli.main(["--config", str(cfg), "verify", "--suite", "QNLS-eigen", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_nonfinite_lambda_refused(tmp_path, capsys):
+    args = ["eval", "--lambda", "0.8,nan", "--allow-degenerate", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(args) == 1
+    assert "--lambda" in capsys.readouterr().err
+
+
+def _run_qnls(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """The qnls command in a subprocess, so a command that never returns
+    fails its test at the timeout instead of hanging the run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "qnls.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # sample_interior never finds a point in a box of width 0 or inf
+        ["verify", "--length", "0"],
+        ["eval", "--lambda", "0.8,-0.45", "--length", "inf"],
+    ],
+)
+def test_bad_length_refused(args):
+    proc = _run_qnls(*args)
+    assert proc.returncode == 1
+    assert "--length" in proc.stderr and proc.stdout == ""
 
 
 def test_eval_csv_round_trip(tmp_path):
@@ -171,6 +230,12 @@ def test_verify_unknown_suite_exit_one():
     assert cli.main(["verify", "--suite", "bogus"]) == 1
 
 
+def test_nan_residual_fails():
+    records = {rec["identity_id"]: rec for rec in cli.run_suite("dAHA-axioms", 2, float("nan"), 10.0)}
+    for name in ("symbol-exchange-relation", "dunkl-commutativity", "dunkl-eigen-prewavefunction"):
+        assert math.isnan(records[name]["max_residual"]) and not records[name]["pass"]
+
+
 def test_appendix_a_checks_something_below_three_particles():
     records = cli.run_suite("appendix-A", 2, 1.0, 10.0)
     assert records and all(rec["pass"] for rec in records)
@@ -219,6 +284,24 @@ def test_raising_suite_becomes_failing_record(tmp_path, monkeypatch):
     assert not suites[broken]["pass"]
     assert suites[broken]["records"][0]["error"] == "RouteMismatchError: routes disagree"
     assert all(suites[name]["pass"] for name in cli.SUITES if name != broken)
+
+
+def test_suite_raising_midway_keeps_its_records(tmp_path, monkeypatch):
+    def half(max_n, gamma, length, seed):
+        yield {"identity_id": "ok", "n": 2, "gamma": gamma, "length": length,
+               "max_residual": 0.0, "pass": True}
+        raise wavefn.RouteMismatchError("routes disagree")
+
+    monkeypatch.setitem(cli.SUITES, "QNLS-eigen", half)
+    out = tmp_path / "v.jsonl"
+    assert cli.main(["verify", "--suite", "QNLS-eigen", "--out", str(out)]) == 3
+    records = [json.loads(l) for l in out.read_text().strip().splitlines()]
+    assert [rec["identity_id"] for rec in records] == ["ok", "suite-error"]
+    assert records[0]["pass"] and not records[1]["pass"]
+    assert records[1]["error"] == "RouteMismatchError: routes disagree"
+    assert {rec["suite"] for rec in records} == {"QNLS-eigen"}
+    with pytest.raises(wavefn.RouteMismatchError):
+        cli.run_suite("QNLS-eigen")
 
 
 def test_config_file_with_flag_override(tmp_path):
