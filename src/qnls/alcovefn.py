@@ -12,6 +12,7 @@ transpositions, the propagation operator, and the wall-jump checkers.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -349,6 +350,8 @@ def sample_interior(
     n: int, count: int, length: float, seed: int = DEFAULT_SEED
 ) -> list[tuple[float, ...]]:
     """Deterministic regular points in (-L/2, L/2)^N with all gaps >= floor."""
+    if not 0 < length < math.inf:
+        raise ValueError("length must be positive and finite")
     rng = random.Random(seed)
     points = []
     while len(points) < count:
@@ -363,6 +366,8 @@ def sample_wall(
     n: int, j: int, k: int, count: int, length: float, seed: int = DEFAULT_SEED
 ) -> list[WallSample]:
     """Deterministic samples on V_jk with the other coordinates regular."""
+    if not 0 < length < math.inf:
+        raise ValueError("length must be positive and finite")
     rng = random.Random(seed ^ (j * 1000003 + k))
     samples = []
     while len(samples) < count:

@@ -28,7 +28,6 @@ __all__ = [
     "solve_bae",
     "transfer_eigenvalue",
     "asymptotic_check",
-    "solve_request_from_json",
     "solution_to_json",
     "NEWTON_TOL_FACTOR",
     "NEWTON_MAX_ITER",
@@ -129,8 +128,8 @@ class RapiditySet:
     def __post_init__(self) -> None:
         lam = tuple(complex(v) for v in self.lam)
         object.__setattr__(self, "lam", lam)
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError("length must be positive and finite")
         gaps = [
             abs(lam[a] - lam[b])
             for a in range(len(lam))
@@ -339,15 +338,6 @@ def asymptotic_check(
         else float("nan")
     )
     return {"levels": results, "ratio": ratio}
-
-
-def solve_request_from_json(text: str) -> tuple[QuantumNumbers, float, float]:
-    """Parse {"N": ..., "gamma": ..., "L": ..., "n": [...]}."""
-    data = json.loads(text)
-    n = QuantumNumbers.from_values(data["n"])
-    if n.n != int(data["N"]):
-        raise ValueError("N does not match the quantum-number count")
-    return n, float(data["gamma"]), float(data["L"])
 
 
 def solution_to_json(r: RapiditySet, residual: float, iterations: int) -> str:

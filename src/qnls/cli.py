@@ -111,12 +111,11 @@ def _cmd_eval(args) -> int:
     r = RapiditySet(lam, args.gamma, args.length)
     if r.is_regular():
         psi = wavefn.prewavefunction(r)
-        Psi = wavefn.bethe_wavefunction(r)
     elif args.allow_degenerate:
         psi = wavefn.prewavefunction_degenerate(r)
-        Psi = alcovefn.symmetrize(psi)
     else:
         raise ValueError("degenerate rapidities; pass --allow-degenerate to evaluate the limit")
+    Psi = alcovefn.symmetrize(psi)
     n = r.n
     points = alcovefn.sample_interior(n, args.count, args.length, args.seed)
     lines = [

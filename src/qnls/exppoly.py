@@ -548,7 +548,8 @@ def canonicalize(f: ExpPolySum) -> ExpPolySum:
     )
     floor = PRUNE_TOL * biggest
     for wv, coeffs in reps:
-        kept = {d: c for d, c in coeffs.items() if abs(c) > floor}
+        # written so that a NaN coefficient is kept, not pruned
+        kept = {d: c for d, c in coeffs.items() if not abs(c) <= floor}
         if kept:
             out.append(_term(f.n, wv, kept))
     return ExpPolySum(f.n, tuple(out))

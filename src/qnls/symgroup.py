@@ -29,9 +29,7 @@ __all__ = [
     "inversion_set",
     "length",
     "reduced_word",
-    "shift_embed",
     "all_permutations",
-    "longest_element",
     "ENUMERATION_CAP",
 ]
 
@@ -168,15 +166,6 @@ def reduced_word(w: Permutation) -> list[int]:
     return word
 
 
-def shift_embed(w: Permutation) -> Permutation:
-    """The shifted copy w_+ in S_{N+1}: w_+(1) = 1, w_+(j+1) = w(j) + 1.
-
-    >>> shift_embed(simple(1, 2))
-    Permutation((1, 3, 2))
-    """
-    return Permutation((1,) + tuple(wj + 1 for wj in w.images))
-
-
 @lru_cache(maxsize=None)
 def all_permutations(n: int) -> tuple[Permutation, ...]:
     """All of S_n, lexicographic by one-line notation.  Cached.
@@ -187,9 +176,3 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
     if n > ENUMERATION_CAP:
         raise ValueError(f"S_{n} enumeration exceeds cap {ENUMERATION_CAP}")
     return tuple(Permutation(p) for p in _itertools_permutations(range(1, n + 1)))
-
-
-def longest_element(n: int) -> Permutation:
-    """The order-reversing permutation w_0, of length n(n-1)/2."""
-    return Permutation(tuple(range(n, 0, -1)))
-

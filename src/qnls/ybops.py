@@ -237,52 +237,30 @@ def elementary_nonsymmetric_op(
 
 
 def apply_nonsymmetric(
-    family: str,
-    mu: complex,
-    f: AlcoveFunction,
-    gamma: float,
-    length: float,
-    method: str = "product",
+    family: str, mu: complex, f: AlcoveFunction, gamma: float, length: float
 ) -> AlcoveFunction:
-    """The non-symmetric generators a, b+, b-, c+, c-, d.
-
-    By default a and d come from boundary substitution of b+ and b-, and
-    c+ and c- from commutators with the boundary insertions; method
-    "direct" evaluates their own nested-integral definitions instead.
-    """
+    """The non-symmetric generators a, b+, b-, c+, c-, d."""
     if f.n > PARTICLE_CAP:
         raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
     N = f.n
     # family -> its elementary kind and index range; the weight is gamma^n
     # on n indices
-    direct = {
+    sums = {
         "b+": ("e_hat+", N), "b-": ("e_hat-", N), "a": ("e_bar+", N), "d": ("e_bar-", N),
         "c+": ("e_check+", N - 1), "c-": ("e_check-", N - 1),
     }
-    if family not in direct:
+    if family not in sums:
         raise ValueError(f"unknown family {family!r}")
     if family in ("c+", "c-") and N == 0:
         # annihilating the vacuum gives zero; keep the empty-variable space
         return alcovefn.zero_function(0)
-    if family in ("b+", "b-") or method == "direct" or (family in ("c+", "c-") and gamma == 0):
-        kind, top = direct[family]
-        blocks = [
-            (gamma**n, _plan(kind, mu, i, N))
-            for n in range(top + 1)
-            for i in permutations(range(1, top + 1), n)
-        ]
-        return _nonsymmetric_sum(blocks, f, length)
-    if family == "a":
-        return insert_bottom(apply_nonsymmetric("b+", mu, f, gamma, length), length)
-    if family == "d":
-        return insert_top(apply_nonsymmetric("b-", mu, f, gamma, length), length)
-    if family == "c+":
-        lhs = insert_top(apply_nonsymmetric("a", mu, f, gamma, length), length)
-        rhs = apply_nonsymmetric("a", mu, insert_top(f, length), gamma, length)
-    else:
-        lhs = insert_bottom(apply_nonsymmetric("d", mu, f, gamma, length), length)
-        rhs = apply_nonsymmetric("d", mu, insert_bottom(f, length), gamma, length)
-    return alcovefn.afn_scale(1.0 / gamma, alcovefn.afn_add(lhs, alcovefn.afn_scale(-1.0, rhs)))
+    kind, top = sums[family]
+    blocks = [
+        (gamma**n, _plan(kind, mu, i, N))
+        for n in range(top + 1)
+        for i in permutations(range(1, top + 1), n)
+    ]
+    return _nonsymmetric_sum(blocks, f, length)
 
 
 def apply_symmetric(

@@ -1,5 +1,6 @@
 """Alcove-wise functions: ordering, actions, walls, serialization."""
 
+import math
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -97,6 +98,22 @@ def test_sampling_is_deterministic():
     assert a == b
     w = alcovefn.sample_wall(3, 1, 2, 4, 8.0, seed=99)
     assert all(abs(s.x[0] - s.x[1]) < 1e-12 for s in w)
+
+
+BAD_LENGTHS = (0.0, -1.0, math.inf, math.nan)
+
+
+def test_sample_interior_refuses_bad_length():
+    # no point has every gap above the floor in a box of width 0, inf or NaN
+    for length in BAD_LENGTHS:
+        with pytest.raises(ValueError):
+            alcovefn.sample_interior(2, 1, length)
+
+
+def test_sample_wall_refuses_bad_length():
+    for length in BAD_LENGTHS:
+        with pytest.raises(ValueError):
+            alcovefn.sample_wall(3, 1, 2, 1, length)
 
 
 def test_json_round_trip():

@@ -81,15 +81,18 @@ def test_asymptotic_residual_decays_fourth_order():
 
 
 def test_json_round_trip():
-    req = bae.solve_request_from_json(
-        json.dumps({"N": 2, "gamma": 1.0, "L": 10.0, "n": [0.5, -0.5]})
-    )
-    n, gamma, length = req
-    r = bae.solve_bae(n, gamma, length)
+    r = bae.solve_bae(QuantumNumbers.from_values((0.5, -0.5)), 1.0, 10.0)
     text = bae.solution_to_json(r, 1e-13, 3)
     data = json.loads(text)
     assert data["iterations"] == 3
     assert len(data["lambda"]) == 2
+
+
+def test_rapidity_set_refuses_bad_length():
+    # an infinite or NaN length made the on-shell check vacuous
+    for length in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            bae.RapiditySet((0.3,), 1.0, length, on_shell=True)
 
 
 def test_attractive_regime_rejected():

@@ -98,7 +98,7 @@ def _run_qnls(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "args",
     [
-        # sample_interior never finds a point in a box of width 0 or inf
+        # no sample point fits in a box of width 0 or inf
         ["verify", "--length", "0"],
         ["eval", "--lambda", "0.8,-0.45", "--length", "inf"],
     ],

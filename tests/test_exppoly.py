@@ -95,6 +95,11 @@ def test_canonicalize_merges_cancellations():
     assert not total.terms
 
 
+def test_canonicalize_keeps_nan():
+    f = exppoly.canonicalize(exppoly.scale(float("nan"), exppoly.plane_wave((0.5,))))
+    assert cmath.isnan(f.eval((0.3,)))
+
+
 def test_json_round_trip():
     rng = random.Random(7)
     f = _random_sum(rng, 3)

@@ -8,9 +8,7 @@ from qnls.symgroup import (
     all_permutations,
     compose,
     identity,
-    longest_element,
     reduced_word,
-    shift_embed,
     transposition,
 )
 
@@ -49,12 +47,6 @@ def test_reduced_word_length_is_inversion_count(w):
     assert len(reduced_word(w)) == inversions
 
 
-def test_longest_element_reverses():
-    w0 = longest_element(4)
-    assert [w0(j) for j in (1, 2, 3, 4)] == [4, 3, 2, 1]
-    assert compose(w0, w0) == identity(4)
-
-
 @given(perms, st.data())
 def test_act_vector_relation(w, data):
     # (w x)_{w(j)} = x_j
@@ -65,13 +57,6 @@ def test_act_vector_relation(w, data):
     wx = w.act_vector(x)
     for j in range(1, n + 1):
         assert wx[w(j) - 1] == x[j - 1]
-
-
-def test_shift_embed_homomorphism():
-    a = Permutation((2, 3, 1))
-    b = Permutation((3, 1, 2))
-    assert shift_embed(compose(a, b)) == compose(shift_embed(a), shift_embed(b))
-    assert shift_embed(a)(1) == 1
 
 
 def test_all_permutations_count_and_uniqueness():

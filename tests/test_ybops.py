@@ -56,15 +56,37 @@ def test_quantum_determinant_on_vacuum_and_one_particle():
         assert abs(out.eval(x) - want * one.eval(x)) < 1e-12
 
 
-def test_nonsymmetric_product_and_direct_methods_agree():
-    r = RapiditySet((0.8, -0.3), GAMMA, LENGTH)
-    f = wavefn.prewavefunction(r)
+@pytest.mark.parametrize("gamma", [1.0, 0.3])
+def test_boundary_insertion_identities(gamma):
+    # a and d are b+ and b- with the created particle pinned at the bottom
+    # and the top; c+ and c- are the commutators of a and d with the
+    # insertion at the other end, over gamma
+    f = wavefn.prewavefunction(RapiditySet((0.8, -0.3), gamma, LENGTH))
     mu = 0.41
-    for family in ("a", "d"):
-        prod = ybops.apply_nonsymmetric(family, mu, f, GAMMA, LENGTH, method="product")
-        direct = ybops.apply_nonsymmetric(family, mu, f, GAMMA, LENGTH, method="direct")
-        for x in alcovefn.sample_interior(2, 6, LENGTH):
-            assert abs(prod.eval(x) - direct.eval(x)) < 1e-12
+
+    def op(family, g):
+        return ybops.apply_nonsymmetric(family, mu, g, gamma, LENGTH)
+
+    def top(g):
+        return ybops.insert_top(g, LENGTH)
+
+    def bottom(g):
+        return ybops.insert_bottom(g, LENGTH)
+
+    def commutator(insert, family):
+        lhs = insert(op(family, f))
+        return alcovefn.afn_add(lhs, alcovefn.afn_scale(-1.0, op(family, insert(f))))
+
+    cases = [
+        ("a", op("a", f), bottom(op("b+", f))),
+        ("d", op("d", f), top(op("b-", f))),
+        ("c+", alcovefn.afn_scale(gamma, op("c+", f)), commutator(top, "a")),
+        ("c-", alcovefn.afn_scale(gamma, op("c-", f)), commutator(bottom, "d")),
+    ]
+    for family, lhs, rhs in cases:
+        assert lhs.n == rhs.n
+        for x in alcovefn.sample_interior(lhs.n, 6, LENGTH):
+            assert abs(lhs.eval(x) - rhs.eval(x)) < 1e-12, (family, x)
 
 
 def test_q_operator_scalar():
