@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exppoly
 from .exppoly import Bound, ExpPolySum
-from .symgroup import Permutation, all_permutations, compose, reduced_word, simple, transposition
+from .symgroup import Permutation, all_permutations, compose, identity, reduced_word, simple, transposition
 
 __all__ = [
     "AlcoveFunction",
@@ -41,9 +41,11 @@ __all__ = [
     "afn_add",
     "afn_scale",
     "afn_derivative",
+    "require_room",
     "sample_interior",
     "sample_wall",
     "check_continuity",
+    "worst_residual",
     "to_json",
     "from_json",
     "DEFAULT_SEED",
@@ -173,12 +175,6 @@ def afn_derivative(f: AlcoveFunction, j: int) -> AlcoveFunction:
     )
 
 
-def afn_canonicalize(f: AlcoveFunction) -> AlcoveFunction:
-    return AlcoveFunction(
-        f.n, {s: exppoly.canonicalize(p) for s, p in f.pieces.items()}, f.continuous
-    )
-
-
 def act_analytic(w: Permutation, f: ExpPolySum) -> ExpPolySum:
     """(w f)(x) = f(w^{-1} x) for analytic f: slot m is relabeled to w(m)."""
     return exppoly.remap(f, {m: w(m) for m in range(1, f.n + 1)}, f.n)
@@ -209,12 +205,15 @@ def act_position(w: Permutation, F: AlcoveFunction) -> AlcoveFunction:
 
 
 def symmetrize(F: AlcoveFunction) -> AlcoveFunction:
-    """(1/N!) sum_w wF; a projection onto S_N-invariant functions."""
-    acc = None
-    for w in all_permutations(F.n):
-        term = act_position(w, F)
-        acc = term if acc is None else afn_add(acc, term)
-    return afn_canonicalize(afn_scale(1.0 / len(all_permutations(F.n)), acc))
+    """(1/N!) sum_w wF; a projection onto S_N-invariant functions.
+
+    The result is symmetric, so only its fundamental-alcove piece
+    (1/N!) sum_w w F[w^{-1}] is summed; extend_symmetric gives the rest.
+    """
+    perms = all_permutations(F.n)
+    terms = [t for w in perms for t in act_analytic(w, F.pieces[w.inverse()]).terms]
+    piece = exppoly.scale(1.0 / len(perms), ExpPolySum(F.n, tuple(terms)))
+    return extend_symmetric(exppoly.canonicalize(piece), F.continuous)
 
 
 def _side_orderings(sample: WallSample, n: int) -> tuple[Permutation, Permutation]:
@@ -327,31 +326,47 @@ def deformed_transposition_position(f: ExpPolySum, j: int, gamma: float) -> ExpP
     )
 
 
-def apply_deformed_position_word(f: ExpPolySum, w: Permutation, gamma: float) -> ExpPolySum:
-    """w_gamma f: the product of deformed transpositions along a reduced word."""
-    out = f
-    for i in reversed(reduced_word(w)):
-        out = deformed_transposition_position(out, i, gamma)
-    return out
-
-
 def propagation(f: ExpPolySum, gamma: float) -> AlcoveFunction:
-    """Propagation operator P_gamma: piece on w^{-1} R^N_+ is w^{-1} w_gamma f."""
+    """Propagation operator P_gamma: piece on w^{-1} R^N_+ is w^{-1} w_gamma f.
+
+    w_gamma f is built once per w over the weak order: with [i_1, ...] the
+    reduced word of w, w_gamma f = s_{i_1,gamma}(w'_gamma f) where
+    w' = s_{i_1} w, whose reduced word is the tail [i_2, ...].
+    """
     n = f.n
-    pieces = {}
-    for sigma in all_permutations(n):
-        w = sigma.inverse()
-        deformed = apply_deformed_position_word(f, w, gamma)
-        pieces[sigma] = act_analytic(w.inverse(), deformed)
+    deformed = {identity(n): f}
+
+    def word_image(w: Permutation) -> ExpPolySum:
+        if w not in deformed:
+            i = reduced_word(w)[0]
+            tail = word_image(compose(simple(i, n), w))
+            deformed[w] = deformed_transposition_position(tail, i, gamma)
+        return deformed[w]
+
+    pieces = {
+        sigma: act_analytic(sigma, word_image(sigma.inverse()))
+        for sigma in all_permutations(n)
+    }
     return AlcoveFunction(n, pieces, continuous=True)
+
+
+def require_room(n: int, length: float) -> None:
+    """Refuse a length on which n coordinates in [-L/2, L/2] cannot keep
+    gaps of WALL_GAP_FLOOR: rejection sampling would draw forever."""
+    if not 0 < length < math.inf:
+        raise ValueError("length must be positive and finite")
+    if (n - 1) * WALL_GAP_FLOOR >= length:
+        raise ValueError(
+            f"length {length!r} is too short for {n} coordinates "
+            f"{WALL_GAP_FLOOR} apart"
+        )
 
 
 def sample_interior(
     n: int, count: int, length: float, seed: int = DEFAULT_SEED
 ) -> list[tuple[float, ...]]:
     """Deterministic regular points in (-L/2, L/2)^N with all gaps >= floor."""
-    if not 0 < length < math.inf:
-        raise ValueError("length must be positive and finite")
+    require_room(n, length)
     rng = random.Random(seed)
     points = []
     while len(points) < count:
@@ -366,8 +381,7 @@ def sample_wall(
     n: int, j: int, k: int, count: int, length: float, seed: int = DEFAULT_SEED
 ) -> list[WallSample]:
     """Deterministic samples on V_jk with the other coordinates regular."""
-    if not 0 < length < math.inf:
-        raise ValueError("length must be positive and finite")
+    require_room(n, length)
     rng = random.Random(seed ^ (j * 1000003 + k))
     samples = []
     while len(samples) < count:
@@ -390,7 +404,7 @@ def check_continuity(
     tol: float = CONTINUITY_TOL,
 ) -> tuple[bool, float]:
     """Compare wall limits from both sides at sampled wall points."""
-    worst = 0.0
+    gaps = [0.0]
     scale_ = 1.0
     for j in range(1, F.n + 1):
         for k in range(j + 1, F.n + 1):
@@ -398,9 +412,17 @@ def check_continuity(
                 plus, minus = _side_orderings(sample, F.n)
                 vp = F.pieces[plus].eval(sample.x)
                 vm = F.pieces[minus].eval(sample.x)
-                worst = max(worst, abs(vp - vm))
+                gaps.append(abs(vp - vm))
                 scale_ = max(scale_, abs(vp), abs(vm))
+    worst = worst_residual(gaps)
     return worst <= tol * scale_, worst
+
+
+def worst_residual(residuals: Iterable[float]) -> float:
+    """The largest residual, or NaN if any is NaN (max alone would skip
+    a NaN that does not come first, and the check would pass)."""
+    residuals = list(residuals)
+    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
 
 
 def to_json(F: AlcoveFunction) -> dict:

@@ -15,6 +15,7 @@ True
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -543,9 +544,10 @@ def canonicalize(f: ExpPolySum) -> ExpPolySum:
                 coeffs[deg] = coeffs.get(deg, 0j) + c
         seen[t.wavevector] = coeffs
     out: list[ExpPolyTerm] = []
-    biggest = max(
-        [0.0] + [abs(c) for _, coeffs in reps for c in coeffs.values()]
-    )
+    # the floor scales with the largest finite coefficient, so that an
+    # infinite one does not prune everything
+    magnitudes = [abs(c) for _, coeffs in reps for c in coeffs.values()]
+    biggest = max([0.0] + [a for a in magnitudes if a < math.inf])
     floor = PRUNE_TOL * biggest
     for wv, coeffs in reps:
         # written so that a NaN coefficient is kept, not pruned

@@ -11,12 +11,19 @@ transpositions s_{j,gamma} = s_j - i gamma Delta_j, deformed words, and the
 symmetrizers are built from that single rule.
 
 Table entries are kept canonical: tables are summed only by orbit_add
-(deformed transpositions, deformed words and both symmetrizers included),
-which merges wavevectors within MERGE_TOL and prunes monomials below
-PRUNE_TOL relative to each entry's own largest coefficient (see
-exppoly.canonicalize).  So an entry of a deformed word applied to a
-regular orbit never holds more terms than there are orbit points, N!,
-however long the word.
+(both symmetrizers included), and each entry of a deformed transposition
+is canonicalized as it is made.  Both merge wavevectors within MERGE_TOL
+and prune monomials below PRUNE_TOL relative to the entry's own largest
+coefficient (see exppoly.canonicalize).  So an entry of a deformed word
+applied to a regular orbit never holds more terms than there are orbit
+points, N!, however long the word.
+
+Deformed words are evaluated entry by entry, with one rule for one entry
+of s_{j,gamma} o.  Entry sigma after a step needs only the entries sigma
+and s_j sigma before it, so deformed_word_entry computes one entry of
+w_gamma o from the few entries it depends on; apply_deformed_word asks
+for every entry and so computes the whole table, each (step, entry) pair
+once.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ __all__ = [
     "divided_difference",
     "deformed_transposition_momentum",
     "apply_deformed_word",
+    "deformed_word_entry",
     "symmetrizer",
     "gamma_symmetrizer",
     "mult_symbol",
@@ -117,31 +125,83 @@ def divided_difference(o: OrbitFunction, j: int, k: int) -> OrbitFunction:
     """Delta_jk: entries'[sigma] = (f(sigma lam) - f(s_jk sigma lam)) /
     ((sigma lam)_j - (sigma lam)_k)."""
     sjk = transposition(j, k, o.n)
-    out = {}
-    for sigma, val in o.entries.items():
-        point = o.point(sigma)
-        denom = point[j - 1] - point[k - 1]
-        swapped = o.entries[compose(sjk, sigma)]
-        out[sigma] = exppoly.scale(1.0 / denom, val - swapped)
-    return OrbitFunction(o.lam, out)
+    return OrbitFunction(
+        o.lam,
+        {
+            sigma: _divided_entry(o.point(sigma), j, k, val, o.entries[compose(sjk, sigma)])
+            for sigma, val in o.entries.items()
+        },
+    )
+
+
+def _divided_entry(
+    point: tuple[complex, ...], j: int, k: int, here: ExpPolySum, swapped: ExpPolySum
+) -> ExpPolySum:
+    """Entry of Delta_jk o at the orbit point sigma lambda = point, from
+    here = o[sigma] and swapped = o[s_jk sigma]."""
+    return exppoly.scale(1.0 / (point[j - 1] - point[k - 1]), here - swapped)
+
+
+def _deformed_entry(
+    point: tuple[complex, ...], j: int, gamma: float, here: ExpPolySum, swapped: ExpPolySum
+) -> ExpPolySum:
+    """Entry of s_{j,gamma} o = s_j o - i gamma Delta_{j,j+1} o at the orbit
+    point sigma lambda = point, from here = o[sigma] and swapped =
+    o[s_j sigma], canonicalized."""
+    return exppoly.canonicalize(
+        swapped + exppoly.scale(-1j * gamma, _divided_entry(point, j, j + 1, here, swapped))
+    )
+
+
+def _deformed_word(
+    o: OrbitFunction, w: Permutation, gamma: float
+) -> Callable[[Permutation], ExpPolySum]:
+    """Entries of w_gamma o on demand.
+
+    Entry rho after step k of the word needs only the entries rho and
+    s_j rho after step k - 1, so asking for one entry computes only the
+    entries it depends on; each (step, entry) pair is computed once.
+    """
+    word = reduced_word(w)
+    memo: dict[tuple[int, Permutation], ExpPolySum] = {}
+
+    def entry(k: int, rho: Permutation) -> ExpPolySum:
+        # entry rho after the last k letters of the word (applied right to left)
+        if k == 0:
+            return o.entries[rho]
+        value = memo.get((k, rho))
+        if value is None:
+            j = word[len(word) - k]
+            value = _deformed_entry(
+                o.point(rho), j, gamma, entry(k - 1, rho),
+                entry(k - 1, compose(simple(j, o.n), rho)),
+            )
+            memo[k, rho] = value
+        return value
+
+    return lambda sigma: entry(len(word), sigma)
 
 
 def deformed_transposition_momentum(
     o: OrbitFunction, j: int, gamma: float
 ) -> OrbitFunction:
     """s_{j,gamma} = s_j - i gamma Delta_{j,j+1}."""
-    acted = act_table(simple(j, o.n), o)
-    dd = divided_difference(o, j, j + 1)
-    return orbit_add(acted, orbit_scale(-1j * gamma, dd))
+    return apply_deformed_word(o, simple(j, o.n), gamma)
 
 
 def apply_deformed_word(o: OrbitFunction, w: Permutation, gamma: float) -> OrbitFunction:
     """w_gamma: the product of deformed transpositions along a reduced word
     of w (well-defined independently of the word chosen)."""
-    out = o
-    for i in reversed(reduced_word(w)):
-        out = deformed_transposition_momentum(out, i, gamma)
-    return out
+    entry = _deformed_word(o, w, gamma)
+    return OrbitFunction(o.lam, {s: entry(s) for s in o.entries})
+
+
+def deformed_word_entry(
+    o: OrbitFunction, w: Permutation, gamma: float, sigma: Permutation
+) -> ExpPolySum:
+    """Entry sigma of w_gamma o, computing only the entries it depends on
+    (equal to apply_deformed_word(o, w, gamma).entries[sigma])."""
+    return _deformed_word(o, w, gamma)(sigma)
 
 
 def symmetrizer(o: OrbitFunction) -> OrbitFunction:

@@ -18,7 +18,7 @@ import traceback
 from typing import Callable, Iterable, Iterator
 
 from . import alcovefn, bae, exppoly, momrep, oracle, wavefn, ybops
-from .alcovefn import AlcoveFunction
+from .alcovefn import AlcoveFunction, worst_residual
 from .momrep import OrbitFunction
 from .symgroup import Permutation, all_permutations, identity, transposition
 from .wavefn import RapiditySet
@@ -43,13 +43,6 @@ def _seeded_lambda(n: int, seed: int, tag: int = 0) -> tuple[complex, ...]:
         gaps = [abs(lam[a] - lam[b]) for a in range(n) for b in range(a + 1, n)]
         if not gaps or min(gaps) > 0.2:
             return tuple(complex(v) for v in lam)
-
-
-def _worst(residuals: Iterable[float]) -> float:
-    """The largest residual, or NaN if any is NaN (max alone would skip
-    a NaN that does not come first, and the check would pass)."""
-    residuals = list(residuals)
-    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
 
 
 def _gap(pairs, xs, scale: float | None = None) -> float:
@@ -262,7 +255,7 @@ def _orbit_checks(suite: str, n: int, gamma: float, base: OrbitFunction, xs):
     for name, smallest, pairs in _orbit_identities(n, gamma)[suite]:
         if n >= smallest:
             sides = [(_side(lhs, base), _side(rhs, base)) for lhs, rhs in pairs]
-            yield name, n, _worst(
+            yield name, n, worst_residual(
                 _gap([(o1.entries[s], o2.entries[s]) for s in o1.entries], xs)
                 for o1, o2 in sides
             )
@@ -314,7 +307,7 @@ def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int):
         def dunkl(F, j):
             return alcovefn.dunkl(F, j, gamma)
 
-        yield "dunkl-commutativity", n, _worst(
+        yield "dunkl-commutativity", n, worst_residual(
             _gap([(dunkl(dunkl(psi, k), j), dunkl(dunkl(psi, j), k))], xs)
             for j in range(1, n + 1)
             for k in range(j + 1, n + 1)
@@ -327,10 +320,10 @@ def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int):
             shift = gamma * ((1 if k == j else 0) - (1 if k == j + 1 else 0))
             return _gap([(lhs, alcovefn.afn_add(rhs, alcovefn.afn_scale(shift, psi)))], xs)
 
-        yield "dunkl-transposition-exchange", n, _worst(
+        yield "dunkl-transposition-exchange", n, worst_residual(
             exchange_gap(j, k) for j in range(1, n) for k in range(1, n + 1)
         )
-        yield "dunkl-eigen-prewavefunction", n, _worst(
+        yield "dunkl-eigen-prewavefunction", n, worst_residual(
             _gap([(dunkl(psi, j), alcovefn.afn_scale(1j * lam[j - 1], psi))], xs)
             for j in range(1, n + 1)
         )
@@ -365,7 +358,7 @@ def suite_appendix_b(max_n: int, gamma: float, length: float, seed: int):
         rhs = oracle.inner_product(f, down, length)
         return abs(lhs - rhs) / max(abs(lhs), 1.0)
 
-    yield "elementary-adjointness", 1, _worst(
+    yield "elementary-adjointness", 1, worst_residual(
         adjoint_gap(up_kind, down_kind, i, h)
         for up_kind, down_kind, h in (
             ("e_hat-", "e_check+", g), ("e_hat+", "e_check-", g), ("e_bar+", "e_bar-", f2),
@@ -389,7 +382,7 @@ def suite_appendix_b(max_n: int, gamma: float, length: float, seed: int):
     def elem(kind, i, F):
         return ybops.elementary_nonsymmetric_op(kind, lam, i, F, length)
 
-    yield "elementary-permutation-equivariance", n, _worst(
+    yield "elementary-permutation-equivariance", n, worst_residual(
         _gap(
             [(
                 alcovefn.act_position(after, elem(kind, i, F)),
@@ -536,7 +529,7 @@ def suite_aba(max_n: int, gamma: float, length: float, seed: int):
         r = bae.solve_bae(bae.QuantumNumbers(twice), gamma, length)
         Psi = wavefn.bethe_wavefunction(r)
         pts = alcovefn.sample_interior(n, 30, length, seed)
-        yield "transfer-eigenvalue-on-shell", n, _worst(
+        yield "transfer-eigenvalue-on-shell", n, worst_residual(
             _gap([(
                 ybops.transfer(mu, Psi, gamma, length),
                 alcovefn.afn_scale(bae.transfer_eigenvalue(mu, r), Psi),
@@ -657,7 +650,7 @@ def suite_q_operator(max_n: int, gamma: float, length: float, seed: int):
         Psi = wavefn.bethe_wavefunction(RapiditySet(_seeded_lambda(n, seed, tag=10), gamma, length))
         pts = alcovefn.sample_interior(n, 8, length, seed)
         want = alcovefn.afn_scale(math.exp(-gamma * length / 2), Psi)
-        yield "quantum-determinant-eigenvalue", n, _worst(
+        yield "quantum-determinant-eigenvalue", n, worst_residual(
             _gap([(ybops.qdet(mu, Psi, gamma, length), want)], pts) for mu in (0.37, -1.21)
         )
 
@@ -672,7 +665,7 @@ def suite_q_operator(max_n: int, gamma: float, length: float, seed: int):
         )
         return abs(lhs - rhs) / max(abs(lhs), 1.0)
 
-    yield "tq-scalar-relation", 2, _worst(tq_gap(mu) for mu in (0.41, -0.93, 2.17)), 1e-10
+    yield "tq-scalar-relation", 2, worst_residual(tq_gap(mu) for mu in (0.41, -0.93, 2.17)), 1e-10
 
     Psi = wavefn.bethe_wavefunction(r)
     pts = alcovefn.sample_interior(2, 8, length, seed)
@@ -709,12 +702,12 @@ def suite_oracle_crosscheck(max_n: int, gamma: float, length: float, seed: int):
         exact = _op(fam, mu, f, gamma, length)
         pts = alcovefn.sample_interior(out_n, 20, length, seed) if out_n else [()]
         label = fam.replace("+", "p").replace("-", "m")
-        yield f"quadrature-crosscheck-{label}", f.n, _worst(
+        yield f"quadrature-crosscheck-{label}", f.n, worst_residual(
             relative(oracle.quad_apply(fam, mu, f, gamma, length, x), exact.eval(x)) for x in pts
         )
 
     pts = alcovefn.sample_interior(2, 10, length, seed)
-    yield "finite-difference-derivative", 2, _worst(
+    yield "finite-difference-derivative", 2, worst_residual(
         relative(oracle.fd_derivative(f2, j, x), exact.eval(x))
         for j, exact in ((j, alcovefn.afn_derivative(f2, j)) for j in (1, 2))
         for x in pts

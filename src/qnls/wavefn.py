@@ -15,7 +15,7 @@ import json
 from typing import Iterable
 
 from . import alcovefn, exppoly, momrep, ybops
-from .alcovefn import AlcoveFunction
+from .alcovefn import AlcoveFunction, worst_residual
 from .bae import ON_SHELL_TOL, RapiditySet
 from .exppoly import ExpPolySum
 from .symgroup import Permutation, all_permutations, identity
@@ -59,8 +59,11 @@ def prewavefunction(r: RapiditySet, route: str = "propagation") -> AlcoveFunctio
 
     orbit: the piece on the alcove labeled sigma (that is w^{-1} R^N_+
     with w = sigma^{-1}) is w_gamma^{-1} w e^{i lam}, computed in the
-    momentum-space representation on the orbit of lam.
-    propagation: apply the propagation operator to the plane wave.
+    momentum-space representation on the orbit of lam.  Only the identity
+    entry of each deformed word is kept, so only the entries it depends on
+    are computed (momrep.deformed_word_entry).
+    propagation: apply the propagation operator to the plane wave; each
+    deformed word is one deformed transposition on a shorter one.
     creation: fold b^-_{lam_N} ... b^-_{lam_1} onto the vacuum;
     creation_plus folds b^+_{lam_1} ... b^+_{lam_N} instead.
     """
@@ -68,13 +71,13 @@ def prewavefunction(r: RapiditySet, route: str = "propagation") -> AlcoveFunctio
     if route == "propagation":
         return alcovefn.propagation(exppoly.plane_wave(r.lam), r.gamma)
     if route == "orbit":
-        pieces = {}
         base = momrep.orbit_planewave(r.lam)
-        for sigma in all_permutations(r.n):
-            w = sigma.inverse()
-            acted = momrep.act_table(w, base)
-            deformed = momrep.apply_deformed_word(acted, w.inverse(), r.gamma)
-            pieces[sigma] = deformed.entries[identity(r.n)]
+        pieces = {
+            sigma: momrep.deformed_word_entry(
+                momrep.act_table(sigma.inverse(), base), sigma, r.gamma, identity(r.n)
+            )
+            for sigma in all_permutations(r.n)
+        }
         return AlcoveFunction(r.n, pieces, continuous=True)
     if route in ("creation", "creation_plus"):
         f = alcovefn.from_analytic(exppoly.constant(1.0, 0))
@@ -187,13 +190,13 @@ def assert_routes_agree(
     if points is None:
         points = alcovefn.sample_interior(r.n, 50, r.length)
     names = list(routes)
-    worst = 0.0
+    spreads = [0.0]
     for x in points:
         vals = [routes[name].eval(x) for name in names]
         scale = max(max(abs(v) for v in vals), 1.0)
-        spread = max(abs(v - vals[0]) for v in vals) / scale
-        worst = max(worst, spread)
-    if worst > tol:
+        spreads.append(worst_residual(abs(v - vals[0]) for v in vals) / scale)
+    worst = worst_residual(spreads)
+    if not worst <= tol:
         raise RouteMismatchError(
             f"{which} routes disagree by {worst:.3e} > {tol}; pieces: "
             + _dump_pieces(routes)
@@ -202,9 +205,7 @@ def assert_routes_agree(
 
 
 def _coeff_norm(f: ExpPolySum) -> float:
-    return max(
-        (abs(c) for t in f.terms for _, c in t.coeffs), default=0.0
-    )
+    return worst_residual([0.0] + [abs(c) for t in f.terms for _, c in t.coeffs])
 
 
 def verify_qnls(
@@ -224,25 +225,24 @@ def verify_qnls(
     energy = sum(v * v for v in r.lam)
     checks = []
 
-    worst = 0.0
+    norms = []
     scale = 1.0
     for piece in F.pieces.values():
         lap = exppoly.zero(F.n)
         for j in range(1, F.n + 1):
             lap = lap + exppoly.derivative(exppoly.derivative(piece, j), j)
         residual = exppoly.canonicalize(lap + exppoly.scale(energy, piece))
-        worst = max(worst, _coeff_norm(residual))
+        norms.append(_coeff_norm(residual))
         scale = max(scale, _coeff_norm(piece) * max(abs(energy), 1.0))
     checks.append(
         {
             "check": "laplace_eigen",
-            "max_residual": worst / scale,
+            "max_residual": worst_residual(norms) / scale,
             "samples": len(F.pieces),
         }
     )
 
-    worst = 0.0
-    count = 0
+    jumps = []
     for j in range(1, F.n + 1):
         for k in range(j + 1, F.n + 1):
             walls = alcovefn.sample_wall(F.n, j, k, samples_per_wall, r.length)
@@ -250,30 +250,33 @@ def verify_qnls(
                 scale = max(
                     abs(rep["limit_plus"]), abs(rep["limit_minus"]), 1.0
                 )
-                worst = max(worst, abs(rep["residual"]) / scale)
-                count += 1
+                jumps.append(abs(rep["residual"]) / scale)
     checks.append(
-        {"check": "derivative_jumps", "max_residual": worst, "samples": count}
+        {
+            "check": "derivative_jumps",
+            "max_residual": worst_residual([0.0] + jumps),
+            "samples": len(jumps),
+        }
     )
 
     if check_dunkl and F.n >= 1:
         points = alcovefn.sample_interior(F.n, interior_samples, r.length)
-        worst = 0.0
+        gaps = [0.0]
         for j in range(1, F.n + 1):
             applied = alcovefn.dunkl(F, j, r.gamma)
             for x in points:
                 want = 1j * r.lam[j - 1] * F.eval(x)
                 got = applied.eval(x)
-                worst = max(worst, abs(got - want) / max(abs(want), 1.0))
+                gaps.append(abs(got - want) / max(abs(want), 1.0))
         checks.append(
             {
                 "check": "dunkl_eigen",
-                "max_residual": worst,
+                "max_residual": worst_residual(gaps),
                 "samples": len(points) * F.n,
             }
         )
 
-    overall = max(c["max_residual"] for c in checks)
+    overall = worst_residual(c["max_residual"] for c in checks)
     return {
         "checks": [dict(c, pass_=c["max_residual"] < 1e-9) for c in checks],
         "max_residual": overall,
@@ -289,6 +292,9 @@ def check_periodicity(
     if not r.on_shell:
         raise ValueError("periodicity check requires an on-shell rapidity set")
     n = F.n
+    if n > 1:
+        # n - 1 inner coordinates and the two ends keep n gaps
+        alcovefn.require_room(n + 1, r.length)
     half = r.length / 2
     fund = identity(n)
     piece = F.pieces[fund]
@@ -298,8 +304,8 @@ def check_periodicity(
     import random
 
     rng = random.Random(alcovefn.DEFAULT_SEED)
-    worst_val = 0.0
-    worst_der = 0.0
+    values = [0.0]
+    derivatives = [0.0]
     for _ in range(samples):
         while True:
             inner = sorted(
@@ -314,11 +320,13 @@ def check_periodicity(
         at_top = (half,) + tuple(inner)
         v1 = piece.eval(at_bottom)
         v2 = piece.eval(at_top)
-        worst_val = max(worst_val, abs(v1 - v2) / max(abs(v1), abs(v2), 1.0))
+        values.append(abs(v1 - v2) / max(abs(v1), abs(v2), 1.0))
         d1 = d_last.eval(at_bottom)
         d2 = d_first.eval(at_top)
-        worst_der = max(worst_der, abs(d1 - d2) / max(abs(d1), abs(d2), 1.0))
-    worst = max(worst_val, worst_der)
+        derivatives.append(abs(d1 - d2) / max(abs(d1), abs(d2), 1.0))
+    worst_val = worst_residual(values)
+    worst_der = worst_residual(derivatives)
+    worst = worst_residual([worst_val, worst_der])
     return {
         "checks": [
             {"check": "value_periodicity", "max_residual": worst_val, "samples": samples},

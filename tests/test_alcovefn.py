@@ -31,6 +31,8 @@ def test_from_analytic_is_continuous():
     f = alcovefn.from_analytic(exppoly.plane_wave((0.4, -0.9)))
     ok, worst = alcovefn.check_continuity(f, 5.0)
     assert ok and worst < 1e-12
+    ok, worst = alcovefn.check_continuity(alcovefn.afn_scale(math.nan, f), 5.0)
+    assert not ok and math.isnan(worst)
 
 
 def test_act_position_is_a_group_action():
@@ -57,6 +59,22 @@ def test_symmetrize_is_invariant():
     S = alcovefn.symmetrize(alcovefn.build(pieces))
     for x in alcovefn.sample_interior(2, 8, 6.0):
         assert abs(S.eval(x) - S.eval((x[1], x[0]))) < 1e-14
+
+
+def test_symmetrize_is_the_average_of_the_position_action():
+    # a discontinuous, non-symmetric input: every alcove's piece of the
+    # result is (1/N!) sum_w (wF) there, not only the fundamental one
+    rng = random.Random(5)
+    F = alcovefn.build({
+        sigma: exppoly.plane_wave(tuple(rng.uniform(-1, 1) for _ in range(3)))
+        for sigma in all_permutations(3)
+    })
+    S = alcovefn.symmetrize(F)
+    moved = [alcovefn.act_position(w, F) for w in all_permutations(3)]
+    for x in alcovefn.sample_interior(3, 12, 6.0):
+        want = sum(G.eval(x) for G in moved) / len(moved)
+        assert abs(S.eval(x) - want) < 1e-14
+    assert not S.continuous
 
 
 def test_wall_jump_vanishes_for_analytic_function():
@@ -114,6 +132,17 @@ def test_sample_wall_refuses_bad_length():
     for length in BAD_LENGTHS:
         with pytest.raises(ValueError):
             alcovefn.sample_wall(3, 1, 2, 1, length)
+
+
+def test_samplers_refuse_a_length_without_room():
+    # two coordinates cannot keep a gap of WALL_GAP_FLOOR = 1e-6 in a box
+    # of width 1e-7; the rejection loops would never end
+    with pytest.raises(ValueError):
+        alcovefn.sample_interior(2, 1, 1e-7)
+    with pytest.raises(ValueError):
+        alcovefn.sample_wall(3, 1, 2, 1, 1e-7)
+    assert len(alcovefn.sample_interior(3, 2, 1e-5)) == 2
+    assert len(alcovefn.sample_interior(1, 2, 1e-7)) == 2
 
 
 def test_json_round_trip():

@@ -109,6 +109,16 @@ def test_bad_length_refused(args):
     assert "--length" in proc.stderr and proc.stdout == ""
 
 
+def test_verify_on_a_length_without_room_fails_its_suites():
+    # a box narrower than the sample gap floor: every suite that samples
+    # ends in a suite-error record instead of drawing points forever
+    proc = _run_qnls("verify", "--length", "1e-7")
+    assert proc.returncode == 3
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    errors = [rec for rec in records if rec["identity_id"] == "suite-error"]
+    assert errors and all("too short" in rec["error"] for rec in errors)
+
+
 def test_eval_csv_round_trip(tmp_path):
     out = tmp_path / "vals.csv"
     code = cli.main(

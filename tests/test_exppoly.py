@@ -100,6 +100,16 @@ def test_canonicalize_keeps_nan():
     assert cmath.isnan(f.eval((0.3,)))
 
 
+def test_canonicalize_keeps_infinity():
+    # the prune floor scales with the largest finite coefficient only
+    wave = exppoly.plane_wave((0.5,))
+    f = exppoly.canonicalize(exppoly.scale(float("inf"), wave))
+    (coeff,) = [c for t in f.terms for _, c in t.coeffs]
+    assert not cmath.isfinite(coeff)
+    g = exppoly.canonicalize(exppoly.add(exppoly.scale(float("inf"), wave), exppoly.plane_wave((0.7,))))
+    assert len(g.terms) == 2
+
+
 def test_json_round_trip():
     rng = random.Random(7)
     f = _random_sum(rng, 3)

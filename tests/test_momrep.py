@@ -99,3 +99,14 @@ def test_deformed_words_keep_entries_within_orbit_size():
         for w in all_permutations(4):
             out = momrep.apply_deformed_word(base, w, gamma)
             assert max(len(p.terms) for p in out.entries.values()) <= 24
+
+
+def test_deformed_word_entry_equals_the_full_table():
+    # the demand-driven entry and the whole table apply one rule to the
+    # same inputs, so they agree term for term
+    base = momrep.orbit_planewave((0.9 + 0.1j, -0.2, 1.4 - 0.2j))
+    for w in all_permutations(3):
+        table = momrep.apply_deformed_word(base, w, 1.3)
+        for sigma in all_permutations(3):
+            entry = momrep.deformed_word_entry(base, w, 1.3, sigma)
+            assert entry.terms == table.entries[sigma].terms

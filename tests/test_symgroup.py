@@ -9,6 +9,7 @@ from qnls.symgroup import (
     compose,
     identity,
     reduced_word,
+    simple,
     transposition,
 )
 
@@ -57,6 +58,17 @@ def test_act_vector_relation(w, data):
     wx = w.act_vector(x)
     for j in range(1, n + 1):
         assert wx[w(j) - 1] == x[j - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reduced_word_tail_is_reduced_word_of_prefix_removed(n):
+    # prefix sharing in alcovefn.propagation builds w_gamma f from
+    # (s_{i_1} w)_gamma f; the steps match the full word's only if the
+    # tail of w's word is the word of s_{i_1} w
+    for w in all_permutations(n):
+        word = reduced_word(w)
+        if word:
+            assert reduced_word(compose(simple(word[0], n), w)) == word[1:]
 
 
 def test_all_permutations_count_and_uniqueness():

@@ -1,10 +1,12 @@
 """Wavefunction constructions: routes, eigen checks, degenerate limits."""
 
 import json
+import math
 
 import pytest
 
-from qnls import alcovefn, momrep, wavefn
+from qnls import alcovefn, bae, exppoly, momrep, wavefn
+from qnls.symgroup import all_permutations, identity, reduced_word
 from qnls.wavefn import RapiditySet, RouteMismatchError
 
 GAMMA = 1.3
@@ -12,6 +14,7 @@ LENGTH = 10.0
 LAM2 = (0.8, -0.45)
 LAM3 = (1.1, 0.2, -0.7)
 LAM4 = (1.3 + 0.1j, 0.4 - 0.2j, -0.3 + 0.05j, -1.2 - 0.1j)
+LAM5 = (1.5 - 0.1j, 0.8 + 0.2j, 0.1 - 0.05j, -0.6 + 0.1j, -1.4 - 0.2j)
 
 
 def test_rapidity_set_validation():
@@ -33,6 +36,83 @@ def test_bethe_routes_agree():
     for lam in (LAM2, LAM3):
         r = RapiditySet(lam, GAMMA, LENGTH)
         assert wavefn.assert_routes_agree(r, "bethe") < wavefn.ROUTE_TOL
+
+
+def _spread(F, G, points):
+    """Worst relative disagreement, measured as assert_routes_agree does."""
+    gaps = []
+    for x in points:
+        a, b = F.eval(x), G.eval(x)
+        gaps.append(abs(a - b) / max(abs(a), abs(b), 1.0))
+    return alcovefn.worst_residual(gaps)
+
+
+@pytest.mark.parametrize("gamma", (-0.7, 1.3))
+def test_routes_agree_at_five_particles(gamma):
+    # the creation routes are left out: each takes seconds at N=5 in the
+    # ybops plan engine
+    r = RapiditySet(LAM5, gamma, LENGTH)
+    points = alcovefn.sample_interior(5, 50, LENGTH)
+    orbit, propagation = (wavefn.prewavefunction(r, route) for route in ("orbit", "propagation"))
+    assert _spread(orbit, propagation, points) < wavefn.ROUTE_TOL
+    symmetrized, explicit = (wavefn.bethe_wavefunction(r, route) for route in ("symmetrize", "explicit"))
+    assert _spread(symmetrized, explicit, points) < wavefn.ROUTE_TOL
+
+
+def _orbit_on_full_tables(r):
+    """The orbit route with every step of every word a whole table."""
+    base = momrep.orbit_planewave(r.lam)
+    pieces = {}
+    for sigma in all_permutations(r.n):
+        table = momrep.act_table(sigma.inverse(), base)
+        for i in reversed(reduced_word(sigma)):
+            table = momrep.deformed_transposition_momentum(table, i, r.gamma)
+        pieces[sigma] = table.entries[identity(r.n)]
+    return pieces
+
+
+def _propagation_word_by_word(f, gamma):
+    """The propagation route with every word applied from its start."""
+    pieces = {}
+    for sigma in all_permutations(f.n):
+        out = f
+        for i in reversed(reduced_word(sigma.inverse())):
+            out = alcovefn.deformed_transposition_position(out, i, gamma)
+        pieces[sigma] = alcovefn.act_analytic(sigma, out)
+    return pieces
+
+
+@pytest.mark.parametrize("lam", (LAM2, LAM3, LAM4), ids=("n2", "n3", "n4"))
+def test_routes_equal_their_full_builds_term_for_term(lam):
+    for gamma in (-0.7, GAMMA):
+        r = RapiditySet(lam, gamma, LENGTH)
+        orbit = wavefn.prewavefunction(r, "orbit")
+        propagation = wavefn.prewavefunction(r, "propagation")
+        want = _orbit_on_full_tables(r)
+        assert {s: p.terms for s, p in orbit.pieces.items()} == {s: p.terms for s, p in want.items()}
+        want = _propagation_word_by_word(exppoly.plane_wave(r.lam), gamma)
+        assert {s: p.terms for s, p in propagation.pieces.items()} == {s: p.terms for s, p in want.items()}
+
+
+def test_nan_function_fails_every_check(monkeypatch):
+    # max(worst, r) keeps worst when r is NaN; the folds must keep the NaN
+    r = RapiditySet(LAM2, GAMMA, LENGTH)
+    psi = wavefn.prewavefunction(r)
+    rep = wavefn.verify_qnls(alcovefn.afn_scale(math.nan, psi), r, check_dunkl=False)
+    assert not rep["pass"] and math.isnan(rep["max_residual"])
+    assert all(not c["pass_"] for c in rep["checks"])
+    on_shell = bae.solve_bae(bae.QuantumNumbers((1, -1)), GAMMA, LENGTH)
+    Psi = alcovefn.afn_scale(math.nan, wavefn.bethe_wavefunction(on_shell, "explicit"))
+    rep = wavefn.check_periodicity(Psi, on_shell)
+    assert not rep["pass"] and math.isnan(rep["max_residual"])
+    build = wavefn.prewavefunction
+    monkeypatch.setattr(
+        wavefn, "prewavefunction",
+        lambda r, route: alcovefn.afn_scale(math.nan if route == "orbit" else 1.0, build(r, route)),
+    )
+    # no finite disagreement exceeds an infinite tolerance; NaN must
+    with pytest.raises(RouteMismatchError):
+        wavefn.assert_routes_agree(r, "pre", [(1.0, -2.0), (0.5, 2.5)], tol=math.inf)
 
 
 def test_injected_sign_flip_is_detected(monkeypatch):
@@ -129,3 +209,11 @@ def test_periodicity_requires_on_shell():
     r = RapiditySet(LAM2, GAMMA, LENGTH)
     with pytest.raises(ValueError):
         wavefn.check_periodicity(wavefn.bethe_wavefunction(r), r)
+
+
+def test_periodicity_refuses_a_length_without_room():
+    # one inner coordinate and the two ends cannot keep two gaps of
+    # WALL_GAP_FLOOR = 1e-6 on a length of 1.5e-6
+    r = bae.solve_bae(bae.QuantumNumbers((1, -1)), 1.0, 1.5e-6)
+    with pytest.raises(ValueError):
+        wavefn.check_periodicity(wavefn.bethe_wavefunction(r, "explicit"), r)
