@@ -365,19 +365,19 @@ def integrate(f: ExpPolySum, j: int, lower: Bound, upper: Bound) -> ExpPolySum:
     for b in (lower, upper):
         if b.kind == "coordinate" and b.value == j:
             raise ValueError("bound references the integration variable")
-    out = zero(f.n)
+    terms: list[ExpPolyTerm] = []
     for t in f.terms:
         muj = t.wavevector[j - 1]
         if abs(muj) < ZERO_WAVENUMBER_TOL:
             wv = t.wavevector[: j - 1] + (0j,) + t.wavevector[j:]
             anti = ExpPolySum(t.n, (_poly_antiderivative(_term(t.n, wv, t.coeff_map()), j),))
-            out = out + substitute(anti, j, upper) - substitute(anti, j, lower)
         elif abs(muj) < SMALL_WAVENUMBER_TOL:
-            out = out + _series_integral(t, j, lower, upper)
+            terms += _series_integral(t, j, lower, upper).terms
+            continue
         else:
             anti = ExpPolySum(t.n, (_exp_antiderivative(t, j),))
-            out = out + substitute(anti, j, upper) - substitute(anti, j, lower)
-    return canonicalize(out)
+        terms += (substitute(anti, j, upper) - substitute(anti, j, lower)).terms
+    return canonicalize(ExpPolySum(f.n, tuple(terms)))
 
 
 def substitute(f: ExpPolySum, j: int, b: Bound) -> ExpPolySum:
@@ -520,9 +520,11 @@ def canonicalize(f: ExpPolySum) -> ExpPolySum:
     >>> canonicalize(f - f).terms
     ()
     """
+    # the tolerance scales with the largest finite wavevector entry, so that
+    # a non-finite wavevector merges only with an identical one
     scale_ = max(
         [1.0]
-        + [abs(m) for t in f.terms for m in t.wavevector]
+        + [a for t in f.terms for m in t.wavevector if (a := abs(m)) < math.inf]
     )
     tol = MERGE_TOL * scale_
     reps: list[tuple[tuple[complex, ...], dict[tuple[int, ...], complex]]] = []

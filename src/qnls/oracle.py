@@ -2,12 +2,18 @@
 
 Everything here evaluates operands strictly pointwise and integrates with
 adaptive Gauss-Legendre quadrature; no symbolic integration code is shared
-with the exact path.  Operands are evaluated in panel batches: each
-adaptive step evaluates its integrand once, on the nodes of an interval
-and of its two halves, through AlcoveFunction.eval_many at the innermost
-integral.  The nested-integral layouts of the operators are restated from
-their definitions rather than imported, so a bookkeeping error on either
-side shows up as a cross-check failure.
+with the exact path.  The nested-integral layouts of the operators are
+restated from their definitions rather than imported, so a bookkeeping
+error on either side shows up as a cross-check failure.
+
+Quadrature runs on rows.  A nested integral is integrated level by level:
+each level integrates every row of its outer variables at once, so one
+adaptive step evaluates its integrand on the nodes of an interval and of
+its two halves for all rows together, and the operand is evaluated through
+AlcoveFunction.eval_many at the innermost level.  Each row is accepted or
+halved on its own error, exactly as if it were integrated alone.  Rows are
+taken in chunks of at most QUAD_BATCH_POINTS nodes per step, which bounds
+the memory of the grid a deep nesting would otherwise build at once.
 """
 
 from __future__ import annotations
@@ -44,6 +50,11 @@ QUAD_ABS_FLOOR = 1e-12
 QUAD_MAX_SUBDIVISIONS = 20
 QUAD_NODES = 15
 
+# rows of a nested quadrature are evaluated together, in chunks of at most
+# this many nodes per integrand call, so that the grid of every outer node
+# never sits in memory at once
+QUAD_BATCH_POINTS = 2048
+
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -55,41 +66,70 @@ def _nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _adaptive(
-    batch: Callable[[np.ndarray], np.ndarray], a: float, b: float, depth: int
-) -> complex:
-    """One step: the panel rule on (a, b) against the sum over its halves,
-    with the integrand evaluated once on the nodes of all three panels."""
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """Integrals over (a[r], b[r]) of each row r's integrand.
+
+    batch(rows, ts) maps the row indices rows and their nodes ts (one row
+    of nodes per index) to the integrand's values, shaped like ts.  Rows
+    are independent: they run in chunks of at most QUAD_BATCH_POINTS nodes
+    per step, and each row is accepted or halved on its own error alone.
+    """
+    out = np.empty(len(a), dtype=complex)
+    per_chunk = max(1, QUAD_BATCH_POINTS // (3 * QUAD_NODES))
+    for start in range(0, len(a), per_chunk):
+        rows = np.arange(start, min(start + per_chunk, len(a)))
+        out[rows] = _step(batch, rows, a[rows], b[rows], 0)
+    return out
+
+
+def _step(
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rows: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    depth: int,
+) -> np.ndarray:
+    """One step per row: the panel rule on (a, b) against the sum over its
+    halves, with the integrand evaluated once on the nodes of all three
+    panels; the rows that miss the tolerance recurse on both halves."""
     xs, ws = _nodes(QUAD_NODES)
     mid = (a + b) / 2
-    lo, hi = np.array([a, a, mid]), np.array([b, mid, b])
+    lo, hi = np.stack([a, a, mid], axis=1), np.stack([b, mid, b], axis=1)
     centers, halves = (lo + hi) / 2, (hi - lo) / 2
-    values = batch((centers[:, None] + halves[:, None] * xs).reshape(-1))
-    whole, left, right = halves * (values.reshape(3, -1) @ ws)
+    values = batch(rows, (centers[:, :, None] + halves[:, :, None] * xs).reshape(len(rows), -1))
+    whole, left, right = (halves * (values.reshape(len(rows), 3, -1) @ ws)).T
     split = left + right
-    if abs(split - whole) <= max(QUAD_RTOL * abs(split), QUAD_ABS_FLOOR):
-        return complex(split)
-    if depth >= QUAD_MAX_SUBDIVISIONS:
-        raise RuntimeError("quadrature failed to converge within the depth limit")
-    return _adaptive(batch, a, mid, depth + 1) + _adaptive(batch, mid, b, depth + 1)
+    # written so that a NaN never passes
+    failed = ~(np.abs(split - whole) <= np.maximum(QUAD_RTOL * np.abs(split), QUAD_ABS_FLOOR))
+    if failed.any():
+        if depth >= QUAD_MAX_SUBDIVISIONS:
+            raise RuntimeError("quadrature failed to converge within the depth limit")
+        rows, a, mid, b = rows[failed], a[failed], mid[failed], b[failed]
+        split[failed] = _step(batch, rows, a, mid, depth + 1) + _step(batch, rows, mid, b, depth + 1)
+    return split
 
 
-def _quad_batched(
-    batch: Callable[[np.ndarray], np.ndarray],
+def _quad_rows(
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    count: int,
     a: float,
     b: float,
     breaks: Sequence[float] = (),
-) -> complex:
-    """Integral over (a, b) of an integrand that maps an array of nodes to
-    an array of values, split first at the interior breakpoints."""
+) -> np.ndarray:
+    """Integrals over (a, b) of count rows' integrands (batch as for
+    _adaptive), split first at the interior breakpoints."""
     if a == b:
-        return 0.0 + 0j
+        return np.zeros(count, dtype=complex)
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
     cuts = sorted({a, b, *(t for t in breaks if a < t < b)})
-    total = 0.0 + 0j
+    total = np.zeros(count, dtype=complex)
     for lo, hi in zip(cuts, cuts[1:]):
-        total += _adaptive(batch, lo, hi, 0)
+        total += _adaptive(batch, np.full(count, lo), np.full(count, hi))
     return sign * total
 
 
@@ -101,9 +141,17 @@ def adaptive_quad(
 ) -> complex:
     """Integral of a complex-valued func over (a, b), split first at the
     supplied interior breakpoints (kink locations)."""
-    return _quad_batched(
-        lambda ts: np.array([func(t) for t in ts], dtype=complex), a, b, breaks
-    )
+
+    def batch(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        return np.array([[func(t) for t in row] for row in ts], dtype=complex)
+
+    return complex(_quad_rows(batch, 1, a, b, breaks)[0])
+
+
+def _extend(outer: np.ndarray, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The outer variables of the given rows, each repeated once per node
+    and followed by that node as a new last column."""
+    return np.column_stack([np.repeat(outer[rows], ts.shape[1], axis=0), ts.reshape(-1)])
 
 
 def _points(coords: Sequence, count: int) -> np.ndarray:
@@ -255,19 +303,19 @@ def quad_elementary(
         return lay.scalar * lay.x_phase * f.eval(lay.args(()))
     breaks = tuple(x)
 
-    def innermost(ys: tuple) -> np.ndarray:
-        # ys ends with the node array of the innermost variable
-        phase = np.exp(-1j * lay.mu * sum(ys))
-        values = f.eval_many(_points(lay.args(ys), len(ys[-1])))
-        return lay.scalar * lay.x_phase * phase * values
+    def level(m: int, outer: np.ndarray) -> np.ndarray:
+        # the integral over y_m, ..., y_n_y for each row (y_1, ..., y_m-1)
+        def batch(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+            ys = _extend(outer, rows, ts)
+            if m < lay.n_y:
+                return level(m + 1, ys).reshape(ts.shape)
+            phase = np.exp(-1j * lay.mu * sum(ys.T))
+            values = f.eval_many(_points(lay.args(tuple(ys.T)), len(ys)))
+            return (lay.scalar * lay.x_phase * phase * values).reshape(ts.shape)
 
-    def nest(m: int, ys: tuple[float, ...]) -> complex:
-        lower, upper = lay.levels[m], lay.levels[m - 1]
-        if m == lay.n_y:
-            return _quad_batched(lambda ts: innermost(ys + (ts,)), lower, upper, breaks)
-        return adaptive_quad(lambda t: nest(m + 1, ys + (t,)), lower, upper, breaks)
+        return _quad_rows(batch, len(outer), lay.levels[m], lay.levels[m - 1], breaks)
 
-    return nest(1, ())
+    return complex(level(1, np.empty((1, 0)))[0])
 
 
 def quad_apply(
@@ -346,23 +394,23 @@ def inner_product(
     total = 0.0 + 0j
     for sigma in all_permutations(n):
 
-        def innermost(ts: tuple) -> np.ndarray:
-            # ts ends with the node array of the innermost variable
-            x = [0.0] * n
-            for r, t in enumerate(ts, start=1):
-                x[sigma(r) - 1] = t
-            pts = _points(x, len(ts[-1]))
-            return np.conj(f.eval_many(pts, side=sigma)) * g.eval_many(pts, side=sigma)
+        def region(m: int, outer: np.ndarray) -> np.ndarray:
+            # the integral over t_m > ... > t_n > -L/2 for each row (t_1, ..., t_m-1)
+            def batch(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+                inner = _extend(outer, rows, ts)
+                if m < n:
+                    return region(m + 1, inner).reshape(ts.shape)
+                x = [0.0] * n
+                for r, t in enumerate(inner.T, start=1):
+                    x[sigma(r) - 1] = t
+                pts = _points(x, len(inner))
+                values = np.conj(f.eval_many(pts, side=sigma)) * g.eval_many(pts, side=sigma)
+                return values.reshape(ts.shape)
 
-        def region(m: int, ts: tuple[float, ...]) -> complex:
-            upper = half if m == 1 else ts[-1]
-            if m == n:
-                return _quad_batched(lambda t: innermost(ts + (t,)), -half, upper)
-            return adaptive_quad(
-                lambda t: region(m + 1, ts + (t,)), -half, upper
-            )
+            upper = np.full(len(outer), half) if m == 1 else outer[:, -1]
+            return _adaptive(batch, np.full(len(outer), -half), upper)
 
-        total += region(1, ())
+        total += complex(region(1, np.empty((1, 0)))[0])
     return total
 
 

@@ -15,6 +15,7 @@ import math
 import random
 import sys
 import traceback
+from itertools import groupby
 from typing import Callable, Iterable, Iterator
 
 from . import alcovefn, bae, exppoly, momrep, oracle, wavefn, ybops
@@ -66,6 +67,21 @@ def _op(family: str, nu: complex, F: AlcoveFunction, gamma: float, length: float
     if family in ("A", "B", "C", "D"):
         return ybops.apply_symmetric(family, nu, F, gamma, length)
     return ybops.apply_nonsymmetric(family, nu, F, gamma, length)
+
+
+def _applications(gamma: float, length: float) -> Callable[[str, complex, AlcoveFunction], AlcoveFunction]:
+    """_op with gamma and length fixed, computing each distinct (family,
+    nu, input) once.  Each entry holds its input, so no other input can
+    come to share its id."""
+    memo: dict[tuple, tuple[AlcoveFunction, AlcoveFunction]] = {}
+
+    def op(family: str, nu: complex, F: AlcoveFunction) -> AlcoveFunction:
+        key = (family, nu, id(F))
+        if key not in memo:
+            memo[key] = (F, _op(family, nu, F, gamma, length))
+        return memo[key][1]
+
+    return op
 
 
 def _suite(tol: float):
@@ -559,9 +575,6 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int):
     ref_pts = alcovefn.sample_interior(n, 6, length, seed)
     scales = {key: max([1.0] + [abs(F.eval(x)) for x in ref_pts]) for key, F in inputs.items()}
 
-    def op(family, nu, F):
-        return _op(family, nu, F, gamma, length)
-
     def sub(F, G):
         return alcovefn.afn_add(F, alcovefn.afn_scale(-1.0, G))
 
@@ -607,15 +620,18 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int):
             ("d", "c-", -weight), ("c-", "d", -weight),
         )
     ]
-    for name, x, y, c, p, q, key in rows:
-        F = inputs[key]
-        lhs = comm(x, y, F)
-        if p is None:
-            rhs = alcovefn.zero_function(lhs.n)
-        else:
-            rhs = alcovefn.afn_scale(c, sub(op(p, lam, op(q, mu, F)), op(p, mu, op(q, lam, F))))
-        yield name, n, gap(lhs, rhs, key)
+    # the rows take Psi, then psi, and share no application across the two
+    for key, group in groupby(rows, key=lambda row: row[-1]):
+        F, op = inputs[key], _applications(gamma, length)
+        for name, x, y, c, p, q, _ in group:
+            lhs = comm(x, y, F)
+            if p is None:
+                rhs = alcovefn.zero_function(lhs.n)
+            else:
+                rhs = alcovefn.afn_scale(c, sub(op(p, lam, op(q, mu, F)), op(p, mu, op(q, lam, F))))
+            yield name, n, gap(lhs, rhs, key)
 
+    # op still holds the psi group's applications, which the checks below reuse
     # [x_lam, y_mu] = gamma (P_mu Q_lam - P'_lam Q'_mu) on the pre-wavefunction
     psi = inputs["psi"]
     for x, y, (p1, q1, p2, q2) in (

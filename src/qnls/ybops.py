@@ -127,7 +127,7 @@ def _plan_piece(
             ]
         )
 
-    total = exppoly.zero(ext_n)
+    terms = []
     for combo in product(*per_interval):
         argrank = []
         for a in plan.args:
@@ -147,9 +147,9 @@ def _plan_piece(
         for m in range(n_y, 0, -1):
             lo, hi = combo[m - 1][0], combo[m - 1][1]
             g = exppoly.integrate(g, P + m, _bound(lo, length), _bound(hi, length))
-        total = total + g
+        terms += g.terms
     return exppoly.remap(
-        exppoly.canonicalize(total), {p: p for p in range(1, P + 1)}, P
+        exppoly.canonicalize(ExpPolySum(ext_n, tuple(terms))), {p: p for p in range(1, P + 1)}, P
     )
 
 
@@ -159,10 +159,10 @@ def _block_sum(
     """The canonicalized sum over (weight, plan) blocks on each alcove in sigmas."""
     pieces = {}
     for sigma in sigmas:
-        acc = exppoly.zero(sigma.n)
+        terms = []
         for weight, plan in blocks:
-            acc = acc + exppoly.scale(weight, _plan_piece(plan, f, sigma, length))
-        pieces[sigma] = exppoly.canonicalize(acc)
+            terms += exppoly.scale(weight, _plan_piece(plan, f, sigma, length)).terms
+        pieces[sigma] = exppoly.canonicalize(ExpPolySum(sigma.n, tuple(terms)))
     return pieces
 
 

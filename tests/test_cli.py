@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qnls import bae, cli, wavefn
+from qnls import bae, cli, suites, wavefn, ybops
 
 
 def test_parse_complex():
@@ -249,6 +249,30 @@ def test_nan_residual_fails():
 def test_appendix_a_checks_something_below_three_particles():
     records = cli.run_suite("appendix-A", 2, 1.0, 10.0)
     assert records and all(rec["pass"] for rec in records)
+
+
+def test_nonsymmetric_yba_applies_each_operator_once(monkeypatch):
+    calls, held = [], []
+    for name in ("apply_nonsymmetric", "apply_symmetric"):
+        apply = getattr(ybops, name)
+
+        def counted(family, nu, F, *rest, apply=apply):
+            # holding F keeps its id from passing to a later input
+            held.append(F)
+            calls.append((family, nu, id(F)))
+            return apply(family, nu, F, *rest)
+
+        monkeypatch.setattr(ybops, name, counted)
+    records = cli.run_suite("nonsymmetric-YBA", 3, 1.0, 10.0)
+    assert calls and len(calls) == len(set(calls))
+
+    # the same records as with every application computed afresh
+    calls.clear()
+    monkeypatch.setattr(
+        suites, "_applications", lambda gamma, length: lambda *app: suites._op(*app, gamma, length)
+    )
+    assert cli.run_suite("nonsymmetric-YBA", 3, 1.0, 10.0) == records
+    assert len(calls) > len(set(calls))
 
 
 def test_max_n_below_two_rejected(capsys):

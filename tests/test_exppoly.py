@@ -1,6 +1,7 @@
 """Exponential-polynomial ring: algebra, calculus, serialization."""
 
 import cmath
+import math
 import random
 
 import pytest
@@ -108,6 +109,15 @@ def test_canonicalize_keeps_infinity():
     assert not cmath.isfinite(coeff)
     g = exppoly.canonicalize(exppoly.add(exppoly.scale(float("inf"), wave), exppoly.plane_wave((0.7,))))
     assert len(g.terms) == 2
+
+
+def test_canonicalize_merges_a_nonfinite_wavevector_only_with_its_equal():
+    # the merge tolerance scales with the largest finite wavevector entry
+    inf_wave = exppoly.plane_wave((math.inf,))
+    f = exppoly.canonicalize(inf_wave + exppoly.plane_wave((0.5,)))
+    assert [t.wavevector for t in f.terms] == [(complex(math.inf, 0),), (0.5 + 0j,)]
+    g = exppoly.canonicalize(inf_wave + inf_wave)
+    assert [(t.wavevector, t.coeffs) for t in g.terms] == [((complex(math.inf, 0),), (((0,), 2 + 0j),))]
 
 
 def test_json_round_trip():
