@@ -49,7 +49,8 @@ __all__ = [
     "DEGREE_CAP",
 ]
 
-# wavevectors closer than MERGE_TOL * scale are merged by canonicalize
+# canonicalize merges wavevectors that share a cell of side MERGE_TOL * scale / 2,
+# so merged ones are closer than MERGE_TOL * scale (scale: largest finite entry, >= 1)
 MERGE_TOL = 1e-12
 # monomial coefficients below PRUNE_TOL * (largest coefficient) are dropped
 PRUNE_TOL = 1e-14
@@ -68,11 +69,6 @@ DEGREE_CAP = 8
 
 class DegreeCapError(ValueError):
     pass
-
-
-def _check_degree(deg: tuple[int, ...]) -> None:
-    if sum(deg) > DEGREE_CAP:
-        raise DegreeCapError(f"total degree {sum(deg)} exceeds cap {DEGREE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -95,22 +91,12 @@ class Bound:
 
 @dataclass(frozen=True)
 class ExpPolyTerm:
-    """One term p(x) * exp(i <mu, x>); coeffs maps multidegree -> complex."""
+    """One term p(x) * exp(i <mu, x>); coeffs maps multidegree -> complex.
+    Built by _term, which checks it; nothing checks it on construction."""
 
     n: int
     wavevector: tuple[complex, ...]
     coeffs: tuple[tuple[tuple[int, ...], complex], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.wavevector) != self.n:
-            raise ValueError("wavevector length mismatch")
-        for deg, _ in self.coeffs:
-            if len(deg) != self.n:
-                raise ValueError("degree length mismatch")
-            _check_degree(deg)
-
-    def coeff_map(self) -> dict[tuple[int, ...], complex]:
-        return dict(self.coeffs)
 
     def eval(self, x: Iterable[complex]) -> complex:
         xv = tuple(x)
@@ -128,8 +114,17 @@ class ExpPolyTerm:
 
 
 def _term(n: int, wavevector, coeffs: Mapping[tuple[int, ...], complex]) -> ExpPolyTerm:
+    # the one place a term is checked: every degree-raising operation builds here
+    wv = tuple(complex(m) for m in wavevector)
     items = tuple(sorted((tuple(d), complex(c)) for d, c in coeffs.items() if c != 0))
-    return ExpPolyTerm(n, tuple(complex(m) for m in wavevector), items)
+    if len(wv) != n:
+        raise ValueError("wavevector length mismatch")
+    for deg, _ in items:
+        if len(deg) != n:
+            raise ValueError("degree length mismatch")
+        if sum(deg) > DEGREE_CAP:
+            raise DegreeCapError(f"total degree {sum(deg)} exceeds cap {DEGREE_CAP}")
+    return ExpPolyTerm(n, wv, items)
 
 
 @dataclass(frozen=True)
@@ -369,8 +364,7 @@ def integrate(f: ExpPolySum, j: int, lower: Bound, upper: Bound) -> ExpPolySum:
     for t in f.terms:
         muj = t.wavevector[j - 1]
         if abs(muj) < ZERO_WAVENUMBER_TOL:
-            wv = t.wavevector[: j - 1] + (0j,) + t.wavevector[j:]
-            anti = ExpPolySum(t.n, (_poly_antiderivative(_term(t.n, wv, t.coeff_map()), j),))
+            anti = ExpPolySum(t.n, (_poly_antiderivative(t, j),))
         elif abs(muj) < SMALL_WAVENUMBER_TOL:
             terms += _series_integral(t, j, lower, upper).terms
             continue
@@ -514,44 +508,47 @@ def remap(f: ExpPolySum, mapping: Mapping[int, int], new_n: int) -> ExpPolySum:
 
 
 def canonicalize(f: ExpPolySum) -> ExpPolySum:
-    """Merge terms with (numerically) equal wavevectors, prune tiny coefficients.
+    """Merge terms whose wavevectors share a cell, prune tiny coefficients.
+
+    A finite entry m is keyed (round(m.real / cell), round(m.imag / cell)),
+    cell = MERGE_TOL * scale / 2 with scale the largest finite |entry| (at
+    least 1); a non-finite entry is keyed as itself.  Terms of one cell,
+    whose entries differ by less than MERGE_TOL * scale, merge into the
+    first, which keeps its wavevector; a close pair split by a cell edge
+    stays two terms.
 
     >>> f = plane_wave((1.0,))
     >>> canonicalize(f - f).terms
     ()
     """
-    # the tolerance scales with the largest finite wavevector entry, so that
-    # a non-finite wavevector merges only with an identical one
+    # the cell scales with the largest finite wavevector entry, so that a
+    # non-finite wavevector merges only with an identical one
     scale_ = max(
         [1.0]
         + [a for t in f.terms for m in t.wavevector if (a := abs(m)) < math.inf]
     )
-    tol = MERGE_TOL * scale_
-    reps: list[tuple[tuple[complex, ...], dict[tuple[int, ...], complex]]] = []
-    # wavevector -> the coefficients of the first rep within tol of it; kept
-    # reps are more than tol apart, so an exact hit is the scan's answer
-    seen: dict[tuple[complex, ...], dict[tuple[int, ...], complex]] = {}
+    cell = MERGE_TOL * scale_ / 2
+    # cell key -> (the representative's wavevector, its merged coefficients)
+    merged: dict[tuple, tuple[tuple[complex, ...], dict[tuple[int, ...], complex]]] = {}
     for t in f.terms:
-        coeffs = seen.get(t.wavevector)
-        if coeffs is None:
-            for wv, cand in reps:
-                if all(abs(a - b) <= tol for a, b in zip(wv, t.wavevector)):
-                    coeffs = cand
-                    break
-        if coeffs is None:
-            coeffs = t.coeff_map()
-            reps.append((t.wavevector, coeffs))
+        key = tuple(
+            (round(m.real / cell), round(m.imag / cell)) if cmath.isfinite(m) else m
+            for m in t.wavevector
+        )
+        rep = merged.get(key)
+        if rep is None:
+            merged[key] = (t.wavevector, dict(t.coeffs))
         else:
+            coeffs = rep[1]
             for deg, c in t.coeffs:
                 coeffs[deg] = coeffs.get(deg, 0j) + c
-        seen[t.wavevector] = coeffs
     out: list[ExpPolyTerm] = []
     # the floor scales with the largest finite coefficient, so that an
     # infinite one does not prune everything
-    magnitudes = [abs(c) for _, coeffs in reps for c in coeffs.values()]
+    magnitudes = [abs(c) for _, coeffs in merged.values() for c in coeffs.values()]
     biggest = max([0.0] + [a for a in magnitudes if a < math.inf])
     floor = PRUNE_TOL * biggest
-    for wv, coeffs in reps:
+    for wv, coeffs in merged.values():
         # written so that a NaN coefficient is kept, not pruned
         kept = {d: c for d, c in coeffs.items() if not abs(c) <= floor}
         if kept:

@@ -12,11 +12,13 @@ symmetrizers are built from that single rule.
 
 Table entries are kept canonical: tables are summed only by orbit_add
 (both symmetrizers included), and each entry of a deformed transposition
-is canonicalized as it is made.  Both merge wavevectors within MERGE_TOL
-and prune monomials below PRUNE_TOL relative to the entry's own largest
-coefficient (see exppoly.canonicalize).  So an entry of a deformed word
-applied to a regular orbit never holds more terms than there are orbit
-points, N!, however long the word.
+is canonicalized as it is made: wavevectors sharing a cell of side
+MERGE_TOL / 2, scaled by the largest wavenumber, merge, and monomials
+below PRUNE_TOL relative to the entry's own largest coefficient are
+dropped (see exppoly.canonicalize).  So an entry of a deformed word
+applied to a regular orbit holds no more terms than there are orbit
+points, N!, however long the word, unless round-off puts two copies of
+one wavevector on two sides of a cell edge.
 
 Deformed words are evaluated entry by entry, with one rule for one entry
 of s_{j,gamma} o.  Entry sigma after a step needs only the entries sigma
@@ -100,9 +102,10 @@ def orbit_planewave(lam: tuple[complex, ...]) -> OrbitFunction:
 
 
 def orbit_add(o1: OrbitFunction, o2: OrbitFunction) -> OrbitFunction:
-    """Entrywise sum, each entry canonicalized: wavevectors within
-    MERGE_TOL merge and monomials below PRUNE_TOL relative to the entry's
-    own largest coefficient are dropped."""
+    """Entrywise sum, each entry canonicalized: wavevectors in one cell of
+    side MERGE_TOL * scale / 2 merge (scale: the largest finite wavenumber,
+    at least 1) and monomials below PRUNE_TOL relative to the entry's own
+    largest coefficient are dropped."""
     return OrbitFunction(
         o1.lam,
         {s: exppoly.canonicalize(o1.entries[s] + o2.entries[s]) for s in o1.entries},

@@ -172,10 +172,11 @@ class _Layout:
     """One elementary term at a fixed output point.
 
     levels are the numeric interval endpoints, decreasing; y_m runs over
-    (levels[m], levels[m-1]).  Step factors in the definitions make the
-    term vanish unless the chain really decreases.  args maps the y tuple
-    to the operand's argument point; x_phase and the uniform -mu on every
-    y give the exponential prefactor, times scalar.
+    (levels[m], levels[m-1]), so there are len(levels) - 1 integrals.
+    Step factors in the definitions make the term vanish unless the chain
+    really decreases.  args maps the y tuple to the operand's argument
+    point; x_phase and the uniform -mu on every y give the exponential
+    prefactor, times scalar.
     """
 
     levels: tuple[float, ...]
@@ -183,7 +184,6 @@ class _Layout:
     x_phase: complex
     mu: complex
     scalar: complex
-    n_y: int
 
 
 def _layout_elementary(
@@ -200,16 +200,12 @@ def _layout_elementary(
             return tuple(
                 ys[i.index(r)] if r in i else x[r - 1] for r in range(1, N + 1)
             )
-
-        n_y = k
     elif kind == "e_hat+":
         levels = tuple(x[p] for p in i) + (x[0],)
         coords = [x[0]] + [x[p] for p in i]
 
         def args(ys, i=i, x=x, N=N):
             return tuple(ys[i.index(r)] if r in i else x[r] for r in range(1, N + 1))
-
-        n_y = k
     elif kind in ("e_bar+", "e_bar-"):
         body = tuple(x[p - 1] for p in i)
         levels = body + (-half,) if kind == "e_bar+" else (half,) + body
@@ -219,8 +215,6 @@ def _layout_elementary(
             return tuple(
                 ys[i.index(r)] if r in i else x[r - 1] for r in range(1, N + 1)
             )
-
-        n_y = k
     elif kind in ("e_check+", "e_check-"):
         out_n = N - 1
         levels = (half,) + tuple(x[p - 1] for p in i) + (-half,)
@@ -240,8 +234,6 @@ def _layout_elementary(
                     ys[i.index(r)] if r in i else x[r - 1]
                     for r in range(1, out_n + 1)
                 )
-
-        n_y = k + 1
     elif kind == "E_hat":
         levels = tuple(x[p - 1] for p in i)
         coords = [x[p - 1] for p in i]
@@ -249,8 +241,6 @@ def _layout_elementary(
 
         def args(ys, rest=rest, x=x):
             return tuple(x[r - 1] for r in rest) + tuple(ys)
-
-        n_y = k - 1
     elif kind in ("E_bar+", "E_bar-"):
         body = tuple(x[p - 1] for p in i)
         levels = body + (-half,) if kind == "E_bar+" else (half,) + body
@@ -259,8 +249,6 @@ def _layout_elementary(
 
         def args(ys, rest=rest, x=x):
             return tuple(x[r - 1] for r in rest) + tuple(ys)
-
-        n_y = k
     elif kind == "E_check":
         out_n = N - 1
         levels = (half,) + tuple(x[p - 1] for p in i) + (-half,)
@@ -269,8 +257,6 @@ def _layout_elementary(
 
         def args(ys, rest=rest, x=x):
             return tuple(x[r - 1] for r in rest) + tuple(ys)
-
-        n_y = k + 1
     else:
         raise ValueError(f"unknown elementary kind {kind!r}")
     scalar = 1.0 + 0j
@@ -279,7 +265,7 @@ def _layout_elementary(
     elif kind in ("e_bar-", "E_bar-"):
         scalar = cmath.exp(1j * mu * half)
     x_phase = cmath.exp(1j * mu * sum(coords))
-    return _Layout(levels, args, x_phase, mu, scalar, n_y)
+    return _Layout(levels, args, x_phase, mu, scalar)
 
 
 def quad_elementary(
@@ -293,13 +279,14 @@ def quad_elementary(
     """Value at x of one elementary operator applied to f, by nested
     adaptive quadrature of the defining integral."""
     lay = _layout_elementary(kind, mu, tuple(i), f.n, tuple(x), length)
-    if lay.n_y > QUAD_NEST_CAP:
+    n_y = len(lay.levels) - 1
+    if n_y > QUAD_NEST_CAP:
         raise ValueError(f"more than {QUAD_NEST_CAP} nested integrals requested")
     if any(
         lay.levels[m] >= lay.levels[m - 1] for m in range(1, len(lay.levels))
     ):
         return 0.0 + 0j
-    if lay.n_y == 0:
+    if n_y == 0:
         return lay.scalar * lay.x_phase * f.eval(lay.args(()))
     breaks = tuple(x)
 
@@ -307,7 +294,7 @@ def quad_elementary(
         # the integral over y_m, ..., y_n_y for each row (y_1, ..., y_m-1)
         def batch(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
             ys = _extend(outer, rows, ts)
-            if m < lay.n_y:
+            if m < n_y:
                 return level(m + 1, ys).reshape(ts.shape)
             phase = np.exp(-1j * lay.mu * sum(ys.T))
             values = f.eval_many(_points(lay.args(tuple(ys.T)), len(ys)))

@@ -436,8 +436,9 @@ def suite_wavefunction_routes(max_n: int, gamma: float, length: float, seed: int
     for n in range(2, min(max_n, 4) + 1):
         r = RapiditySet(_seeded_lambda(n, seed, tag=6), gamma, length)
         pts = alcovefn.sample_interior(n, 50, length, seed)
-        yield "prewavefunction-route-agreement", n, wavefn.assert_routes_agree(r, "pre", pts)
-        yield "bethe-route-agreement", n, wavefn.assert_routes_agree(r, "bethe", pts)
+        pre_spread, bethe_spread = wavefn.assert_routes_agree(r, pts)
+        yield "prewavefunction-route-agreement", n, pre_spread
+        yield "bethe-route-agreement", n, bethe_spread
     F = wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5), gamma, length))
     ref = wavefn.prewavefunction_coincident_pair(0.5, gamma)
     worst = _gap([(F, ref)], alcovefn.sample_interior(2, 20, length, seed), 1.0)

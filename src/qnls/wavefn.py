@@ -172,23 +172,9 @@ def _dump_pieces(fs: dict[str, AlcoveFunction]) -> str:
     return json.dumps(blobs)
 
 
-def assert_routes_agree(
-    r: RapiditySet,
-    which: str = "pre",
-    points: Iterable[tuple[float, ...]] | None = None,
-    tol: float = ROUTE_TOL,
-) -> float:
-    """Cross-check all constructions pointwise; returns the worst relative
-    disagreement and raises RouteMismatchError (with a coefficient dump)
-    beyond tol."""
-    if which == "pre":
-        routes = {name: prewavefunction(r, name) for name in PRE_ROUTES}
-    elif which == "bethe":
-        routes = {name: bethe_wavefunction(r, name) for name in BETHE_ROUTES}
-    else:
-        raise ValueError("which must be 'pre' or 'bethe'")
-    if points is None:
-        points = alcovefn.sample_interior(r.n, 50, r.length)
+def _check_family(family: str, routes: dict[str, AlcoveFunction], points, tol: float) -> float:
+    """Worst relative disagreement among one family's routes at the points;
+    raises RouteMismatchError (with a coefficient dump) beyond tol."""
     names = list(routes)
     spreads = [0.0]
     for x in points:
@@ -198,10 +184,29 @@ def assert_routes_agree(
     worst = worst_residual(spreads)
     if not worst <= tol:
         raise RouteMismatchError(
-            f"{which} routes disagree by {worst:.3e} > {tol}; pieces: "
+            f"{family} routes disagree by {worst:.3e} > {tol}; pieces: "
             + _dump_pieces(routes)
         )
     return worst
+
+
+def assert_routes_agree(
+    r: RapiditySet,
+    points: Iterable[tuple[float, ...]] | None = None,
+    tol: float = ROUTE_TOL,
+) -> tuple[float, float]:
+    """Cross-check the pre-wavefunction routes, then the Bethe routes,
+    pointwise; returns (pre_spread, bethe_spread), the worst relative
+    disagreement of each family.  The orbit psi is built once: the Bethe
+    symmetrize route is its symmetrization."""
+    points = list(alcovefn.sample_interior(r.n, 50, r.length) if points is None else points)
+    pre = {name: prewavefunction(r, name) for name in PRE_ROUTES}
+    pre_spread = _check_family("pre", pre, points, tol)
+    bethe = {
+        name: alcovefn.symmetrize(pre["orbit"]) if name == "symmetrize" else bethe_wavefunction(r, name)
+        for name in BETHE_ROUTES
+    }
+    return pre_spread, _check_family("bethe", bethe, points, tol)
 
 
 def _coeff_norm(f: ExpPolySum) -> float:

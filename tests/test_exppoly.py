@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnls import exppoly
 from qnls.exppoly import Bound
@@ -120,6 +121,38 @@ def test_canonicalize_merges_a_nonfinite_wavevector_only_with_its_equal():
     assert [(t.wavevector, t.coeffs) for t in g.terms] == [((complex(math.inf, 0),), (((0,), 2 + 0j),))]
 
 
+_parts = st.floats(-7.0, 7.0)  # |entry| <= 7 * sqrt(2) < 10
+_offsets = st.one_of(st.just(0.0), st.floats(-2e-11, 2e-11))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.builds(complex, _parts, _parts), min_size=n, max_size=n),
+    st.lists(st.builds(complex, _offsets, _offsets), min_size=n, max_size=n),
+    st.lists(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n), min_size=3, max_size=3),
+)))
+def test_canonicalize_merges_only_within_tolerance(case):
+    w, delta, points = case
+    shifted = tuple(a + d for a, d in zip(w, delta))
+    unmerged = exppoly.plane_wave(w) + exppoly.plane_wave(shifted)
+    merged = exppoly.canonicalize(unmerged)
+    scale = max([1.0] + [abs(m) for m in w + list(shifted)])
+    if len(merged.terms) == 1:
+        assert all(abs(a - b) <= exppoly.MERGE_TOL * scale for a, b in zip(w, shifted))
+    if not any(delta):
+        assert [t.coeffs for t in merged.terms] == [(((0,) * len(w), 2 + 0j),)]
+    for x in points:
+        want = unmerged.eval(x)
+        assert abs(merged.eval(x) - want) <= 1e-9 * max(abs(want), 1.0)
+
+
+def test_canonicalize_keeps_a_close_pair_split_by_a_cell_edge():
+    # cells are MERGE_TOL / 2 wide here and 0.5 sits on a cell centre
+    wave = exppoly.plane_wave((0.5,))
+    assert len(exppoly.canonicalize(wave + exppoly.plane_wave((0.5 + 6e-13,))).terms) == 2
+    assert len(exppoly.canonicalize(wave + exppoly.plane_wave((0.5 + 2e-13,))).terms) == 1
+
+
 def test_json_round_trip():
     rng = random.Random(7)
     f = _random_sum(rng, 3)
@@ -130,5 +163,8 @@ def test_json_round_trip():
 
 def test_degree_cap_enforced():
     f = exppoly.monomial((exppoly.DEGREE_CAP,), 1.0, (0.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(exppoly.DegreeCapError):
         exppoly.mul(f, exppoly.monomial((1,), 1.0, (0.0,)))
+    # the zero-wavenumber branch of integrate raises the degree too
+    with pytest.raises(exppoly.DegreeCapError):
+        exppoly.integrate(f, 1, Bound.const(0.0), Bound.const(1.0))

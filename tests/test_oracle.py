@@ -93,7 +93,7 @@ def _pointwise_elementary(kind, mu, i, f, x):
     lay = oracle._layout_elementary(kind, mu, i, f.n, x, LENGTH)
 
     def nest(m, ys):
-        if m > lay.n_y:
+        if m > len(lay.levels) - 1:
             phase = cmath.exp(-1j * lay.mu * sum(ys))
             return lay.scalar * lay.x_phase * phase * f.eval(lay.args(ys))
         return adaptive_quad(lambda t: nest(m + 1, ys + (t,)), lay.levels[m], lay.levels[m - 1], x)
@@ -112,7 +112,7 @@ def _pointwise_elementary(kind, mu, i, f, x):
 def test_batched_elementary_matches_pointwise_nesting(kind, i, route, x, integrals):
     r = RapiditySet((0.8, -0.3, 0.45), GAMMA, LENGTH)
     f = wavefn.prewavefunction(r) if route == "pre" else wavefn.bethe_wavefunction(r)
-    assert oracle._layout_elementary(kind, 0.37, i, f.n, x, LENGTH).n_y == integrals
+    assert len(oracle._layout_elementary(kind, 0.37, i, f.n, x, LENGTH).levels) - 1 == integrals
     batched = oracle.quad_elementary(kind, 0.37, i, f, LENGTH, x)
     pointwise = _pointwise_elementary(kind, 0.37, i, f, x)
     assert abs(batched - pointwise) <= 1e-12 * abs(pointwise)

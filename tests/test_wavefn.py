@@ -26,16 +26,11 @@ def test_rapidity_set_validation():
         RapiditySet(LAM2, GAMMA, -1.0)
 
 
-def test_pre_routes_agree():
+def test_routes_agree():
     for lam in (LAM2, LAM3):
         r = RapiditySet(lam, GAMMA, LENGTH)
-        assert wavefn.assert_routes_agree(r, "pre") < wavefn.ROUTE_TOL
-
-
-def test_bethe_routes_agree():
-    for lam in (LAM2, LAM3):
-        r = RapiditySet(lam, GAMMA, LENGTH)
-        assert wavefn.assert_routes_agree(r, "bethe") < wavefn.ROUTE_TOL
+        pre_spread, bethe_spread = wavefn.assert_routes_agree(r)
+        assert pre_spread < wavefn.ROUTE_TOL and bethe_spread < wavefn.ROUTE_TOL
 
 
 def _spread(F, G, points):
@@ -49,8 +44,9 @@ def _spread(F, G, points):
 
 @pytest.mark.parametrize("gamma", (-0.7, 1.3))
 def test_routes_agree_at_five_particles(gamma):
-    # the creation routes are left out: each takes seconds at N=5 in the
-    # ybops plan engine
+    # creation and creation_plus are left out: each takes about 4 s at N=5
+    # in the ybops plan engine, which would put this test over 10 s per
+    # gamma; creationB, the symmetric fold, takes well under a second
     r = RapiditySet(LAM5, gamma, LENGTH)
     points = alcovefn.sample_interior(5, 50, LENGTH)
     orbit, propagation = (wavefn.prewavefunction(r, route) for route in ("orbit", "propagation"))
@@ -59,6 +55,8 @@ def test_routes_agree_at_five_particles(gamma):
     symmetrized = alcovefn.symmetrize(orbit)
     explicit = wavefn.bethe_wavefunction(r, "explicit")
     assert _spread(symmetrized, explicit, points) < wavefn.ROUTE_TOL
+    creation = wavefn.bethe_wavefunction(r, "creationB")
+    assert _spread(creation, explicit, points) < wavefn.ROUTE_TOL
 
 
 def _orbit_on_full_tables(r):
@@ -114,7 +112,7 @@ def test_nan_function_fails_every_check(monkeypatch):
     )
     # no finite disagreement exceeds an infinite tolerance; NaN must
     with pytest.raises(RouteMismatchError):
-        wavefn.assert_routes_agree(r, "pre", [(1.0, -2.0), (0.5, 2.5)], tol=math.inf)
+        wavefn.assert_routes_agree(r, [(1.0, -2.0), (0.5, 2.5)], tol=math.inf)
 
 
 def test_injected_sign_flip_is_detected(monkeypatch):
@@ -125,9 +123,11 @@ def test_injected_sign_flip_is_detected(monkeypatch):
     for lam in (LAM2, LAM3):
         r = RapiditySet(lam, GAMMA, LENGTH)
         with pytest.raises(RouteMismatchError) as err:
-            wavefn.assert_routes_agree(r, "bethe")
-        # the coefficient dump must stay valid JSON however many terms the
-        # pieces hold; cut pieces account for every term they dropped
+            wavefn.assert_routes_agree(r)
+        # the error names the failing family and dumps only its routes, as
+        # valid JSON however many terms the pieces hold; cut pieces account
+        # for every term they dropped
+        assert str(err.value).startswith("bethe routes disagree")
         dump = json.loads(str(err.value).split("pieces: ", 1)[1])
         assert set(dump) == set(wavefn.BETHE_ROUTES)
         for name, blob in dump.items():
