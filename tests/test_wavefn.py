@@ -26,11 +26,20 @@ def test_rapidity_set_validation():
         RapiditySet(LAM2, GAMMA, -1.0)
 
 
-def test_routes_agree():
-    for lam in (LAM2, LAM3):
-        r = RapiditySet(lam, GAMMA, LENGTH)
-        pre_spread, bethe_spread = wavefn.assert_routes_agree(r)
-        assert pre_spread < wavefn.ROUTE_TOL and bethe_spread < wavefn.ROUTE_TOL
+@pytest.fixture(scope="module")
+def route_spreads():
+    """(pre_spread, bethe_spread) at LAM2 and LAM3, one check call each."""
+    return [wavefn.assert_routes_agree(RapiditySet(lam, GAMMA, LENGTH)) for lam in (LAM2, LAM3)]
+
+
+def test_pre_routes_agree(route_spreads):
+    for pre_spread, _ in route_spreads:
+        assert pre_spread < wavefn.ROUTE_TOL
+
+
+def test_bethe_routes_agree(route_spreads):
+    for _, bethe_spread in route_spreads:
+        assert bethe_spread < wavefn.ROUTE_TOL
 
 
 def _spread(F, G, points):
