@@ -327,7 +327,7 @@ def _exp_antiderivative(t: ExpPolyTerm, j: int) -> ExpPolyTerm:
     return _term(t.n, t.wavevector, coeffs)
 
 
-def _series_integral(t: ExpPolyTerm, j: int, lower: Bound, upper: Bound) -> ExpPolySum:
+def _series_antiderivative(t: ExpPolyTerm, j: int) -> ExpPolyTerm:
     # tiny but nonzero wavenumber: integrate the truncated Taylor expansion
     # of e^{i mu_j x_j}, avoiding the 1/mu_j cancellation of the exact form
     muj = t.wavevector[j - 1]
@@ -336,18 +336,65 @@ def _series_integral(t: ExpPolyTerm, j: int, lower: Bound, upper: Bound) -> ExpP
     while bound > 1e-18 and nterms < 12:
         nterms += 1
         bound *= u / (nterms + 1)
-    pieces: list[ExpPolyTerm] = []
+    coeffs: dict[tuple[int, ...], complex] = {}
     factor = 1.0 + 0j
     for k in range(nterms + 1):
-        coeffs = {}
         for deg, c in t.coeffs:
-            dk = deg[: j - 1] + (deg[j - 1] + k,) + deg[j:]
-            coeffs[dk] = coeffs.get(dk, 0j) + c * factor
-        wv = t.wavevector[: j - 1] + (0j,) + t.wavevector[j:]
-        pieces.append(_poly_antiderivative(_term(t.n, wv, coeffs), j))
+            up = deg[j - 1] + k + 1
+            d = deg[: j - 1] + (up,) + deg[j:]
+            coeffs[d] = coeffs.get(d, 0j) + c * factor / up
         factor *= 1j * muj / (k + 1)
-    anti = ExpPolySum(t.n, tuple(pieces))
-    return substitute(anti, j, upper) - substitute(anti, j, lower)
+    wv = t.wavevector[: j - 1] + (0j,) + t.wavevector[j:]
+    return _term(t.n, wv, coeffs)
+
+
+def _antiderivative(t: ExpPolyTerm, j: int) -> ExpPolyTerm:
+    """One term whose x_j-derivative is t: polynomial below
+    ZERO_WAVENUMBER_TOL, a Taylor series below SMALL_WAVENUMBER_TOL, exact
+    above."""
+    a = abs(t.wavevector[j - 1])
+    if a < ZERO_WAVENUMBER_TOL:
+        return _poly_antiderivative(t, j)
+    if a < SMALL_WAVENUMBER_TOL:
+        return _series_antiderivative(t, j)
+    return _exp_antiderivative(t, j)
+
+
+def _at_bound(t: ExpPolyTerm, j: int, b: Bound, sign: float = 1.0) -> ExpPolyTerm:
+    """sign * t with x_j := b: the one substitution rule, a single term."""
+    muj = t.wavevector[j - 1]
+    wv = list(t.wavevector)
+    wv[j - 1] = 0j
+    coeffs: dict[tuple[int, ...], complex] = {}
+    if b.kind == "coordinate":
+        # x_j^a e^{i mu_j x_j} -> x_k^a e^{i mu_j x_k}
+        k = b.value
+        wv[k - 1] += muj
+        for deg, c in t.coeffs:
+            d = list(deg)
+            d[k - 1] += d[j - 1]
+            d[j - 1] = 0
+            d = tuple(d)
+            coeffs[d] = coeffs.get(d, 0j) + sign * c
+    else:
+        const = b.value
+        phase = sign * cmath.exp(1j * muj * const)
+        for deg, c in t.coeffs:
+            w = 1.0 + 0j
+            for _ in range(deg[j - 1]):
+                w *= const
+            d = deg[: j - 1] + (0,) + deg[j:]
+            coeffs[d] = coeffs.get(d, 0j) + c * w * phase
+    return _term(t.n, wv, coeffs)
+
+
+def _integrate_term(
+    t: ExpPolyTerm, j: int, lower: Bound, upper: Bound
+) -> tuple[ExpPolyTerm, ExpPolyTerm]:
+    """The integral of t over x_j as two terms: the antiderivative at the
+    upper bound, and minus it at the lower bound."""
+    anti = _antiderivative(t, j)
+    return _at_bound(anti, j, upper), _at_bound(anti, j, lower, -1.0)
 
 
 def integrate(f: ExpPolySum, j: int, lower: Bound, upper: Bound) -> ExpPolySum:
@@ -360,18 +407,8 @@ def integrate(f: ExpPolySum, j: int, lower: Bound, upper: Bound) -> ExpPolySum:
     for b in (lower, upper):
         if b.kind == "coordinate" and b.value == j:
             raise ValueError("bound references the integration variable")
-    terms: list[ExpPolyTerm] = []
-    for t in f.terms:
-        muj = t.wavevector[j - 1]
-        if abs(muj) < ZERO_WAVENUMBER_TOL:
-            anti = ExpPolySum(t.n, (_poly_antiderivative(t, j),))
-        elif abs(muj) < SMALL_WAVENUMBER_TOL:
-            terms += _series_integral(t, j, lower, upper).terms
-            continue
-        else:
-            anti = ExpPolySum(t.n, (_exp_antiderivative(t, j),))
-        terms += (substitute(anti, j, upper) - substitute(anti, j, lower)).terms
-    return canonicalize(ExpPolySum(f.n, tuple(terms)))
+    terms = tuple(u for t in f.terms for u in _integrate_term(t, j, lower, upper))
+    return canonicalize(ExpPolySum(f.n, terms))
 
 
 def substitute(f: ExpPolySum, j: int, b: Bound) -> ExpPolySum:
@@ -383,30 +420,9 @@ def substitute(f: ExpPolySum, j: int, b: Bound) -> ExpPolySum:
     >>> g.eval((0.0, 1.0)) == cmath.exp(7j)
     True
     """
-    if b.kind == "coordinate":
-        if b.value == j:
-            raise ValueError("self-substitution")
-        lin, const = {int(b.value): 1.0 + 0j}, 0j
-    else:
-        lin, const = {}, complex(b.value)
-    out: list[ExpPolyTerm] = []
-    for t in f.terms:
-        muj = t.wavevector[j - 1]
-        wv = list(t.wavevector)
-        wv[j - 1] = 0j
-        phase = cmath.exp(1j * muj * const) if muj != 0 or const != 0 else 1.0 + 0j
-        for m, cm in lin.items():
-            wv[m - 1] += muj * cm
-        coeffs: dict[tuple[int, ...], complex] = {}
-        for deg, c in t.coeffs:
-            a = deg[j - 1]
-            base = deg[: j - 1] + (0,) + deg[j:]
-            # expand (const + sum_m c_m x_m)^a term by term
-            for extra, w in _affine_power(lin, const, a, t.n):
-                d = tuple(p + e for p, e in zip(base, extra))
-                coeffs[d] = coeffs.get(d, 0j) + c * w * phase
-        out.append(_term(t.n, wv, coeffs))
-    return ExpPolySum(f.n, tuple(out))
+    if b.kind == "coordinate" and b.value == j:
+        raise ValueError("self-substitution")
+    return ExpPolySum(f.n, tuple(_at_bound(t, j, b) for t in f.terms))
 
 
 def _affine_power(
@@ -491,7 +507,8 @@ def remap(f: ExpPolySum, mapping: Mapping[int, int], new_n: int) -> ExpPolySum:
             m = t.wavevector[old - 1]
             if old in mapping:
                 wv[mapping[old] - 1] = m
-            elif abs(m) > 0:
+            elif m != 0:
+                # written so that a NaN wavenumber is refused too
                 raise ValueError(f"dropped slot {old} carries a wavenumber")
         coeffs: dict[tuple[int, ...], complex] = {}
         for deg, c in t.coeffs:
@@ -505,6 +522,36 @@ def remap(f: ExpPolySum, mapping: Mapping[int, int], new_n: int) -> ExpPolySum:
             coeffs[tuple(d)] = coeffs.get(tuple(d), 0j) + c
         out.append(_term(new_n, wv, coeffs))
     return ExpPolySum(new_n, tuple(out))
+
+
+def _embed(
+    t: ExpPolyTerm, slots, wavevector: list[complex], c: complex
+) -> ExpPolyTerm:
+    """c * t(x[slots]) * exp(i <wavevector, x>) on len(wavevector) slots:
+    term t with its slot r moved to slot slots[r], the slots distinct.
+    This is pullback by a map of distinct unit rows, then mul by a plane
+    wave, in one step."""
+    n = len(wavevector)
+    wv = list(wavevector)
+    for s, m in zip(slots, t.wavevector):
+        wv[s - 1] += m
+    coeffs: dict[tuple[int, ...], complex] = {}
+    for deg, a in t.coeffs:
+        d = [0] * n
+        for s, e in zip(slots, deg):
+            d[s - 1] = e
+        coeffs[tuple(d)] = a * c
+    return _term(n, wv, coeffs)
+
+
+def _truncate(t: ExpPolyTerm, n: int) -> ExpPolyTerm:
+    """t on its first n slots.  As in remap, the dropped slots must be
+    unused: an exactly zero wavenumber and no degree."""
+    if any(m != 0 for m in t.wavevector[n:]):
+        raise ValueError(f"a dropped slot past {n} carries a wavenumber")
+    if any(any(d[n:]) for d, _ in t.coeffs):
+        raise ValueError(f"a dropped slot past {n} carries a monomial")
+    return ExpPolyTerm(n, t.wavevector[:n], tuple((d[:n], a) for d, a in t.coeffs))
 
 
 def canonicalize(f: ExpPolySum) -> ExpPolySum:

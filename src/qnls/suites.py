@@ -15,7 +15,7 @@ import math
 import random
 import sys
 import traceback
-from itertools import groupby
+from collections import Counter
 from typing import Callable, Iterable, Iterator
 
 from . import alcovefn, bae, exppoly, momrep, oracle, wavefn, ybops
@@ -69,19 +69,42 @@ def _op(family: str, nu: complex, F: AlcoveFunction, gamma: float, length: float
     return ybops.apply_nonsymmetric(family, nu, F, gamma, length)
 
 
-def _applications(gamma: float, length: float) -> Callable[[str, complex, AlcoveFunction], AlcoveFunction]:
-    """_op with gamma and length fixed, computing each distinct (family,
-    nu, input) once.  Each entry holds its input, so no other input can
-    come to share its id."""
-    memo: dict[tuple, tuple[AlcoveFunction, AlcoveFunction]] = {}
+def _applications(
+    gamma: float, length: float, inputs: dict[str, AlcoveFunction], paths: list[tuple]
+) -> Callable[[tuple], AlcoveFunction]:
+    """Evaluate application paths with gamma and length fixed, each once.
 
-    def op(family: str, nu: complex, F: AlcoveFunction) -> AlcoveFunction:
-        key = (family, nu, id(F))
-        if key not in memo:
-            memo[key] = (F, _op(family, nu, F, gamma, length))
-        return memo[key][1]
+    A path is an input's name, then the (family, nu) steps that act on it
+    in turn.  paths lists every path the caller will ask for, in order; a
+    result is kept from its computation to its last use, counted from that
+    list, and then dropped."""
+    uses: Counter = Counter()
 
-    return op
+    def count(path):
+        # a path's first use computes it, which uses its prefix once
+        uses[path] += 1
+        if uses[path] == 1 and len(path) > 2:
+            count(path[:-1])
+
+    for path in paths:
+        count(path)
+    memo: dict[tuple, AlcoveFunction] = {}
+
+    def apply(path: tuple) -> AlcoveFunction:
+        if len(path) == 1:
+            return inputs[path[0]]
+        if uses[path] < 1:
+            raise ValueError(f"application {path} is not in the path list")
+        value = memo.pop(path, None)
+        if value is None:
+            family, nu = path[-1]
+            value = _op(family, nu, apply(path[:-1]), gamma, length)
+        uses[path] -= 1
+        if uses[path]:
+            memo[path] = value
+        return value
+
+    return apply
 
 
 def _suite(tol: float):
@@ -579,8 +602,9 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int):
     def sub(F, G):
         return alcovefn.afn_add(F, alcovefn.afn_scale(-1.0, G))
 
-    def comm(x, y, F):
-        return sub(op(x, lam, op(y, mu, F)), op(y, mu, op(x, lam, F)))
+    def xy(key, x, a, y, b):
+        """The path of X_a Y_b acting on the input named key."""
+        return (key, (y, b), (x, a))
 
     def gap(lhs, rhs, key):
         pts = alcovefn.sample_interior(lhs.n, 6, length, seed) if lhs.n else [()]
@@ -621,38 +645,41 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int):
             ("d", "c-", -weight), ("c-", "d", -weight),
         )
     ]
-    # the rows take Psi, then psi, and share no application across the two
-    for key, group in groupby(rows, key=lambda row: row[-1]):
-        F, op = inputs[key], _applications(gamma, length)
-        for name, x, y, c, p, q, _ in group:
-            lhs = comm(x, y, F)
-            if p is None:
-                rhs = alcovefn.zero_function(lhs.n)
-            else:
-                rhs = alcovefn.afn_scale(c, sub(op(p, lam, op(q, mu, F)), op(p, mu, op(q, lam, F))))
-            yield name, n, gap(lhs, rhs, key)
-
-    # op still holds the psi group's applications, which the checks below reuse
+    # every check as (name, input, paths, c, swap): lhs is s v0 - v1 with
+    # s the position transposition swap (or 1), rhs is c (v[-2] - v[-1])
+    # (or 0 when c is None), v the values of the paths
+    checks = [
+        (name, key, [xy(key, x, lam, y, mu), xy(key, y, mu, x, lam)]
+         + ([] if p is None else [xy(key, p, lam, q, mu), xy(key, p, mu, q, lam)]), c, None)
+        for name, x, y, c, p, q, key in rows
+    ]
     # [x_lam, y_mu] = gamma (P_mu Q_lam - P'_lam Q'_mu) on the pre-wavefunction
-    psi = inputs["psi"]
-    for x, y, (p1, q1, p2, q2) in (
-        ("a", "d", ("c-", "b+", "c+", "b-")),
-        ("d", "a", ("c+", "b-", "c-", "b+")),
-    ):
-        rhs = alcovefn.afn_scale(
-            gamma, sub(op(p1, mu, op(q1, lam, psi)), op(p2, lam, op(q2, mu, psi)))
+    checks += [
+        (f"nonsymmetric-{x}{y}-via-lowering-raising", "psi",
+         [xy("psi", x, lam, y, mu), xy("psi", y, mu, x, lam),
+          xy("psi", p1, mu, q1, lam), xy("psi", p2, lam, q2, mu)], gamma, None)
+        for x, y, (p1, q1, p2, q2) in (
+            ("a", "d", ("c-", "b+", "c+", "b-")),
+            ("d", "a", ("c+", "b-", "c-", "b+")),
         )
-        yield f"nonsymmetric-{x}{y}-via-lowering-raising", n, gap(comm(x, y, psi), rhs, "psi")
-
+    ]
     # position transposition against double raising:
     # s b_lam b_mu - b_mu b_lam = +-(i gamma/(lam-mu)) [b_lam, b_mu]
-    for fam, j_swap, c in (("b-", n + 1, weight), ("b+", 1, -weight)):
-        lam_mu = op(fam, lam, op(fam, mu, psi))
-        mu_lam = op(fam, mu, op(fam, lam, psi))
-        swap = transposition(j_swap, j_swap + 1, n + 2)
-        lhs = sub(alcovefn.act_position(swap, lam_mu), mu_lam)
-        rhs = alcovefn.afn_scale(c, sub(lam_mu, mu_lam))
-        yield f"nonsymmetric-{label(fam)}-transposition-exchange", n, gap(lhs, rhs, "psi")
+    checks += [
+        (f"nonsymmetric-{label(fam)}-transposition-exchange", "psi",
+         [xy("psi", fam, lam, fam, mu), xy("psi", fam, mu, fam, lam)], c,
+         transposition(j_swap, j_swap + 1, n + 2))
+        for fam, j_swap, c in (("b-", n + 1, weight), ("b+", 1, -weight))
+    ]
+    apply = _applications(gamma, length, inputs, [p for check in checks for p in check[2]])
+    for name, key, paths, c, swap in checks:
+        v = [apply(p) for p in paths]
+        lhs = sub(v[0] if swap is None else alcovefn.act_position(swap, v[0]), v[1])
+        if c is None:
+            rhs = alcovefn.zero_function(lhs.n)
+        else:
+            rhs = alcovefn.afn_scale(c, sub(v[-2], v[-1]))
+        yield name, n, gap(lhs, rhs, key)
 
 
 @_suite(OPERATOR_TOL)

@@ -11,7 +11,12 @@ The engine works per output alcove: each unit step factor is resolved to
 0 or 1 by the alcove ordering, each integration interval is split at the
 output coordinates lying inside it, and on every resulting segment the
 total order of coordinates and integration variables is fixed, so the
-correct piece of the operand can be pulled back and integrated exactly.
+correct piece of the operand is known.  Each of its terms becomes one
+integrand term in one step (its slots relabelled onto the coordinates and
+y's, the block's plane wave added, the coefficients scaled by the block's
+weight and boundary scalar); each integration turns a term into one term
+per bound.  The y slots, unused once integrated, are truncated away, and
+every block's terms on an alcove are canonicalized together, once.
 
 Also here: the 4x4 R-matrix, the transfer matrix, the quantum determinant,
 and the Q-operator built from Dunkl-type operators.
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import alcovefn, exppoly
 from .alcovefn import AlcoveFunction, dunkl
-from .exppoly import Bound, ExpPolySum
+from .exppoly import Bound, ExpPolySum, ExpPolyTerm
 from .symgroup import Permutation, all_permutations, identity
 
 __all__ = [
@@ -86,18 +91,20 @@ def _bound(entity, length: float) -> Bound:
 
 
 def _plan_piece(
-    plan: _Plan, f: AlcoveFunction, sigma: Permutation, length: float
-) -> ExpPolySum:
-    """The plan's contribution on the output alcove labeled sigma."""
+    plan: _Plan, weight: complex, f: AlcoveFunction, sigma: Permutation, length: float
+) -> list[ExpPolyTerm]:
+    """The weighted plan's terms on the output alcove labeled sigma, not yet
+    canonicalized."""
     P = plan.out_n
     pos = {p: t for t, p in enumerate(sigma.images, start=1)}
     ranks = [_rank(e, pos, P) for e in plan.levels]
     # the step factors demand the chain be strictly decreasing here
     if any(ranks[t] >= ranks[t + 1] for t in range(len(ranks) - 1)):
-        return exppoly.zero(P)
+        return []
     n_y = len(plan.levels) - 1
     ext_n = P + n_y
 
+    # the block's plane wave on the coordinates and the y's (slot P + m)
     mu = plan.mu
     wv = [0j] * ext_n
     for e in plan.levels:
@@ -107,10 +114,12 @@ def _plan_piece(
         wv[P + m - 1] += -mu
     # the constant levels: one of them is exp(-/+ i mu L/2); two cancel
     sign = -sum(e[1] for e in plan.levels if e[0] == "const")
-    scalar = cmath.exp(-1j * sign * mu * length / 2) if sign else 1.0 + 0j
-    prefwave = exppoly.scale(scalar, exppoly.plane_wave(wv))
+    scalar = weight * (cmath.exp(-1j * sign * mu * length / 2) if sign else 1.0 + 0j)
+    # the slot each operand slot takes: its coordinate, or its y
+    slots = [a[1] if a[0] == "coord" else P + a[1] for a in plan.args]
 
-    # split every interval at the output coordinates inside it
+    # split every interval at the output coordinates inside it: each
+    # segment is (lower bound, upper bound, rank of its interior)
     per_interval = []
     for m in range(1, n_y + 1):
         upper, lower = plan.levels[m - 1], plan.levels[m]
@@ -122,7 +131,11 @@ def _plan_piece(
         chain = [upper, *interior, lower]
         per_interval.append(
             [
-                (chain[t + 1], chain[t], (_rank(chain[t], pos, P) + _rank(chain[t + 1], pos, P)) / 2)
+                (
+                    _bound(chain[t + 1], length),
+                    _bound(chain[t], length),
+                    (_rank(chain[t], pos, P) + _rank(chain[t + 1], pos, P)) / 2,
+                )
                 for t in range(len(chain) - 1)
             ]
         )
@@ -137,31 +150,26 @@ def _plan_piece(
                 argrank.append(combo[a[1] - 1][2])
         order = sorted(range(len(plan.args)), key=lambda s: argrank[s])
         tau = Permutation(tuple(s + 1 for s in order))
-        piece = f.pieces[tau]
-        rows = {}
-        for r, a in enumerate(plan.args, start=1):
-            slot = a[1] if a[0] == "coord" else P + a[1]
-            rows[r] = ({slot: 1.0 + 0j}, 0j)
-        g = exppoly.pullback(piece, rows, ext_n)
-        g = exppoly.mul(g, prefwave)
+        # the integrand, one term per operand term, integrated innermost y
+        # first; each step builds every term once
+        level = [exppoly._embed(t, slots, wv, scalar) for t in f.pieces[tau].terms]
         for m in range(n_y, 0, -1):
-            lo, hi = combo[m - 1][0], combo[m - 1][1]
-            g = exppoly.integrate(g, P + m, _bound(lo, length), _bound(hi, length))
-        terms += g.terms
-    return exppoly.remap(
-        exppoly.canonicalize(ExpPolySum(ext_n, tuple(terms))), {p: p for p in range(1, P + 1)}, P
-    )
+            lower, upper, _ = combo[m - 1]
+            level = [u for t in level for u in exppoly._integrate_term(t, P + m, lower, upper)]
+        terms += [exppoly._truncate(t, P) for t in level]
+    return terms
 
 
 def _block_sum(
     blocks: list[tuple[complex, _Plan]], f: AlcoveFunction, sigmas, length: float
 ) -> dict[Permutation, ExpPolySum]:
-    """The canonicalized sum over (weight, plan) blocks on each alcove in sigmas."""
+    """The canonicalized sum over (weight, plan) blocks on each alcove in
+    sigmas: every block's terms, then one canonicalize per alcove."""
     pieces = {}
     for sigma in sigmas:
         terms = []
         for weight, plan in blocks:
-            terms += exppoly.scale(weight, _plan_piece(plan, f, sigma, length)).terms
+            terms += _plan_piece(plan, weight, f, sigma, length)
         pieces[sigma] = exppoly.canonicalize(ExpPolySum(sigma.n, tuple(terms)))
     return pieces
 

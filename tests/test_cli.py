@@ -268,9 +268,16 @@ def test_nonsymmetric_yba_applies_each_operator_once(monkeypatch):
 
     # the same records as with every application computed afresh
     calls.clear()
-    monkeypatch.setattr(
-        suites, "_applications", lambda gamma, length: lambda *app: suites._op(*app, gamma, length)
-    )
+
+    def afresh(gamma, length, inputs, paths):
+        def apply(path):
+            if len(path) == 1:
+                return inputs[path[0]]
+            return suites._op(*path[-1], apply(path[:-1]), gamma, length)
+
+        return apply
+
+    monkeypatch.setattr(suites, "_applications", afresh)
     assert cli.run_suite("nonsymmetric-YBA", 3, 1.0, 10.0) == records
     assert len(calls) > len(set(calls))
 

@@ -79,6 +79,61 @@ def test_integrate_coordinate_bound_fundamental_theorem():
         assert abs(dF.eval(x) - at_x2.eval(x)) < 1e-11
 
 
+# a wavenumber in each branch of integrate: zero, Taylor series, exact
+_BRANCH_WAVENUMBERS = {
+    "zero": lambda rng: rng.choice([0.0, 4e-13]),
+    "series": lambda rng: rng.uniform(1e-8, 8e-7) * cmath.exp(1j * rng.uniform(0, 6.3)),
+    "exact": lambda rng: complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_BRANCH_WAVENUMBERS))
+@pytest.mark.parametrize("bound_kind", ["constant", "coordinate"])
+def test_integrate_is_the_substituted_antiderivative(branch, bound_kind):
+    # integrate's one term per bound against substitute(anti, upper) -
+    # substitute(anti, lower): the same terms to the bit, signs of zeros too
+    rng = random.Random(f"{branch}-{bound_kind}")
+    for _ in range(25):
+        n = rng.randint(2, 3)
+        j = rng.randint(1, n)
+        mu = [complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(n)]
+        mu[j - 1] = complex(_BRANCH_WAVENUMBERS[branch](rng))
+        coeffs = {
+            tuple(rng.randint(0, 3) for _ in range(n)): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for _ in range(rng.randint(1, 4))
+        }
+        t = exppoly._term(n, mu, {d: c for d, c in coeffs.items() if sum(d) <= 3})
+        if not t.coeffs:
+            continue
+        others = [k for k in range(1, n + 1) if k != j]
+        if bound_kind == "constant":
+            lower, upper = (Bound.const(rng.uniform(-4, 4)) for _ in range(2))
+        else:
+            lower, upper = (Bound.coord(k) for k in rng.sample(others * 2, 2))
+        anti = exppoly.ExpPolySum(n, (exppoly._antiderivative(t, j),))
+        want = exppoly.canonicalize(exppoly.substitute(anti, j, upper) - exppoly.substitute(anti, j, lower))
+        got = exppoly.integrate(exppoly.ExpPolySum(n, (t,)), j, lower, upper)
+        assert repr(got.terms) == repr(want.terms)
+        # and the antiderivative is one: d/dx_j of it gives t back
+        back = exppoly.derivative(anti, j)
+        for x in _points(rng, n):
+            assert abs(back.eval(x) - t.eval(x)) <= 1e-11 * max(1.0, abs(t.eval(x)))
+
+
+def test_dropped_slots_refuse_any_nonzero_wavenumber():
+    # NaN > 0 is False, so a NaN wavenumber must be refused as nonzero
+    nan_wave = exppoly.plane_wave((1.0, math.nan))
+    assert cmath.isnan(nan_wave.eval((0.5, 0.5)))
+    with pytest.raises(ValueError):
+        exppoly.remap(nan_wave, {1: 1}, 1)
+    with pytest.raises(ValueError):
+        exppoly._truncate(nan_wave.terms[0], 1)
+    with pytest.raises(ValueError):
+        exppoly._truncate(exppoly.monomial((0, 1), 1.0, (1.0, 0.0)).terms[0], 1)
+    kept = exppoly._truncate(exppoly.monomial((2, 0), 3.0, (1.0, 0.0)).terms[0], 1)
+    assert (kept.wavevector, kept.coeffs) == ((1 + 0j,), (((2,), 3 + 0j),))
+
+
 def test_substitute_and_remap_pointwise():
     rng = random.Random(6)
     f = _random_sum(rng, 2)

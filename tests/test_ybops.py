@@ -1,10 +1,13 @@
 """Lattice-operator layer: R-matrix, generators, quantum determinant."""
 
+import cmath
 import math
+from itertools import combinations, permutations, product
 
 import pytest
 
 from qnls import alcovefn, exppoly, oracle, wavefn, ybops
+from qnls.symgroup import Permutation, all_permutations
 from qnls.wavefn import RapiditySet
 
 GAMMA = 1.0
@@ -122,3 +125,95 @@ def test_particle_cap_enforced():
     f = alcovefn.from_analytic(exppoly.plane_wave(lam))
     with pytest.raises(ValueError):
         ybops.apply_nonsymmetric("a", 0.2, f, GAMMA, LENGTH)
+
+
+def _reference_plan_piece(plan, f, sigma, length):
+    """A plan's piece on alcove sigma built step by step from the public
+    exppoly operations: pullback, mul by the plane-wave prefactor, one
+    integrate per y, canonicalize, remap."""
+    P = plan.out_n
+    pos = {p: t for t, p in enumerate(sigma.images, start=1)}
+    ranks = [ybops._rank(e, pos, P) for e in plan.levels]
+    if any(ranks[t] >= ranks[t + 1] for t in range(len(ranks) - 1)):
+        return exppoly.zero(P)
+    n_y = len(plan.levels) - 1
+    ext_n = P + n_y
+    wv = [0j] * ext_n
+    for e in plan.levels:
+        if e[0] == "coord":
+            wv[e[1] - 1] += plan.mu
+    for m in range(1, n_y + 1):
+        wv[P + m - 1] -= plan.mu
+    sign = -sum(e[1] for e in plan.levels if e[0] == "const")
+    prefwave = exppoly.scale(cmath.exp(-1j * sign * plan.mu * length / 2), exppoly.plane_wave(wv))
+    per_interval = []
+    for m in range(1, n_y + 1):
+        ru, rl = ranks[m - 1], ranks[m]
+        interior = sorted((("coord", p) for p in range(1, P + 1) if ru < pos[p] < rl), key=lambda e: pos[e[1]])
+        chain = [plan.levels[m - 1], *interior, plan.levels[m]]
+        per_interval.append([
+            (chain[t + 1], chain[t], (ybops._rank(chain[t], pos, P) + ybops._rank(chain[t + 1], pos, P)) / 2)
+            for t in range(len(chain) - 1)
+        ])
+    out = exppoly.zero(ext_n)
+    for combo in product(*per_interval):
+        argrank = [float(pos[a[1]]) if a[0] == "coord" else combo[a[1] - 1][2] for a in plan.args]
+        tau = Permutation(tuple(s + 1 for s in sorted(range(len(plan.args)), key=lambda s: argrank[s])))
+        rows = {
+            r: ({a[1] if a[0] == "coord" else P + a[1]: 1.0 + 0j}, 0j)
+            for r, a in enumerate(plan.args, start=1)
+        }
+        g = exppoly.mul(exppoly.pullback(f.pieces[tau], rows, ext_n), prefwave)
+        for m in range(n_y, 0, -1):
+            lo, hi, _ = combo[m - 1]
+            g = exppoly.integrate(g, P + m, ybops._bound(lo, length), ybops._bound(hi, length))
+        out = out + g
+    return exppoly.remap(exppoly.canonicalize(out), {p: p for p in range(1, P + 1)}, P)
+
+
+def _alcove_points(sigma, count, length, seed):
+    """Points with x_{sigma(1)} > ... > x_{sigma(n)}."""
+    points = []
+    for x in alcovefn.sample_interior(sigma.n, count, length, seed):
+        point = [0.0] * sigma.n
+        for p, v in zip(sigma.images, sorted(x, reverse=True)):
+            point[p - 1] = v
+        points.append(tuple(point))
+    return points
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_block_engine_matches_the_stepwise_reference(N):
+    r = RapiditySet((0.8, -0.3, 0.45)[:N], GAMMA, LENGTH)
+    inputs = {"e": wavefn.prewavefunction(r), "E": wavefn.bethe_wavefunction(r)}
+    mu, weight = 0.37, 0.8 - 0.3j
+    # every multi-index: e_hat+/- index the input coordinates, the other
+    # kinds the output ones; the symmetric kinds take increasing ones
+    cases = []
+    for kind, dn in (("e_hat+", 1), ("e_hat-", 1), ("e_bar+", 0), ("e_bar-", 0), ("e_check+", -1), ("e_check-", -1)):
+        top = N if dn == 1 else N + dn
+        cases += [(kind, i) for k in range(top + 1) for i in permutations(range(1, top + 1), k)]
+    for kind, dn in (("E_hat", 1), ("E_bar+", 0), ("E_bar-", 0), ("E_check", -1)):
+        top = N + dn
+        cases += [(kind, i) for k in range(dn == 1, top + 1) for i in combinations(range(1, top + 1), k)]
+    for kind, i in cases:
+        f = inputs[kind[0]]
+        plan = ybops._plan(kind, mu, i, N)
+        sigmas = all_permutations(plan.out_n)
+        engine = ybops._block_sum([(weight, plan)], f, sigmas, LENGTH)
+        worst, size = 0.0, 0.0
+        for sigma in sigmas:
+            want = exppoly.scale(weight, _reference_plan_piece(plan, f, sigma, LENGTH))
+            for x in _alcove_points(sigma, 3, LENGTH, seed=N):
+                a, b = want.eval(x), engine[sigma].eval(x)
+                worst, size = max(worst, abs(a - b)), max(size, abs(a))
+        assert worst <= 1e-12 * size, (kind, i, worst, size)
+
+
+def test_degree_cap_reached_through_the_block_engine():
+    # y's wavenumber cancels against the block's plane wave, so integrating
+    # y^DEGREE_CAP raises the degree past the cap
+    mu = 0.37
+    f = alcovefn.from_analytic(exppoly.monomial((exppoly.DEGREE_CAP,), 1.0, (mu,)))
+    with pytest.raises(exppoly.DegreeCapError):
+        ybops.elementary_nonsymmetric_op("e_bar+", mu, (1,), f, LENGTH)
