@@ -71,6 +71,8 @@ class AlcoveFunction:
         perms = all_permutations(self.n)
         if set(self.pieces) != set(perms):
             raise ValueError(f"expected {len(perms)} pieces for N={self.n}")
+        # eval finds a piece by its ordering tuple, building no Permutation
+        object.__setattr__(self, "_by_order", {s.images: p for s, p in self.pieces.items()})
 
     def eval(self, x: Iterable[float], side: Permutation | None = None) -> complex:
         """Value at x, using the piece whose ordering x satisfies.
@@ -83,10 +85,10 @@ class AlcoveFunction:
             raise ValueError("dimension mismatch")
         if side is not None:
             return self.pieces[side].eval(xv)
-        sigma, tied = ordering_permutation(xv)
+        order, tied = _ordering(xv)
         if tied and not self.continuous:
             raise ValueError("point lies on a wall of a discontinuous function")
-        return self.pieces[sigma].eval(xv)
+        return self._by_order[order].eval(xv)
 
     def eval_many(self, points, side: Permutation | None = None) -> np.ndarray:
         """Values at the rows of the real array points (count x n), each
@@ -131,11 +133,18 @@ class WallSample:
             raise ValueError("sample not on the wall")
 
 
+def _ordering(x: tuple) -> tuple[tuple[int, ...], bool]:
+    """The images of ordering_permutation(x) and its tie flag."""
+    keys = {j: -xj.real for j, xj in enumerate(x, 1)}
+    order = tuple(sorted(keys, key=keys.__getitem__))
+    return order, any(x[a - 1] == x[b - 1] for a, b in zip(order, order[1:]))
+
+
 def ordering_permutation(x: tuple) -> tuple[Permutation, bool]:
-    """Sigma with x_{sigma(1)} >= ... >= x_{sigma(N)}, and a tie flag."""
-    order = sorted(range(1, len(x) + 1), key=lambda j: -x[j - 1].real if isinstance(x[j - 1], complex) else -x[j - 1])
-    tied = any(x[order[r] - 1] == x[order[r + 1] - 1] for r in range(len(x) - 1))
-    return Permutation(tuple(order)), tied
+    """Sigma with x_{sigma(1)} >= ... >= x_{sigma(N)}, ties broken by index
+    and complex coordinates ordered by real part, and a tie flag."""
+    order, tied = _ordering(x)
+    return Permutation(order), tied
 
 
 def from_analytic(f: ExpPolySum) -> AlcoveFunction:

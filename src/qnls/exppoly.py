@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -98,20 +99,6 @@ class ExpPolyTerm:
     wavevector: tuple[complex, ...]
     coeffs: tuple[tuple[tuple[int, ...], complex], ...]
 
-    def eval(self, x: Iterable[complex]) -> complex:
-        xv = tuple(x)
-        if len(xv) != self.n:
-            raise ValueError("dimension mismatch")
-        poly = 0j
-        for deg, c in self.coeffs:
-            m = c
-            for xj, dj in zip(xv, deg):
-                if dj:
-                    m *= xj**dj
-            poly += m
-        phase = sum(mj * xj for mj, xj in zip(self.wavevector, xv))
-        return poly * cmath.exp(1j * phase)
-
 
 def _term(n: int, wavevector, coeffs: Mapping[tuple[int, ...], complex]) -> ExpPolyTerm:
     # the one place a term is checked: every degree-raising operation builds here
@@ -140,8 +127,22 @@ class ExpPolySum:
                 raise ValueError("term dimension mismatch")
 
     def eval(self, x: Iterable[complex]) -> complex:
+        """The value at x, term by term: the monomials c * x**deg summed in
+        order, times exp(i <mu, x>) with the phase summed slot by slot."""
         xv = tuple(x)
-        return sum((t.eval(xv) for t in self.terms), 0j)
+        if len(xv) != self.n:
+            raise ValueError("dimension mismatch")
+        total = 0j
+        for t in self.terms:
+            poly = 0j
+            for deg, c in t.coeffs:
+                if any(deg):
+                    for xj, dj in zip(xv, deg):
+                        if dj:
+                            c *= xj**dj
+                poly += c
+            total += poly * cmath.exp(1j * sum(map(operator.mul, t.wavevector, xv)))
+        return total
 
     @cached_property
     def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -161,8 +162,8 @@ class ExpPolySum:
         """Values at the rows of the real array X (points x n), packing the
         terms into arrays on the first call.
 
-        Each value takes eval's operations in eval's order, so the two
-        agree to the bit except in the sign of a zero and through x**d on
+        Each value follows eval's loop, term after term, so the two agree
+        to the bit except in the sign of a zero and through x**d on
         nonzero degrees (numpy's power may round differently).
 
         >>> plane_wave((2.0, -1.0)).eval_many([(0.0, 0.0), (1.0, 2.0)])
@@ -333,7 +334,7 @@ def _series_antiderivative(t: ExpPolyTerm, j: int) -> ExpPolyTerm:
     muj = t.wavevector[j - 1]
     u = abs(muj) * _SERIES_XSCALE
     nterms, bound = 1, u
-    while bound > 1e-18 and nterms < 12:
+    while bound > 2.0**-53 and nterms < 12:
         nterms += 1
         bound *= u / (nterms + 1)
     coeffs: dict[tuple[int, ...], complex] = {}

@@ -1,5 +1,6 @@
 """Alcove-wise functions: ordering, actions, walls, serialization."""
 
+import cmath
 import math
 import random
 from functools import lru_cache
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qnls import alcovefn, exppoly, wavefn
 from qnls.alcovefn import ordering_permutation
-from qnls.symgroup import all_permutations, compose, identity, transposition
+from qnls.symgroup import Permutation, all_permutations, compose, identity, transposition
 
 EVAL_MANY_TOL = 1e-13
 
@@ -162,16 +163,68 @@ def test_json_round_trip():
     assert abs(back.eval((1.0, 1.0)) - Psi.eval((1.0, 1.0))) < 1e-14
 
 
-def test_eval_on_tie_requires_side():
-    rng = random.Random(14)
+def _distinct_pieces(n, seed, continuous=False):
+    rng = random.Random(seed)
     pieces = {
-        sigma: exppoly.plane_wave(tuple(rng.uniform(-1, 1) for _ in range(2)))
-        for sigma in all_permutations(2)
+        sigma: exppoly.plane_wave(tuple(rng.uniform(-1, 1) for _ in range(n)))
+        for sigma in all_permutations(n)
     }
-    F = alcovefn.build(pieces)
+    return alcovefn.build(pieces, continuous)
+
+
+def test_eval_on_tie_requires_side():
+    F = _distinct_pieces(2, 14)
     with pytest.raises(ValueError):
         F.eval((0.5, 0.5))
     F.eval((0.5, 0.5), side=identity(2))
+    F = _distinct_pieces(3, 19)
+    sigma = Permutation((3, 2, 1))
+    for x in [(0.5, 0.5, -1.0), (0.2, -0.7, 0.2), (0.0, -0.0, 1.0)]:
+        with pytest.raises(ValueError):
+            F.eval(x)
+        assert F.eval(x, side=sigma) == F.pieces[sigma].eval(x)
+
+
+def test_eval_uses_the_piece_ordering_permutation_names():
+    F = _distinct_pieces(3, 17)
+    for sigma in all_permutations(3):
+        x = sigma.act_vector((2.0, 0.5, -1.0))
+        assert ordering_permutation(x) == (sigma, False)
+        assert repr(F.eval(x)) == repr(F.pieces[sigma].eval(x))
+    # complex coordinates order by their real part; equal real parts with
+    # different imaginary parts are no tie, and the index breaks it
+    x = (0.5 + 3j, 0.7 - 1j, 0.5 + 0j)
+    assert ordering_permutation(x) == (Permutation((2, 1, 3)), False)
+    assert F.eval(x) == F.pieces[Permutation((2, 1, 3))].eval(x)
+
+
+def test_eval_breaks_ties_by_index():
+    F = _distinct_pieces(3, 18, continuous=True)
+    named = {
+        (0.5, 0.5, -1.0): (1, 2, 3),
+        (-1.0, 0.5, 0.5): (2, 3, 1),
+        (0.5, -1.0, 0.5): (1, 3, 2),
+        (0.0, -0.0, 0.0): (1, 2, 3),
+        (-2.0, -0.0, 0.0): (2, 3, 1),
+    }
+    for x, images in named.items():
+        assert ordering_permutation(x) == (Permutation(images), True)
+        assert repr(F.eval(x)) == repr(F.pieces[Permutation(images)].eval(x))
+
+
+def test_eval_refuses_a_point_of_the_wrong_length():
+    F = _distinct_pieces(3, 20)
+    for x in [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)]:
+        with pytest.raises(ValueError):
+            F.eval(x)
+        with pytest.raises(ValueError):
+            F.pieces[identity(3)].eval(x)
+    # an empty sum checks the length too, though it has no term to do it
+    with pytest.raises(ValueError):
+        exppoly.zero(3).eval((0.1,))
+    assert exppoly.zero(3).eval((0.1, 0.2, 0.3)) == 0j
+    with pytest.raises(ValueError):
+        alcovefn.zero_function(3).eval((0.1,))
 
 
 @lru_cache(maxsize=None)
@@ -239,3 +292,59 @@ def test_eval_many_on_a_wall():
     for x, got in zip(rows, Psi.eval_many(rows)):
         want = Psi.eval(x)
         assert abs(got - want) <= EVAL_MANY_TOL * max(abs(want), 1.0)
+
+
+def _per_term_eval(f, x):
+    """Scalar evaluation as the engine did it term by term: each term's
+    monomials summed, times exp(i <mu, x>) with the phase summed by sum(),
+    and the terms summed by sum() from 0j."""
+    xv = tuple(x)
+
+    def term(t):
+        poly = 0j
+        for deg, c in t.coeffs:
+            m = c
+            for xj, dj in zip(xv, deg):
+                if dj:
+                    m *= xj**dj
+            poly += m
+        phase = sum(mj * xj for mj, xj in zip(t.wavevector, xv))
+        return poly * cmath.exp(1j * phase)
+
+    return sum((term(t) for t in f.terms), 0j)
+
+
+@lru_cache(maxsize=None)
+def _mixed_degree_case() -> alcovefn.AlcoveFunction:
+    """An analytic function whose monomials carry several nonzero degrees,
+    which no wavefunction case has."""
+    rng = random.Random(21)
+    f = exppoly.zero(3)
+    for deg in [(2, 1, 0), (1, 1, 1), (0, 2, 3), (3, 0, 1), (0, 0, 0)]:
+        mu = tuple(complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(3))
+        f = f + exppoly.monomial(deg, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), mu)
+    return alcovefn.from_analytic(f)
+
+
+@st.composite
+def _function_and_point(draw):
+    """A case of _eval_many_cases, or the mixed-degree case, and a point,
+    at times with -0.0 entries and with one coordinate copied onto another
+    (a tie)."""
+    F = draw(st.sampled_from(_eval_many_cases() + (_mixed_degree_case(),)))
+    coord = st.one_of(st.floats(-5.0, 5.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
+    x = draw(st.lists(coord, min_size=F.n, max_size=F.n))
+    if draw(st.booleans()):
+        a, b = draw(st.permutations(range(F.n)))[:2]
+        x[b] = x[a]
+    return F, tuple(x)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_function_and_point())
+def test_eval_is_the_per_term_evaluation_to_the_bit(case):
+    F, x = case
+    sigma, _ = ordering_permutation(x)
+    assert repr(F.eval(x)) == repr(_per_term_eval(F.pieces[sigma], x))
+    for tau, piece in F.pieces.items():
+        assert repr(F.eval(x, side=tau)) == repr(_per_term_eval(piece, x))

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,14 +111,39 @@ def test_integrate_is_the_substituted_antiderivative(branch, bound_kind):
             lower, upper = (Bound.const(rng.uniform(-4, 4)) for _ in range(2))
         else:
             lower, upper = (Bound.coord(k) for k in rng.sample(others * 2, 2))
+        f = exppoly.ExpPolySum(n, (t,))
         anti = exppoly.ExpPolySum(n, (exppoly._antiderivative(t, j),))
         want = exppoly.canonicalize(exppoly.substitute(anti, j, upper) - exppoly.substitute(anti, j, lower))
-        got = exppoly.integrate(exppoly.ExpPolySum(n, (t,)), j, lower, upper)
+        got = exppoly.integrate(f, j, lower, upper)
         assert repr(got.terms) == repr(want.terms)
         # and the antiderivative is one: d/dx_j of it gives t back
         back = exppoly.derivative(anti, j)
         for x in _points(rng, n):
-            assert abs(back.eval(x) - t.eval(x)) <= 1e-11 * max(1.0, abs(t.eval(x)))
+            assert abs(back.eval(x) - f.eval(x)) <= 1e-11 * max(1.0, abs(f.eval(x)))
+
+
+def _gauss_legendre(func, a, b, nodes=60):
+    """The nodes-point Gauss-Legendre rule for func over [a, b], and the
+    same rule for |func|, the scale its error is measured against."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    values = [func(0.5 * (b - a) * t + 0.5 * (a + b)) for t in xs]
+    half = 0.5 * (b - a)
+    return half * sum(w * v for w, v in zip(ws, values)), half * sum(w * abs(v) for w, v in zip(ws, values))
+
+
+def test_series_branch_keeps_the_degree_within_the_cap():
+    # the Taylor series stops once its remainder bound is below double
+    # rounding, so a cubic integrates below SMALL_WAVENUMBER_TOL as it does above
+    f = exppoly.monomial((3, 0), 1.0, (9e-7, 0.0))
+    got = exppoly.integrate(f, 1, Bound.const(0.0), Bound.const(1.0)).eval((0.0, 0.0))
+    want, size = _gauss_legendre(lambda t: t**3 * cmath.exp(9e-7j * t), 0.0, 1.0)
+    assert abs(got - want) <= 1e-13 * size
+    for deg in range(4):
+        for mu in (1e-9, 1e-8, 1e-7, 5e-7, 9e-7, 9.99e-7):
+            f = exppoly.monomial((deg, 0), 1.0, (mu, 0.0))
+            got = exppoly.integrate(f, 1, Bound.const(-5.0), Bound.const(5.0)).eval((0.0, 0.0))
+            want, size = _gauss_legendre(lambda t: t**deg * cmath.exp(1j * mu * t), -5.0, 5.0)
+            assert abs(got - want) <= 1e-13 * size
 
 
 def test_dropped_slots_refuse_any_nonzero_wavenumber():
