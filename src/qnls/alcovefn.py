@@ -55,8 +55,10 @@ __all__ = [
 DEFAULT_SEED = 0x5EED
 # remaining coordinates of a wall sample keep at least this gap
 WALL_GAP_FLOOR = 1e-6
-# wall-limit agreement threshold for the continuity flag
+# wall-limit agreement threshold for the continuity flag, and the wall
+# samples it is checked at
 CONTINUITY_TOL = 1e-9
+CONTINUITY_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,8 @@ def afn_derivative(f: AlcoveFunction, j: int) -> AlcoveFunction:
 
 def act_analytic(w: Permutation, f: ExpPolySum) -> ExpPolySum:
     """(w f)(x) = f(w^{-1} x) for analytic f: slot m is relabeled to w(m)."""
-    return exppoly.remap(f, {m: w(m) for m in range(1, f.n + 1)}, f.n)
+    zeros = [0j] * f.n
+    return ExpPolySum(f.n, tuple(exppoly._embed(t, w.images, zeros, 1.0) for t in f.terms))
 
 
 def extend_symmetric(piece: ExpPolySum, continuous: bool) -> AlcoveFunction:
@@ -225,26 +228,13 @@ def symmetrize(F: AlcoveFunction) -> AlcoveFunction:
     return extend_symmetric(exppoly.canonicalize(piece), F.continuous)
 
 
-def _side_orderings(sample: WallSample, n: int) -> tuple[Permutation, Permutation]:
-    """Alcove labels on the x_j > x_k and x_j < x_k sides of the sample."""
-    j, k, x = sample.j, sample.k, sample.x
-    others = sorted(
-        (m for m in range(1, n + 1) if m not in (j, k)), key=lambda m: -x[m - 1]
-    )
-    val = x[j - 1]
-    plus, minus = [], []
-    placed = False
-    for m in others:
-        if not placed and x[m - 1] < val:
-            plus.extend([j, k])
-            minus.extend([k, j])
-            placed = True
-        plus.append(m)
-        minus.append(m)
-    if not placed:
-        plus.extend([j, k])
-        minus.extend([k, j])
-    return Permutation(tuple(plus)), Permutation(tuple(minus))
+def _side_orderings(sample: WallSample) -> tuple[Permutation, Permutation]:
+    """Alcove labels on the x_j > x_k and x_j < x_k sides of the sample
+    (j < k): the tie at the sample breaks by index, so its ordering puts j
+    just above k, and the other side swaps them."""
+    order, _ = _ordering(sample.x)
+    swap = {sample.j: sample.k, sample.k: sample.j}
+    return Permutation(order), Permutation(tuple(swap.get(m, m) for m in order))
 
 
 def wall_jump(
@@ -261,7 +251,7 @@ def wall_jump(
     for sample in samples:
         if sample.j != j or sample.k != k:
             raise ValueError("sample belongs to a different wall")
-        plus, minus = _side_orderings(sample, F.n)
+        plus, minus = _side_orderings(sample)
         up, down = F.pieces[plus], F.pieces[minus]
         lim_p = (exppoly.derivative(up, j) - exppoly.derivative(up, k)).eval(sample.x)
         lim_m = (exppoly.derivative(down, j) - exppoly.derivative(down, k)).eval(sample.x)
@@ -319,12 +309,12 @@ def reflection_integral(f: ExpPolySum, j: int, k: int) -> ExpPolySum:
     if j == k:
         raise ValueError("need j != k")
     u = n + 1
-    rows = {m: ({m: 1.0 + 0j}, 0j) for m in range(1, n + 1)}
-    rows[j] = ({j: 1.0 + 0j, k: 1.0 + 0j, u: -1.0 + 0j}, 0j)
-    rows[k] = ({u: 1.0 + 0j}, 0j)
+    rows = {m: {m: 1.0 + 0j} for m in range(1, n + 1)}
+    rows[j] = {j: 1.0 + 0j, k: 1.0 + 0j, u: -1.0 + 0j}
+    rows[k] = {u: 1.0 + 0j}
     g = exppoly.pullback(f, rows, n + 1)
     h = exppoly.integrate(g, u, Bound.coord(k), Bound.coord(j))
-    return exppoly.remap(h, {m: m for m in range(1, n + 1)}, n)
+    return ExpPolySum(n, tuple(exppoly._truncate(t, n) for t in h.terms))
 
 
 def deformed_transposition_position(f: ExpPolySum, j: int, gamma: float) -> ExpPolySum:
@@ -405,26 +395,21 @@ def sample_wall(
     return samples
 
 
-def check_continuity(
-    F: AlcoveFunction,
-    length: float,
-    samples_per_wall: int = 10,
-    seed: int = DEFAULT_SEED,
-    tol: float = CONTINUITY_TOL,
-) -> tuple[bool, float]:
-    """Compare wall limits from both sides at sampled wall points."""
+def check_continuity(F: AlcoveFunction, length: float) -> tuple[bool, float]:
+    """Compare wall limits from both sides at CONTINUITY_SAMPLES sampled
+    points per wall."""
     gaps = [0.0]
     scale_ = 1.0
     for j in range(1, F.n + 1):
         for k in range(j + 1, F.n + 1):
-            for sample in sample_wall(F.n, j, k, samples_per_wall, length, seed):
-                plus, minus = _side_orderings(sample, F.n)
+            for sample in sample_wall(F.n, j, k, CONTINUITY_SAMPLES, length):
+                plus, minus = _side_orderings(sample)
                 vp = F.pieces[plus].eval(sample.x)
                 vm = F.pieces[minus].eval(sample.x)
                 gaps.append(abs(vp - vm))
                 scale_ = max(scale_, abs(vp), abs(vm))
     worst = worst_residual(gaps)
-    return worst <= tol * scale_, worst
+    return worst <= CONTINUITY_TOL * scale_, worst
 
 
 def worst_residual(residuals: Iterable[float]) -> float:

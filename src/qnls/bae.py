@@ -77,6 +77,8 @@ class QuantumNumbers:
     def from_values(cls, values: Sequence[float]) -> "QuantumNumbers":
         doubled = []
         for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"quantum number {v} is not finite")
             t = round(2 * v)
             if abs(2 * v - t) > 1e-9:
                 raise ValueError(f"{v} is neither integer nor half-integer")
@@ -215,7 +217,6 @@ def solve_bae(
     n: QuantumNumbers,
     gamma: float,
     length: float,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> RapiditySet:
     """Newton minimization of the action from the free solution
     lambda_j = 2 pi n_j / L, with Armijo backtracking.
@@ -232,9 +233,9 @@ def solve_bae(
     iterations = 0
     value, grad, hess = yang_yang(lam, gamma, length, n)
     while float(np.max(np.abs(grad))) >= tol:
-        if iterations >= max_iter:
+        if iterations >= NEWTON_MAX_ITER:
             raise RuntimeError(
-                f"Newton iteration did not converge in {max_iter} steps"
+                f"Newton iteration did not converge in {NEWTON_MAX_ITER} steps"
             )
         # convexity guarantees the Cholesky factorization exists
         factor = np.linalg.cholesky(hess)

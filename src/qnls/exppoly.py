@@ -3,8 +3,9 @@
 Every analytic piece handled by the engine lives in this ring: plane waves,
 their polynomial-prefactor degenerate limits, and everything the nested
 integral operators produce.  Derivatives, definite integrals with constant
-or coordinate bounds, and (affine) substitutions are all computed in closed
-form, so downstream identity checks are exact up to float rounding.
+or coordinate bounds, substitutions and linear changes of variables are
+all computed in closed form, so downstream identity checks are exact up to
+float rounding.
 
 >>> f = plane_wave((2.0, -1.0))          # e^{i(2 x1 - x2)}
 >>> g = derivative(f, 1)
@@ -39,7 +40,6 @@ __all__ = [
     "integrate",
     "substitute",
     "pullback",
-    "remap",
     "canonicalize",
     "to_json",
     "from_json",
@@ -426,16 +426,14 @@ def substitute(f: ExpPolySum, j: int, b: Bound) -> ExpPolySum:
     return ExpPolySum(f.n, tuple(_at_bound(t, j, b) for t in f.terms))
 
 
-def _affine_power(
-    lin: Mapping[int, complex], const: complex, a: int, n: int
+def _linear_power(
+    lin: Mapping[int, complex], a: int, n: int
 ) -> list[tuple[tuple[int, ...], complex]]:
-    """Multidegree/coefficient expansion of (const + sum lin[m] x_m)^a."""
+    """Multidegree/coefficient expansion of (sum lin[m] x_m)^a."""
     expansion: dict[tuple[int, ...], complex] = {(0,) * n: 1.0 + 0j}
     for _ in range(a):
         nxt: dict[tuple[int, ...], complex] = {}
         for deg, w in expansion.items():
-            if const != 0:
-                nxt[deg] = nxt.get(deg, 0j) + w * const
             for m, cm in lin.items():
                 d = deg[: m - 1] + (deg[m - 1] + 1,) + deg[m:]
                 nxt[d] = nxt.get(d, 0j) + w * cm
@@ -444,12 +442,10 @@ def _affine_power(
 
 
 def pullback(
-    f: ExpPolySum,
-    rows: Mapping[int, tuple[Mapping[int, complex], complex]],
-    new_n: int,
+    f: ExpPolySum, rows: Mapping[int, Mapping[int, complex]], new_n: int
 ) -> ExpPolySum:
-    """Simultaneous affine change of variables g(x) = f(y),
-    y_m = const_m + sum_p lin_m[p] * x_p with (lin_m, const_m) = rows[m].
+    """Simultaneous linear change of variables g(x) = f(y),
+    y_m = sum_p rows[m][p] * x_p.
 
     All input slots are substituted at once, so replacement expressions may
     freely mention output slots that share indices with replaced inputs.
@@ -459,25 +455,20 @@ def pullback(
     out: list[ExpPolyTerm] = []
     for t in f.terms:
         wv = [0j] * new_n
-        phase = 0j
         for m in range(1, f.n + 1):
             mum = t.wavevector[m - 1]
             if mum == 0:
                 continue
-            lin, const = rows[m]
-            phase += mum * const
-            for p, cp in lin.items():
+            for p, cp in rows[m].items():
                 wv[p - 1] += mum * cp
-        factor = cmath.exp(1j * phase) if phase != 0 else 1.0 + 0j
         coeffs: dict[tuple[int, ...], complex] = {}
         for deg, c in t.coeffs:
-            expansion: dict[tuple[int, ...], complex] = {(0,) * new_n: c * factor}
+            expansion: dict[tuple[int, ...], complex] = {(0,) * new_n: c}
             for m in range(1, f.n + 1):
                 a = deg[m - 1]
                 if a == 0:
                     continue
-                lin, const = rows[m]
-                factors = _affine_power(lin, const, a, new_n)
+                factors = _linear_power(rows[m], a, new_n)
                 nxt: dict[tuple[int, ...], complex] = {}
                 for d1, w1 in expansion.items():
                     for d2, w2 in factors:
@@ -487,41 +478,6 @@ def pullback(
             for d, w in expansion.items():
                 coeffs[d] = coeffs.get(d, 0j) + w
         out.append(_term(new_n, tuple(wv), coeffs))
-    return ExpPolySum(new_n, tuple(out))
-
-
-def remap(f: ExpPolySum, mapping: Mapping[int, int], new_n: int) -> ExpPolySum:
-    """Relabel variable slots: old slot j becomes new slot mapping[j].
-
-    Unmapped old slots must be unused (zero wavenumber and degree); the map
-    must be injective into 1..new_n.
-    """
-    values = list(mapping.values())
-    if len(set(values)) != len(values):
-        raise ValueError("non-injective remap")
-    if any(not (1 <= v <= new_n) for v in values):
-        raise ValueError("remap target out of range")
-    out: list[ExpPolyTerm] = []
-    for t in f.terms:
-        wv = [0j] * new_n
-        for old in range(1, f.n + 1):
-            m = t.wavevector[old - 1]
-            if old in mapping:
-                wv[mapping[old] - 1] = m
-            elif m != 0:
-                # written so that a NaN wavenumber is refused too
-                raise ValueError(f"dropped slot {old} carries a wavenumber")
-        coeffs: dict[tuple[int, ...], complex] = {}
-        for deg, c in t.coeffs:
-            d = [0] * new_n
-            for old in range(1, f.n + 1):
-                if deg[old - 1] == 0:
-                    continue
-                if old not in mapping:
-                    raise ValueError(f"dropped slot {old} carries a monomial")
-                d[mapping[old] - 1] = deg[old - 1]
-            coeffs[tuple(d)] = coeffs.get(tuple(d), 0j) + c
-        out.append(_term(new_n, wv, coeffs))
     return ExpPolySum(new_n, tuple(out))
 
 
@@ -535,7 +491,9 @@ def _embed(
     n = len(wavevector)
     wv = list(wavevector)
     for s, m in zip(slots, t.wavevector):
-        wv[s - 1] += m
+        # a zero entry takes m itself: a relabelled term shares the
+        # wavenumber objects of t instead of holding fresh copies
+        wv[s - 1] = wv[s - 1] + m if wv[s - 1] else m
     coeffs: dict[tuple[int, ...], complex] = {}
     for deg, a in t.coeffs:
         d = [0] * n
@@ -546,8 +504,8 @@ def _embed(
 
 
 def _truncate(t: ExpPolyTerm, n: int) -> ExpPolyTerm:
-    """t on its first n slots.  As in remap, the dropped slots must be
-    unused: an exactly zero wavenumber and no degree."""
+    """t on its first n slots.  The dropped slots must be unused: an
+    exactly zero wavenumber and no degree."""
     if any(m != 0 for m in t.wavevector[n:]):
         raise ValueError(f"a dropped slot past {n} carries a wavenumber")
     if any(any(d[n:]) for d, _ in t.coeffs):

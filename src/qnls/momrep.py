@@ -31,6 +31,7 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Mapping
 
 from . import exppoly
@@ -207,24 +208,20 @@ def deformed_word_entry(
     return _deformed_word(o, w, gamma)(sigma)
 
 
+def _average(perms, term: Callable[[Permutation], OrbitFunction]) -> OrbitFunction:
+    """(1/len(perms)) sum over w in perms of term(w), each table made as it
+    is added, in order, by orbit_add."""
+    return orbit_scale(1.0 / len(perms), reduce(orbit_add, map(term, perms)))
+
+
 def symmetrizer(o: OrbitFunction) -> OrbitFunction:
     """(1/N!) sum_w w, acting by table permutation."""
-    perms = all_permutations(o.n)
-    acc = None
-    for w in perms:
-        term = act_table(w, o)
-        acc = term if acc is None else orbit_add(acc, term)
-    return orbit_scale(1.0 / len(perms), acc)
+    return _average(all_permutations(o.n), lambda w: act_table(w, o))
 
 
 def gamma_symmetrizer(o: OrbitFunction, gamma: float) -> OrbitFunction:
     """(1/N!) sum_w w_gamma, the gamma-deformed symmetrizer."""
-    perms = all_permutations(o.n)
-    acc = None
-    for w in perms:
-        term = apply_deformed_word(o, w, gamma)
-        acc = term if acc is None else orbit_add(acc, term)
-    return orbit_scale(1.0 / len(perms), acc)
+    return _average(all_permutations(o.n), lambda w: apply_deformed_word(o, w, gamma))
 
 
 def mult_symbol(o: OrbitFunction, j: int) -> OrbitFunction:

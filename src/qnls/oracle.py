@@ -3,7 +3,9 @@
 Everything here evaluates operands strictly pointwise and integrates with
 adaptive Gauss-Legendre quadrature; no symbolic integration code is shared
 with the exact path.  The nested-integral layouts of the operators are
-restated from their definitions rather than imported, so a bookkeeping
+restated from their definitions rather than imported: one table row per
+elementary kind (its fixed ends, index shift and operand slots) and one
+per generator (its kind, multi-indices and scalar).  So a bookkeeping
 error on either side shows up as a cross-check failure.
 
 Quadrature runs on rows.  A nested integral is integrated level by level:
@@ -186,85 +188,68 @@ class _Layout:
     scalar: complex
 
 
+# kind -> (fixed end above, index shift, fixed end below, operand slots).
+# An end is +1 or -1 for +/-L/2, a created coordinate ("x_1" or
+# "x_N+1"), or None; the indexed levels are x_{p + shift}.  Operand slots:
+# "own" gives slot r the y of its index, else its own coordinate; e_check+
+# ("own,top") also gives the top y to one more slot at the end, e_check-
+# ("bottom,own") the bottom y to one at the front; "rest" gives the
+# unindexed coordinates, then the y's.
+_KINDS = {
+    "e_hat+": (None, 1, "x_1", "own"),
+    "e_hat-": ("x_N+1", 0, None, "own"),
+    "e_bar+": (None, 0, -1, "own"),
+    "e_bar-": (1, 0, None, "own"),
+    "e_check+": (1, 0, -1, "own,top"),
+    "e_check-": (1, 0, -1, "bottom,own"),
+    "E_hat": (None, 0, None, "rest"),
+    "E_bar+": (None, 0, -1, "rest"),
+    "E_bar-": (1, 0, None, "rest"),
+    "E_check": (1, 0, -1, "rest"),
+}
+
+
 def _layout_elementary(
     kind: str, mu: complex, i: tuple[int, ...], N: int, x: tuple[float, ...], length: float
 ) -> _Layout:
     """Restated definitions; N is the input particle number."""
-    k = len(i)
-    half = length / 2
-    if kind == "e_hat-":
-        levels = (x[N],) + tuple(x[p - 1] for p in i)
-        coords = [x[N]] + [x[p - 1] for p in i]
-
-        def args(ys, i=i, x=x, N=N):
-            return tuple(
-                ys[i.index(r)] if r in i else x[r - 1] for r in range(1, N + 1)
-            )
-    elif kind == "e_hat+":
-        levels = tuple(x[p] for p in i) + (x[0],)
-        coords = [x[0]] + [x[p] for p in i]
-
-        def args(ys, i=i, x=x, N=N):
-            return tuple(ys[i.index(r)] if r in i else x[r] for r in range(1, N + 1))
-    elif kind in ("e_bar+", "e_bar-"):
-        body = tuple(x[p - 1] for p in i)
-        levels = body + (-half,) if kind == "e_bar+" else (half,) + body
-        coords = list(body)
-
-        def args(ys, i=i, x=x, N=N):
-            return tuple(
-                ys[i.index(r)] if r in i else x[r - 1] for r in range(1, N + 1)
-            )
-    elif kind in ("e_check+", "e_check-"):
-        out_n = N - 1
-        levels = (half,) + tuple(x[p - 1] for p in i) + (-half,)
-        coords = [x[p - 1] for p in i]
-        if kind == "e_check+":
-
-            def args(ys, i=i, x=x, out_n=out_n):
-                return tuple(
-                    ys[i.index(r) + 1] if r in i else x[r - 1]
-                    for r in range(1, out_n + 1)
-                ) + (ys[0],)
-
-        else:
-
-            def args(ys, i=i, x=x, out_n=out_n, k=k):
-                return (ys[k],) + tuple(
-                    ys[i.index(r)] if r in i else x[r - 1]
-                    for r in range(1, out_n + 1)
-                )
-    elif kind == "E_hat":
-        levels = tuple(x[p - 1] for p in i)
-        coords = [x[p - 1] for p in i]
-        rest = [r for r in range(1, N + 2) if r not in i]
-
-        def args(ys, rest=rest, x=x):
-            return tuple(x[r - 1] for r in rest) + tuple(ys)
-    elif kind in ("E_bar+", "E_bar-"):
-        body = tuple(x[p - 1] for p in i)
-        levels = body + (-half,) if kind == "E_bar+" else (half,) + body
-        coords = list(body)
-        rest = [r for r in range(1, N + 1) if r not in i]
-
-        def args(ys, rest=rest, x=x):
-            return tuple(x[r - 1] for r in rest) + tuple(ys)
-    elif kind == "E_check":
-        out_n = N - 1
-        levels = (half,) + tuple(x[p - 1] for p in i) + (-half,)
-        coords = [x[p - 1] for p in i]
-        rest = [r for r in range(1, out_n + 1) if r not in i]
-
-        def args(ys, rest=rest, x=x):
-            return tuple(x[r - 1] for r in rest) + tuple(ys)
-    else:
+    if kind not in _KINDS:
         raise ValueError(f"unknown elementary kind {kind!r}")
-    scalar = 1.0 + 0j
-    if kind in ("e_bar+", "E_bar+"):
-        scalar = cmath.exp(-1j * mu * half)
-    elif kind in ("e_bar-", "E_bar-"):
-        scalar = cmath.exp(1j * mu * half)
-    x_phase = cmath.exp(1j * mu * sum(coords))
+    above, shift, below, fill = _KINDS[kind]
+    half = length / 2
+
+    def end(e):
+        return x[0] if e == "x_1" else x[-1] if e == "x_N+1" else e * half
+
+    top = (end(above),) if above is not None else ()
+    bottom = (end(below),) if below is not None else ()
+    indexed = tuple(x[p - 1 + shift] for p in i)
+    levels = top + indexed + bottom
+    n_y = len(levels) - 1
+    # the slot map, built once: (True, m) takes ys[m], (False, r) takes x[r]
+    if fill == "rest":
+        slots = [(False, r - 1) for r in range(1, len(x) + 1) if r not in i]
+        slots += [(True, m) for m in range(n_y)]
+    else:
+        own = {p: m + (fill == "own,top") for m, p in enumerate(i)}
+        slots = [
+            (True, own[r]) if r in own else (False, r - 1 + shift)
+            for r in range(1, N + (fill == "own"))
+        ]
+        if fill == "own,top":
+            slots.append((True, 0))
+        elif fill == "bottom,own":
+            slots.insert(0, (True, n_y - 1))
+
+    def args(ys):
+        return tuple(ys[k] if from_y else x[k] for from_y, k in slots)
+
+    # the created coordinate first, then the indexed ones
+    created = [end(e) for e in (above, below) if isinstance(e, str)]
+    x_phase = cmath.exp(1j * mu * sum(created + list(indexed)))
+    # one constant end gives exp(+/- i mu L/2); two cancel
+    consts = [e for e in (above, below) if isinstance(e, int)]
+    scalar = cmath.exp(consts[0] * 1j * mu * half) if len(consts) == 1 else 1.0 + 0j
     return _Layout(levels, args, x_phase, mu, scalar)
 
 
@@ -316,51 +301,39 @@ def quad_apply(
     """Value at x of a generator (a, b+, b-, c+, c-, d, A, B, C, D)
     applied to f, via the gamma-weighted sums of elementary quadratures."""
     x = tuple(x)
-    N = f.n
-    if family in ("b+", "b-"):
-        kind = "e_hat+" if family == "b+" else "e_hat-"
-        return sum(
-            gamma**n * quad_elementary(kind, mu, i, f, length, x)
-            for n in range(N + 1)
-            for i in permutations(range(1, N + 1), n)
-        )
     if family == "a":
         return quad_apply("b+", mu, f, gamma, length, (-length / 2,) + x)
     if family == "d":
         return quad_apply("b-", mu, f, gamma, length, x + (length / 2,))
-    if family in ("c+", "c-"):
-        if N == 0:
-            return 0.0 + 0j
-        kind = "e_check+" if family == "c+" else "e_check-"
-        return sum(
-            gamma**n * quad_elementary(kind, mu, i, f, length, x)
-            for n in range(N)
-            for i in permutations(range(1, N), n)
-        )
-    if family in ("A", "B", "C", "D"):
+    N = f.n
+    # family -> its elementary kind, multi-indices, index range, extra
+    # indices over the gamma power n, and scalar; the sum is the scalar
+    # times gamma^n times each elementary term
+    sums = {
+        "b+": ("e_hat+", permutations, N, 0, 1.0),
+        "b-": ("e_hat-", permutations, N, 0, 1.0),
+        "c+": ("e_check+", permutations, N - 1, 0, 1.0),
+        "c-": ("e_check-", permutations, N - 1, 0, 1.0),
+        "A": ("E_bar+", combinations, N, 0, 1.0),
+        "B": ("E_hat", combinations, N + 1, 1, 1.0 / (N + 1)),
+        "C": ("E_check", combinations, N - 1, 0, float(N)),
+        "D": ("E_bar-", combinations, N, 0, 1.0),
+    }
+    if family not in sums:
+        raise ValueError(f"unknown family {family!r}")
+    kind, indices, top, extra, scalar = sums[family]
+    if indices is combinations:
         # the output is symmetric, so evaluate on the decreasing rearrangement
-        xs = tuple(sorted(x, reverse=True))
-        if family in ("A", "D"):
-            kind = "E_bar+" if family == "A" else "E_bar-"
-            return sum(
-                gamma**n * quad_elementary(kind, mu, i, f, length, xs)
-                for n in range(N + 1)
-                for i in combinations(range(1, N + 1), n)
-            )
-        if family == "B":
-            return (1.0 / (N + 1)) * sum(
-                gamma**n * quad_elementary("E_hat", mu, i, f, length, xs)
-                for n in range(N + 1)
-                for i in combinations(range(1, N + 2), n + 1)
-            )
-        if N == 0:
-            return 0.0 + 0j
-        return float(N) * sum(
-            gamma**n * quad_elementary("E_check", mu, i, f, length, xs)
-            for n in range(N)
-            for i in combinations(range(1, N), n)
-        )
-    raise ValueError(f"unknown family {family!r}")
+        x = tuple(sorted(x, reverse=True))
+    # c+/-, C on the vacuum have no index range: the sum is zero
+    return scalar * sum(
+        (
+            gamma**n * quad_elementary(kind, mu, i, f, length, x)
+            for n in range(top - extra + 1)
+            for i in indices(range(1, top + 1), n + extra)
+        ),
+        0j,
+    )
 
 
 def inner_product(

@@ -157,14 +157,10 @@ def _mult(weight):
 
 def _partial_symmetrizer(o: OrbitFunction, sub_n: int) -> OrbitFunction:
     """Average over the permutations of the first sub_n slots."""
-    n = o.n
-    acc = None
-    perms = all_permutations(sub_n)
-    for w in perms:
-        emb = Permutation(tuple(w.images) + tuple(range(sub_n + 1, n + 1)))
-        term = momrep.act_table(emb, o)
-        acc = term if acc is None else momrep.orbit_add(acc, term)
-    return momrep.orbit_scale(1.0 / len(perms), acc)
+    rest = tuple(range(sub_n + 1, o.n + 1))
+    return momrep._average(
+        all_permutations(sub_n), lambda w: momrep.act_table(Permutation(w.images + rest), o)
+    )
 
 
 def _orbit_identities(n: int, gamma: float) -> dict[str, list]:

@@ -8,8 +8,6 @@ operations here.
 >>> w = Permutation((2, 3, 1))
 >>> w(1), w(2), w(3)
 (2, 3, 1)
->>> w.length()
-2
 >>> compose(w, w.inverse())
 Permutation((1, 2, 3))
 """
@@ -26,8 +24,6 @@ __all__ = [
     "simple",
     "transposition",
     "compose",
-    "inversion_set",
-    "length",
     "reduced_word",
     "all_permutations",
     "ENUMERATION_CAP",
@@ -69,9 +65,6 @@ class Permutation:
         for j, wj in enumerate(self.images, start=1):
             inv[wj - 1] = j
         return Permutation(tuple(inv))
-
-    def length(self) -> int:
-        return length(self)
 
     def act_vector(self, x: tuple) -> tuple:
         """Permute the entries of x: (w x)_{w(j)} = x_j, i.e. (w x)_j = x_{w^{-1}(j)}.
@@ -117,26 +110,6 @@ def compose(w: Permutation, v: Permutation) -> Permutation:
     if w.n != v.n:
         raise ValueError("size mismatch")
     return Permutation(tuple(w.images[vj - 1] for vj in v.images))
-
-
-def inversion_set(w: Permutation) -> frozenset[tuple[int, int]]:
-    """All pairs (j,k), j<k, whose order w inverts: w(j) > w(k).
-
-    >>> sorted(inversion_set(Permutation((3, 1, 2))))
-    [(1, 2), (1, 3)]
-    """
-    n = w.n
-    return frozenset(
-        (j, k)
-        for j in range(1, n + 1)
-        for k in range(j + 1, n + 1)
-        if w(j) > w(k)
-    )
-
-
-def length(w: Permutation) -> int:
-    """Number of inversions; equals the minimal reduced-word length."""
-    return len(inversion_set(w))
 
 
 def reduced_word(w: Permutation) -> list[int]:

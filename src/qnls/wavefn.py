@@ -12,6 +12,7 @@ Dunkl eigen-system) and periodicity on the interval [-L/2, L/2].
 from __future__ import annotations
 
 import json
+import random
 from typing import Iterable
 
 from . import alcovefn, exppoly, momrep, ybops
@@ -38,6 +39,10 @@ __all__ = [
 ROUTE_TOL = 1e-9
 # a mismatch dump keeps at most this many terms of each piece
 DUMP_TERMS_PER_PIECE = 2
+# interior points of the Dunkl eigen-system check, and sampled x' of the
+# periodicity check
+DUNKL_SAMPLES = 20
+PERIODICITY_SAMPLES = 10
 
 PRE_ROUTES = ("orbit", "propagation", "creation", "creation_plus")
 BETHE_ROUTES = ("symmetrize", "explicit", "creationB")
@@ -218,7 +223,6 @@ def verify_qnls(
     r: RapiditySet,
     check_dunkl: bool = True,
     samples_per_wall: int = 10,
-    interior_samples: int = 20,
 ) -> dict:
     """Eigenvalue-problem report for F at rapidities r.
 
@@ -265,7 +269,7 @@ def verify_qnls(
     )
 
     if check_dunkl and F.n >= 1:
-        points = alcovefn.sample_interior(F.n, interior_samples, r.length)
+        points = alcovefn.sample_interior(F.n, DUNKL_SAMPLES, r.length)
         gaps = [0.0]
         for j in range(1, F.n + 1):
             applied = alcovefn.dunkl(F, j, r.gamma)
@@ -289,11 +293,10 @@ def verify_qnls(
     }
 
 
-def check_periodicity(
-    F: AlcoveFunction, r: RapiditySet, samples: int = 10
-) -> dict:
+def check_periodicity(F: AlcoveFunction, r: RapiditySet) -> dict:
     """Residuals of F(x', -L/2) = F(L/2, x') and the matching first-
-    derivative condition at sampled ordered x' (needs an on-shell r)."""
+    derivative condition at PERIODICITY_SAMPLES sampled ordered x' (needs
+    an on-shell r)."""
     if not r.on_shell:
         raise ValueError("periodicity check requires an on-shell rapidity set")
     n = F.n
@@ -305,13 +308,10 @@ def check_periodicity(
     piece = F.pieces[fund]
     d_last = exppoly.derivative(piece, n)
     d_first = exppoly.derivative(piece, 1)
-
-    import random
-
     rng = random.Random(alcovefn.DEFAULT_SEED)
     values = [0.0]
     derivatives = [0.0]
-    for _ in range(samples):
+    for _ in range(PERIODICITY_SAMPLES):
         while True:
             inner = sorted(
                 (rng.uniform(-half, half) for _ in range(n - 1)), reverse=True
@@ -334,8 +334,10 @@ def check_periodicity(
     worst = worst_residual([worst_val, worst_der])
     return {
         "checks": [
-            {"check": "value_periodicity", "max_residual": worst_val, "samples": samples},
-            {"check": "derivative_periodicity", "max_residual": worst_der, "samples": samples},
+            {"check": "value_periodicity", "max_residual": worst_val,
+             "samples": PERIODICITY_SAMPLES},
+            {"check": "derivative_periodicity", "max_residual": worst_der,
+             "samples": PERIODICITY_SAMPLES},
         ],
         "max_residual": worst,
         "pass": worst < 1e-8,

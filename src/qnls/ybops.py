@@ -307,30 +307,33 @@ def apply_symmetric(
 # ---------------------------------------------------------------------------
 
 
+def _pin_last(p: ExpPolySum, value: float) -> ExpPolySum:
+    """p with its last slot set to value and dropped."""
+    n = p.n - 1
+    pinned = exppoly.substitute(p, p.n, Bound.const(value))
+    return ExpPolySum(n, tuple(exppoly._truncate(t, n) for t in pinned.terms))
+
+
 def insert_top(G: AlcoveFunction, length: float) -> AlcoveFunction:
     """(x_1..x_{M-1}) -> G(x_1..x_{M-1}, L/2): pin the last slot at the top."""
     M = G.n
-    out_n = M - 1
     pieces = {}
-    for sigma in all_permutations(out_n):
+    for sigma in all_permutations(M - 1):
         ext = Permutation((M, *sigma.images))
-        p = exppoly.substitute(G.pieces[ext], M, Bound.const(length / 2))
-        pieces[sigma] = exppoly.remap(p, {m: m for m in range(1, out_n + 1)}, out_n)
-    return AlcoveFunction(out_n, pieces, continuous=G.continuous)
+        pieces[sigma] = _pin_last(G.pieces[ext], length / 2)
+    return AlcoveFunction(M - 1, pieces, continuous=G.continuous)
 
 
 def insert_bottom(G: AlcoveFunction, length: float) -> AlcoveFunction:
     """(x_1..x_{M-1}) -> G(-L/2, x_1..x_{M-1}): pin the first slot at the bottom."""
     M = G.n
-    out_n = M - 1
+    # slot 1 moves to the end, slot m to m - 1
+    rotate = Permutation((M, *range(1, M)))
     pieces = {}
-    for sigma in all_permutations(out_n):
+    for sigma in all_permutations(M - 1):
         ext = Permutation((*(s + 1 for s in sigma.images), 1))
-        p = exppoly.substitute(G.pieces[ext], 1, Bound.const(-length / 2))
-        pieces[sigma] = exppoly.remap(
-            p, {m + 1: m for m in range(1, out_n + 1)}, out_n
-        )
-    return AlcoveFunction(out_n, pieces, continuous=G.continuous)
+        pieces[sigma] = _pin_last(alcovefn.act_analytic(rotate, G.pieces[ext]), -length / 2)
+    return AlcoveFunction(M - 1, pieces, continuous=G.continuous)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,18 @@ def test_nonfinite_lambda_refused(tmp_path, capsys):
     assert "--lambda" in capsys.readouterr().err
 
 
+def test_infinite_quantum_number_refused(tmp_path, capsys):
+    # round(2 * inf) raises OverflowError, which is no usage error
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--quantum-numbers", "inf,0.5", "--out", str(out)]) == 1
+    assert "error: quantum number inf is not finite" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("quantum-numbers=1e400,0.5\n")
+    assert cli.main(["--config", str(cfg), "eval", "--out", str(out)]) == 1
+    assert "error: quantum number inf is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run_qnls(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """The qnls command in a subprocess, so a command that never returns
     fails its test at the timeout instead of hanging the run."""

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnls import exppoly
+from qnls import alcovefn, exppoly
 from qnls.exppoly import Bound
+from qnls.symgroup import Permutation
 
 
 def _random_sum(rng, n, terms=3):
@@ -151,7 +152,7 @@ def test_dropped_slots_refuse_any_nonzero_wavenumber():
     nan_wave = exppoly.plane_wave((1.0, math.nan))
     assert cmath.isnan(nan_wave.eval((0.5, 0.5)))
     with pytest.raises(ValueError):
-        exppoly.remap(nan_wave, {1: 1}, 1)
+        exppoly._truncate(exppoly.plane_wave((1.0, math.nan, 0.0)).terms[0], 1)
     with pytest.raises(ValueError):
         exppoly._truncate(nan_wave.terms[0], 1)
     with pytest.raises(ValueError):
@@ -160,13 +161,13 @@ def test_dropped_slots_refuse_any_nonzero_wavenumber():
     assert (kept.wavevector, kept.coeffs) == ((1 + 0j,), (((2,), 3 + 0j),))
 
 
-def test_substitute_and_remap_pointwise():
+def test_substitute_and_swap_pointwise():
     rng = random.Random(6)
     f = _random_sum(rng, 2)
     at = exppoly.substitute(f, 1, Bound.const(0.4))
     for x in _points(rng, 2):
         assert abs(at.eval(x) - f.eval((0.4, x[1]))) < 1e-12
-    swapped = exppoly.remap(f, {1: 2, 2: 1}, 2)
+    swapped = alcovefn.act_analytic(Permutation((2, 1)), f)
     for x in _points(rng, 2):
         assert abs(swapped.eval(x) - f.eval((x[1], x[0]))) < 1e-12
 

@@ -1,6 +1,8 @@
 """Quadrature and finite-difference oracles."""
 
 import cmath
+import random
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -156,3 +158,98 @@ def test_integrand_calls_stay_under_the_batch_ceiling(monkeypatch):
     oracle.inner_product(g, g, LENGTH)
     # rows of outer nodes share calls, and no call passes the ceiling
     assert 3 * QUAD_NODES < max(sizes) <= oracle.QUAD_BATCH_POINTS
+
+
+def _reference_layout(kind, mu, i, N, x, length):
+    """The layouts as ten hand-written branches, one per kind: the table
+    in oracle._layout_elementary must reproduce them bit for bit."""
+    k = len(i)
+    half = length / 2
+    if kind == "e_hat-":
+        levels = (x[N],) + tuple(x[p - 1] for p in i)
+        coords = [x[N]] + [x[p - 1] for p in i]
+
+        def args(ys):
+            return tuple(ys[i.index(r)] if r in i else x[r - 1] for r in range(1, N + 1))
+    elif kind == "e_hat+":
+        levels = tuple(x[p] for p in i) + (x[0],)
+        coords = [x[0]] + [x[p] for p in i]
+
+        def args(ys):
+            return tuple(ys[i.index(r)] if r in i else x[r] for r in range(1, N + 1))
+    elif kind in ("e_bar+", "e_bar-"):
+        body = tuple(x[p - 1] for p in i)
+        levels = body + (-half,) if kind == "e_bar+" else (half,) + body
+        coords = list(body)
+
+        def args(ys):
+            return tuple(ys[i.index(r)] if r in i else x[r - 1] for r in range(1, N + 1))
+    elif kind in ("e_check+", "e_check-"):
+        levels = (half,) + tuple(x[p - 1] for p in i) + (-half,)
+        coords = [x[p - 1] for p in i]
+        if kind == "e_check+":
+
+            def args(ys):
+                own = tuple(ys[i.index(r) + 1] if r in i else x[r - 1] for r in range(1, N))
+                return own + (ys[0],)
+        else:
+
+            def args(ys):
+                return (ys[k],) + tuple(ys[i.index(r)] if r in i else x[r - 1] for r in range(1, N))
+    else:
+        out_n = {"E_hat": N + 1, "E_bar+": N, "E_bar-": N, "E_check": N - 1}[kind]
+        body = tuple(x[p - 1] for p in i)
+        levels = {
+            "E_hat": body, "E_bar+": body + (-half,), "E_bar-": (half,) + body,
+            "E_check": (half,) + body + (-half,),
+        }[kind]
+        coords = list(body)
+        rest = [r for r in range(1, out_n + 1) if r not in i]
+
+        def args(ys):
+            return tuple(x[r - 1] for r in rest) + tuple(ys)
+    scalar = 1.0 + 0j
+    if kind in ("e_bar+", "E_bar+"):
+        scalar = cmath.exp(-1j * mu * half)
+    elif kind in ("e_bar-", "E_bar-"):
+        scalar = cmath.exp(1j * mu * half)
+    return levels, args, cmath.exp(1j * mu * sum(coords)), scalar
+
+
+def test_layout_table_matches_the_hand_written_layouts():
+    rng = random.Random(15)
+    mu = 0.37 - 0.05j
+    # kind -> (output minus input particle number, multi-index choice, index range)
+    kinds = {
+        "e_hat+": (1, permutations, 0), "e_hat-": (1, permutations, 0),
+        "e_bar+": (0, permutations, 0), "e_bar-": (0, permutations, 0),
+        "e_check+": (-1, permutations, -1), "e_check-": (-1, permutations, -1),
+        "E_hat": (1, combinations, 1), "E_bar+": (0, combinations, 0),
+        "E_bar-": (0, combinations, 0), "E_check": (-1, combinations, -1),
+    }
+    cases = 0
+    # ten seeded points per (N, kind): a reordered sum shows at some of them
+    for N, kind, _ in product((1, 2, 3), kinds, range(10)):
+        dn, choose, dtop = kinds[kind]
+        x = tuple(rng.uniform(-LENGTH / 2, LENGTH / 2) for _ in range(N + dn))
+        top = N + dtop
+        # E_hat takes at least one index
+        for k in range(kind == "E_hat", top + 1):
+            for i in choose(range(1, top + 1), k):
+                levels, args, x_phase, scalar = _reference_layout(kind, mu, i, N, x, LENGTH)
+                lay = oracle._layout_elementary(kind, mu, i, N, x, LENGTH)
+                ys = tuple(rng.uniform(-LENGTH / 2, LENGTH / 2) for _ in levels[1:])
+                # repr tells every double apart, the sign of a zero too
+                assert repr(lay.levels) == repr(levels), (kind, i)
+                assert repr(lay.args(ys)) == repr(args(ys)), (kind, i)
+                assert repr((lay.x_phase, lay.scalar)) == repr((x_phase, scalar)), (kind, i)
+                cases += 1
+    assert cases == 1680
+
+
+def test_unknown_kind_and_family_refused():
+    f = alcovefn.from_analytic(exppoly.plane_wave((0.5,)))
+    with pytest.raises(ValueError, match="kind"):
+        oracle.quad_elementary("e_tilde+", 0.37, (1,), f, LENGTH, (0.1,))
+    with pytest.raises(ValueError, match="family"):
+        oracle.quad_apply("e", 0.37, f, GAMMA, LENGTH, (0.1,))
