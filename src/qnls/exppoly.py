@@ -66,6 +66,10 @@ _SERIES_XSCALE = 100.0
 # total polynomial degree cap per term; degrees only grow through degenerate
 # limits and repeated reflection integrals, so blowing past this is a bug
 DEGREE_CAP = 8
+# _term checks a term (lengths, DEGREE_CAP) and is used wherever degrees can
+# rise or come from outside; where they come from a checked term and cannot
+# rise (derivative, exact antiderivative, substitution, relabelling,
+# canonicalize), _build only drops zero coefficients and sorts the rest
 
 
 class DegreeCapError(ValueError):
@@ -93,7 +97,7 @@ class Bound:
 @dataclass(frozen=True)
 class ExpPolyTerm:
     """One term p(x) * exp(i <mu, x>); coeffs maps multidegree -> complex.
-    Built by _term, which checks it; nothing checks it on construction."""
+    Built by _term or _build; nothing checks it on construction."""
 
     n: int
     wavevector: tuple[complex, ...]
@@ -112,6 +116,20 @@ def _term(n: int, wavevector, coeffs: Mapping[tuple[int, ...], complex]) -> ExpP
         if sum(deg) > DEGREE_CAP:
             raise DegreeCapError(f"total degree {sum(deg)} exceeds cap {DEGREE_CAP}")
     return ExpPolyTerm(n, wv, items)
+
+
+def _build(n: int, wavevector, coeffs: dict[tuple[int, ...], complex]) -> ExpPolyTerm:
+    """The term on the first n slots: zero coefficients dropped (a NaN is
+    kept), the rest sorted, then the slots past n dropped, which must be
+    unused: an exactly zero wavenumber and no degree."""
+    items = sorted([item for item in coeffs.items() if item[1]])
+    if len(wavevector) > n:
+        unused = (0,) * (len(wavevector) - n)
+        kept = [(d[:n], c) for d, c in items if d[n:] == unused]
+        if any(wavevector[n:]) or len(kept) < len(items):
+            raise ValueError(f"a dropped slot past {n} carries a wavenumber or a monomial")
+        items = kept
+    return ExpPolyTerm(n, tuple(wavevector[:n]), tuple(items))
 
 
 @dataclass(frozen=True)
@@ -291,7 +309,7 @@ def derivative(f: ExpPolySum, j: int) -> ExpPolySum:
             if muj != 0:
                 coeffs[deg] = coeffs.get(deg, 0j) + 1j * muj * c
         if coeffs:
-            out.append(_term(t.n, t.wavevector, coeffs))
+            out.append(_build(t.n, t.wavevector, coeffs))
     return ExpPolySum(f.n, tuple(out))
 
 
@@ -325,7 +343,7 @@ def _exp_antiderivative(t: ExpPolyTerm, j: int) -> ExpPolyTerm:
         work = nxt
         sign = -sign
         power *= inv
-    return _term(t.n, t.wavevector, coeffs)
+    return _build(t.n, t.wavevector, coeffs)
 
 
 def _series_antiderivative(t: ExpPolyTerm, j: int) -> ExpPolyTerm:
@@ -361,8 +379,8 @@ def _antiderivative(t: ExpPolyTerm, j: int) -> ExpPolyTerm:
     return _exp_antiderivative(t, j)
 
 
-def _at_bound(t: ExpPolyTerm, j: int, b: Bound, sign: float = 1.0) -> ExpPolyTerm:
-    """sign * t with x_j := b: the one substitution rule, a single term."""
+def _at_bound(t: ExpPolyTerm, j: int, b: Bound, n: int, sign: float = 1.0) -> ExpPolyTerm:
+    """sign * t with x_j := b on its first n slots: the one substitution rule."""
     muj = t.wavevector[j - 1]
     wv = list(t.wavevector)
     wv[j - 1] = 0j
@@ -386,16 +404,16 @@ def _at_bound(t: ExpPolyTerm, j: int, b: Bound, sign: float = 1.0) -> ExpPolyTer
                 w *= const
             d = deg[: j - 1] + (0,) + deg[j:]
             coeffs[d] = coeffs.get(d, 0j) + c * w * phase
-    return _term(t.n, wv, coeffs)
+    return _build(n, wv, coeffs)
 
 
 def _integrate_term(
-    t: ExpPolyTerm, j: int, lower: Bound, upper: Bound
+    t: ExpPolyTerm, j: int, lower: Bound, upper: Bound, n: int
 ) -> tuple[ExpPolyTerm, ExpPolyTerm]:
-    """The integral of t over x_j as two terms: the antiderivative at the
-    upper bound, and minus it at the lower bound."""
+    """The integral of t over x_j as two terms on the first n slots: the
+    antiderivative at the upper bound, and minus it at the lower bound."""
     anti = _antiderivative(t, j)
-    return _at_bound(anti, j, upper), _at_bound(anti, j, lower, -1.0)
+    return _at_bound(anti, j, upper, n), _at_bound(anti, j, lower, n, -1.0)
 
 
 def integrate(f: ExpPolySum, j: int, lower: Bound, upper: Bound) -> ExpPolySum:
@@ -408,7 +426,7 @@ def integrate(f: ExpPolySum, j: int, lower: Bound, upper: Bound) -> ExpPolySum:
     for b in (lower, upper):
         if b.kind == "coordinate" and b.value == j:
             raise ValueError("bound references the integration variable")
-    terms = tuple(u for t in f.terms for u in _integrate_term(t, j, lower, upper))
+    terms = tuple(u for t in f.terms for u in _integrate_term(t, j, lower, upper, f.n))
     return canonicalize(ExpPolySum(f.n, terms))
 
 
@@ -423,7 +441,7 @@ def substitute(f: ExpPolySum, j: int, b: Bound) -> ExpPolySum:
     """
     if b.kind == "coordinate" and b.value == j:
         raise ValueError("self-substitution")
-    return ExpPolySum(f.n, tuple(_at_bound(t, j, b) for t in f.terms))
+    return ExpPolySum(f.n, tuple(_at_bound(t, j, b, f.n) for t in f.terms))
 
 
 def _linear_power(
@@ -500,17 +518,12 @@ def _embed(
         for s, e in zip(slots, deg):
             d[s - 1] = e
         coeffs[tuple(d)] = a * c
-    return _term(n, wv, coeffs)
+    return _build(n, wv, coeffs)
 
 
 def _truncate(t: ExpPolyTerm, n: int) -> ExpPolyTerm:
-    """t on its first n slots.  The dropped slots must be unused: an
-    exactly zero wavenumber and no degree."""
-    if any(m != 0 for m in t.wavevector[n:]):
-        raise ValueError(f"a dropped slot past {n} carries a wavenumber")
-    if any(any(d[n:]) for d, _ in t.coeffs):
-        raise ValueError(f"a dropped slot past {n} carries a monomial")
-    return ExpPolyTerm(n, t.wavevector[:n], tuple((d[:n], a) for d, a in t.coeffs))
+    """t on its first n slots, which _build checks are the used ones."""
+    return _build(n, t.wavevector, dict(t.coeffs))
 
 
 def canonicalize(f: ExpPolySum) -> ExpPolySum:
@@ -527,20 +540,16 @@ def canonicalize(f: ExpPolySum) -> ExpPolySum:
     >>> canonicalize(f - f).terms
     ()
     """
-    # the cell scales with the largest finite wavevector entry, so that a
-    # non-finite wavevector merges only with an identical one
-    scale_ = max(
-        [1.0]
-        + [a for t in f.terms for m in t.wavevector if (a := abs(m)) < math.inf]
-    )
-    cell = MERGE_TOL * scale_ / 2
+    # each distinct entry is keyed once; the cell scales with the largest
+    # finite entry, so that a non-finite wavevector merges only with an
+    # identical one
+    entries = {m for t in f.terms for m in t.wavevector}
+    cell = MERGE_TOL * max([1.0] + [a for m in entries if (a := abs(m)) < math.inf]) / 2
+    cells = {m: (round(m.real / cell), round(m.imag / cell)) if cmath.isfinite(m) else m for m in entries}
     # cell key -> (the representative's wavevector, its merged coefficients)
     merged: dict[tuple, tuple[tuple[complex, ...], dict[tuple[int, ...], complex]]] = {}
     for t in f.terms:
-        key = tuple(
-            (round(m.real / cell), round(m.imag / cell)) if cmath.isfinite(m) else m
-            for m in t.wavevector
-        )
+        key = tuple(map(cells.__getitem__, t.wavevector))
         rep = merged.get(key)
         if rep is None:
             merged[key] = (t.wavevector, dict(t.coeffs))
@@ -558,7 +567,7 @@ def canonicalize(f: ExpPolySum) -> ExpPolySum:
         # written so that a NaN coefficient is kept, not pruned
         kept = {d: c for d, c in coeffs.items() if not abs(c) <= floor}
         if kept:
-            out.append(_term(f.n, wv, kept))
+            out.append(_build(f.n, wv, kept))
     return ExpPolySum(f.n, tuple(out))
 
 

@@ -216,6 +216,12 @@ def _layout_elementary(
     if kind not in _KINDS:
         raise ValueError(f"unknown elementary kind {kind!r}")
     above, shift, below, fill = _KINDS[kind]
+    # e_hat+/- index the input coordinates, every other kind those of x
+    top = N if kind.startswith("e_hat") else len(x)
+    if len(set(i)) != len(i) or any(not 1 <= p <= top for p in i):
+        raise ValueError(f"multi-index entries must be distinct and in 1..{top}")
+    if kind[0] == "E" and list(i) != sorted(i):
+        raise ValueError("multi-index must be strictly increasing")
     half = length / 2
 
     def end(e):

@@ -15,8 +15,8 @@ correct piece of the operand is known.  Each of its terms becomes one
 integrand term in one step (its slots relabelled onto the coordinates and
 y's, the block's plane wave added, the coefficients scaled by the block's
 weight and boundary scalar); each integration turns a term into one term
-per bound.  The y slots, unused once integrated, are truncated away, and
-every block's terms on an alcove are canonicalized together, once.
+per bound and drops the integrated y slot, by then the last one; every
+block's terms on an alcove are canonicalized together, once.
 
 Also here: the 4x4 R-matrix, the transfer matrix, the quantum determinant,
 and the Q-operator built from Dunkl-type operators.
@@ -151,12 +151,12 @@ def _plan_piece(
         order = sorted(range(len(plan.args)), key=lambda s: argrank[s])
         tau = Permutation(tuple(s + 1 for s in order))
         # the integrand, one term per operand term, integrated innermost y
-        # first; each step builds every term once
+        # first; each step builds every term once and drops its y slot
         level = [exppoly._embed(t, slots, wv, scalar) for t in f.pieces[tau].terms]
         for m in range(n_y, 0, -1):
             lower, upper, _ = combo[m - 1]
-            level = [u for t in level for u in exppoly._integrate_term(t, P + m, lower, upper)]
-        terms += [exppoly._truncate(t, P) for t in level]
+            level = [u for t in level for u in exppoly._integrate_term(t, P + m, lower, upper, P + m - 1)]
+        terms += level
     return terms
 
 
@@ -310,8 +310,7 @@ def apply_symmetric(
 def _pin_last(p: ExpPolySum, value: float) -> ExpPolySum:
     """p with its last slot set to value and dropped."""
     n = p.n - 1
-    pinned = exppoly.substitute(p, p.n, Bound.const(value))
-    return ExpPolySum(n, tuple(exppoly._truncate(t, n) for t in pinned.terms))
+    return ExpPolySum(n, tuple(exppoly._at_bound(t, p.n, Bound.const(value), n) for t in p.terms))
 
 
 def insert_top(G: AlcoveFunction, length: float) -> AlcoveFunction:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnls import alcovefn, exppoly
+from qnls import alcovefn, exppoly, wavefn, ybops
 from qnls.exppoly import Bound
-from qnls.symgroup import Permutation
+from qnls.symgroup import Permutation, all_permutations
 
 
 def _random_sum(rng, n, terms=3):
@@ -123,6 +123,62 @@ def test_integrate_is_the_substituted_antiderivative(branch, bound_kind):
             assert abs(back.eval(x) - f.eval(x)) <= 1e-11 * max(1.0, abs(f.eval(x)))
 
 
+@pytest.mark.parametrize("branch", sorted(_BRANCH_WAVENUMBERS))
+@pytest.mark.parametrize("bound_kind", ["constant", "coordinate"])
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+def test_fused_integration_step_is_the_stepwise_one(branch, bound_kind, dropped):
+    # one step (antiderivative, both bounds, the last `dropped` slots cut)
+    # against _antiderivative, substitute per bound, then _truncate: the
+    # same terms to the bit; the integrated slot is the last one, and any
+    # other dropped slot is unused
+    rng = random.Random(f"fused-{branch}-{bound_kind}-{dropped}")
+    for _ in range(25):
+        n = rng.randint(2, 3) + dropped
+        j = n if dropped else rng.randint(1, n)
+        keep = n - dropped
+        unused = range(keep + 1, n)
+        mu = [0j if k in unused else complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for k in range(1, n + 1)]
+        mu[j - 1] = complex(_BRANCH_WAVENUMBERS[branch](rng))
+        coeffs = {
+            tuple(0 if k in unused else rng.randint(0, 3) for k in range(1, n + 1)): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for _ in range(rng.randint(1, 4))
+        }
+        t = exppoly._term(n, mu, {d: c for d, c in coeffs.items() if sum(d) <= 3})
+        if not t.coeffs:
+            continue
+        if bound_kind == "constant":
+            lower, upper = (Bound.const(rng.uniform(-4, 4)) for _ in range(2))
+        else:
+            others = [k for k in range(1, keep + 1) if k != j]
+            lower, upper = (Bound.coord(k) for k in rng.sample(others * 2, 2))
+        anti = exppoly.ExpPolySum(n, (exppoly._antiderivative(t, j),))
+        want = (
+            exppoly._truncate(exppoly.substitute(anti, j, upper).terms[0], keep),
+            exppoly._truncate(exppoly.scale(-1.0, exppoly.substitute(anti, j, lower)).terms[0], keep),
+        )
+        assert repr(exppoly._integrate_term(t, j, lower, upper, keep)) == repr(want)
+
+
+def test_fused_integration_step_refuses_a_used_dropped_slot():
+    lower, upper = Bound.const(-1.0), Bound.coord(1)
+    # slot 2 carries a wavenumber, then a monomial; slot 3 is integrated
+    for t in (
+        exppoly.plane_wave((0.5, 0.25, 1.0)).terms[0],
+        exppoly.monomial((0, 1, 2), 1.0, (0.5, 0.0, 1.0)).terms[0],
+    ):
+        exppoly._integrate_term(t, 3, lower, upper, 2)
+        with pytest.raises(ValueError, match="dropped slot"):
+            exppoly._integrate_term(t, 3, lower, upper, 1)
+
+
+def test_truncate_drops_zero_coefficients_first():
+    # a zero entry on a dropped slot is dropped, not refused, and does not
+    # overwrite the kept entry of the same truncated degree
+    t = exppoly.ExpPolyTerm(2, (1 + 0j, 0j), (((0, 0), 3 + 0j), ((0, 1), 0j)))
+    kept = exppoly._truncate(t, 1)
+    assert (kept.wavevector, kept.coeffs) == ((1 + 0j,), (((0,), 3 + 0j),))
+
+
 def _gauss_legendre(func, a, b, nodes=60):
     """The nodes-point Gauss-Legendre rule for func over [a, b], and the
     same rule for |func|, the scale its error is measured against."""
@@ -233,6 +289,63 @@ def test_canonicalize_keeps_a_close_pair_split_by_a_cell_edge():
     wave = exppoly.plane_wave((0.5,))
     assert len(exppoly.canonicalize(wave + exppoly.plane_wave((0.5 + 6e-13,))).terms) == 2
     assert len(exppoly.canonicalize(wave + exppoly.plane_wave((0.5 + 2e-13,))).terms) == 1
+
+
+def _canonicalize_keying_every_entry(f):
+    """canonicalize with each wavevector entry keyed where it occurs, not
+    once per distinct entry."""
+    scale = max([1.0] + [a for t in f.terms for m in t.wavevector if (a := abs(m)) < math.inf])
+    cell = exppoly.MERGE_TOL * scale / 2
+    merged = {}
+    for t in f.terms:
+        key = tuple((round(m.real / cell), round(m.imag / cell)) if cmath.isfinite(m) else m for m in t.wavevector)
+        if key not in merged:
+            merged[key] = (t.wavevector, dict(t.coeffs))
+        else:
+            coeffs = merged[key][1]
+            for deg, c in t.coeffs:
+                coeffs[deg] = coeffs.get(deg, 0j) + c
+    magnitudes = [abs(c) for _, coeffs in merged.values() for c in coeffs.values()]
+    floor = exppoly.PRUNE_TOL * max([0.0] + [a for a in magnitudes if a < math.inf])
+    out = []
+    for wv, coeffs in merged.values():
+        kept = {d: c for d, c in coeffs.items() if not abs(c) <= floor}
+        if kept:
+            out.append(exppoly._term(f.n, wv, kept))
+    return exppoly.ExpPolySum(f.n, tuple(out))
+
+
+def _canonicalize_cases():
+    nan, inf = math.nan, math.inf
+    # terms sharing wavenumber objects: relabelled copies, and the block
+    # engine's integrated terms before they are merged
+    f = _random_sum(random.Random(8), 3, terms=4)
+    yield f + alcovefn.act_analytic(Permutation((2, 3, 1)), f) + alcovefn.act_analytic(Permutation((3, 1, 2)), f)
+    psi = wavefn.prewavefunction(wavefn.RapiditySet((0.8, -0.3, 0.45), 1.0, 10.0))
+    for i in ((2,), (3, 1)):
+        plan = ybops._plan("e_bar+", 0.37, i, 3)
+        for sigma in all_permutations(3):
+            yield exppoly.ExpPolySum(3, tuple(ybops._plan_piece(plan, 0.8, psi, sigma, 10.0)))
+    # signed zeros
+    yield exppoly.plane_wave((0.0, 1.0)) + exppoly.plane_wave((-0.0, 1.0)) + exppoly.plane_wave((complex(0.0, -0.0), 1.0))
+    yield exppoly.monomial((1, 0), -0.0, (0.5, -0.0)) + exppoly.monomial((1, 0), 2.0, (0.5, 0.0))
+    # non-finite entries: one NaN object twice, two NaN objects, infinities
+    wave = exppoly.plane_wave((nan, 0.5))
+    yield wave + wave + exppoly.plane_wave((nan, 0.5)) + exppoly.plane_wave((0.7, 0.5))
+    yield exppoly.plane_wave((inf, 0.5)) + exppoly.plane_wave((complex(inf, -0.0), 0.5)) + exppoly.plane_wave((-inf, 3.0))
+    yield exppoly.plane_wave((complex(inf, nan),)) + exppoly.scale(inf, exppoly.plane_wave((0.5,))) + exppoly.plane_wave((0.5,))
+    # the cell-edge pair, a pair inside one cell, and a pair that shares a
+    # cell only at the scale of its largest entry
+    yield exppoly.plane_wave((0.5,)) + exppoly.plane_wave((0.5 + 6e-13,))
+    yield exppoly.plane_wave((0.5,)) + exppoly.plane_wave((0.5 + 2e-13,))
+    yield exppoly.plane_wave((10.0,)) + exppoly.plane_wave((10.0 + 2e-12,))
+
+
+def test_canonicalize_keys_each_distinct_entry_as_every_entry_would_be():
+    cases = list(_canonicalize_cases())
+    assert len(cases) == 21
+    for f in cases:
+        assert repr(exppoly.canonicalize(f)) == repr(_canonicalize_keying_every_entry(f))
 
 
 def test_json_round_trip():

@@ -253,3 +253,24 @@ def test_unknown_kind_and_family_refused():
         oracle.quad_elementary("e_tilde+", 0.37, (1,), f, LENGTH, (0.1,))
     with pytest.raises(ValueError, match="family"):
         oracle.quad_apply("e", 0.37, f, GAMMA, LENGTH, (0.1,))
+
+
+@pytest.mark.parametrize(
+    "kind, i",
+    [
+        ("e_bar+", (0,)),  # unchecked, index 0 reads x[-1], the last coordinate
+        ("e_bar+", (1, 1)),
+        ("e_bar+", (5,)),
+        ("e_hat+", (3,)),  # e_hat+ indexes the two input coordinates
+        ("E_bar+", (2, 1)),
+    ],
+)
+def test_bad_multi_index_refused(kind, i):
+    # the rules ybops applies: distinct entries in 1..top, increasing for
+    # the symmetric kinds
+    f = alcovefn.from_analytic(exppoly.plane_wave((0.5, -0.2)))
+    x = (1.0, -2.0, 0.5) if kind == "e_hat+" else (1.0, -2.0)
+    with pytest.raises(ValueError, match="multi-index"):
+        oracle.quad_elementary(kind, 0.3, i, f, 10.0, x)
+    with pytest.raises(ValueError, match="multi-index"):
+        ybops._plan(kind, 0.3, i, f.n)
