@@ -69,7 +69,10 @@ DEGREE_CAP = 8
 # _term checks a term (lengths, DEGREE_CAP) and is used wherever degrees can
 # rise or come from outside; where they come from a checked term and cannot
 # rise (derivative, exact antiderivative, substitution, relabelling,
-# canonicalize), _build only drops zero coefficients and sorts the rest
+# canonicalize), _build only drops zero coefficients and sorts the rest.
+# _embed, and _integrate_term over a wavenumber of at least SMALL_WAVENUMBER_TOL,
+# take a plane-wave term (one degree-0 monomial) in closed form, with the general
+# path's float operations and _build's checks; every other term takes that path
 
 
 class DegreeCapError(ValueError):
@@ -94,10 +97,11 @@ class Bound:
         return Bound("coordinate", int(k))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExpPolyTerm:
     """One term p(x) * exp(i <mu, x>); coeffs maps multidegree -> complex.
-    Built by _term or _build; nothing checks it on construction."""
+    Built by _term or _build; nothing checks it on construction, and nothing
+    mutates it once built."""
 
     n: int
     wavevector: tuple[complex, ...]
@@ -412,6 +416,24 @@ def _integrate_term(
 ) -> tuple[ExpPolyTerm, ExpPolyTerm]:
     """The integral of t over x_j as two terms on the first n slots: the
     antiderivative at the upper bound, and minus it at the lower bound."""
+    muj = t.wavevector[j - 1]
+    if len(t.coeffs) == 1 and not any(t.coeffs[0][0]) and abs(muj) >= SMALL_WAVENUMBER_TOL:
+        # c e^{i mu_j x_j} integrates to c / (i mu_j) e^{i mu_j x_j}, with
+        # the float operations of _exp_antiderivative and _at_bound
+        a = 0j + (1.0 * (1.0 / (1j * muj))) * t.coeffs[0][1]
+        out = []
+        for b, sign in ((upper, 1.0), (lower, -1.0)):
+            wv = list(t.wavevector)
+            wv[j - 1] = 0j
+            if b.kind == "coordinate":
+                wv[b.value - 1] += muj
+                value = 0j + sign * a
+            else:
+                value = 0j + a * (1.0 + 0j) * (sign * cmath.exp(1j * muj * b.value))
+            if any(wv[n:]):
+                raise ValueError(f"a dropped slot past {n} carries a wavenumber or a monomial")
+            out.append(ExpPolyTerm(n, tuple(wv[:n]), (((0,) * n, value),) if a and value else ()))
+        return tuple(out)
     anti = _antiderivative(t, j)
     return _at_bound(anti, j, upper, n), _at_bound(anti, j, lower, n, -1.0)
 
@@ -512,6 +534,9 @@ def _embed(
         # a zero entry takes m itself: a relabelled term shares the
         # wavenumber objects of t instead of holding fresh copies
         wv[s - 1] = wv[s - 1] + m if wv[s - 1] else m
+    if len(t.coeffs) == 1 and not any(t.coeffs[0][0]):
+        value = t.coeffs[0][1] * c
+        return ExpPolyTerm(n, tuple(wv), (((0,) * n, value),) if value else ())
     coeffs: dict[tuple[int, ...], complex] = {}
     for deg, a in t.coeffs:
         d = [0] * n

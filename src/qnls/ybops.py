@@ -16,7 +16,10 @@ integrand term in one step (its slots relabelled onto the coordinates and
 y's, the block's plane wave added, the coefficients scaled by the block's
 weight and boundary scalar); each integration turns a term into one term
 per bound and drops the integrated y slot, by then the last one; every
-block's terms on an alcove are canonicalized together, once.
+block's terms on an alcove are canonicalized together, once.  Where the
+operand's rapidities are regular and away from mu, every term is a plane
+wave c e^{i mu y}; both steps take it in closed form, its integral being
+c / (i mu) e^{i mu y} at each bound.
 
 Also here: the 4x4 R-matrix, the transfer matrix, the quantum determinant,
 and the Q-operator built from Dunkl-type operators.
@@ -149,10 +152,10 @@ def _plan_piece(
             else:
                 argrank.append(combo[a[1] - 1][2])
         order = sorted(range(len(plan.args)), key=lambda s: argrank[s])
-        tau = Permutation(tuple(s + 1 for s in order))
         # the integrand, one term per operand term, integrated innermost y
         # first; each step builds every term once and drops its y slot
-        level = [exppoly._embed(t, slots, wv, scalar) for t in f.pieces[tau].terms]
+        piece = f._by_order[tuple(s + 1 for s in order)]
+        level = [exppoly._embed(t, slots, wv, scalar) for t in piece.terms]
         for m in range(n_y, 0, -1):
             lower, upper, _ = combo[m - 1]
             level = [u for t in level for u in exppoly._integrate_term(t, P + m, lower, upper, P + m - 1)]

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -123,6 +124,33 @@ def test_integrate_is_the_substituted_antiderivative(branch, bound_kind):
             assert abs(back.eval(x) - f.eval(x)) <= 1e-11 * max(1.0, abs(f.eval(x)))
 
 
+def _stepwise_integral(t, j, lower, upper, keep):
+    """_antiderivative, substitute per bound, then _truncate to keep slots."""
+    anti = exppoly.ExpPolySum(t.n, (exppoly._antiderivative(t, j),))
+    return (
+        exppoly._truncate(exppoly.substitute(anti, j, upper).terms[0], keep),
+        exppoly._truncate(exppoly.scale(-1.0, exppoly.substitute(anti, j, lower)).terms[0], keep),
+    )
+
+
+# plane waves at the edges of integrate's closed form, as (integrated
+# wavenumber, coefficient): at SMALL_WAVENUMBER_TOL and just below it,
+# signed zeros, NaN, infinity, a c / (i mu) that rounds to zero, and one
+# whose value at the bound +4 rounds to zero (e^{-400}) while the one at -4
+# does not
+_PLANE_WAVE_EDGES = [
+    (exppoly.SMALL_WAVENUMBER_TOL, 0.6 - 0.8j),
+    (math.nextafter(exppoly.SMALL_WAVENUMBER_TOL, 0.0), 0.6 - 0.8j),
+    (complex(1.5, -0.0), complex(-0.0, 0.7)),
+    (complex(-1.5, 0.0), complex(0.7, -0.0)),
+    (1.5, -0.7j),
+    (1.5, complex(math.nan, 0.0)),
+    (1.5 + 0.3j, complex(0.0, math.inf)),
+    (2.0, 5e-324),
+    (1 + 100j, 1e-160),
+]
+
+
 @pytest.mark.parametrize("branch", sorted(_BRANCH_WAVENUMBERS))
 @pytest.mark.parametrize("bound_kind", ["constant", "coordinate"])
 @pytest.mark.parametrize("dropped", [0, 1, 2])
@@ -130,7 +158,8 @@ def test_fused_integration_step_is_the_stepwise_one(branch, bound_kind, dropped)
     # one step (antiderivative, both bounds, the last `dropped` slots cut)
     # against _antiderivative, substitute per bound, then _truncate: the
     # same terms to the bit; the integrated slot is the last one, and any
-    # other dropped slot is unused
+    # other dropped slot is unused.  Each random term comes with the plane
+    # wave of its wavevector, which the step integrates in closed form
     rng = random.Random(f"fused-{branch}-{bound_kind}-{dropped}")
     for _ in range(25):
         n = rng.randint(2, 3) + dropped
@@ -144,26 +173,41 @@ def test_fused_integration_step_is_the_stepwise_one(branch, bound_kind, dropped)
             for _ in range(rng.randint(1, 4))
         }
         t = exppoly._term(n, mu, {d: c for d, c in coeffs.items() if sum(d) <= 3})
-        if not t.coeffs:
-            continue
+        wave = exppoly._term(n, mu, {(0,) * n: next(iter(coeffs.values()))})
         if bound_kind == "constant":
             lower, upper = (Bound.const(rng.uniform(-4, 4)) for _ in range(2))
         else:
             others = [k for k in range(1, keep + 1) if k != j]
             lower, upper = (Bound.coord(k) for k in rng.sample(others * 2, 2))
-        anti = exppoly.ExpPolySum(n, (exppoly._antiderivative(t, j),))
-        want = (
-            exppoly._truncate(exppoly.substitute(anti, j, upper).terms[0], keep),
-            exppoly._truncate(exppoly.scale(-1.0, exppoly.substitute(anti, j, lower)).terms[0], keep),
-        )
-        assert repr(exppoly._integrate_term(t, j, lower, upper, keep)) == repr(want)
+        for u in (t, wave) if t.coeffs else (wave,):
+            want = _stepwise_integral(u, j, lower, upper, keep)
+            assert repr(exppoly._integrate_term(u, j, lower, upper, keep)) == repr(want)
+    # the edges, on signed-zero wavenumbers elsewhere; between two of the
+    # constants -4, 0 and +4, or of slot 1 and, past one slot, slot 2.
+    # They are compared with the general step, _antiderivative then
+    # _at_bound per bound: the stepwise path negates after substituting, so
+    # where a part of a coefficient is zero its sign may differ
+    n = 2 + dropped
+    j = n if dropped else 1
+    keep = n - dropped
+    bounds = [Bound.const(b) for b in (-4.0, 0.0, 4.0)] if bound_kind == "constant" else [Bound.coord(keep if dropped else 2), Bound.coord(1)]
+    for muj, c in _PLANE_WAVE_EDGES:
+        mu = [complex(-0.0, -0.0)] * n
+        mu[j - 1] = complex(muj)
+        wave = exppoly._term(n, mu, {(0,) * n: c})
+        for lower, upper in permutations(bounds, 2):
+            anti = exppoly._antiderivative(wave, j)
+            want = exppoly._at_bound(anti, j, upper, keep), exppoly._at_bound(anti, j, lower, keep, -1.0)
+            assert repr(exppoly._integrate_term(wave, j, lower, upper, keep)) == repr(want), (muj, c)
 
 
 def test_fused_integration_step_refuses_a_used_dropped_slot():
     lower, upper = Bound.const(-1.0), Bound.coord(1)
-    # slot 2 carries a wavenumber, then a monomial; slot 3 is integrated
+    # slot 2 carries a wavenumber, a NaN one, then a monomial; slot 3 is
+    # integrated
     for t in (
         exppoly.plane_wave((0.5, 0.25, 1.0)).terms[0],
+        exppoly.plane_wave((0.5, math.nan, 1.0)).terms[0],
         exppoly.monomial((0, 1, 2), 1.0, (0.5, 0.0, 1.0)).terms[0],
     ):
         exppoly._integrate_term(t, 3, lower, upper, 2)
@@ -177,6 +221,42 @@ def test_truncate_drops_zero_coefficients_first():
     t = exppoly.ExpPolyTerm(2, (1 + 0j, 0j), (((0, 0), 3 + 0j), ((0, 1), 0j)))
     kept = exppoly._truncate(t, 1)
     assert (kept.wavevector, kept.coeffs) == ((1 + 0j,), (((0,), 3 + 0j),))
+
+
+def _general_embed(t, slots, wavevector, c):
+    """_embed's general path: every monomial relabelled, then _build."""
+    n = len(wavevector)
+    wv = list(wavevector)
+    for s, m in zip(slots, t.wavevector):
+        wv[s - 1] = wv[s - 1] + m if wv[s - 1] else m
+    coeffs = {}
+    for deg, a in t.coeffs:
+        d = [0] * n
+        for s, e in zip(slots, deg):
+            d[s - 1] = e
+        coeffs[tuple(d)] = a * c
+    return exppoly._build(n, wv, coeffs)
+
+
+def test_embed_of_one_monomial_is_the_general_one():
+    # degree 0 takes the plane-wave step, any other degree the general path;
+    # the coefficients include signed zeros, NaN, infinity and a product
+    # that rounds to zero
+    rng = random.Random("embed")
+    coefficients = [0.6 - 0.8j, complex(-0.0, 0.7), complex(0.7, -0.0), complex(math.nan, 1.0), complex(math.inf, 0.0), 1e-200]
+    scalars = [0.8 - 0.3j, complex(-1.0, 0.0), complex(-0.0, -1.0), 1e-200]
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        ext_n = n + rng.randint(0, 2)
+        slots = rng.sample(range(1, ext_n + 1), n)
+        mu = [complex(rng.uniform(-2, 2), rng.choice([-0.0, 0.0, 0.3])) for _ in range(n)]
+        wavevector = [rng.choice([0j, complex(-0.0, -0.0), complex(rng.uniform(-1, 1), -0.0)]) for _ in range(ext_n)]
+        for deg in ((0,) * n, tuple(rng.randint(0, 2) for _ in range(n))):
+            for a in coefficients:
+                t = exppoly._term(n, mu, {deg: a})
+                for c in scalars:
+                    want = _general_embed(t, slots, wavevector, c)
+                    assert repr(exppoly._embed(t, slots, wavevector, c)) == repr(want), (t, slots, wavevector, c)
 
 
 def _gauss_legendre(func, a, b, nodes=60):

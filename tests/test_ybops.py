@@ -184,9 +184,22 @@ def _alcove_points(sigma, count, length, seed):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_block_engine_matches_the_stepwise_reference(N):
-    r = RapiditySet((0.8, -0.3, 0.45)[:N], GAMMA, LENGTH)
-    inputs = {"e": wavefn.prewavefunction(r), "E": wavefn.bethe_wavefunction(r)}
-    mu, weight = 0.37, 0.8 - 0.3j
+    lam = (0.8, -0.3, 0.45)[:N]
+    r = RapiditySet(lam, GAMMA, LENGTH)
+    # (mu, the input of the e kinds, the input of the E kinds)
+    wave = alcovefn.from_analytic(exppoly.plane_wave(lam))
+    operands = [
+        (0.37, wavefn.prewavefunction(r), wavefn.bethe_wavefunction(r)),
+        # a y wavenumber that cancels, or nearly: the polynomial and the
+        # series branch of integrate
+        (lam[0], wave, wave),
+        (lam[0] + 3e-8, wave, wave),
+    ]
+    if N > 1:
+        # coinciding rapidities: pieces with polynomial prefactors
+        degenerate = wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5, -0.3)[:N], GAMMA, LENGTH))
+        operands.append((0.37, degenerate, degenerate))
+    weight = 0.8 - 0.3j
     # every multi-index: e_hat+/- index the input coordinates, the other
     # kinds the output ones; the symmetric kinds take increasing ones
     cases = []
@@ -196,8 +209,8 @@ def test_block_engine_matches_the_stepwise_reference(N):
     for kind, dn in (("E_hat", 1), ("E_bar+", 0), ("E_bar-", 0), ("E_check", -1)):
         top = N + dn
         cases += [(kind, i) for k in range(dn == 1, top + 1) for i in combinations(range(1, top + 1), k)]
-    for kind, i in cases:
-        f = inputs[kind[0]]
+    for (kind, i), (mu, f_e, f_E) in product(cases, operands):
+        f = f_e if kind[0] == "e" else f_E
         plan = ybops._plan(kind, mu, i, N)
         sigmas = all_permutations(plan.out_n)
         engine = ybops._block_sum([(weight, plan)], f, sigmas, LENGTH)
@@ -207,7 +220,7 @@ def test_block_engine_matches_the_stepwise_reference(N):
             for x in _alcove_points(sigma, 3, LENGTH, seed=N):
                 a, b = want.eval(x), engine[sigma].eval(x)
                 worst, size = max(worst, abs(a - b)), max(size, abs(a))
-        assert worst <= 1e-12 * size, (kind, i, worst, size)
+        assert worst <= 1e-12 * size, (kind, i, mu, worst, size)
 
 
 def test_degree_cap_reached_through_the_block_engine():
