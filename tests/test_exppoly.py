@@ -158,8 +158,8 @@ def test_fused_integration_step_is_the_stepwise_one(branch, bound_kind, dropped)
     # one step (antiderivative, both bounds, the last `dropped` slots cut)
     # against _antiderivative, substitute per bound, then _truncate: the
     # same terms to the bit; the integrated slot is the last one, and any
-    # other dropped slot is unused.  Each random term comes with the plane
-    # wave of its wavevector, which the step integrates in closed form
+    # other dropped slot is unused.  Each random term comes with a plane
+    # wave of its wavevector, which the exact branch integrates in closed form
     rng = random.Random(f"fused-{branch}-{bound_kind}-{dropped}")
     for _ in range(25):
         n = rng.randint(2, 3) + dropped
