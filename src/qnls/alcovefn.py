@@ -223,9 +223,9 @@ def symmetrize(F: AlcoveFunction) -> AlcoveFunction:
     (1/N!) sum_w w F[w^{-1}] is summed; extend_symmetric gives the rest.
     """
     perms = all_permutations(F.n)
-    terms = [t for w in perms for t in act_analytic(w, F.pieces[w.inverse()]).terms]
-    piece = exppoly.scale(1.0 / len(perms), ExpPolySum(F.n, tuple(terms)))
-    return extend_symmetric(exppoly.canonicalize(piece), F.continuous)
+    weight = (1.0 / len(perms),)
+    parts = [(weight, act_analytic(w, F.pieces[w.inverse()])) for w in perms]
+    return extend_symmetric(exppoly.combine(F.n, parts), F.continuous)
 
 
 def _side_orderings(sample: WallSample) -> tuple[Permutation, Permutation]:
@@ -319,10 +319,8 @@ def reflection_integral(f: ExpPolySum, j: int, k: int) -> ExpPolySum:
 
 def deformed_transposition_position(f: ExpPolySum, j: int, gamma: float) -> ExpPolySum:
     """s_{j,gamma} f = s_j f + gamma I_{j,j+1} f on analytic f."""
-    sj = simple(j, f.n)
-    return exppoly.canonicalize(
-        act_analytic(sj, f) + exppoly.scale(gamma, reflection_integral(f, j, j + 1))
-    )
+    parts = [((), act_analytic(simple(j, f.n), f)), ((gamma,), reflection_integral(f, j, j + 1))]
+    return exppoly.combine(f.n, parts)
 
 
 def propagation(f: ExpPolySum, gamma: float) -> AlcoveFunction:

@@ -41,6 +41,7 @@ __all__ = [
     "substitute",
     "pullback",
     "canonicalize",
+    "combine",
     "to_json",
     "from_json",
     "MERGE_TOL",
@@ -68,8 +69,8 @@ _SERIES_XSCALE = 100.0
 DEGREE_CAP = 8
 # _term checks a term (lengths, DEGREE_CAP) and is used wherever degrees can
 # rise or come from outside; where they come from a checked term and cannot
-# rise (derivative, exact antiderivative, substitution, relabelling,
-# canonicalize), _build only drops zero coefficients and sorts the rest.
+# rise (derivative, exact antiderivative, substitution, relabelling),
+# _build only drops zero coefficients and sorts the rest.
 # _embed, and _integrate_term over a wavenumber of at least SMALL_WAVENUMBER_TOL,
 # take a plane-wave term (one degree-0 monomial) in closed form, with the general
 # path's float operations and _build's checks; every other term takes that path
@@ -552,48 +553,72 @@ def _truncate(t: ExpPolyTerm, n: int) -> ExpPolyTerm:
 
 
 def canonicalize(f: ExpPolySum) -> ExpPolySum:
-    """Merge terms whose wavevectors share a cell, prune tiny coefficients.
-
-    A finite entry m is keyed (round(m.real / cell), round(m.imag / cell)),
-    cell = MERGE_TOL * scale / 2 with scale the largest finite |entry| (at
-    least 1); a non-finite entry is keyed as itself.  Terms of one cell,
-    whose entries differ by less than MERGE_TOL * scale, merge into the
-    first, which keeps its wavevector; a close pair split by a cell edge
-    stays two terms.
+    """Merge terms whose wavevectors share a cell, prune tiny coefficients,
+    in one pass over the terms: combine with f as its one part.
 
     >>> f = plane_wave((1.0,))
     >>> canonicalize(f - f).terms
     ()
     """
+    return combine(f.n, [((), f)])
+
+
+def combine(n: int, parts: Iterable[tuple[Iterable[complex], ExpPolySum]]) -> ExpPolySum:
+    """The canonical form of the sum of every f in parts, each part (factors,
+    f) scaled by its factors in turn, made in one merge with no intermediate
+    sum or term: canonicalize(add(scale(c_k, ... scale(c_1, f)), ...)).
+
+    A coefficient a becomes c_k * (... (c_1 * a)) with c = complex(factor),
+    read as it merges; a part with a zero factor adds nothing.  A finite
+    entry m is keyed (round(m.real / cell), round(m.imag / cell)), cell =
+    MERGE_TOL * scale / 2 with scale the largest finite |entry| (at least
+    1); a non-finite entry is keyed as itself.  Terms of one cell, whose
+    entries differ by less than MERGE_TOL * scale, merge into the first,
+    which keeps its wavevector; a close pair split by a cell edge stays two
+    terms.  Monomials below PRUNE_TOL times the largest finite coefficient
+    are dropped.
+    """
+    scaled = []
+    for factors, f in parts:
+        if f.n != n:
+            raise ValueError("dimension mismatch")
+        factors = [complex(c) for c in factors]
+        if all(factors):
+            scaled.append((factors, f.terms))
     # each distinct entry is keyed once; the cell scales with the largest
     # finite entry, so that a non-finite wavevector merges only with an
     # identical one
-    entries = {m for t in f.terms for m in t.wavevector}
+    entries = {m for _, terms in scaled for t in terms for m in t.wavevector}
     cell = MERGE_TOL * max([1.0] + [a for m in entries if (a := abs(m)) < math.inf]) / 2
     cells = {m: (round(m.real / cell), round(m.imag / cell)) if cmath.isfinite(m) else m for m in entries}
     # cell key -> (the representative's wavevector, its merged coefficients)
     merged: dict[tuple, tuple[tuple[complex, ...], dict[tuple[int, ...], complex]]] = {}
-    for t in f.terms:
-        key = tuple(map(cells.__getitem__, t.wavevector))
-        rep = merged.get(key)
-        if rep is None:
-            merged[key] = (t.wavevector, dict(t.coeffs))
-        else:
+    for factors, terms in scaled:
+        for t in terms:
+            key = tuple(map(cells.__getitem__, t.wavevector))
+            rep = merged.get(key)
+            fresh = rep is None
+            if fresh:
+                rep = merged[key] = (t.wavevector, {})
             coeffs = rep[1]
-            for deg, c in t.coeffs:
-                coeffs[deg] = coeffs.get(deg, 0j) + c
-    out: list[ExpPolyTerm] = []
+            for deg, a in t.coeffs:
+                for c in factors:
+                    a = c * a
+                # a cell's first term keeps its coefficients as they are,
+                # where 0j + a would turn a -0.0 part of a into 0.0
+                coeffs[deg] = a if fresh else coeffs.get(deg, 0j) + a
     # the floor scales with the largest finite coefficient, so that an
     # infinite one does not prune everything
     magnitudes = [abs(c) for _, coeffs in merged.values() for c in coeffs.values()]
-    biggest = max([0.0] + [a for a in magnitudes if a < math.inf])
-    floor = PRUNE_TOL * biggest
+    floor = PRUNE_TOL * max([0.0] + [a for a in magnitudes if a < math.inf])
+    out = []
     for wv, coeffs in merged.values():
-        # written so that a NaN coefficient is kept, not pruned
-        kept = {d: c for d, c in coeffs.items() if not abs(c) <= floor}
+        # written so that a NaN coefficient is kept, not pruned; a zero is pruned
+        kept = [item for item in coeffs.items() if not abs(item[1]) <= floor]
         if kept:
-            out.append(_build(f.n, wv, kept))
-    return ExpPolySum(f.n, tuple(out))
+            kept.sort()
+            out.append(ExpPolyTerm(n, wv, tuple(kept)))
+    return ExpPolySum(n, tuple(out))
 
 
 def to_json(f: ExpPolySum) -> dict:

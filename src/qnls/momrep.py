@@ -12,13 +12,14 @@ symmetrizers are built from that single rule.
 
 Table entries are kept canonical: tables are summed only by orbit_add
 (both symmetrizers included), and each entry of a deformed transposition
-is canonicalized as it is made: wavevectors sharing a cell of side
-MERGE_TOL / 2, scaled by the largest wavenumber, merge, and monomials
-below PRUNE_TOL relative to the entry's own largest coefficient are
-dropped (see exppoly.canonicalize).  So an entry of a deformed word
-applied to a regular orbit holds no more terms than there are orbit
-points, N!, however long the word, unless round-off puts two copies of
-one wavevector on two sides of a cell edge.
+is made in one pass by exppoly.combine, which scales the entries it is
+built from as it merges them, with no intermediate sum: wavevectors
+sharing a cell of side MERGE_TOL / 2, scaled by the largest wavenumber,
+merge, and monomials below PRUNE_TOL relative to the entry's own largest
+coefficient are dropped.  So an entry of a deformed word applied to a
+regular orbit holds no more terms than there are orbit points, N!,
+however long the word, unless round-off puts two copies of one
+wavevector on two sides of a cell edge.
 
 Deformed words are evaluated entry by entry, with one rule for one entry
 of s_{j,gamma} o.  Entry sigma after a step needs only the entries sigma
@@ -103,13 +104,13 @@ def orbit_planewave(lam: tuple[complex, ...]) -> OrbitFunction:
 
 
 def orbit_add(o1: OrbitFunction, o2: OrbitFunction) -> OrbitFunction:
-    """Entrywise sum, each entry canonicalized: wavevectors in one cell of
-    side MERGE_TOL * scale / 2 merge (scale: the largest finite wavenumber,
-    at least 1) and monomials below PRUNE_TOL relative to the entry's own
-    largest coefficient are dropped."""
+    """Entrywise sum, each entry merged in one pass by exppoly.combine:
+    wavevectors in one cell of side MERGE_TOL * scale / 2 merge (scale: the
+    largest finite wavenumber, at least 1) and monomials below PRUNE_TOL
+    relative to the entry's own largest coefficient are dropped."""
     return OrbitFunction(
         o1.lam,
-        {s: exppoly.canonicalize(o1.entries[s] + o2.entries[s]) for s in o1.entries},
+        {s: exppoly.combine(p.n, [((), p), ((), o2.entries[s])]) for s, p in o1.entries.items()},
     )
 
 
@@ -129,21 +130,14 @@ def divided_difference(o: OrbitFunction, j: int, k: int) -> OrbitFunction:
     """Delta_jk: entries'[sigma] = (f(sigma lam) - f(s_jk sigma lam)) /
     ((sigma lam)_j - (sigma lam)_k)."""
     sjk = transposition(j, k, o.n)
+    gaps = {sigma: o.point(sigma)[j - 1] - o.point(sigma)[k - 1] for sigma in o.entries}
     return OrbitFunction(
         o.lam,
         {
-            sigma: _divided_entry(o.point(sigma), j, k, val, o.entries[compose(sjk, sigma)])
+            sigma: exppoly.scale(1.0 / gaps[sigma], val - o.entries[compose(sjk, sigma)])
             for sigma, val in o.entries.items()
         },
     )
-
-
-def _divided_entry(
-    point: tuple[complex, ...], j: int, k: int, here: ExpPolySum, swapped: ExpPolySum
-) -> ExpPolySum:
-    """Entry of Delta_jk o at the orbit point sigma lambda = point, from
-    here = o[sigma] and swapped = o[s_jk sigma]."""
-    return exppoly.scale(1.0 / (point[j - 1] - point[k - 1]), here - swapped)
 
 
 def _deformed_entry(
@@ -151,39 +145,35 @@ def _deformed_entry(
 ) -> ExpPolySum:
     """Entry of s_{j,gamma} o = s_j o - i gamma Delta_{j,j+1} o at the orbit
     point sigma lambda = point, from here = o[sigma] and swapped =
-    o[s_j sigma], canonicalized."""
-    return exppoly.canonicalize(
-        swapped + exppoly.scale(-1j * gamma, _divided_entry(point, j, j + 1, here, swapped))
-    )
+    o[s_j sigma], in one merge: swapped + (-i gamma / d) (here - swapped)
+    with d = point_j - point_{j+1}, each factor applied as scale would."""
+    factors = (1.0 / (point[j - 1] - point[j]), -1j * gamma)
+    return exppoly.combine(here.n, [((), swapped), (factors, here), ((-1.0, *factors), swapped)])
 
 
 def _deformed_word(
-    o: OrbitFunction, w: Permutation, gamma: float
-) -> Callable[[Permutation], ExpPolySum]:
-    """Entries of w_gamma o on demand.
+    o: OrbitFunction, w: Permutation, gamma: float, sigmas
+) -> Mapping[Permutation, ExpPolySum]:
+    """A table of w_gamma o that holds at least the entries sigmas.
 
-    Entry rho after step k of the word needs only the entries rho and
-    s_j rho after step k - 1, so asking for one entry computes only the
-    entries it depends on; each (step, entry) pair is computed once.
+    Entry rho after a step s_j needs only the entries rho and s_j rho
+    before it, so the entries each step needs are found from the last step
+    back, then made from the first step on: each (step, entry) pair that
+    sigmas depend on is computed once, and two steps' tables are held at
+    a time.
     """
     word = reduced_word(w)
-    memo: dict[tuple[int, Permutation], ExpPolySum] = {}
-
-    def entry(k: int, rho: Permutation) -> ExpPolySum:
-        # entry rho after the last k letters of the word (applied right to left)
-        if k == 0:
-            return o.entries[rho]
-        value = memo.get((k, rho))
-        if value is None:
-            j = word[len(word) - k]
-            value = _deformed_entry(
-                o.point(rho), j, gamma, entry(k - 1, rho),
-                entry(k - 1, compose(simple(j, o.n), rho)),
-            )
-            memo[k, rho] = value
-        return value
-
-    return lambda sigma: entry(len(word), sigma)
+    # needed[i]: the entries wanted once the letters word[i:] have acted
+    # (the word acts right to left, word[-1] first)
+    needed = [dict.fromkeys(sigmas)]
+    for j in word:
+        sj = simple(j, o.n)
+        needed.append(dict.fromkeys(r for rho in needed[-1] for r in (rho, compose(sj, rho))))
+    table = o.entries
+    for j, rhos in zip(reversed(word), reversed(needed[:-1])):
+        sj = simple(j, o.n)
+        table = {rho: _deformed_entry(o.point(rho), j, gamma, table[rho], table[compose(sj, rho)]) for rho in rhos}
+    return table
 
 
 def deformed_transposition_momentum(
@@ -196,8 +186,8 @@ def deformed_transposition_momentum(
 def apply_deformed_word(o: OrbitFunction, w: Permutation, gamma: float) -> OrbitFunction:
     """w_gamma: the product of deformed transpositions along a reduced word
     of w (well-defined independently of the word chosen)."""
-    entry = _deformed_word(o, w, gamma)
-    return OrbitFunction(o.lam, {s: entry(s) for s in o.entries})
+    table = _deformed_word(o, w, gamma, o.entries)
+    return OrbitFunction(o.lam, {s: table[s] for s in o.entries})
 
 
 def deformed_word_entry(
@@ -205,7 +195,7 @@ def deformed_word_entry(
 ) -> ExpPolySum:
     """Entry sigma of w_gamma o, computing only the entries it depends on
     (equal to apply_deformed_word(o, w, gamma).entries[sigma])."""
-    return _deformed_word(o, w, gamma)(sigma)
+    return _deformed_word(o, w, gamma, [sigma])[sigma]
 
 
 def _average(perms, term: Callable[[Permutation], OrbitFunction]) -> OrbitFunction:

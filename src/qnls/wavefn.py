@@ -142,17 +142,10 @@ def bethe_wavefunction(r: RapiditySet, route: str = "symmetrize") -> AlcoveFunct
     if route == "symmetrize":
         return alcovefn.symmetrize(prewavefunction(r, "orbit"))
     if route == "explicit":
-        n = r.n
-        acc = exppoly.zero(n)
-        for w in all_permutations(n):
-            wl = w.act_vector(r.lam)
-            acc = acc + exppoly.scale(
-                momrep.coeff_G(wl, r.gamma), exppoly.plane_wave(wl)
-            )
-        piece = exppoly.canonicalize(
-            exppoly.scale(1.0 / len(all_permutations(n)), acc)
-        )
-        return alcovefn.extend_symmetric(piece, continuous=True)
+        perms = all_permutations(r.n)
+        waves = [w.act_vector(r.lam) for w in perms]
+        parts = [((momrep.coeff_G(wl, r.gamma), 1.0 / len(perms)), exppoly.plane_wave(wl)) for wl in waves]
+        return alcovefn.extend_symmetric(exppoly.combine(r.n, parts), continuous=True)
     if route == "creationB":
         F = alcovefn.from_analytic(exppoly.constant(1.0, 0))
         for mu in r.lam:
@@ -237,10 +230,8 @@ def verify_qnls(
     norms = []
     scale = 1.0
     for piece in F.pieces.values():
-        lap = exppoly.zero(F.n)
-        for j in range(1, F.n + 1):
-            lap = lap + exppoly.derivative(exppoly.derivative(piece, j), j)
-        residual = exppoly.canonicalize(lap + exppoly.scale(energy, piece))
+        lap = [((), exppoly.derivative(exppoly.derivative(piece, j), j)) for j in range(1, F.n + 1)]
+        residual = exppoly.combine(F.n, lap + [((energy,), piece)])
         norms.append(_coeff_norm(residual))
         scale = max(scale, _coeff_norm(piece) * max(abs(energy), 1.0))
     checks.append(

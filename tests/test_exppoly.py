@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnls import alcovefn, exppoly, wavefn, ybops
+from qnls import alcovefn, exppoly, momrep, wavefn, ybops
 from qnls.exppoly import Bound
-from qnls.symgroup import Permutation, all_permutations
+from qnls.symgroup import Permutation, all_permutations, compose, identity, reduced_word, simple
 
 
 def _random_sum(rng, n, terms=3):
@@ -426,6 +426,182 @@ def test_canonicalize_keys_each_distinct_entry_as_every_entry_would_be():
     assert len(cases) == 21
     for f in cases:
         assert repr(exppoly.canonicalize(f)) == repr(_canonicalize_keying_every_entry(f))
+
+
+def _scale_add_canonicalize(n, parts):
+    """combine's meaning, step by step: each part through scale, factor by
+    factor, the parts added in order, then the test-local canonicalize."""
+    total = exppoly.zero(n)
+    for factors, f in parts:
+        for c in factors:
+            f = exppoly.scale(c, f)
+        total = exppoly.add(total, f)
+    return _canonicalize_keying_every_entry(total)
+
+
+def _combine_cases():
+    nan, inf = math.nan, math.inf
+    wave = exppoly.plane_wave((0.5, -0.0))
+    signed = exppoly.monomial((1, 0), complex(-0.0, 2.0), (0.5, 0.0)) + exppoly.monomial(
+        (0, 0), complex(3.0, -0.0), (complex(-0.0, 0.0), 1.0))
+    nonfinite = (
+        exppoly.monomial((0, 0), complex(inf, 0.0), (0.5, 1.0))
+        + exppoly.monomial((0, 1), complex(nan, 1.0), (1.5, -0.0))
+        + exppoly.monomial((0, 0), complex(-inf, -0.0), (0.5, 1.0))
+    )
+    # -1.0 as a factor is complex(-1.0) * a, which is not -a on signed zeros
+    # and infinities
+    yield 2, [((-1.0,), signed), ((-1.0, -1.0), nonfinite), ((), wave), ((-1.0,), wave)]
+    yield 2, [((), signed), ((-1.0, 0.5j), signed), ((2.0, -1.0), nonfinite)]
+    # a cell's first term keeps the signed zeros of its coefficients
+    yield 2, [((), signed), ((-1.0,), wave)]
+    # a zero factor anywhere in the chain drops the part, wavenumbers and all:
+    # 1e3 would widen the cells until the cell-edge pair merged
+    edge = [((), exppoly.plane_wave((0.5,))), ((), exppoly.plane_wave((0.5 + 6e-13,)))]
+    yield 1, edge
+    for zero in [(0.0,), (2.0, 0j), (-0.0,), (0j, nan), (nan, complex(-0.0, 0.0))]:
+        yield 1, edge[:1] + [(zero, exppoly.plane_wave((1e3,)))] + edge[1:]
+    # infinite and NaN factors and coefficients
+    yield 2, [((inf,), wave), ((nan,), signed), ((complex(inf, -0.0), -1.0), signed), ((), nonfinite)]
+    yield 2, [((), nonfinite), ((-1.0,), nonfinite), ((nan, 0.0), wave)]
+    # empty parts, and a term with no coefficients that stands for its cell
+    yield 2, []
+    yield 2, [((), exppoly.zero(2)), ((3.0,), exppoly.zero(2))]
+    bare = exppoly.ExpPolySum(1, (exppoly.ExpPolyTerm(1, (0.5 + 0j,), ()),))
+    yield 1, [((), bare), ((-1.0,), exppoly.plane_wave((0.5 + 2e-13,))), ((), exppoly.zero(1))]
+    # parts that share wavenumber objects or cells, the cell-edge pair among them
+    for f in _canonicalize_cases():
+        yield f.n, [((), f), ((-1.0,), f)]
+        yield f.n, [((0.5, 2j), f), ((), f), ((-1.0, 1.0 / 3.0), f)]
+
+
+def test_combine_is_the_scale_add_canonicalize_chain():
+    cases = list(_combine_cases())
+    assert len(cases) == 56
+    for n, parts in cases:
+        want = repr(_scale_add_canonicalize(n, parts))
+        assert repr(exppoly.combine(n, parts)) == want
+    f = _random_sum(random.Random(9), 2)
+    assert repr(exppoly.canonicalize(f)) == repr(_scale_add_canonicalize(2, [((), f)]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        exppoly.combine(2, [((), f), ((0.0,), exppoly.plane_wave((1.0,)))])
+
+
+def _old_canonical_sum(*fs):
+    total = exppoly.zero(fs[0].n)
+    for f in fs:
+        total = exppoly.add(total, f)
+    return _canonicalize_keying_every_entry(total)
+
+
+def _old_deformed_entry(point, j, gamma, here, swapped):
+    divided = exppoly.scale(1.0 / (point[j - 1] - point[j]), exppoly.add(here, exppoly.scale(-1.0, swapped)))
+    return _old_canonical_sum(swapped, exppoly.scale(-1j * gamma, divided))
+
+
+def _old_apply_deformed_word(o, w, gamma):
+    word = reduced_word(w)
+    memo = {}
+
+    def entry(k, rho):
+        # entry rho after the last k letters of the word
+        if k == 0:
+            return o.entries[rho]
+        if (k, rho) not in memo:
+            j = word[len(word) - k]
+            memo[k, rho] = _old_deformed_entry(
+                o.point(rho), j, gamma, entry(k - 1, rho), entry(k - 1, compose(simple(j, o.n), rho)))
+        return memo[k, rho]
+
+    return momrep.OrbitFunction(o.lam, {s: entry(len(word), s) for s in o.entries})
+
+
+def _old_orbit_add(o1, o2):
+    return momrep.OrbitFunction(o1.lam, {s: _old_canonical_sum(o1.entries[s], o2.entries[s]) for s in o1.entries})
+
+
+def _old_deformed_transposition_position(f, j, gamma):
+    reflected = exppoly.scale(gamma, alcovefn.reflection_integral(f, j, j + 1))
+    return _old_canonical_sum(alcovefn.act_analytic(simple(j, f.n), f), reflected)
+
+
+def _old_symmetrize(F):
+    perms = all_permutations(F.n)
+    terms = [t for w in perms for t in alcovefn.act_analytic(w, F.pieces[w.inverse()]).terms]
+    piece = exppoly.scale(1.0 / len(perms), exppoly.ExpPolySum(F.n, tuple(terms)))
+    return alcovefn.extend_symmetric(_old_canonical_sum(piece), F.continuous)
+
+
+def _old_explicit(r):
+    acc = exppoly.zero(r.n)
+    for w in all_permutations(r.n):
+        wl = w.act_vector(r.lam)
+        acc = acc + exppoly.scale(momrep.coeff_G(wl, r.gamma), exppoly.plane_wave(wl))
+    piece = _old_canonical_sum(exppoly.scale(1.0 / len(all_permutations(r.n)), acc))
+    return alcovefn.extend_symmetric(piece, continuous=True)
+
+
+def _old_laplace_norms(F, r):
+    energy = sum(v * v for v in r.lam)
+    norms = []
+    for piece in F.pieces.values():
+        lap = exppoly.zero(F.n)
+        for j in range(1, F.n + 1):
+            lap = lap + exppoly.derivative(exppoly.derivative(piece, j), j)
+        residual = _old_canonical_sum(lap + exppoly.scale(energy, piece))
+        norms += [wavefn._coeff_norm(residual), wavefn._coeff_norm(piece)]
+    return norms
+
+
+def _complex_lam(rng, n):
+    return tuple(complex(rng.uniform(-1.6, 1.6), rng.uniform(-0.3, 0.3)) + 0.5 * k for k in range(n))
+
+
+def _tables(o, words):
+    """The deformed-word table of o at each (gamma, w) of words, then its
+    gamma-symmetrizer at 1.3 and its symmetrizer."""
+    tables = [momrep.apply_deformed_word(o, w, gamma) for gamma, w in words]
+    tables += [momrep.gamma_symmetrizer(o, 1.3), momrep.symmetrizer(o)]
+    return [dict(sorted(t.entries.items(), key=lambda kv: kv[0].images)) for t in tables]
+
+
+def test_rerouted_sites_are_their_scale_add_canonicalize_chains(monkeypatch):
+    rng = random.Random(19)
+    # deformed words over S_3 and S_4, one entry of each, and the
+    # symmetrizers that orbit_add sums
+    for n in (3, 4):
+        o = momrep.orbit_planewave(_complex_lam(rng, n))
+        words = [(gamma, w) for gamma in (-0.7, 0.0, 1.3) for w in all_permutations(n)]
+        new = _tables(o, words)
+        with monkeypatch.context() as m:
+            m.setattr(momrep, "apply_deformed_word", _old_apply_deformed_word)
+            m.setattr(momrep, "orbit_add", _old_orbit_add)
+            old = _tables(o, words)
+        assert repr(new) == repr(old)
+        for (gamma, w), table in zip(words, old):
+            assert repr(momrep.deformed_word_entry(o, w, gamma, identity(n))) == repr(table[identity(n)])
+    # propagation, symmetrize, the explicit route and the Laplacian norms
+    cases = [_complex_lam(rng, 3), _complex_lam(rng, 4), (0.5, 0.5, -0.3), (0.5, 0.5, -0.3, 0.2), (1.0, 1j)]
+    for lam, gamma in [(lam, gamma) for lam in cases for gamma in (1.3, 0.0)]:
+        psi = alcovefn.propagation(exppoly.plane_wave(lam), gamma)
+        with monkeypatch.context() as m:
+            m.setattr(alcovefn, "deformed_transposition_position", _old_deformed_transposition_position)
+            old = alcovefn.propagation(exppoly.plane_wave(lam), gamma)
+        assert repr(psi) == repr(old)
+        assert repr(alcovefn.symmetrize(psi)) == repr(_old_symmetrize(psi))
+        r = wavefn.RapiditySet(lam, gamma, 10.0)
+        norms = []
+
+        def recorded(f, coeff_norm=wavefn._coeff_norm):
+            norms.append(coeff_norm(f))
+            return norms[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(wavefn, "_coeff_norm", recorded)
+            wavefn.verify_qnls(psi, r, check_dunkl=False, samples_per_wall=1)
+        assert repr(norms) == repr(_old_laplace_norms(psi, r))
+        if r.is_regular():
+            assert repr(wavefn.bethe_wavefunction(r, "explicit")) == repr(_old_explicit(r))
 
 
 def test_json_round_trip():
