@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exppoly
 from .exppoly import Bound, ExpPolySum
-from .symgroup import Permutation, all_permutations, compose, identity, reduced_word, simple, transposition
+from .symgroup import Permutation, all_permutations, compose, reduced_word, simple, transposition
 
 __all__ = [
     "AlcoveFunction",
@@ -326,22 +326,18 @@ def deformed_transposition_position(f: ExpPolySum, j: int, gamma: float) -> ExpP
 def propagation(f: ExpPolySum, gamma: float) -> AlcoveFunction:
     """Propagation operator P_gamma: piece on w^{-1} R^N_+ is w^{-1} w_gamma f.
 
-    w_gamma f is built once per w over the weak order: with [i_1, ...] the
+    w_gamma f is built once per w, shorter words first: with [i_1, ...] the
     reduced word of w, w_gamma f = s_{i_1,gamma}(w'_gamma f) where
     w' = s_{i_1} w, whose reduced word is the tail [i_2, ...].
     """
     n = f.n
-    deformed = {identity(n): f}
-
-    def word_image(w: Permutation) -> ExpPolySum:
-        if w not in deformed:
-            i = reduced_word(w)[0]
-            tail = word_image(compose(simple(i, n), w))
-            deformed[w] = deformed_transposition_position(tail, i, gamma)
-        return deformed[w]
-
+    words = {w: reduced_word(w) for w in all_permutations(n)}
+    deformed = {}
+    for w in sorted(words, key=lambda w: len(words[w])):
+        word = words[w]
+        deformed[w] = deformed_transposition_position(deformed[compose(simple(word[0], n), w)], word[0], gamma) if word else f
     pieces = {
-        sigma: act_analytic(sigma, word_image(sigma.inverse()))
+        sigma: act_analytic(sigma, deformed[sigma.inverse()])
         for sigma in all_permutations(n)
     }
     return AlcoveFunction(n, pieces, continuous=True)

@@ -65,8 +65,8 @@ def prewavefunction(r: RapiditySet, route: str = "propagation") -> AlcoveFunctio
     orbit: the piece on the alcove labeled sigma (that is w^{-1} R^N_+
     with w = sigma^{-1}) is w_gamma^{-1} w e^{i lam}, computed in the
     momentum-space representation on the orbit of lam.  Only the identity
-    entry of each deformed word is kept, so only the entries it depends on
-    are computed (momrep.deformed_word_entry).
+    entry of each deformed word is kept; the N! relabelled tables run
+    their words together (momrep.deformed_word_entries).
     propagation: apply the propagation operator to the plane wave; each
     deformed word is one deformed transposition on a shorter one.
     creation: fold b^-_{lam_N} ... b^-_{lam_1} onto the vacuum;
@@ -76,14 +76,11 @@ def prewavefunction(r: RapiditySet, route: str = "propagation") -> AlcoveFunctio
     if route == "propagation":
         return alcovefn.propagation(exppoly.plane_wave(r.lam), r.gamma)
     if route == "orbit":
-        base = momrep.orbit_planewave(r.lam)
-        pieces = {
-            sigma: momrep.deformed_word_entry(
-                momrep.act_table(sigma.inverse(), base), sigma, r.gamma, identity(r.n)
-            )
-            for sigma in all_permutations(r.n)
-        }
-        return AlcoveFunction(r.n, pieces, continuous=True)
+        perms = all_permutations(r.n)
+        pieces = momrep.deformed_word_entries(
+            momrep.orbit_planewave(r.lam), [(sigma.inverse(), sigma) for sigma in perms], r.gamma, identity(r.n)
+        )
+        return AlcoveFunction(r.n, dict(zip(perms, pieces)), continuous=True)
     if route in ("creation", "creation_plus"):
         f = alcovefn.from_analytic(exppoly.constant(1.0, 0))
         order = r.lam if route == "creation" else tuple(reversed(r.lam))

@@ -1,11 +1,13 @@
 """Momentum-representation orbit tables and scalar factors."""
 
+import gc
 import random
 
 import pytest
 
-from qnls import momrep
-from qnls.symgroup import all_permutations, compose, transposition
+from qnls import alcovefn, exppoly, momrep, wavefn
+from qnls.bae import RapiditySet
+from qnls.symgroup import all_permutations, compose, identity, reduced_word, simple, transposition
 
 LAM3 = (0.9, -0.2, 1.4)
 
@@ -110,3 +112,144 @@ def test_deformed_word_entry_equals_the_full_table():
         for sigma in all_permutations(3):
             entry = momrep.deformed_word_entry(base, w, 1.3, sigma)
             assert entry.terms == table.entries[sigma].terms
+
+
+# --- deformed words on arrays, against the merge they repeat -------------
+#
+# The reference applies each letter entry by entry with one exppoly.combine
+# per entry, the rule deformed words followed before they ran on arrays;
+# every comparison is by repr, so it holds to the bit and the sign of zero.
+
+
+def _reference_entry(point, j, gamma, here, swapped):
+    factors = (1.0 / (point[j - 1] - point[j]), -1j * gamma)
+    return exppoly.combine(here.n, [((), swapped), (factors, here), ((-1.0, *factors), swapped)])
+
+
+def _reference_word(o, w, gamma):
+    table = dict(o.entries)
+    for j in reversed(reduced_word(w)):
+        sj = simple(j, o.n)
+        table = {
+            rho: _reference_entry(o.point(rho), j, gamma, table[rho], table[compose(sj, rho)])
+            for rho in o.entries
+        }
+    return table
+
+
+def _seeded_orbit(n, seed):
+    rng = random.Random(seed)
+    return momrep.orbit_planewave(
+        tuple(complex(v + rng.uniform(-0.1, 0.1), rng.uniform(-0.3, 0.3)) for v in (-1.2, 1.4, -0.3, 0.5)[:n])
+    )
+
+
+def _assert_words_match(o, gamma, words=None):
+    for w in words or all_permutations(o.n):
+        want = _reference_word(o, w, gamma)
+        got = momrep.apply_deformed_word(o, w, gamma)
+        assert repr(got.entries) == repr({s: want[s] for s in o.entries})
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("gamma", (-0.7, 0.0, 1.3))
+def test_deformed_words_repeat_the_merge_bit_for_bit(n, gamma):
+    o = _seeded_orbit(n, 10 * n)
+    for w in all_permutations(n):
+        want = _reference_word(o, w, gamma)
+        assert repr(momrep.apply_deformed_word(o, w, gamma).entries) == repr(want)
+        for sigma in all_permutations(n):
+            assert repr(momrep.deformed_word_entry(o, w, gamma, sigma)) == repr(want[sigma])
+
+
+def test_gamma_symmetrizer_repeats_the_merge_bit_for_bit():
+    o = _seeded_orbit(3, 5)
+    want = momrep._average(
+        all_permutations(3), lambda w: momrep.OrbitFunction(o.lam, _reference_word(o, w, 0.8))
+    )
+    assert repr(momrep.gamma_symmetrizer(o, 0.8)) == repr(want)
+
+
+@pytest.mark.parametrize("gamma", (-0.7, 1.3))
+def test_orbit_route_repeats_the_merge_bit_for_bit(gamma):
+    r = RapiditySet(_seeded_orbit(3, 9).lam, gamma, 10.0)
+    base = momrep.orbit_planewave(r.lam)
+    pieces = wavefn.prewavefunction(r, "orbit").pieces
+    for sigma in all_permutations(3):
+        want = _reference_word(momrep.act_table(sigma.inverse(), base), sigma, gamma)[identity(3)]
+        assert repr(pieces[sigma]) == repr(want)
+
+
+@pytest.mark.parametrize("c", (float("nan"), float("inf"), complex(0.0, -float("inf"))))
+def test_deformed_words_on_nonfinite_coefficients_repeat_the_merge(c):
+    # the scaled table's entries hold NaN and infinite parts next to finite ones
+    o = _seeded_orbit(3, 2)
+    table = momrep.orbit_add(o, momrep.orbit_scale(c, momrep.act_table(simple(1, 3), o)))
+    _assert_words_match(table, 1.3)
+    _assert_words_match(momrep.orbit_scale(c, momrep.apply_deformed_word(o, all_permutations(3)[-1], 1.3)), -0.7)
+
+
+def test_deformed_words_prune_each_entry_against_its_own_largest_coefficient():
+    # one orbit point weighs 1e20, so most entries hold nothing above
+    # PRUNE_TOL times the table's largest coefficient
+    o = _seeded_orbit(3, 6)
+    heavy = o.point(identity(3))
+    table = momrep.mult_scalar(o, lambda p: 1e20 if p == heavy else 1.0)
+    _assert_words_match(table, 1.3)
+
+
+def test_deformed_words_merge_a_repeated_wavevector_first():
+    # Delta_12 (lambda_1 Delta_12 o) repeats each of its two waves within an
+    # entry; the array path reads such an entry as combine merges one part
+    # (the first term as it is, the next one added), then lets the word act
+    o = _seeded_orbit(3, 4)
+    twice = momrep.divided_difference(momrep.mult_symbol(momrep.divided_difference(o, 1, 2), 1), 1, 2)
+    assert max(len(p.terms) for p in twice.entries.values()) == 4
+    merged = momrep.OrbitFunction(o.lam, {s: exppoly.canonicalize(p) for s, p in twice.entries.items()})
+    # nothing of the merged entries is pruned, so canonicalize is that merge
+    assert all(len(p.terms) == 2 for p in merged.entries.values())
+    for w in all_permutations(3):
+        got = momrep.apply_deformed_word(twice, w, 1.3)
+        assert repr(got.entries) == repr(_reference_word(merged, w, 1.3))
+        # merging step by step instead moves only the last bits
+        raw = _reference_word(twice, w, 1.3)
+        assert _residual(got, momrep.OrbitFunction(o.lam, raw)) < 1e-13
+
+
+def test_deformed_words_refuse_wavevectors_that_could_share_a_cell():
+    # at |lambda| ~ 1e5 two rapidities 1.5e-8 apart are regular, but their
+    # swapped orbit waves differ by less than MERGE_TOL * 1e5 in every slot,
+    # so combine may merge them into one term: deformed words refuse them
+    lam = (1e5, 1e5 + 1.5e-8, 0.3)
+    o = momrep.orbit_planewave(lam)
+    a, b = (exppoly.plane_wave(s.act_vector(lam)) for s in (identity(3), simple(1, 3)))
+    assert len(exppoly.combine(3, [((), a), ((), b)]).terms) == 1
+    with pytest.raises(ValueError):
+        momrep.apply_deformed_word(o, simple(1, 3), 1.3)
+    with pytest.raises(ValueError):
+        wavefn.prewavefunction(RapiditySet(lam, 1.3, 10.0), "orbit")
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+def test_orbit_planewave_refuses_nonfinite_rapidities(bad):
+    with pytest.raises(ValueError):
+        momrep.orbit_planewave((bad, 0.5))
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+def test_orbit_function_refuses_nonfinite_rapidities(bad):
+    base = momrep.orbit_planewave((0.7, 0.5))
+    with pytest.raises(ValueError):
+        momrep.OrbitFunction((bad, 0.5), base.entries)
+
+
+def test_deformed_words_and_propagation_leave_no_cycles():
+    # with the collector off, nothing of either is left for gc.collect()
+    gc.collect()
+    gc.disable()
+    try:
+        alcovefn.propagation(exppoly.plane_wave((0.3, -0.5, 1.1, 0.7)), 1.3)
+        momrep.apply_deformed_word(_seeded_orbit(4, 1), all_permutations(4)[-1], 1.3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
