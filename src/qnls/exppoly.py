@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "pullback",
     "canonicalize",
     "combine",
+    "merge_rows",
     "to_json",
     "from_json",
     "MERGE_TOL",
@@ -73,7 +74,10 @@ DEGREE_CAP = 8
 # _build only drops zero coefficients and sorts the rest.
 # _embed, and _integrate_term over a wavenumber of at least SMALL_WAVENUMBER_TOL,
 # take a plane-wave term (one degree-0 monomial) in closed form, with the general
-# path's float operations and _build's checks; every other term takes that path
+# path's float operations and _build's checks; every other term takes that path.
+# The Yang-Baxter block engine repeats those closed forms on bare (wavevector,
+# coefficient) rows and merges them with merge_rows, which builds terms only
+# for the rows that survive
 
 
 class DegreeCapError(ValueError):
@@ -563,6 +567,31 @@ def canonicalize(f: ExpPolySum) -> ExpPolySum:
     return combine(f.n, [((), f)])
 
 
+def _cell_keys(entries) -> dict:
+    """Each wavevector entry's cell key, as combine states it; the cell scales
+    with the largest finite entry, so a non-finite one merges only with its equal."""
+    cell = MERGE_TOL * max([1.0] + [a for m in entries if (a := abs(m)) < math.inf]) / 2
+    return {m: (round(m.real / cell), round(m.imag / cell)) if cmath.isfinite(m) else m for m in entries}
+
+
+def _modulus(c: complex) -> float:
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
+def _floor(coefficients: list[complex]) -> tuple[Iterator[float], float]:
+    """The moduli, one past the float range read as infinite, in order, and
+    PRUNE_TOL times the largest finite one (so an infinite one prunes nothing)."""
+    try:
+        moduli = list(map(abs, coefficients))
+    except OverflowError:
+        # only where abs raises: a finite coefficient past the float range
+        moduli = list(map(_modulus, coefficients))
+    return iter(moduli), PRUNE_TOL * max([0.0] + [a for a in moduli if a < math.inf])
+
+
 def combine(n: int, parts: Iterable[tuple[Iterable[complex], ExpPolySum]]) -> ExpPolySum:
     """The canonical form of the sum of every f in parts, each part (factors,
     f) scaled by its factors in turn, made in one merge with no intermediate
@@ -572,11 +601,12 @@ def combine(n: int, parts: Iterable[tuple[Iterable[complex], ExpPolySum]]) -> Ex
     read as it merges; a part with a zero factor adds nothing.  A finite
     entry m is keyed (round(m.real / cell), round(m.imag / cell)), cell =
     MERGE_TOL * scale / 2 with scale the largest finite |entry| (at least
-    1); a non-finite entry is keyed as itself.  Terms of one cell, whose
-    entries differ by less than MERGE_TOL * scale, merge into the first,
-    which keeps its wavevector; a close pair split by a cell edge stays two
-    terms.  Monomials below PRUNE_TOL times the largest finite coefficient
-    are dropped.
+    1); a non-finite entry is keyed as itself, and one of modulus past the
+    float range raises OverflowError.  Terms of one cell, whose entries
+    differ by less than MERGE_TOL * scale, merge into the first, which
+    keeps its wavevector; a close pair split by a cell edge stays two terms.
+    Monomials below PRUNE_TOL times the largest finite coefficient are
+    dropped; a coefficient of modulus past the float range is infinite.
     """
     scaled = []
     for factors, f in parts:
@@ -585,12 +615,8 @@ def combine(n: int, parts: Iterable[tuple[Iterable[complex], ExpPolySum]]) -> Ex
         factors = [complex(c) for c in factors]
         if all(factors):
             scaled.append((factors, f.terms))
-    # each distinct entry is keyed once; the cell scales with the largest
-    # finite entry, so that a non-finite wavevector merges only with an
-    # identical one
-    entries = {m for _, terms in scaled for t in terms for m in t.wavevector}
-    cell = MERGE_TOL * max([1.0] + [a for m in entries if (a := abs(m)) < math.inf]) / 2
-    cells = {m: (round(m.real / cell), round(m.imag / cell)) if cmath.isfinite(m) else m for m in entries}
+    # each distinct entry is keyed once
+    cells = _cell_keys({m for _, terms in scaled for t in terms for m in t.wavevector})
     # cell key -> (the representative's wavevector, its merged coefficients)
     merged: dict[tuple, tuple[tuple[complex, ...], dict[tuple[int, ...], complex]]] = {}
     for factors, terms in scaled:
@@ -607,18 +633,33 @@ def combine(n: int, parts: Iterable[tuple[Iterable[complex], ExpPolySum]]) -> Ex
                 # a cell's first term keeps its coefficients as they are,
                 # where 0j + a would turn a -0.0 part of a into 0.0
                 coeffs[deg] = a if fresh else coeffs.get(deg, 0j) + a
-    # the floor scales with the largest finite coefficient, so that an
-    # infinite one does not prune everything
-    magnitudes = [abs(c) for _, coeffs in merged.values() for c in coeffs.values()]
-    floor = PRUNE_TOL * max([0.0] + [a for a in magnitudes if a < math.inf])
+    moduli, floor = _floor([c for _, coeffs in merged.values() for c in coeffs.values()])
     out = []
     for wv, coeffs in merged.values():
         # written so that a NaN coefficient is kept, not pruned; a zero is pruned
-        kept = [item for item in coeffs.items() if not abs(item[1]) <= floor]
+        kept = [item for item, a in zip(coeffs.items(), moduli) if not a <= floor]
         if kept:
             kept.sort()
             out.append(ExpPolyTerm(n, wv, tuple(kept)))
     return ExpPolySum(n, tuple(out))
+
+
+def merge_rows(n: int, rows: list[tuple[list[complex], complex]]) -> ExpPolySum:
+    """canonicalize of the plane waves c e^{i <wv, x>}, one per (wv, c) row on
+    n slots, each c nonzero, by combine's rules, building only the surviving terms."""
+    cells = _cell_keys({m for wv, _ in rows for m in wv})
+    merged: dict[tuple, list] = {}
+    for wv, c in rows:
+        key = tuple(map(cells.__getitem__, wv))
+        rep = merged.get(key)
+        if rep is None:
+            merged[key] = [wv, c]
+        else:
+            rep[1] = rep[1] + c
+    moduli, floor = _floor([c for _, c in merged.values()])
+    deg = (0,) * n
+    kept = zip(merged.values(), moduli)
+    return ExpPolySum(n, tuple(ExpPolyTerm(n, tuple(wv), ((deg, c),)) for (wv, c), a in kept if not a <= floor))
 
 
 def to_json(f: ExpPolySum) -> dict:

@@ -318,11 +318,10 @@ def _step(a: _Arrays, state, here, swapped, factor, gamma_factor, top, active):
         if not fr.all():
             live = (fr != 0) | (fs[1, 0] != 0)
             out, has, order = np.where(live, out, cs), np.where(live, has, ps), np.where(live, order, ks)
-    mag = np.hypot(*out)
-    overflow = mag == np.inf
-    if overflow.any() and np.isfinite(out[:, overflow]).all(axis=0).any():
-        # what abs raises for a complex with finite parts beyond the float range
-        raise OverflowError("absolute value too large")
+    # a finite coefficient whose modulus exceeds the float range reads as
+    # infinite, as in exppoly.combine: kept, and left out of the floor
+    with np.errstate(over="ignore"):
+        mag = np.hypot(*out)
     floor = exppoly.PRUNE_TOL * np.where(mag < np.inf, mag, 0.0).max(axis=0, initial=0.0)
     # has and not (mag <= floor), so that a NaN is kept
     has = np.greater(has, mag <= floor)

@@ -7,19 +7,22 @@ A block is its chain of integration levels and the arguments it hands the
 operand; its plane-wave prefactor follows from the levels.  One builder
 makes the blocks of every kind and one weighted sum evaluates them all.
 
-The engine works per output alcove: each unit step factor is resolved to
-0 or 1 by the alcove ordering, each integration interval is split at the
-output coordinates lying inside it, and on every resulting segment the
-total order of coordinates and integration variables is fixed, so the
-correct piece of the operand is known.  Each of its terms becomes one
-integrand term in one step (its slots relabelled onto the coordinates and
-y's, the block's plane wave added, the coefficients scaled by the block's
-weight and boundary scalar); each integration turns a term into one term
-per bound and drops the integrated y slot, by then the last one; every
-block's terms on an alcove are canonicalized together, once.  Where the
-operand's rapidities are regular and away from mu, every term is a plane
-wave c e^{i mu y}; both steps take it in closed form, its integral being
-c / (i mu) e^{i mu y} at each bound.
+The engine works per output alcove.  Its geometry is made once per block
+shape and alcove and kept (_GEOMETRY): the unit step factors resolve to 0
+or 1 by the alcove ordering, and where all hold, each integration interval
+splits at the output coordinates inside it; on each segment the order of
+coordinates and y's is fixed, so the operand piece is known.  Each operand
+term takes one step into the integrand (slots relabelled, the block's
+plane wave added, the coefficient scaled by the block's weight and
+boundary scalar); each integration turns a term into one per bound and
+drops its y slot, the last one.  Where the operand's rapidities are
+regular and away from mu, every term is a plane wave c e^{i mu y},
+integrating to c / (i mu) e^{i mu y} at each bound: the steps run on bare
+(wavevector, coefficient) rows with exppoly's float operations, and
+exppoly.merge_rows merges an alcove's rows of every block at once.  An
+alcove where a term has a polynomial part, a y wavenumber below
+SMALL_WAVENUMBER_TOL or NaN, or a zero coefficient at any step is built
+term by term by exppoly's general steps and canonicalized.
 
 Also here: the 4x4 R-matrix, the transfer matrix, the quantum determinant,
 and the Q-operator built from Dunkl-type operators.
@@ -93,87 +96,122 @@ def _bound(entity, length: float) -> Bound:
     return Bound.coord(entity[1])
 
 
-def _plan_piece(
-    plan: _Plan, weight: complex, f: AlcoveFunction, sigma: Permutation, length: float
-) -> list[ExpPolyTerm]:
-    """The weighted plan's terms on the output alcove labeled sigma, not yet
-    canonicalized."""
-    P = plan.out_n
-    pos = {p: t for t, p in enumerate(sigma.images, start=1)}
-    ranks = [_rank(e, pos, P) for e in plan.levels]
-    # the step factors demand the chain be strictly decreasing here
-    if any(ranks[t] >= ranks[t + 1] for t in range(len(ranks) - 1)):
-        return []
-    n_y = len(plan.levels) - 1
-    ext_n = P + n_y
+# (out_n, levels, args, alcove) -> None where the chain does not decrease, else
+# one (operand piece order, per-level (lower, upper) entities) per segment combination
+_GEOMETRY: dict[tuple, list | None] = {}
 
+
+def _geometry(plan: _Plan, sigma: Permutation) -> list | None:
+    key = (plan.out_n, plan.levels, plan.args, sigma.images)
+    if (geometry := _GEOMETRY.get(key, False)) is not False:
+        return geometry
+    pos = {p: t for t, p in enumerate(sigma.images, start=1)}
+    ranks = [_rank(e, pos, plan.out_n) for e in plan.levels]
+    geometry = None
+    # the step factors demand the chain be strictly decreasing here
+    if all(ranks[t] < ranks[t + 1] for t in range(len(ranks) - 1)):
+        # split every interval at the output coordinates inside it: each
+        # segment is (lower entity, upper entity, rank of its interior)
+        per_interval = []
+        for m in range(1, len(plan.levels)):
+            inside = sorted((p for p in pos if ranks[m - 1] < pos[p] < ranks[m]), key=pos.__getitem__)
+            chain = [plan.levels[m - 1], *(("coord", p) for p in inside), plan.levels[m]]
+            ends = [_rank(e, pos, plan.out_n) for e in chain]
+            per_interval.append([(chain[t + 1], chain[t], (ends[t] + ends[t + 1]) / 2) for t in range(len(chain) - 1)])
+        geometry = []
+        for combo in product(*per_interval):
+            argrank = [float(pos[a[1]]) if a[0] == "coord" else combo[a[1] - 1][2] for a in plan.args]
+            order = tuple(s + 1 for s in sorted(range(len(plan.args)), key=argrank.__getitem__))
+            geometry.append((order, tuple((lower, upper) for lower, upper, _ in combo)))
+    _GEOMETRY[key] = geometry
+    return geometry
+
+
+def _rows(blocks, f: AlcoveFunction, consts: dict) -> list | None:
+    """The blocks' (wavevector, coefficient) rows on one alcove, equal to
+    _terms' terms in order, or None where a term needs exppoly's general steps."""
+    rows = []
+    for (P, wave, scalar, slots), geometry in blocks:
+        for order, bounds in geometry:
+            # exppoly._embed of each operand term
+            level = []
+            for t in f._by_order[order].terms:
+                if len(t.coeffs) != 1 or any(t.coeffs[0][0]) or not (c := t.coeffs[0][1] * scalar):
+                    return None
+                wv = wave.copy()
+                for s, m in zip(slots, t.wavevector):
+                    wv[s - 1] = wv[s - 1] + m if wv[s - 1] else m
+                level.append((wv, c))
+            # exppoly._integrate_term's closed form, innermost y first; each
+            # y is the last slot, so dropping it keeps the slots before it
+            for j in range(P + len(bounds), P, -1):
+                lower, upper = bounds[j - P - 1]
+                step = []
+                for wv, c in level:
+                    muj = wv[j - 1]
+                    if not abs(muj) >= exppoly.SMALL_WAVENUMBER_TOL or not (a := 0j + (1.0 * (1.0 / (1j * muj))) * c):
+                        return None
+                    for b, sign in ((upper, 1.0), (lower, -1.0)):
+                        w = wv[: j - 1]
+                        if b[0] == "coord":
+                            w[b[1] - 1] += muj
+                            value = 0j + sign * a
+                        else:
+                            value = 0j + a * (1.0 + 0j) * (sign * cmath.exp(1j * muj * consts[b[1]]))
+                        if not value:
+                            return None
+                        step.append((w, value))
+                level = step
+            rows += level
+    return rows
+
+
+def _terms(blocks, f: AlcoveFunction, length: float) -> list[ExpPolyTerm]:
+    """The blocks' terms on one alcove through exppoly's general steps."""
+    terms = []
+    for (P, wave, scalar, slots), geometry in blocks:
+        for order, bounds in geometry:
+            level = [exppoly._embed(t, slots, wave, scalar) for t in f._by_order[order].terms]
+            for m in range(len(bounds), 0, -1):
+                lower, upper = (_bound(e, length) for e in bounds[m - 1])
+                level = [u for t in level for u in exppoly._integrate_term(t, P + m, lower, upper, P + m - 1)]
+            terms += level
+    return terms
+
+
+def _prepare(weight: complex, plan: _Plan, length: float) -> tuple:
+    """(out_n, plane wave on coordinates and y's, scalar, slot of each operand slot)."""
+    P, mu, n_y = plan.out_n, plan.mu, len(plan.levels) - 1
     # the block's plane wave on the coordinates and the y's (slot P + m)
-    mu = plan.mu
-    wv = [0j] * ext_n
+    wave = [0j] * (P + n_y)
     for e in plan.levels:
         if e[0] == "coord":
-            wv[e[1] - 1] += mu
+            wave[e[1] - 1] += mu
     for m in range(1, n_y + 1):
-        wv[P + m - 1] += -mu
+        wave[P + m - 1] += -mu
     # the constant levels: one of them is exp(-/+ i mu L/2); two cancel
     sign = -sum(e[1] for e in plan.levels if e[0] == "const")
     scalar = weight * (cmath.exp(-1j * sign * mu * length / 2) if sign else 1.0 + 0j)
     # the slot each operand slot takes: its coordinate, or its y
-    slots = [a[1] if a[0] == "coord" else P + a[1] for a in plan.args]
-
-    # split every interval at the output coordinates inside it: each
-    # segment is (lower bound, upper bound, rank of its interior)
-    per_interval = []
-    for m in range(1, n_y + 1):
-        upper, lower = plan.levels[m - 1], plan.levels[m]
-        ru, rl = ranks[m - 1], ranks[m]
-        interior = sorted(
-            (("coord", p) for p in range(1, P + 1) if ru < pos[p] < rl),
-            key=lambda e: pos[e[1]],
-        )
-        chain = [upper, *interior, lower]
-        per_interval.append(
-            [
-                (
-                    _bound(chain[t + 1], length),
-                    _bound(chain[t], length),
-                    (_rank(chain[t], pos, P) + _rank(chain[t + 1], pos, P)) / 2,
-                )
-                for t in range(len(chain) - 1)
-            ]
-        )
-
-    terms = []
-    for combo in product(*per_interval):
-        argrank = []
-        for a in plan.args:
-            if a[0] == "coord":
-                argrank.append(float(pos[a[1]]))
-            else:
-                argrank.append(combo[a[1] - 1][2])
-        order = sorted(range(len(plan.args)), key=lambda s: argrank[s])
-        # the integrand, one term per operand term, integrated innermost y
-        # first; each step builds every term once and drops its y slot
-        piece = f._by_order[tuple(s + 1 for s in order)]
-        level = [exppoly._embed(t, slots, wv, scalar) for t in piece.terms]
-        for m in range(n_y, 0, -1):
-            lower, upper, _ = combo[m - 1]
-            level = [u for t in level for u in exppoly._integrate_term(t, P + m, lower, upper, P + m - 1)]
-        terms += level
-    return terms
+    return P, wave, scalar, [a[1] if a[0] == "coord" else P + a[1] for a in plan.args]
 
 
 def _block_sum(
     blocks: list[tuple[complex, _Plan]], f: AlcoveFunction, sigmas, length: float
 ) -> dict[Permutation, ExpPolySum]:
-    """The canonicalized sum over (weight, plan) blocks on each alcove in
-    sigmas: every block's terms, then one canonicalize per alcove."""
+    """The canonical sum over (weight, plan) blocks on each alcove in
+    sigmas: the rows of every block merged, or where a row cannot be made,
+    every block's terms canonicalized."""
+    prepared = [(plan, _prepare(weight, plan, length)) for weight, plan in blocks]
+    consts = {e: _bound(("const", e), length).value for e in (1, -1)}
     pieces = {}
     for sigma in sigmas:
-        terms = []
-        for weight, plan in blocks:
-            terms += _plan_piece(plan, weight, f, sigma, length)
-        pieces[sigma] = exppoly.canonicalize(ExpPolySum(sigma.n, tuple(terms)))
+        alcove = [(block, g) for plan, block in prepared if (g := _geometry(plan, sigma)) is not None]
+        rows = _rows(alcove, f, consts)
+        if rows is None:
+            pieces[sigma] = exppoly.canonicalize(ExpPolySum(sigma.n, tuple(_terms(alcove, f, length))))
+        else:
+            pieces[sigma] = exppoly.merge_rows(sigma.n, rows)
     return pieces
 
 
@@ -196,6 +234,8 @@ def _plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan:
         raise ValueError(f"unknown elementary kind {kind!r}")
     dn, above, below = _SHAPES[kind]
     out_n = N + dn
+    if out_n < 0:
+        raise ValueError(f"{kind} needs at least {-dn} input particle")
     symmetric = kind[0] == "E"
     # e_hat+/- index the input coordinates, every other kind the output ones
     top = out_n if symmetric or dn < 1 else N

@@ -330,6 +330,50 @@ def test_canonicalize_keeps_infinity():
     assert len(g.terms) == 2
 
 
+def test_combine_reads_an_overflowing_modulus_as_infinite():
+    # |1.5e308 (1 + i)| exceeds the float range, so abs raises on it: the
+    # coefficient is kept and sets no floor, as an infinite one
+    huge = complex(1.5e308, 1.5e308)
+    wave = exppoly.plane_wave((0.5,))
+    assert exppoly.canonicalize(exppoly.scale(huge, wave)).terms[0].coeffs == (((0,), huge),)
+    g = exppoly.canonicalize(exppoly.add(exppoly.scale(huge, wave), exppoly.plane_wave((0.7,))))
+    assert [t.coeffs for t in g.terms] == [(((0,), huge),), (((0,), 1.0),)]
+    # a wavenumber of that size still cannot be keyed
+    with pytest.raises(OverflowError):
+        exppoly.canonicalize(exppoly.plane_wave((huge,)))
+
+
+def test_merge_rows_is_canonicalize_of_the_plane_waves():
+    nan, inf = math.nan, math.inf
+    rng = random.Random(12)
+    entries = [complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(3)]
+    rows = []
+    for _ in range(40):
+        wv = [rng.choice(entries) for _ in range(2)]
+        # a nearby copy that shares the cell, or not
+        if rng.random() < 0.3:
+            wv[0] += 1e-13 * rng.uniform(-1, 1)
+        rows.append((wv, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
+    rows.append((list(rows[0][0]), -rows[0][1] + 1e-17))
+    nan_wave = complex(nan, 0.0)
+    cases = [
+        rows,
+        # signed zeros in the wavenumbers and the coefficients
+        [([complex(-0.0, 0.5), 0j], complex(-0.0, 1.0)), ([0j, complex(0.0, -0.0)], complex(2.0, -0.0)),
+         ([complex(0.0, 0.5), -0.0 + 0j], complex(-0.0, -0.0) + 1e-300)],
+        # non-finite coefficients and wavenumbers, one NaN object twice
+        [([nan_wave, 0.5], 1.0), ([nan_wave, 0.5], 2.0), ([complex(nan, 0.0), 0.5], 3.0),
+         ([complex(inf, -0.0), 0.5], 1.0), ([complex(inf, 0.0), 0.5], complex(nan, 1.0)), ([0.3, 0.5], complex(0.0, -inf))],
+        # an overflowing modulus next to ones it would otherwise prune
+        [([0.5, 0.2], complex(1.5e308, 1.5e308)), ([0.7, 0.2], 1.0), ([0.5, 0.2], 1.0)],
+        [],
+    ]
+    for rows in cases:
+        terms = tuple(exppoly.ExpPolyTerm(2, tuple(wv), (((0, 0), c),)) for wv, c in rows)
+        want = exppoly.canonicalize(exppoly.ExpPolySum(2, terms))
+        assert repr(exppoly.merge_rows(2, rows)) == repr(want)
+
+
 def test_canonicalize_merges_a_nonfinite_wavevector_only_with_its_equal():
     # the merge tolerance scales with the largest finite wavevector entry
     inf_wave = exppoly.plane_wave((math.inf,))
@@ -404,8 +448,10 @@ def _canonicalize_cases():
     psi = wavefn.prewavefunction(wavefn.RapiditySet((0.8, -0.3, 0.45), 1.0, 10.0))
     for i in ((2,), (3, 1)):
         plan = ybops._plan("e_bar+", 0.37, i, 3)
+        block = ybops._prepare(0.8, plan, 10.0)
         for sigma in all_permutations(3):
-            yield exppoly.ExpPolySum(3, tuple(ybops._plan_piece(plan, 0.8, psi, sigma, 10.0)))
+            geometry = ybops._geometry(plan, sigma)
+            yield exppoly.ExpPolySum(3, tuple(ybops._terms([(block, geometry)], psi, 10.0) if geometry else ()))
     # signed zeros
     yield exppoly.plane_wave((0.0, 1.0)) + exppoly.plane_wave((-0.0, 1.0)) + exppoly.plane_wave((complex(0.0, -0.0), 1.0))
     yield exppoly.monomial((1, 0), -0.0, (0.5, -0.0)) + exppoly.monomial((1, 0), 2.0, (0.5, 0.0))

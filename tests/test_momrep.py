@@ -189,6 +189,12 @@ def test_deformed_words_on_nonfinite_coefficients_repeat_the_merge(c):
     _assert_words_match(momrep.orbit_scale(c, momrep.apply_deformed_word(o, all_permutations(3)[-1], 1.3)), -0.7)
 
 
+def test_deformed_words_read_an_overflowing_modulus_as_infinite():
+    # coefficients of modulus past the float range, and their products
+    o = _seeded_orbit(3, 2)
+    _assert_words_match(momrep.orbit_scale(complex(1.5e308, 1.5e308), o), 1.3)
+
+
 def test_deformed_words_prune_each_entry_against_its_own_largest_coefficient():
     # one orbit point weighs 1e20, so most entries hold nothing above
     # PRUNE_TOL times the table's largest coefficient

@@ -118,6 +118,14 @@ def test_elementary_op_rejects_bad_kind_and_index():
     for kind, i in (("E_bar+", (1,)), ("e_wedge+", (1,)), ("e_bar+", (1, 1)), ("e_bar+", (3,))):
         with pytest.raises(ValueError):
             ybops.elementary_nonsymmetric_op(kind, 0.37, i, f, LENGTH)
+    # e_check+/- lower the particle number, so the vacuum has no output
+    vacuum = alcovefn.build({Permutation(()): exppoly.constant(1.0, 0)})
+    for kind in ("e_check+", "e_check-"):
+        with pytest.raises(ValueError, match="input particle"):
+            ybops.elementary_nonsymmetric_op(kind, 0.37, (), vacuum, LENGTH)
+    for family in ("c+", "c-"):
+        assert ybops.apply_nonsymmetric(family, 0.37, vacuum, GAMMA, LENGTH).n == 0
+    assert ybops.apply_symmetric("C", 0.37, vacuum, GAMMA, LENGTH).n == 0
 
 
 def test_particle_cap_enforced():
@@ -230,3 +238,169 @@ def test_degree_cap_reached_through_the_block_engine():
     f = alcovefn.from_analytic(exppoly.monomial((exppoly.DEGREE_CAP,), 1.0, (mu,)))
     with pytest.raises(exppoly.DegreeCapError):
         ybops.elementary_nonsymmetric_op("e_bar+", mu, (1,), f, LENGTH)
+
+
+# The block engine before it kept alcove geometry and ran plane waves as
+# rows, frozen as the reference: each block's terms built one operand term
+# at a time, every block's terms on an alcove canonicalized together.
+
+
+def _frozen_plan_piece(plan, weight, f, sigma, length):
+    P = plan.out_n
+    pos = {p: t for t, p in enumerate(sigma.images, start=1)}
+    ranks = [ybops._rank(e, pos, P) for e in plan.levels]
+    if any(ranks[t] >= ranks[t + 1] for t in range(len(ranks) - 1)):
+        return []
+    n_y = len(plan.levels) - 1
+    ext_n = P + n_y
+    mu = plan.mu
+    wv = [0j] * ext_n
+    for e in plan.levels:
+        if e[0] == "coord":
+            wv[e[1] - 1] += mu
+    for m in range(1, n_y + 1):
+        wv[P + m - 1] += -mu
+    sign = -sum(e[1] for e in plan.levels if e[0] == "const")
+    scalar = weight * (cmath.exp(-1j * sign * mu * length / 2) if sign else 1.0 + 0j)
+    slots = [a[1] if a[0] == "coord" else P + a[1] for a in plan.args]
+    per_interval = []
+    for m in range(1, n_y + 1):
+        upper, lower = plan.levels[m - 1], plan.levels[m]
+        ru, rl = ranks[m - 1], ranks[m]
+        interior = sorted(
+            (("coord", p) for p in range(1, P + 1) if ru < pos[p] < rl),
+            key=lambda e: pos[e[1]],
+        )
+        chain = [upper, *interior, lower]
+        per_interval.append(
+            [
+                (
+                    ybops._bound(chain[t + 1], length),
+                    ybops._bound(chain[t], length),
+                    (ybops._rank(chain[t], pos, P) + ybops._rank(chain[t + 1], pos, P)) / 2,
+                )
+                for t in range(len(chain) - 1)
+            ]
+        )
+    terms = []
+    for combo in product(*per_interval):
+        argrank = []
+        for a in plan.args:
+            if a[0] == "coord":
+                argrank.append(float(pos[a[1]]))
+            else:
+                argrank.append(combo[a[1] - 1][2])
+        order = sorted(range(len(plan.args)), key=lambda s: argrank[s])
+        piece = f._by_order[tuple(s + 1 for s in order)]
+        level = [exppoly._embed(t, slots, wv, scalar) for t in piece.terms]
+        for m in range(n_y, 0, -1):
+            lower, upper, _ = combo[m - 1]
+            level = [u for t in level for u in exppoly._integrate_term(t, P + m, lower, upper, P + m - 1)]
+        terms += level
+    return terms
+
+
+def _frozen_block_sum(blocks, f, sigmas, length):
+    return {
+        sigma: exppoly.canonicalize(exppoly.ExpPolySum(
+            sigma.n, tuple(t for weight, plan in blocks for t in _frozen_plan_piece(plan, weight, f, sigma, length))
+        ))
+        for sigma in sigmas
+    }
+
+
+def _assert_engine_is_frozen(blocks, f, length=LENGTH):
+    sigmas = all_permutations(blocks[0][1].out_n)
+    want = _frozen_block_sum(blocks, f, sigmas, length)
+    assert repr(ybops._block_sum(blocks, f, sigmas, length)) == repr(want)
+
+
+def _every_kind_and_index(N):
+    """(kind, multi-index) of every elementary block on N input particles."""
+    cases = []
+    for kind, dn in (("e_hat+", 1), ("e_hat-", 1), ("e_bar+", 0), ("e_bar-", 0), ("e_check+", -1), ("e_check-", -1)):
+        top = N if dn == 1 else N + dn
+        cases += [(kind, i) for k in range(top + 1) for i in permutations(range(1, top + 1), k)]
+    for kind, dn in (("E_hat", 1), ("E_bar+", 0), ("E_bar-", 0), ("E_check", -1)):
+        top = N + dn
+        cases += [(kind, i) for k in range(dn == 1, top + 1) for i in combinations(range(1, top + 1), k)]
+    return cases
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_block_engine_repeats_the_frozen_per_term_engine(N):
+    lam = (0.8, -0.3, 0.45)[:N]
+    r = RapiditySet(lam, GAMMA, LENGTH)
+    psi, Psi = wavefn.prewavefunction(r), wavefn.bethe_wavefunction(r)
+    wave = alcovefn.from_analytic(exppoly.plane_wave(lam))
+    # (mu, weight, the input of the e kinds, the input of the E kinds); mu
+    # at lambda_1, or 3e-8 off it, sends a y wavenumber to the polynomial
+    # or the series branch, and weight 0 makes every coefficient zero
+    operands = [(0.37, 0.8 - 0.3j, psi, Psi), (lam[0], 1.0, wave, wave), (lam[0] + 3e-8, 1.0, wave, wave)]
+    operands.append((0.37, 0.0, psi, Psi))
+    if N > 1:
+        degenerate = wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5, -0.3)[:N], GAMMA, LENGTH))
+        operands.append((0.37, 1.3, degenerate, degenerate))
+    for (kind, i), (mu, weight, f_e, f_E) in product(_every_kind_and_index(N), operands):
+        f = f_e if kind[0] == "e" else f_E
+        _assert_engine_is_frozen([(weight, ybops._plan(kind, mu, i, N))], f)
+
+
+def _family_blocks(family, mu, N, gamma):
+    """The weighted blocks of a non-symmetric family, as apply_nonsymmetric sums them."""
+    kind, top = {"a": ("e_bar+", N), "d": ("e_bar-", N), "b+": ("e_hat+", N), "c-": ("e_check-", N - 1)}[family]
+    return [
+        (gamma**n, ybops._plan(kind, mu, i, N))
+        for n in range(top + 1)
+        for i in permutations(range(1, top + 1), n)
+    ]
+
+
+def _scaled(f, c):
+    return alcovefn.AlcoveFunction(f.n, {s: exppoly.scale(c, p) for s, p in f.pieces.items()}, continuous=False)
+
+
+@pytest.mark.parametrize("family", ["a", "d", "b+", "c-"])
+def test_block_engine_repeats_the_frozen_engine_on_signed_zeros_and_nonfinite_values(family):
+    nan, inf = math.nan, math.inf
+    psi = wavefn.prewavefunction(RapiditySet((0.8, -0.3), GAMMA, LENGTH))
+    # -0.0 parts in the wavenumbers, the coefficients and the weights
+    signed = alcovefn.from_analytic(
+        exppoly.monomial((0, 0), complex(-0.0, 0.6), (complex(0.8, -0.0), complex(-0.0, 0.25)))
+        + exppoly.plane_wave((complex(-0.3, -0.0), 0.45))
+    )
+    for gamma in (-0.7, complex(-0.0, 1.0)):
+        _assert_engine_is_frozen(_family_blocks(family, complex(0.37, -0.0), 2, gamma), signed)
+    for c in (nan, inf, -inf, complex(0.0, -inf), complex(nan, 1.0)):
+        _assert_engine_is_frozen(_family_blocks(family, 0.37, 2, GAMMA), _scaled(psi, c))
+    # a NaN wavenumber, and a lone monomial of nonzero degree
+    for p in (exppoly.plane_wave((complex(nan, 0.0), 0.45)), exppoly.monomial((1, 0), 0.7, (0.8, -0.3))):
+        _assert_engine_is_frozen(_family_blocks(family, 0.37, 2, GAMMA), alcovefn.from_analytic(p + exppoly.plane_wave((0.2, 0.6))))
+
+
+def test_block_engine_sends_only_the_alcoves_of_a_falling_back_term_through_the_per_term_path(monkeypatch):
+    # e_bar+ with index 1 reads operand piece (1, 2) only on output alcove
+    # (1, 2), where y_1 runs above x_2; there the second wave's y wavenumber
+    # is mu - mu = 0, so that alcove takes the per-term path and (2, 1) the rows
+    mu = 0.37
+    wave = exppoly.plane_wave((0.8, -0.3))
+    f = alcovefn.AlcoveFunction(
+        2, {Permutation((1, 2)): wave + exppoly.plane_wave((mu, 0.5)), Permutation((2, 1)): wave}, continuous=False
+    )
+    calls = []
+    terms = ybops._terms
+    monkeypatch.setattr(ybops, "_terms", lambda *args: calls.append(args) or terms(*args))
+    _assert_engine_is_frozen([(0.8, ybops._plan("e_bar+", mu, (1,), 2))], f)
+    assert len(calls) == 1
+
+
+def test_geometry_is_kept_per_plan_shape_and_alcove():
+    r = RapiditySet((0.8, -0.3), GAMMA, LENGTH)
+    psi = wavefn.prewavefunction(r)
+    ybops.apply_nonsymmetric("b+", 0.37, psi, GAMMA, LENGTH)
+    size = len(ybops._GEOMETRY)
+    # another mu, weight, length or operand is the same shape on the same alcoves
+    ybops.apply_nonsymmetric("b+", -1.1, psi, 0.4, LENGTH)
+    ybops.apply_nonsymmetric("b+", 0.37, wavefn.prewavefunction(RapiditySet((0.2, 0.9), 0.4, 7.0)), GAMMA, 7.0)
+    assert len(ybops._GEOMETRY) == size
+    assert all(g is None or g for g in ybops._GEOMETRY.values())
