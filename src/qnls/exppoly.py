@@ -7,6 +7,13 @@ or coordinate bounds, substitutions and linear changes of variables are
 all computed in closed form, so downstream identity checks are exact up to
 float rounding.
 
+Sums merge by one rule, combine's: canonicalize and merge_rows follow it,
+and so does the array form of many sums at once.  to_arrays reads sums
+into one coefficient array over their distinct monomials (SumArrays);
+a caller merges its entries with the written-out complex product
+(_times), SumArrays.prune and SumArrays.to_sums, bit for bit as combine
+would (the deformed words of momrep).
+
 >>> f = plane_wave((2.0, -1.0))          # e^{i(2 x1 - x2)}
 >>> g = derivative(f, 1)
 >>> g.eval((0.3, 0.7)) == 2j * f.eval((0.3, 0.7))
@@ -43,6 +50,8 @@ __all__ = [
     "canonicalize",
     "combine",
     "merge_rows",
+    "SumArrays",
+    "to_arrays",
     "to_json",
     "from_json",
     "MERGE_TOL",
@@ -72,12 +81,12 @@ DEGREE_CAP = 8
 # rise or come from outside; where they come from a checked term and cannot
 # rise (derivative, exact antiderivative, substitution, relabelling),
 # _build only drops zero coefficients and sorts the rest.
-# _embed, and _integrate_term over a wavenumber of at least SMALL_WAVENUMBER_TOL,
-# take a plane-wave term (one degree-0 monomial) in closed form, with the general
-# path's float operations and _build's checks; every other term takes that path.
-# The Yang-Baxter block engine repeats those closed forms on bare (wavevector,
-# coefficient) rows and merges them with merge_rows, which builds terms only
-# for the rows that survive
+# _embed takes a plane-wave term (one degree-0 monomial) in closed form, with the
+# general path's float operations and _build's checks; every other term takes
+# that path.  The Yang-Baxter block engine repeats, on bare (wavevector,
+# coefficient) rows, that closed form and the float operations that
+# _exp_antiderivative and _at_bound make on a plane wave, and merges the rows
+# with merge_rows, which builds terms only for the rows that survive
 
 
 class DegreeCapError(ValueError):
@@ -421,24 +430,6 @@ def _integrate_term(
 ) -> tuple[ExpPolyTerm, ExpPolyTerm]:
     """The integral of t over x_j as two terms on the first n slots: the
     antiderivative at the upper bound, and minus it at the lower bound."""
-    muj = t.wavevector[j - 1]
-    if len(t.coeffs) == 1 and not any(t.coeffs[0][0]) and abs(muj) >= SMALL_WAVENUMBER_TOL:
-        # c e^{i mu_j x_j} integrates to c / (i mu_j) e^{i mu_j x_j}, with
-        # the float operations of _exp_antiderivative and _at_bound
-        a = 0j + (1.0 * (1.0 / (1j * muj))) * t.coeffs[0][1]
-        out = []
-        for b, sign in ((upper, 1.0), (lower, -1.0)):
-            wv = list(t.wavevector)
-            wv[j - 1] = 0j
-            if b.kind == "coordinate":
-                wv[b.value - 1] += muj
-                value = 0j + sign * a
-            else:
-                value = 0j + a * (1.0 + 0j) * (sign * cmath.exp(1j * muj * b.value))
-            if any(wv[n:]):
-                raise ValueError(f"a dropped slot past {n} carries a wavenumber or a monomial")
-            out.append(ExpPolyTerm(n, tuple(wv[:n]), (((0,) * n, value),) if a and value else ()))
-        return tuple(out)
     anti = _antiderivative(t, j)
     return _at_bound(anti, j, upper, n), _at_bound(anti, j, lower, n, -1.0)
 
@@ -660,6 +651,144 @@ def merge_rows(n: int, rows: list[tuple[list[complex], complex]]) -> ExpPolySum:
     deg = (0,) * n
     kept = zip(merged.values(), moduli)
     return ExpPolySum(n, tuple(ExpPolyTerm(n, tuple(wv), ((deg, c),)) for (wv, c), a in kept if not a <= floor))
+
+
+@dataclass(frozen=True)
+class SumArrays:
+    """Sums on n slots (entries, the last axis) over their distinct
+    monomials (columns): per column the index of its wavevector in waves
+    and its degree, the columns of one wavevector adjacent and by degree;
+    same_term marks pairs of columns of one wavevector (None when each
+    wavevector has one column).  Per column and entry: the coefficient,
+    real and imaginary parts on the first axis, 0.0 where absent; whether
+    the monomial is present; and the rank of its term in the entry's term
+    order, -1 where the entry has no term of that wavevector.  Made by
+    to_arrays; a caller merges the entries of these arrays by combine's
+    rule with _times, prune and to_sums."""
+
+    n: int
+    wave_of: tuple[int, ...]
+    degs: tuple[tuple[int, ...], ...]
+    waves: tuple[tuple[complex, ...], ...]
+    same_term: np.ndarray | None
+    coeffs: np.ndarray
+    present: np.ndarray
+    rank: np.ndarray
+
+    def prune(self, coeffs: np.ndarray, present: np.ndarray, rank: np.ndarray):
+        """combine's floor on each entry of the arrays (coeffs, present,
+        rank) over all columns: a monomial at most PRUNE_TOL times the
+        entry's largest finite modulus is dropped (coefficient 0.0), a NaN
+        is kept, and a term left with no monomial loses its rank (-1)."""
+        # a finite coefficient whose modulus exceeds the float range reads as
+        # infinite, as in combine: kept, and left out of the floor
+        with np.errstate(over="ignore"):
+            mag = np.hypot(*coeffs)
+        floor = PRUNE_TOL * np.where(mag < np.inf, mag, 0.0).max(axis=0, initial=0.0)
+        # present and not (mag <= floor), so that a NaN is kept
+        present = np.greater(present, mag <= floor)
+        terms = present if self.same_term is None else self.same_term @ present
+        return np.where(present, coeffs, 0.0), present, np.where(terms, rank, -1)
+
+    def to_sums(self, coeffs: np.ndarray, present: np.ndarray, rank: np.ndarray) -> list[ExpPolySum]:
+        """The entries of the arrays (coeffs, present, rank) over all columns
+        as sums, terms in rank order, each term's monomials by degree; the
+        terms share the wavevector tuples of waves."""
+        width = len(self.degs)
+        key = np.where(present, rank * width + np.arange(width)[:, None], _LAST)
+        z = np.empty(present.shape, dtype=complex)
+        z.real, z.imag = coeffs
+        out = []
+        for order, count, values in zip(np.argsort(key, axis=0).T.tolist(), present.sum(axis=0).tolist(), z.T.tolist()):
+            terms = []
+            for m in order[:count]:
+                w = self.wave_of[m]
+                if terms and terms[-1][0] == w:
+                    terms[-1][1].append((self.degs[m], values[m]))
+                else:
+                    terms.append((w, [(self.degs[m], values[m])]))
+            out.append(ExpPolySum(self.n, tuple(ExpPolyTerm(self.n, self.waves[w], tuple(items)) for w, items in terms)))
+        return out
+
+
+# a sort key above every present monomial's
+_LAST = np.iinfo(np.int64).max
+
+
+def to_arrays(n: int, sums: list[ExpPolySum]) -> SumArrays:
+    """sums as arrays.  An entry's terms are read as combine merges one
+    part: the first term of a wavevector keeps its coefficients as they
+    are, a later term of the same wavevector adds its own, so a repeated
+    wavevector becomes one term (nothing is pruned).  Wavevectors are told
+    apart by their bits; non-finite ones, and two that are within MERGE_TOL
+    times the largest wavenumber in every slot (which combine might merge
+    into one term), are refused with ValueError."""
+    by_id, by_bits, waves, columns, rows = {}, {}, [], {}, []
+    for f in sums:
+        if f.n != n:
+            raise ValueError("dimension mismatch")
+        values, ranks = {}, {}
+        for t in f.terms:
+            w = by_id.get(id(t.wavevector))
+            if w is None:
+                w = by_id[id(t.wavevector)] = by_bits.setdefault(
+                    np.array(t.wavevector, dtype=complex).tobytes(), len(waves)
+                )
+                if w == len(waves):
+                    waves.append(t.wavevector)
+            fresh = w not in ranks
+            if fresh:
+                ranks[w] = len(ranks)
+            for deg, c in t.coeffs:
+                m = columns.setdefault((w, deg), len(columns))
+                values[m] = c if fresh else values.get(m, 0j) + c
+        rows.append((values, ranks))
+    W = np.array(waves, dtype=complex).reshape(len(waves), n)
+    if not np.isfinite(W).all():
+        raise ValueError("the array form needs finite wavevectors")
+    tol = MERGE_TOL * max(1.0, np.abs(W).max(initial=0.0))
+    W = np.concatenate((W.real, W.imag), axis=1)
+    for i in range(0, len(W), 64):
+        # each wavevector is near itself
+        if (abs(W[i:i + 64, None] - W) <= tol).all(axis=2).sum() > len(W[i:i + 64]):
+            raise ValueError(f"two wavevectors are within {tol:.3g} of each other in every slot")
+
+    keys = sorted(columns)
+    position = np.empty(len(keys), dtype=int)
+    position[[columns[k] for k in keys]] = np.arange(len(keys))
+    wave_of = [w for w, _ in keys]
+    r_at, m_at, c_at, r_rank, w_rank, ranks_at = [], [], [], [], [], []
+    for r, (values, ranks) in enumerate(rows):
+        r_at += [r] * len(values)
+        m_at += values
+        c_at += values.values()
+        r_rank += [r] * len(ranks)
+        w_rank += ranks
+        ranks_at += ranks.values()
+    m_at = position[m_at]
+    z = np.zeros((len(keys), len(rows)), dtype=complex)
+    z[m_at, r_at] = c_at
+    present = np.zeros(z.shape, dtype=bool)
+    present[m_at, r_at] = True
+    wave_rank = np.full((len(waves), len(rows)), -1)
+    wave_rank[w_rank, r_rank] = ranks_at
+    return SumArrays(
+        n,
+        tuple(wave_of),
+        tuple(d for _, d in keys),
+        tuple(waves),
+        None if len(set(wave_of)) == len(keys) else np.equal.outer(wave_of, wave_of),
+        np.array((z.real, z.imag)),
+        present,
+        wave_rank[wave_of],
+    )
+
+
+def _times(re, im_signed: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(re + i im) * y for y held as real and imaginary parts on its third
+    axis from the end, im_signed = (-im, im) on that axis: Python's complex
+    product, written out so that numpy cannot fuse a multiply-add."""
+    return re * y + im_signed * y[..., ::-1, :, :]
 
 
 def to_json(f: ExpPolySum) -> dict:

@@ -18,8 +18,10 @@ boundary scalar); each integration turns a term into one per bound and
 drops its y slot, the last one.  Where the operand's rapidities are
 regular and away from mu, every term is a plane wave c e^{i mu y},
 integrating to c / (i mu) e^{i mu y} at each bound: the steps run on bare
-(wavevector, coefficient) rows with exppoly's float operations, and
-exppoly.merge_rows merges an alcove's rows of every block at once.  An
+(wavevector, coefficient) rows with the float operations that exppoly's
+general steps (_embed, _exp_antiderivative, _at_bound) make on a plane
+wave, and exppoly.merge_rows merges an alcove's rows of every block at
+once.  An
 alcove where a term has a polynomial part, a y wavenumber below
 SMALL_WAVENUMBER_TOL or NaN, or a zero coefficient at any step is built
 term by term by exppoly's general steps and canonicalized.
@@ -142,8 +144,9 @@ def _rows(blocks, f: AlcoveFunction, consts: dict) -> list | None:
                 for s, m in zip(slots, t.wavevector):
                     wv[s - 1] = wv[s - 1] + m if wv[s - 1] else m
                 level.append((wv, c))
-            # exppoly._integrate_term's closed form, innermost y first; each
-            # y is the last slot, so dropping it keeps the slots before it
+            # exppoly._exp_antiderivative, then _at_bound per bound, on a plane
+            # wave, innermost y first; each y is the last slot, so dropping it
+            # keeps the slots before it
             for j in range(P + len(bounds), P, -1):
                 lower, upper = bounds[j - P - 1]
                 step = []

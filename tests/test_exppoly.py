@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -133,24 +132,6 @@ def _stepwise_integral(t, j, lower, upper, keep):
     )
 
 
-# plane waves at the edges of integrate's closed form, as (integrated
-# wavenumber, coefficient): at SMALL_WAVENUMBER_TOL and just below it,
-# signed zeros, NaN, infinity, a c / (i mu) that rounds to zero, and one
-# whose value at the bound +4 rounds to zero (e^{-400}) while the one at -4
-# does not
-_PLANE_WAVE_EDGES = [
-    (exppoly.SMALL_WAVENUMBER_TOL, 0.6 - 0.8j),
-    (math.nextafter(exppoly.SMALL_WAVENUMBER_TOL, 0.0), 0.6 - 0.8j),
-    (complex(1.5, -0.0), complex(-0.0, 0.7)),
-    (complex(-1.5, 0.0), complex(0.7, -0.0)),
-    (1.5, -0.7j),
-    (1.5, complex(math.nan, 0.0)),
-    (1.5 + 0.3j, complex(0.0, math.inf)),
-    (2.0, 5e-324),
-    (1 + 100j, 1e-160),
-]
-
-
 @pytest.mark.parametrize("branch", sorted(_BRANCH_WAVENUMBERS))
 @pytest.mark.parametrize("bound_kind", ["constant", "coordinate"])
 @pytest.mark.parametrize("dropped", [0, 1, 2])
@@ -159,7 +140,7 @@ def test_fused_integration_step_is_the_stepwise_one(branch, bound_kind, dropped)
     # against _antiderivative, substitute per bound, then _truncate: the
     # same terms to the bit; the integrated slot is the last one, and any
     # other dropped slot is unused.  Each random term comes with a plane
-    # wave of its wavevector, which the exact branch integrates in closed form
+    # wave of its wavevector
     rng = random.Random(f"fused-{branch}-{bound_kind}-{dropped}")
     for _ in range(25):
         n = rng.randint(2, 3) + dropped
@@ -182,23 +163,6 @@ def test_fused_integration_step_is_the_stepwise_one(branch, bound_kind, dropped)
         for u in (t, wave) if t.coeffs else (wave,):
             want = _stepwise_integral(u, j, lower, upper, keep)
             assert repr(exppoly._integrate_term(u, j, lower, upper, keep)) == repr(want)
-    # the edges, on signed-zero wavenumbers elsewhere; between two of the
-    # constants -4, 0 and +4, or of slot 1 and, past one slot, slot 2.
-    # They are compared with the general step, _antiderivative then
-    # _at_bound per bound: the stepwise path negates after substituting, so
-    # where a part of a coefficient is zero its sign may differ
-    n = 2 + dropped
-    j = n if dropped else 1
-    keep = n - dropped
-    bounds = [Bound.const(b) for b in (-4.0, 0.0, 4.0)] if bound_kind == "constant" else [Bound.coord(keep if dropped else 2), Bound.coord(1)]
-    for muj, c in _PLANE_WAVE_EDGES:
-        mu = [complex(-0.0, -0.0)] * n
-        mu[j - 1] = complex(muj)
-        wave = exppoly._term(n, mu, {(0,) * n: c})
-        for lower, upper in permutations(bounds, 2):
-            anti = exppoly._antiderivative(wave, j)
-            want = exppoly._at_bound(anti, j, upper, keep), exppoly._at_bound(anti, j, lower, keep, -1.0)
-            assert repr(exppoly._integrate_term(wave, j, lower, upper, keep)) == repr(want), (muj, c)
 
 
 def test_fused_integration_step_refuses_a_used_dropped_slot():
@@ -372,6 +336,29 @@ def test_merge_rows_is_canonicalize_of_the_plane_waves():
         terms = tuple(exppoly.ExpPolyTerm(2, tuple(wv), (((0, 0), c),)) for wv, c in rows)
         want = exppoly.canonicalize(exppoly.ExpPolySum(2, terms))
         assert repr(exppoly.merge_rows(2, rows)) == repr(want)
+
+
+def test_arrays_read_prune_and_build_each_sum_as_canonicalize():
+    # sums over a few far-apart wavevectors, repeated within a sum and with
+    # monomials of several degrees; coefficients with signed zeros, NaN,
+    # infinity, an overflowing modulus and ones below the floor.  Outside
+    # any np.errstate, so a lost guard shows as a RuntimeWarning
+    rng = random.Random(13)
+    waves = [tuple(complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(2)) for _ in range(4)]
+    special = [complex(-0.0, 0.7), complex(math.nan, 1.0), complex(0.0, -math.inf), complex(1.5e308, 1.5e308), 1e-17, 0j]
+    sums = [exppoly.zero(2)]
+    for _ in range(30):
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = {(rng.randint(0, 1), rng.randint(0, 1)): rng.choice(special) if rng.random() < 0.3 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(1, 3))}
+            terms.append(exppoly.ExpPolyTerm(2, rng.choice(waves), tuple(sorted(coeffs.items()))))
+        sums.append(exppoly.ExpPolySum(2, tuple(terms)))
+    a = exppoly.to_arrays(2, sums)
+    assert a.same_term is not None
+    got = a.to_sums(*a.prune(a.coeffs, a.present, a.rank))
+    assert repr(got) == repr([exppoly.canonicalize(f) for f in sums])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        exppoly.to_arrays(2, [exppoly.plane_wave((1.0,))])
 
 
 def test_canonicalize_merges_a_nonfinite_wavevector_only_with_its_equal():
@@ -625,7 +612,7 @@ def test_rerouted_sites_are_their_scale_add_canonicalize_chains(monkeypatch):
             old = _tables(o, words)
         assert repr(new) == repr(old)
         for (gamma, w), table in zip(words, old):
-            assert repr(momrep.deformed_word_entry(o, w, gamma, identity(n))) == repr(table[identity(n)])
+            assert repr(momrep.deformed_word_entries(o, [(identity(o.n), w)], gamma, identity(n))[0]) == repr(table[identity(n)])
     # propagation, symmetrize, the explicit route and the Laplacian norms
     cases = [_complex_lam(rng, 3), _complex_lam(rng, 4), (0.5, 0.5, -0.3), (0.5, 0.5, -0.3, 0.2), (1.0, 1j)]
     for lam, gamma in [(lam, gamma) for lam in cases for gamma in (1.3, 0.0)]:

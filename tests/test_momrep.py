@@ -83,6 +83,14 @@ def test_mult_scalar_rejects_singular_field():
         momrep.mult_scalar(base, lambda p: float("inf"))
 
 
+def test_mult_scalar_scales_by_a_finite_value_of_overflowing_modulus():
+    # finite, though abs() of it overflows: scaled as exppoly.scale does
+    base = momrep.orbit_planewave((0.3, -0.5))
+    value = complex(1.5e308, 1.5e308)
+    out = momrep.mult_scalar(base, lambda p: value)
+    assert repr(out.entries) == repr({s: exppoly.scale(value, p) for s, p in base.entries.items()})
+
+
 def test_near_degenerate_rapidities_rejected():
     with pytest.raises(ValueError):
         momrep.orbit_planewave((0.5, 0.5 + 0.1 * momrep.EPS_REG))
@@ -110,7 +118,7 @@ def test_deformed_word_entry_equals_the_full_table():
     for w in all_permutations(3):
         table = momrep.apply_deformed_word(base, w, 1.3)
         for sigma in all_permutations(3):
-            entry = momrep.deformed_word_entry(base, w, 1.3, sigma)
+            entry = momrep.deformed_word_entries(base, [(identity(base.n), w)], 1.3, sigma)[0]
             assert entry.terms == table.entries[sigma].terms
 
 
@@ -159,7 +167,7 @@ def test_deformed_words_repeat_the_merge_bit_for_bit(n, gamma):
         want = _reference_word(o, w, gamma)
         assert repr(momrep.apply_deformed_word(o, w, gamma).entries) == repr(want)
         for sigma in all_permutations(n):
-            assert repr(momrep.deformed_word_entry(o, w, gamma, sigma)) == repr(want[sigma])
+            assert repr(momrep.deformed_word_entries(o, [(identity(o.n), w)], gamma, sigma)[0]) == repr(want[sigma])
 
 
 def test_gamma_symmetrizer_repeats_the_merge_bit_for_bit():
@@ -170,14 +178,26 @@ def test_gamma_symmetrizer_repeats_the_merge_bit_for_bit():
     assert repr(momrep.gamma_symmetrizer(o, 0.8)) == repr(want)
 
 
-@pytest.mark.parametrize("gamma", (-0.7, 1.3))
-def test_orbit_route_repeats_the_merge_bit_for_bit(gamma):
+def _assert_orbit_route_matches(gamma):
     r = RapiditySet(_seeded_orbit(3, 9).lam, gamma, 10.0)
     base = momrep.orbit_planewave(r.lam)
     pieces = wavefn.prewavefunction(r, "orbit").pieces
     for sigma in all_permutations(3):
         want = _reference_word(momrep.act_table(sigma.inverse(), base), sigma, gamma)[identity(3)]
         assert repr(pieces[sigma]) == repr(want)
+
+
+@pytest.mark.parametrize("gamma", (-0.7, 1.3))
+def test_orbit_route_repeats_the_merge_bit_for_bit(gamma):
+    _assert_orbit_route_matches(gamma)
+
+
+@pytest.mark.parametrize("gamma", (-0.7, 1.3))
+def test_orbit_route_in_batches_of_one_pair_repeats_the_merge_bit_for_bit(monkeypatch, gamma):
+    # every table up to N=4 fits in one batch; with _BATCH at 1 each batch
+    # runs one (tau, w) pair
+    monkeypatch.setattr(momrep, "_BATCH", 1)
+    _assert_orbit_route_matches(gamma)
 
 
 @pytest.mark.parametrize("c", (float("nan"), float("inf"), complex(0.0, -float("inf"))))

@@ -346,6 +346,46 @@ def test_block_engine_repeats_the_frozen_per_term_engine(N):
         _assert_engine_is_frozen([(weight, ybops._plan(kind, mu, i, N))], f)
 
 
+# plane waves at the edges of the rows' closed form, as (integrated
+# wavenumber, coefficient): at SMALL_WAVENUMBER_TOL and just below it,
+# signed zeros, NaN, infinity, a c / (i mu) that rounds to zero, and one
+# whose value at the bound +4 rounds to zero (e^{-400}) while the one at -4
+# does not
+_PLANE_WAVE_EDGES = [
+    (exppoly.SMALL_WAVENUMBER_TOL, 0.6 - 0.8j),
+    (math.nextafter(exppoly.SMALL_WAVENUMBER_TOL, 0.0), 0.6 - 0.8j),
+    (complex(1.5, -0.0), complex(-0.0, 0.7)),
+    (complex(-1.5, 0.0), complex(0.7, -0.0)),
+    (1.5, -0.7j),
+    (1.5, complex(math.nan, 0.0)),
+    (1.5 + 0.3j, complex(0.0, math.inf)),
+    (2.0, 5e-324),
+    (1 + 100j, 1e-160),
+]
+
+
+def test_rows_integrate_plane_wave_edges_as_the_general_steps():
+    # one block on two coordinates whose operand's slot 2 is its y (slot 3),
+    # on signed-zero wavenumbers elsewhere, integrated between two of the
+    # constants -4, 0 and +4 or of the coordinates 1 and 2: where _rows
+    # makes rows, they are _terms' terms (exppoly._embed, then
+    # _integrate_term) to the bit, and the sign of a zero part
+    consts = {e: 4.0 * e for e in (1, 0, -1)}
+    made = 0
+    for muj, c in _PLANE_WAVE_EDGES:
+        f = alcovefn.from_analytic(exppoly.monomial((0, 0), c, (complex(-0.0, -0.0), muj)))
+        for entities in ([("const", e) for e in (-1, 0, 1)], [("coord", 1), ("coord", 2)]):
+            for lower, upper in permutations(entities, 2):
+                block = ((2, [0j] * 3, 1.0 + 0j, [1, 3]), [((1, 2), ((lower, upper),))])
+                rows = ybops._rows([block], f, consts)
+                if rows is not None:
+                    made += 1
+                    want = [(t.wavevector, t.coeffs) for t in ybops._terms([block], f, 8.0)]
+                    assert repr([(tuple(wv), (((0, 0), v),)) for wv, v in rows]) == repr(want), (muj, c)
+    # the other 20 cases are below SMALL_WAVENUMBER_TOL or round to zero
+    assert made == 52
+
+
 def _family_blocks(family, mu, N, gamma):
     """The weighted blocks of a non-symmetric family, as apply_nonsymmetric sums them."""
     kind, top = {"a": ("e_bar+", N), "d": ("e_bar-", N), "b+": ("e_hat+", N), "c-": ("e_check-", N - 1)}[family]
