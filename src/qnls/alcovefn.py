@@ -86,11 +86,11 @@ class AlcoveFunction:
         if len(xv) != self.n:
             raise ValueError("dimension mismatch")
         if side is not None:
-            return self.pieces[side].eval(xv)
+            return self._side(side)._value(xv)
         order, tied = _ordering(xv)
         if tied and not self.continuous:
             raise ValueError("point lies on a wall of a discontinuous function")
-        return self._by_order[order].eval(xv)
+        return self._by_order[order]._value(xv)
 
     def eval_many(self, points, side: Permutation | None = None) -> np.ndarray:
         """Values at the rows of the real array points (count x n), each
@@ -104,7 +104,7 @@ class AlcoveFunction:
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError("dimension mismatch")
         if side is not None:
-            return self.pieces[side].eval_many(X)
+            return self._side(side).eval_many(X)
         if not self.continuous:
             ranked = np.sort(X, axis=1)
             if (ranked[:, 1:] == ranked[:, :-1]).any():
@@ -120,6 +120,11 @@ class AlcoveFunction:
             rows = group == g
             out[rows] = self.pieces[Permutation(tuple(label + 1))].eval_many(X[rows])
         return out
+
+    def _side(self, side: Permutation) -> ExpPolySum:
+        if side.n != self.n:
+            raise ValueError(f"size mismatch: side of S_{side.n} for N={self.n}")
+        return self.pieces[side]
 
 
 @dataclass(frozen=True)
@@ -137,8 +142,7 @@ class WallSample:
 
 def _ordering(x: tuple) -> tuple[tuple[int, ...], bool]:
     """The images of ordering_permutation(x) and its tie flag."""
-    keys = {j: -xj.real for j, xj in enumerate(x, 1)}
-    order = tuple(sorted(keys, key=keys.__getitem__))
+    order = tuple(sorted(range(1, len(x) + 1), key=lambda j: -x[j - 1].real))
     return order, any(x[a - 1] == x[b - 1] for a, b in zip(order, order[1:]))
 
 
@@ -281,7 +285,9 @@ def dunkl(F: AlcoveFunction, j: int, gamma: float) -> AlcoveFunction:
     for k in range(1, n + 1):
         if k == j:
             continue
-        swapped = act_position(transposition(j, k, n), F)
+        # the sigma-piece of s_jk F: F's (s_jk sigma)-piece relabelled by s_jk,
+        # built only where the theta factor keeps it
+        w = transposition(j, k, n)
         for sigma in pieces:
             rank = sigma.inverse()
             if k < j:
@@ -293,9 +299,8 @@ def dunkl(F: AlcoveFunction, j: int, gamma: float) -> AlcoveFunction:
                 active = rank(k) < rank(j)
                 coeff = gamma
             if active:
-                pieces[sigma] = pieces[sigma] + exppoly.scale(
-                    coeff, swapped.pieces[sigma]
-                )
+                swapped = act_analytic(w, F.pieces[compose(w, sigma)])
+                pieces[sigma] = pieces[sigma] + exppoly.scale(coeff, swapped)
     return AlcoveFunction(n, pieces, continuous=False)
 
 

@@ -14,6 +14,12 @@ a caller merges its entries with the written-out complex product
 (_times), SumArrays.prune and SumArrays.to_sums, bit for bit as combine
 would (the deformed words of momrep).
 
+A sum is read at a point by eval, from a flat form of its terms cached
+on the sum at the first read (_flat): a plane-wave term (one degree-0
+monomial c) keeps its polynomial part 0j + c, any other term its
+monomials, and both keep their wavevector object.  eval_many reads many
+points at once from arrays packed the same way (_packed).
+
 >>> f = plane_wave((2.0, -1.0))          # e^{i(2 x1 - x2)}
 >>> g = derivative(f, 1)
 >>> g.eval((0.3, 0.7)) == 2j * f.eval((0.3, 0.7))
@@ -164,20 +170,40 @@ class ExpPolySum:
 
     def eval(self, x: Iterable[complex]) -> complex:
         """The value at x, term by term: the monomials c * x**deg summed in
-        order, times exp(i <mu, x>) with the phase summed slot by slot."""
+        order from 0j, times exp(i <mu, x>) with the phase summed slot by
+        slot, and the terms summed in order from 0j.  The terms are read
+        from their flat form (_flat), cached on the sum at the first read,
+        where a plane-wave term's monomial sum is already 0j + c."""
         xv = tuple(x)
         if len(xv) != self.n:
             raise ValueError("dimension mismatch")
+        return self._value(xv)
+
+    @cached_property
+    def _flat(self) -> tuple[tuple, ...]:
+        """Per term (wavevector, poly, coeffs): poly is 0j + c and coeffs
+        None for a term with one degree-0 monomial c; otherwise poly is None
+        and coeffs the term's monomials."""
+        return tuple(
+            (t.wavevector, 0j + t.coeffs[0][1], None)
+            if len(t.coeffs) == 1 and not any(t.coeffs[0][0])
+            else (t.wavevector, None, t.coeffs)
+            for t in self.terms
+        )
+
+    def _value(self, xv: tuple) -> complex:
+        """eval's body at a tuple xv of length n."""
         total = 0j
-        for t in self.terms:
-            poly = 0j
-            for deg, c in t.coeffs:
-                if any(deg):
-                    for xj, dj in zip(xv, deg):
-                        if dj:
-                            c *= xj**dj
-                poly += c
-            total += poly * cmath.exp(1j * sum(map(operator.mul, t.wavevector, xv)))
+        for wave, poly, coeffs in self._flat:
+            if coeffs is not None:
+                poly = 0j
+                for deg, c in coeffs:
+                    if any(deg):
+                        for xj, dj in zip(xv, deg):
+                            if dj:
+                                c *= xj**dj
+                    poly += c
+            total += poly * cmath.exp(1j * sum(map(operator.mul, wave, xv)))
         return total
 
     @cached_property

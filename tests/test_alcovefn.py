@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qnls import alcovefn, exppoly, wavefn
 from qnls.alcovefn import ordering_permutation
@@ -326,13 +326,45 @@ def _mixed_degree_case() -> alcovefn.AlcoveFunction:
     return alcovefn.from_analytic(f)
 
 
+@lru_cache(maxsize=None)
+def _edge_value_case() -> alcovefn.AlcoveFunction:
+    """Pieces that no construction makes: signed zeros in wavevectors and
+    coefficients, NaN, infinite and overflowing coefficients, terms with
+    several monomials or none, next to empty pieces and a mixed-degree
+    piece."""
+    nan, inf = math.nan, math.inf
+    z = complex(-0.0, -0.0)
+    terms = [
+        ((z, complex(0.7, -0.0), complex(-1.2, 0.1)), {(0, 0, 0): z}),
+        ((0.3 + 0j, z, -0.5 + 0j), {(0, 0, 0): complex(-0.0, 2.0)}),
+        ((1.1 - 0.2j, 0.4 + 0j, z), {(0, 0, 0): complex(nan, 1.0)}),
+        ((-0.6 + 0j, 0.9 + 0.1j, 0.2 + 0j), {(0, 0, 0): complex(inf, -inf)}),
+        ((0.5 + 0j, -0.5 + 0j, 1.5 + 0j), {(0, 0, 0): complex(1.5e308, 1.5e308)}),
+        ((0.25 + 0j, -1.0 + 0j, 0.0 + 0j), {(0, 0, 0): complex(-0.0, 0.0), (1, 0, 2): z}),
+        ((z, z, z), {(0, 2, 0): complex(-inf, 0.0)}),
+        ((0.8 + 0j, 0.1 + 0j, -0.3 + 0j), {(1, 1, 0): complex(1.5e308, -0.0), (0, 0, 1): 1.0 + 0j}),
+        ((0.2 + 0j, 0.2 + 0j, 0.2 + 0j), {}),
+    ]
+    edge = exppoly.ExpPolySum(
+        3, tuple(exppoly.ExpPolyTerm(3, wv, tuple(sorted(c.items()))) for wv, c in terms)
+    )
+    mixed = _mixed_degree_case().pieces[identity(3)]
+    choices = (edge, exppoly.zero(3), mixed)
+    pieces = {s: choices[k % 3] for k, s in enumerate(all_permutations(3))}
+    return alcovefn.build(pieces, continuous=True)
+
+
 @st.composite
 def _function_and_point(draw):
-    """A case of _eval_many_cases, or the mixed-degree case, and a point,
-    at times with -0.0 entries and with one coordinate copied onto another
-    (a tie)."""
-    F = draw(st.sampled_from(_eval_many_cases() + (_mixed_degree_case(),)))
-    coord = st.one_of(st.floats(-5.0, 5.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
+    """A case of _eval_many_cases, the mixed-degree case or the edge-value
+    case, and a point of real or complex coordinates, at times with -0.0
+    parts and with one coordinate copied onto another (a tie)."""
+    cases = _eval_many_cases() + (_mixed_degree_case(), _edge_value_case())
+    F = draw(st.sampled_from(cases))
+    part = st.one_of(st.floats(-5.0, 5.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
+    coord = part
+    if draw(st.booleans()):
+        coord = st.builds(complex, part, part)
     x = draw(st.lists(coord, min_size=F.n, max_size=F.n))
     if draw(st.booleans()):
         a, b = draw(st.permutations(range(F.n)))[:2]
@@ -348,3 +380,81 @@ def test_eval_is_the_per_term_evaluation_to_the_bit(case):
     assert repr(F.eval(x)) == repr(_per_term_eval(F.pieces[sigma], x))
     for tau, piece in F.pieces.items():
         assert repr(F.eval(x, side=tau)) == repr(_per_term_eval(piece, x))
+
+
+def _ordering_by_dict(x):
+    """_ordering as it read before: the keys kept in a dict per point."""
+    keys = {j: -xj.real for j, xj in enumerate(x, 1)}
+    order = tuple(sorted(keys, key=keys.__getitem__))
+    return order, any(x[a - 1] == x[b - 1] for a, b in zip(order, order[1:]))
+
+
+@st.composite
+def _points_with_ties(draw):
+    part = st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0, math.nan]))
+    coord = st.one_of(part, st.builds(complex, part, part))
+    x = draw(st.lists(coord, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, len(x) - 1)), draw(st.integers(0, len(x) - 1))
+        x[b] = x[a]
+    return tuple(x)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@settings(deadline=None, max_examples=300)
+@given(_points_with_ties())
+@example((0.5, 0.5, -1.0))
+@example((0.0, -0.0, 0.0, -0.0))
+@example((_NAN, 0.3, _NAN, -1.0))
+@example((_INF, -_INF, _NAN, _INF))
+@example((0.5 + 3j, 0.7 - 1j, 0.5 + 0j, 0.5 + 3j))
+@example((complex(_NAN, 1.0), 0.2 + 0j, complex(-0.0, 0.0)))
+def test_ordering_is_the_dict_keyed_ordering(x):
+    """Same order and tie flag on ties, signed zeros, NaN, infinities and
+    complex coordinates."""
+    assert alcovefn._ordering(x) == _ordering_by_dict(x)
+
+
+def _dunkl_through_act_position(F, j, gamma):
+    """dunkl as it read before: s_jk F built in full for every k."""
+    n = F.n
+    pieces = {s: exppoly.derivative(p, j) for s, p in F.pieces.items()}
+    for k in range(1, n + 1):
+        if k == j:
+            continue
+        swapped = alcovefn.act_position(transposition(j, k, n), F)
+        for sigma in pieces:
+            rank = sigma.inverse()
+            if k < j:
+                active = rank(j) < rank(k)
+                coeff = -gamma
+            else:
+                active = rank(k) < rank(j)
+                coeff = gamma
+            if active:
+                pieces[sigma] = pieces[sigma] + exppoly.scale(coeff, swapped.pieces[sigma])
+    return alcovefn.AlcoveFunction(n, pieces, continuous=False)
+
+
+def test_dunkl_is_the_act_position_body_to_the_bit():
+    cases = [
+        (wavefn.prewavefunction(wavefn.RapiditySet((0.8, -0.45, 0.3), 1.3, 10.0)), 1.3),
+        (wavefn.prewavefunction(wavefn.RapiditySet((0.8, -0.45, 0.3, 1.1), -0.7, 10.0)), -0.7),
+        (wavefn.prewavefunction_degenerate(wavefn.RapiditySet((0.5, 0.5, -0.3), 1.0, 10.0)), 1.0),
+    ]
+    for F, gamma in cases:
+        for j in range(1, F.n + 1):
+            got = alcovefn.dunkl(F, j, gamma)
+            assert repr(got) == repr(_dunkl_through_act_position(F, j, gamma))
+
+
+def test_eval_refuses_a_side_of_the_wrong_size():
+    F = wavefn.prewavefunction(wavefn.RapiditySet((0.8, -0.45, 0.3), 1.3, 10.0))
+    x = (0.3, -0.2, 0.1)
+    for side in [Permutation((2, 1)), identity(4)]:
+        with pytest.raises(ValueError, match="size mismatch"):
+            F.eval(x, side=side)
+        with pytest.raises(ValueError, match="size mismatch"):
+            F.eval_many([x], side=side)
