@@ -18,7 +18,7 @@ A sum is read at a point by eval, from a flat form of its terms cached
 on the sum at the first read (_flat): a plane-wave term (one degree-0
 monomial c) keeps its polynomial part 0j + c, any other term its
 monomials, and both keep their wavevector object.  eval_many reads many
-points at once from arrays packed the same way (_packed).
+points at once from the terms packed into arrays (_packed).
 
 >>> f = plane_wave((2.0, -1.0))          # e^{i(2 x1 - x2)}
 >>> g = derivative(f, 1)

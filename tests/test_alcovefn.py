@@ -383,7 +383,7 @@ def test_eval_is_the_per_term_evaluation_to_the_bit(case):
 
 
 def _ordering_by_dict(x):
-    """_ordering as it read before: the keys kept in a dict per point."""
+    """The reference _ordering: the sort keys kept in a dict per point."""
     keys = {j: -xj.real for j, xj in enumerate(x, 1)}
     order = tuple(sorted(keys, key=keys.__getitem__))
     return order, any(x[a - 1] == x[b - 1] for a, b in zip(order, order[1:]))
@@ -400,17 +400,14 @@ def _points_with_ties(draw):
     return tuple(x)
 
 
-_NAN, _INF = math.nan, math.inf
-
-
 @settings(deadline=None, max_examples=300)
 @given(_points_with_ties())
 @example((0.5, 0.5, -1.0))
 @example((0.0, -0.0, 0.0, -0.0))
-@example((_NAN, 0.3, _NAN, -1.0))
-@example((_INF, -_INF, _NAN, _INF))
+@example((math.nan, 0.3, math.nan, -1.0))
+@example((math.inf, -math.inf, math.nan, math.inf))
 @example((0.5 + 3j, 0.7 - 1j, 0.5 + 0j, 0.5 + 3j))
-@example((complex(_NAN, 1.0), 0.2 + 0j, complex(-0.0, 0.0)))
+@example((complex(math.nan, 1.0), 0.2 + 0j, complex(-0.0, 0.0)))
 def test_ordering_is_the_dict_keyed_ordering(x):
     """Same order and tie flag on ties, signed zeros, NaN, infinities and
     complex coordinates."""
@@ -418,7 +415,7 @@ def test_ordering_is_the_dict_keyed_ordering(x):
 
 
 def _dunkl_through_act_position(F, j, gamma):
-    """dunkl as it read before: s_jk F built in full for every k."""
+    """The reference dunkl: s_jk F built in full by act_position for every k."""
     n = F.n
     pieces = {s: exppoly.derivative(p, j) for s, p in F.pieces.items()}
     for k in range(1, n + 1):
