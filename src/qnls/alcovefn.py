@@ -87,8 +87,9 @@ class AlcoveFunction:
             raise ValueError("dimension mismatch")
         if side is not None:
             return self._side(side)._value(xv)
-        order, tied = _ordering(xv)
-        if tied and not self.continuous:
+        order = _order(xv)
+        # the tie flag matters only where the pieces may disagree on a wall
+        if not self.continuous and _tied(xv, order):
             raise ValueError("point lies on a wall of a discontinuous function")
         return self._by_order[order]._value(xv)
 
@@ -96,9 +97,9 @@ class AlcoveFunction:
         """Values at the rows of the real array points (count x n), each
         taken as eval takes it, walls included.
 
-        The batch is sorted into alcoves in one pass: one piece serves it
-        when every row has the first row's ordering, otherwise the rows are
-        grouped by ordering.
+        One piece serves the batch when every row is strictly ordered as
+        the first row is; otherwise each row's ordering is read as one
+        integer (its images in base n) and the rows are grouped by it.
         """
         X = np.asarray(points, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
@@ -109,16 +110,21 @@ class AlcoveFunction:
             ranked = np.sort(X, axis=1)
             if (ranked[:, 1:] == ranked[:, :-1]).any():
                 raise ValueError("point lies on a wall of a discontinuous function")
+        if not len(X):
+            return np.empty(0, dtype=complex)
         # a stable sort breaks ties by index, as ordering_permutation does
+        first = np.argsort(-X[0], kind="stable")
+        lined = X[:, first]
+        if (lined[:, :-1] > lined[:, 1:]).all():
+            return self._by_order[tuple((first + 1).tolist())].eval_many(X)
         order = np.argsort(-X, axis=1, kind="stable")
-        if len(X) and (order == order[0]).all():
-            return self.pieces[Permutation(tuple(order[0] + 1))].eval_many(X)
-        labels, group = np.unique(order, axis=0, return_inverse=True)
-        group = group.reshape(-1)
+        _, heads, group = np.unique(
+            order @ self.n ** np.arange(self.n), return_index=True, return_inverse=True
+        )
         out = np.empty(len(X), dtype=complex)
-        for g, label in enumerate(labels):
+        for g, head in enumerate(heads):
             rows = group == g
-            out[rows] = self.pieces[Permutation(tuple(label + 1))].eval_many(X[rows])
+            out[rows] = self._by_order[tuple((order[head] + 1).tolist())].eval_many(X[rows])
         return out
 
     def _side(self, side: Permutation) -> ExpPolySum:
@@ -140,10 +146,20 @@ class WallSample:
             raise ValueError("sample not on the wall")
 
 
+def _order(x: tuple) -> tuple[int, ...]:
+    """The images of ordering_permutation(x)."""
+    return tuple(sorted(range(1, len(x) + 1), key=lambda j: -x[j - 1].real))
+
+
+def _tied(x: tuple, order: tuple[int, ...]) -> bool:
+    """Whether x has two equal coordinates, given its order."""
+    return any(x[a - 1] == x[b - 1] for a, b in zip(order, order[1:]))
+
+
 def _ordering(x: tuple) -> tuple[tuple[int, ...], bool]:
     """The images of ordering_permutation(x) and its tie flag."""
-    order = tuple(sorted(range(1, len(x) + 1), key=lambda j: -x[j - 1].real))
-    return order, any(x[a - 1] == x[b - 1] for a, b in zip(order, order[1:]))
+    order = _order(x)
+    return order, _tied(x, order)
 
 
 def ordering_permutation(x: tuple) -> tuple[Permutation, bool]:

@@ -8,19 +8,27 @@ elementary kind (its fixed ends, index shift and operand slots) and one
 per generator (its kind, multi-indices and scalar).  So a bookkeeping
 error on either side shows up as a cross-check failure.
 
-Quadrature runs on rows.  A nested integral is integrated level by level:
-each level integrates every row of its outer variables at once, so one
-adaptive step evaluates its integrand on the nodes of an interval and of
-its two halves for all rows together, and the operand is evaluated through
-AlcoveFunction.eval_many at the innermost level.  Each row is accepted or
-halved on its own error, exactly as if it were integrated alone.  Rows are
-taken in chunks of at most QUAD_BATCH_POINTS nodes per step, which bounds
-the memory of the grid a deep nesting would otherwise build at once.
+Quadrature runs on rows.  Each elementary term of a generator at one
+output point is a layout: its interval ends, breakpoints (the point's
+coordinates), operand slots and prefactor.  quad_apply_many integrates
+the layouts of every point and multi-index with the same number of
+integrals as rows of one nested integral, level by level: a row is a
+layout's index with values of its outer variables, and each level
+integrates all rows at once over their layouts' intervals, split at their
+breakpoints.  So one adaptive step evaluates its integrand on the nodes of
+an interval and of its two halves for all rows together, and the operand
+is evaluated through AlcoveFunction.eval_many at the innermost level.
+Each row is accepted or halved on its own error, and its arithmetic does
+not involve the other rows, so it gets the value it would get integrated
+alone, bit for bit.  Rows are taken in chunks of at most QUAD_BATCH_POINTS
+nodes per step, which bounds the memory of the grid a deep nesting would
+otherwise build at once.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Sequence
@@ -34,6 +42,7 @@ __all__ = [
     "adaptive_quad",
     "quad_elementary",
     "quad_apply",
+    "quad_apply_many",
     "inner_product",
     "fd_derivative",
     "QUAD_NEST_CAP",
@@ -76,8 +85,10 @@ def _adaptive(
 
     batch(rows, ts) maps the row indices rows and their nodes ts (one row
     of nodes per index) to the integrand's values, shaped like ts.  Rows
-    are independent: they run in chunks of at most QUAD_BATCH_POINTS nodes
-    per step, and each row is accepted or halved on its own error alone.
+    may come from different layouts and output points and are independent:
+    they run in chunks of at most QUAD_BATCH_POINTS nodes per step, and
+    each row is accepted or halved on its own error alone, so its value
+    does not depend on the rows it runs with.
     """
     out = np.empty(len(a), dtype=complex)
     per_chunk = max(1, QUAD_BATCH_POINTS // (3 * QUAD_NODES))
@@ -114,25 +125,50 @@ def _step(
     return split
 
 
+def _segments(intervals: Sequence[tuple[float, float, Sequence[float]]]) -> tuple[np.ndarray, ...]:
+    """The sub-intervals of each layout's interval (a, b), split first at
+    its interior breakpoints: their ends lo and hi, layout l's taking
+    positions first[l]:first[l + 1] in cut order, and whether the layout's
+    interval runs backwards."""
+    lo, hi, first, flip = [], [], [0], []
+    for a, b, breaks in intervals:
+        flip.append(a > b)
+        if a > b:
+            a, b = b, a
+        cuts = sorted({a, b, *(t for t in breaks if a < t < b)}) if a != b else []
+        lo += cuts[:-1]
+        hi += cuts[1:]
+        first.append(len(lo))
+    return np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(first), np.array(flip)
+
+
 def _quad_rows(
     batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    count: int,
-    a: float,
-    b: float,
-    breaks: Sequence[float] = (),
+    lay: np.ndarray,
+    segments: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """Integrals over (a, b) of count rows' integrands (batch as for
-    _adaptive), split first at the interior breakpoints."""
-    if a == b:
-        return np.zeros(count, dtype=complex)
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
-    cuts = sorted({a, b, *(t for t in breaks if a < t < b)})
-    total = np.zeros(count, dtype=complex)
-    for lo, hi in zip(cuts, cuts[1:]):
-        total += _adaptive(batch, np.full(count, lo), np.full(count, hi))
-    return sign * total
+    """For each row r, the integral over the interval of its layout lay[r]
+    (segments as _segments gives them; batch as for _adaptive).
+
+    The sub-intervals of every row run as rows of one _adaptive call; each
+    row's integrals over them are added from zero in cut order, then the
+    sign of a backward interval is applied."""
+    lo, hi, first, flip = segments
+    count = first[lay + 1] - first[lay]
+    owner = np.repeat(np.arange(len(lay)), count)
+    pos = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    seg = first[lay][owner] + pos
+    parts = _adaptive(lambda rows, ts: batch(owner[rows], ts), lo[seg], hi[seg])
+    total = np.zeros(len(lay), dtype=complex)
+    for j in range(count.max(initial=0)):
+        at = pos == j
+        total[owner[at]] += parts[at]
+    # the sign as a complex product, as one interval's integral takes it:
+    # negation would differ in the sign of a zero part
+    out = 1.0 * total
+    back = flip[lay]
+    out[back] = -1.0 * total[back]
+    return out
 
 
 def adaptive_quad(
@@ -147,7 +183,7 @@ def adaptive_quad(
     def batch(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
         return np.array([[func(t) for t in row] for row in ts], dtype=complex)
 
-    return complex(_quad_rows(batch, 1, a, b, breaks)[0])
+    return complex(_quad_rows(batch, np.zeros(1, dtype=int), _segments([(a, b, breaks)]))[0])
 
 
 def _extend(outer: np.ndarray, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -171,21 +207,27 @@ def _points(coords: Sequence, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Layout:
-    """One elementary term at a fixed output point.
+    """One elementary term at a fixed output point x.
 
     levels are the numeric interval endpoints, decreasing; y_m runs over
     (levels[m], levels[m-1]), so there are len(levels) - 1 integrals.
     Step factors in the definitions make the term vanish unless the chain
-    really decreases.  args maps the y tuple to the operand's argument
-    point; x_phase and the uniform -mu on every y give the exponential
-    prefactor, times scalar.
+    really decreases.  The operand's argument point takes its coordinates
+    from ys + x (the y's, then x) at the positions slots; x_phase and the
+    uniform -mu on every y give the exponential prefactor, times scalar.
     """
 
     levels: tuple[float, ...]
-    args: Callable[[tuple[float, ...]], tuple[float, ...]]
+    x: tuple[float, ...]
+    slots: tuple[int, ...]
     x_phase: complex
     mu: complex
     scalar: complex
+
+    def args(self, ys: tuple[float, ...]) -> tuple[float, ...]:
+        """The operand's argument point at the y tuple ys."""
+        row = tuple(ys) + self.x
+        return tuple(row[k] for k in self.slots)
 
 
 # kind -> (fixed end above, index shift, fixed end below, operand slots).
@@ -232,31 +274,81 @@ def _layout_elementary(
     indexed = tuple(x[p - 1 + shift] for p in i)
     levels = top + indexed + bottom
     n_y = len(levels) - 1
-    # the slot map, built once: (True, m) takes ys[m], (False, r) takes x[r]
+    # ys[m] sits at position m of ys + x, x[r] at n_y + r
     if fill == "rest":
-        slots = [(False, r - 1) for r in range(1, len(x) + 1) if r not in i]
-        slots += [(True, m) for m in range(n_y)]
+        slots = [n_y + r - 1 for r in range(1, len(x) + 1) if r not in i]
+        slots += list(range(n_y))
     else:
         own = {p: m + (fill == "own,top") for m, p in enumerate(i)}
         slots = [
-            (True, own[r]) if r in own else (False, r - 1 + shift)
+            own[r] if r in own else n_y + r - 1 + shift
             for r in range(1, N + (fill == "own"))
         ]
         if fill == "own,top":
-            slots.append((True, 0))
+            slots.append(0)
         elif fill == "bottom,own":
-            slots.insert(0, (True, n_y - 1))
-
-    def args(ys):
-        return tuple(ys[k] if from_y else x[k] for from_y, k in slots)
-
+            slots.insert(0, n_y - 1)
     # the created coordinate first, then the indexed ones
     created = [end(e) for e in (above, below) if isinstance(e, str)]
     x_phase = cmath.exp(1j * mu * sum(created + list(indexed)))
     # one constant end gives exp(+/- i mu L/2); two cancel
     consts = [e for e in (above, below) if isinstance(e, int)]
     scalar = cmath.exp(consts[0] * 1j * mu * half) if len(consts) == 1 else 1.0 + 0j
-    return _Layout(levels, args, x_phase, mu, scalar)
+    return _Layout(levels, x, tuple(slots), x_phase, mu, scalar)
+
+
+def _quad_layouts(lays: Sequence[_Layout], f: AlcoveFunction) -> list[complex]:
+    """The value of each layout's term with operand f: 0 on a chain that
+    does not decrease, f read once where there is no integral, and
+    otherwise one nested quadrature per depth and mu, whose rows are the
+    layouts."""
+    out = [0.0 + 0j] * len(lays)
+    nested: dict[tuple[int, complex], list[int]] = {}
+    for k, lay in enumerate(lays):
+        n_y = len(lay.levels) - 1
+        if n_y > QUAD_NEST_CAP:
+            raise ValueError(f"more than {QUAD_NEST_CAP} nested integrals requested")
+        if any(lay.levels[m] >= lay.levels[m - 1] for m in range(1, len(lay.levels))):
+            continue
+        if n_y == 0:
+            out[k] = lay.scalar * lay.x_phase * f.eval(lay.args(()))
+        else:
+            nested.setdefault((n_y, lay.mu), []).append(k)
+    for (n_y, mu), ks in nested.items():
+        for k, value in zip(ks, _nested([lays[k] for k in ks], n_y, mu, f)):
+            out[k] = complex(value)
+    return out
+
+
+def _nested(lays: Sequence[_Layout], n_y: int, mu: complex, f: AlcoveFunction) -> np.ndarray:
+    """The nested integrals of layouts with n_y integrals each and a common
+    mu, integrated level by level with one row per layout and outer node.
+
+    Rows carry the index of their layout, which gives them their interval
+    and breakpoints (the layout's x) at each level, their operand slots and
+    their prefactor scalar * x_phase."""
+    x = np.array([lay.x for lay in lays], dtype=float)
+    slots = np.array([lay.slots for lay in lays], dtype=int)
+    prefactor = np.array([lay.scalar * lay.x_phase for lay in lays])
+    segments = [
+        _segments([(lay.levels[m], lay.levels[m - 1], lay.x) for lay in lays])
+        for m in range(1, n_y + 1)
+    ]
+
+    def level(m: int, outer: np.ndarray, lay: np.ndarray) -> np.ndarray:
+        # the integral over y_m, ..., y_n_y for each row (y_1, ..., y_m-1)
+        def batch(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+            ys = _extend(outer, rows, ts)
+            at = np.repeat(lay[rows], ts.shape[1])
+            if m < n_y:
+                return level(m + 1, ys, at).reshape(ts.shape)
+            phase = np.exp(-1j * mu * sum(ys.T))
+            points = np.hstack([ys, x[at]])[np.arange(len(ys))[:, None], slots[at]]
+            return (prefactor[at] * phase * f.eval_many(points)).reshape(ts.shape)
+
+        return _quad_rows(batch, lay, segments[m - 1])
+
+    return level(1, np.empty((len(lays), 0)), np.arange(len(lays)))
 
 
 def quad_elementary(
@@ -269,49 +361,44 @@ def quad_elementary(
 ) -> complex:
     """Value at x of one elementary operator applied to f, by nested
     adaptive quadrature of the defining integral."""
-    lay = _layout_elementary(kind, mu, tuple(i), f.n, tuple(x), length)
-    n_y = len(lay.levels) - 1
-    if n_y > QUAD_NEST_CAP:
-        raise ValueError(f"more than {QUAD_NEST_CAP} nested integrals requested")
-    if any(
-        lay.levels[m] >= lay.levels[m - 1] for m in range(1, len(lay.levels))
-    ):
-        return 0.0 + 0j
-    if n_y == 0:
-        return lay.scalar * lay.x_phase * f.eval(lay.args(()))
-    breaks = tuple(x)
-
-    def level(m: int, outer: np.ndarray) -> np.ndarray:
-        # the integral over y_m, ..., y_n_y for each row (y_1, ..., y_m-1)
-        def batch(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
-            ys = _extend(outer, rows, ts)
-            if m < n_y:
-                return level(m + 1, ys).reshape(ts.shape)
-            phase = np.exp(-1j * lay.mu * sum(ys.T))
-            values = f.eval_many(_points(lay.args(tuple(ys.T)), len(ys)))
-            return (lay.scalar * lay.x_phase * phase * values).reshape(ts.shape)
-
-        return _quad_rows(batch, len(outer), lay.levels[m], lay.levels[m - 1], breaks)
-
-    return complex(level(1, np.empty((1, 0)))[0])
+    return _quad_layouts([_layout_elementary(kind, mu, tuple(i), f.n, tuple(x), length)], f)[0]
 
 
-def quad_apply(
+def quad_apply_many(
     family: str,
     mu: complex,
     f: AlcoveFunction,
     gamma: float,
     length: float,
-    x: tuple[float, ...],
-) -> complex:
-    """Value at x of a generator (a, b+, b-, c+, c-, d, A, B, C, D)
-    applied to f, via the gamma-weighted sums of elementary quadratures."""
-    x = tuple(x)
-    if family == "a":
-        return quad_apply("b+", mu, f, gamma, length, (-length / 2,) + x)
-    if family == "d":
-        return quad_apply("b-", mu, f, gamma, length, x + (length / 2,))
+    xs: Sequence[tuple[float, ...]],
+) -> list[complex]:
+    """Values at each point of xs of a generator (a, b+, b-, c+, c-, d, A,
+    B, C, D) applied to f, via the gamma-weighted sums of elementary
+    quadratures; the elementary terms of every point are integrated
+    together, as rows.
+
+    A point must have finite coordinates and the family's output size:
+    N+1 for b+/-, B; N for a, d, A, D; N-1 for c+/-, C (with N = f.n), or
+    none on the vacuum, which c+/-, C take to zero."""
     N = f.n
+    size = (
+        dict.fromkeys(("b+", "b-", "B"), N + 1)
+        | dict.fromkeys(("a", "d", "A", "D"), N)
+        | dict.fromkeys(("c+", "c-", "C"), max(N - 1, 0))
+    )
+    if family not in size:
+        raise ValueError(f"unknown family {family!r}")
+    xs = [tuple(x) for x in xs]
+    for x in xs:
+        if len(x) != size[family]:
+            raise ValueError(f"{family} takes points of {size[family]} coordinates, not {len(x)}")
+        if not all(math.isfinite(t) for t in x):
+            raise ValueError(f"point {x} has a coordinate that is not finite")
+    # a and d are b+ and b- with the created coordinate at -L/2 and L/2
+    if family == "a":
+        family, xs = "b+", [(-length / 2,) + x for x in xs]
+    elif family == "d":
+        family, xs = "b-", [x + (length / 2,) for x in xs]
     # family -> its elementary kind, multi-indices, index range, extra
     # indices over the gamma power n, and scalar; the sum is the scalar
     # times gamma^n times each elementary term
@@ -325,21 +412,30 @@ def quad_apply(
         "C": ("E_check", combinations, N - 1, 0, float(N)),
         "D": ("E_bar-", combinations, N, 0, 1.0),
     }
-    if family not in sums:
-        raise ValueError(f"unknown family {family!r}")
     kind, indices, top, extra, scalar = sums[family]
     if indices is combinations:
         # the output is symmetric, so evaluate on the decreasing rearrangement
-        x = tuple(sorted(x, reverse=True))
+        xs = [tuple(sorted(x, reverse=True)) for x in xs]
     # c+/-, C on the vacuum have no index range: the sum is zero
-    return scalar * sum(
-        (
-            gamma**n * quad_elementary(kind, mu, i, f, length, x)
-            for n in range(top - extra + 1)
-            for i in indices(range(1, top + 1), n + extra)
-        ),
-        0j,
+    terms = [
+        (n, i) for n in range(top - extra + 1) for i in indices(range(1, top + 1), n + extra)
+    ]
+    values = iter(
+        _quad_layouts([_layout_elementary(kind, mu, i, N, x, length) for x in xs for _, i in terms], f)
     )
+    return [scalar * sum((gamma**n * next(values) for n, _ in terms), 0j) for _ in xs]
+
+
+def quad_apply(
+    family: str,
+    mu: complex,
+    f: AlcoveFunction,
+    gamma: float,
+    length: float,
+    x: tuple[float, ...],
+) -> complex:
+    """Value at x of a generator applied to f: quad_apply_many at one point."""
+    return quad_apply_many(family, mu, f, gamma, length, [x])[0]
 
 
 def inner_product(

@@ -742,8 +742,9 @@ def suite_oracle_crosscheck(max_n: int, gamma: float, length: float, seed: int):
         exact = _op(fam, mu, f, gamma, length)
         pts = alcovefn.sample_interior(out_n, 20, length, seed) if out_n else [()]
         label = fam.replace("+", "p").replace("-", "m")
+        quad = oracle.quad_apply_many(fam, mu, f, gamma, length, pts)
         yield f"quadrature-crosscheck-{label}", f.n, worst_residual(
-            relative(oracle.quad_apply(fam, mu, f, gamma, length, x), exact.eval(x)) for x in pts
+            relative(q, exact.eval(x)) for q, x in zip(quad, pts)
         )
 
     pts = alcovefn.sample_interior(2, 10, length, seed)

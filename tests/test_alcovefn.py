@@ -6,6 +6,7 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -268,6 +269,87 @@ def test_eval_many_agrees_with_eval(case):
     for x, got in zip(rows, F.eval_many(rows)):
         want = F.eval(x)
         assert abs(got - want) <= EVAL_MANY_TOL * max(abs(want), 1.0)
+
+
+def _eval_many_by_unique(F, points):
+    """The reference eval_many: rows grouped by np.unique over their
+    ordering arrays."""
+    X = np.asarray(points, dtype=float)
+    if not F.continuous:
+        ranked = np.sort(X, axis=1)
+        if (ranked[:, 1:] == ranked[:, :-1]).any():
+            raise ValueError("point lies on a wall of a discontinuous function")
+    order = np.argsort(-X, axis=1, kind="stable")
+    if len(X) and (order == order[0]).all():
+        return F.pieces[Permutation(tuple(order[0] + 1))].eval_many(X)
+    labels, group = np.unique(order, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    out = np.empty(len(X), dtype=complex)
+    for g, label in enumerate(labels):
+        rows = group == g
+        out[rows] = F.pieces[Permutation(tuple(label + 1))].eval_many(X[rows])
+    return out
+
+
+@st.composite
+def _mixed_batch(draw):
+    """A function of _eval_many_cases, discontinuous or not, and rows from
+    several alcoves with ties, signed zeros and NaN."""
+    F = draw(st.sampled_from(_eval_many_cases()))
+    F = alcovefn.build(F.pieces, draw(st.booleans()))
+    coord = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0, 1.5, math.nan]))
+    rows = draw(st.lists(st.lists(coord, min_size=F.n, max_size=F.n), min_size=1, max_size=30))
+    for row in rows:
+        for _ in range(draw(st.integers(0, 1))):
+            row[draw(st.integers(0, F.n - 1))] = row[draw(st.integers(0, F.n - 1))]
+    if draw(st.booleans()):
+        # the first row's alcove for every row: the one-piece path
+        sigma, _ = ordering_permutation(tuple(rows[0]))
+        rows = [list(sigma.act_vector(tuple(sorted(x, reverse=True)))) for x in rows]
+    return F, rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(_mixed_batch())
+@example((_eval_many_cases()[2], [[0.5, 0.5, -1.0], [-0.0, 0.0, 2.0], [math.nan, 1.0, 0.3]]))
+@example((_eval_many_cases()[1], [[1.0, -1.0], [-1.0, 1.0], [0.3, 0.2], [-0.0, 0.0]]))
+def test_eval_many_is_the_unique_grouping_to_the_bit(case):
+    F, rows = case
+    try:
+        want = [repr(complex(v)) for v in _eval_many_by_unique(F, rows)]
+    except ValueError:
+        with pytest.raises(ValueError, match="wall"):
+            F.eval_many(rows)
+        return
+    assert [repr(complex(v)) for v in F.eval_many(rows)] == want
+
+
+def _eval_with_the_tie_flag(F, x):
+    """The reference eval: the tie flag computed on every call."""
+    order, tied = _ordering_by_dict(tuple(x))
+    if tied and not F.continuous:
+        raise ValueError("point lies on a wall of a discontinuous function")
+    return F._by_order[order]._value(tuple(x))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.sampled_from([0.5, -0.0, 0.0, -1.25, 2.0, math.nan, 0.5 + 1j]), min_size=3, max_size=3)
+)
+@example([0.5, 0.5, -1.0])
+@example([0.0, -0.0, 1.0])
+def test_eval_reads_ties_only_for_a_discontinuous_function(x):
+    for continuous in (False, True):
+        F = _distinct_pieces(3, 21, continuous)
+        try:
+            want = repr(_eval_with_the_tie_flag(F, x))
+        except ValueError:
+            # only the discontinuous function refuses, and only on a wall
+            assert not continuous and ordering_permutation(tuple(x))[1]
+            with pytest.raises(ValueError, match="wall"):
+                F.eval(x)
+            continue
+        assert repr(F.eval(x)) == want
 
 
 def test_eval_many_groups_rows_by_alcove():

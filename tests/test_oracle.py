@@ -1,6 +1,7 @@
 """Quadrature and finite-difference oracles."""
 
 import cmath
+import math
 import random
 from itertools import combinations, permutations, product
 
@@ -274,3 +275,196 @@ def test_bad_multi_index_refused(kind, i):
         oracle.quad_elementary(kind, 0.3, i, f, 10.0, x)
     with pytest.raises(ValueError, match="multi-index"):
         ybops._plan(kind, 0.3, i, f.n)
+
+
+def _frozen_quad_rows(batch, count, a, b, breaks=()):
+    """The reference _quad_rows: count rows over one interval (a, b), one
+    _adaptive call per sub-interval between cuts."""
+    if a == b:
+        return np.zeros(count, dtype=complex)
+    sign = 1.0
+    if a > b:
+        a, b, sign = b, a, -1.0
+    cuts = sorted({a, b, *(t for t in breaks if a < t < b)})
+    total = np.zeros(count, dtype=complex)
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += oracle._adaptive(batch, np.full(count, lo), np.full(count, hi))
+    return sign * total
+
+
+def _frozen_quad_elementary(kind, mu, i, f, length, x):
+    """The reference elementary quadrature: one layout at a time, nested by
+    a level closure over that layout alone."""
+    lay = oracle._layout_elementary(kind, mu, tuple(i), f.n, tuple(x), length)
+    n_y = len(lay.levels) - 1
+    if any(lay.levels[m] >= lay.levels[m - 1] for m in range(1, len(lay.levels))):
+        return 0.0 + 0j
+    if n_y == 0:
+        return lay.scalar * lay.x_phase * f.eval(lay.args(()))
+
+    def level(m, outer):
+        def batch(rows, ts):
+            ys = oracle._extend(outer, rows, ts)
+            if m < n_y:
+                return level(m + 1, ys).reshape(ts.shape)
+            phase = np.exp(-1j * lay.mu * sum(ys.T))
+            values = f.eval_many(oracle._points(lay.args(tuple(ys.T)), len(ys)))
+            return (lay.scalar * lay.x_phase * phase * values).reshape(ts.shape)
+
+        return _frozen_quad_rows(batch, len(outer), lay.levels[m], lay.levels[m - 1], tuple(x))
+
+    return complex(level(1, np.empty((1, 0)))[0])
+
+
+def _frozen_quad_apply(family, mu, f, gamma, length, x):
+    """The reference generator quadrature: one point, one elementary
+    quadrature per multi-index, summed in (n, i) order."""
+    x = tuple(x)
+    if family == "a":
+        return _frozen_quad_apply("b+", mu, f, gamma, length, (-length / 2,) + x)
+    if family == "d":
+        return _frozen_quad_apply("b-", mu, f, gamma, length, x + (length / 2,))
+    N = f.n
+    kind, indices, top, extra, scalar = {
+        "b+": ("e_hat+", permutations, N, 0, 1.0),
+        "b-": ("e_hat-", permutations, N, 0, 1.0),
+        "c+": ("e_check+", permutations, N - 1, 0, 1.0),
+        "c-": ("e_check-", permutations, N - 1, 0, 1.0),
+        "A": ("E_bar+", combinations, N, 0, 1.0),
+        "B": ("E_hat", combinations, N + 1, 1, 1.0 / (N + 1)),
+        "C": ("E_check", combinations, N - 1, 0, float(N)),
+        "D": ("E_bar-", combinations, N, 0, 1.0),
+    }[family]
+    if indices is combinations:
+        x = tuple(sorted(x, reverse=True))
+    return scalar * sum(
+        (
+            gamma**n * _frozen_quad_elementary(kind, mu, i, f, length, x)
+            for n in range(top - extra + 1)
+            for i in indices(range(1, top + 1), n + extra)
+        ),
+        0j,
+    )
+
+
+# family -> output particle number minus input, and whether it acts on the
+# pre-wavefunction (else on the Bethe wavefunction)
+FAMILIES = {
+    "b+": (1, True), "b-": (1, True), "a": (0, True), "d": (0, True),
+    "c+": (-1, True), "c-": (-1, True),
+    "A": (0, False), "B": (1, False), "C": (-1, False), "D": (0, False),
+}
+
+
+@pytest.mark.parametrize(
+    "gamma, lam, count",
+    [
+        (1.3, (0.8, -0.3), 3),
+        (-0.7, (0.8, -0.3), 3),
+        (0.0, (0.8, -0.3), 3),
+        # three-integral layouts in every family
+        (1.3, (0.8, -0.3, 0.45), 1),
+    ],
+)
+def test_batched_generators_are_the_per_layout_engine_to_the_bit(monkeypatch, gamma, lam, count):
+    layouts = []
+    build = oracle._layout_elementary
+
+    def recorded(*args):
+        layouts.append(build(*args))
+        return layouts[-1]
+
+    r = RapiditySet(lam, gamma, LENGTH)
+    pre, bethe = wavefn.prewavefunction(r), wavefn.bethe_wavefunction(r)
+    for family, (dn, on_pre) in FAMILIES.items():
+        f = pre if on_pre else bethe
+        xs = alcovefn.sample_interior(f.n + dn, count, LENGTH, seed=len(layouts))
+        monkeypatch.setattr(oracle, "_layout_elementary", recorded)
+        got = oracle.quad_apply_many(family, 0.37, f, gamma, LENGTH, xs)
+        monkeypatch.setattr(oracle, "_layout_elementary", build)
+        want = [_frozen_quad_apply(family, 0.37, f, gamma, LENGTH, x) for x in xs]
+        # repr tells every double apart, the sign of a zero too
+        assert repr(got) == repr(want), family
+        assert repr(oracle.quad_apply(family, 0.37, f, gamma, LENGTH, xs[0])) == repr(want[0])
+
+    def split(lay):
+        pairs = zip(lay.levels[1:], lay.levels)
+        return any(a < t < b for a, b in pairs for t in lay.x)
+
+    decreasing = [
+        lay for lay in layouts if all(b > a for a, b in zip(lay.levels[1:], lay.levels))
+    ]
+    # zero chains, layouts without an integral and split intervals all ran
+    assert len(decreasing) < len(layouts)
+    assert any(len(lay.levels) == 1 for lay in decreasing)
+    assert any(split(lay) for lay in decreasing)
+    if len(lam) == 3:
+        assert any(len(lay.levels) == 4 for lay in decreasing)
+
+
+def test_rows_of_many_intervals_are_each_interval_alone_to_the_bit():
+    # forward, backward and empty intervals, breakpoints inside, outside
+    # and on an end, repeated and of either zero sign
+    intervals = [
+        (-1.0, 1.0, (0.3,)),
+        (1.0, -1.0, (0.3, -0.4)),
+        (0.5, 0.5, (0.5,)),
+        (-2.0, 0.7, (0.7, -2.0, 5.0)),
+        (0.9, -0.2, (0.0, -0.0, 0.0, 0.4)),
+        (-0.3, -0.3 + 1e-9, ()),
+    ]
+    lay = np.array([3, 0, 5, 1, 2, 4, 1, 0])
+
+    def integrand(t):
+        return np.abs(t - 0.3) * np.exp(1.7j * t) + 1 / (3.1 + t)
+
+    def batch(rows, ts):
+        return integrand(ts)
+
+    got = oracle._quad_rows(batch, lay, oracle._segments(intervals))
+    for value, l in zip(got, lay):
+        a, b, breaks = intervals[l]
+        want = _frozen_quad_rows(batch, 1, a, b, breaks)[0]
+        assert repr(complex(value)) == repr(complex(want)), intervals[l]
+    assert repr(adaptive_quad(integrand, 1.0, -1.0, (0.3,))) == repr(
+        complex(_frozen_quad_rows(batch, 1, 1.0, -1.0, (0.3,))[0])
+    )
+
+
+@pytest.mark.parametrize(
+    "family, x",
+    [
+        ("b+", (1.0, -2.0)),  # raised a bare IndexError
+        ("b+", (1.0, -2.0, 0.5, 3.0)),  # these three returned numbers
+        ("c+", (1.0, -2.0)),
+        ("a", (1.0, -2.0, 0.5)),
+        ("B", (1.0, -2.0)),
+        ("C", ()),
+        ("A", (1.0, math.nan)),  # halved 20 times, then RuntimeError
+        ("c-", (math.inf,)),
+        ("d", (-math.inf, 0.5)),
+    ],
+)
+def test_quad_apply_refuses_a_point_it_cannot_take(monkeypatch, family, x):
+    r = RapiditySet((0.8, -0.3), GAMMA, LENGTH)
+    f = wavefn.prewavefunction(r) if family.islower() else wavefn.bethe_wavefunction(r)
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(oracle, "_quad_layouts", no_quadrature)
+    with pytest.raises(ValueError, match="coordinate"):
+        oracle.quad_apply(family, 0.37, f, GAMMA, LENGTH, x)
+    # a bad point after good ones is refused before any of them runs
+    good = alcovefn.sample_interior(f.n + FAMILIES[family][0], 2, LENGTH)
+    with pytest.raises(ValueError, match="coordinate"):
+        oracle.quad_apply_many(family, 0.37, f, GAMMA, LENGTH, good + [x])
+
+
+def test_generators_on_the_vacuum_take_the_empty_point():
+    vacuum = alcovefn.from_analytic(exppoly.constant(1.0, 0))
+    for family in ("c+", "c-", "C"):
+        assert oracle.quad_apply(family, 0.37, vacuum, GAMMA, LENGTH, ()) == 0
+    exact = ybops.apply_nonsymmetric("b+", 0.37, vacuum, GAMMA, LENGTH)
+    q = oracle.quad_apply("b+", 0.37, vacuum, GAMMA, LENGTH, (1.2,))
+    assert abs(q - exact.eval((1.2,))) < 1e-9
