@@ -420,9 +420,8 @@ def quad_apply_many(
     terms = [
         (n, i) for n in range(top - extra + 1) for i in indices(range(1, top + 1), n + extra)
     ]
-    values = iter(
-        _quad_layouts([_layout_elementary(kind, mu, i, N, x, length) for x in xs for _, i in terms], f)
-    )
+    layouts = [_layout_elementary(kind, mu, i, N, x, length) for x in xs for _, i in terms]
+    values = iter(_quad_layouts(layouts, f))
     return [scalar * sum((gamma**n * next(values) for n, _ in terms), 0j) for _ in xs]
 
 

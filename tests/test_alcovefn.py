@@ -334,7 +334,9 @@ def _eval_with_the_tie_flag(F, x):
 
 @settings(deadline=None, max_examples=150)
 @given(
-    st.lists(st.sampled_from([0.5, -0.0, 0.0, -1.25, 2.0, math.nan, 0.5 + 1j]), min_size=3, max_size=3)
+    st.lists(
+        st.sampled_from([0.5, -0.0, 0.0, -1.25, 2.0, math.nan, 0.5 + 1j]), min_size=3, max_size=3
+    )
 )
 @example([0.5, 0.5, -1.0])
 @example([0.0, -0.0, 1.0])

@@ -277,7 +277,7 @@ def test_bad_multi_index_refused(kind, i):
         ybops._plan(kind, 0.3, i, f.n)
 
 
-def _frozen_quad_rows(batch, count, a, b, breaks=()):
+def _reference_quad_rows(batch, count, a, b, breaks=()):
     """The reference _quad_rows: count rows over one interval (a, b), one
     _adaptive call per sub-interval between cuts."""
     if a == b:
@@ -292,7 +292,7 @@ def _frozen_quad_rows(batch, count, a, b, breaks=()):
     return sign * total
 
 
-def _frozen_quad_elementary(kind, mu, i, f, length, x):
+def _reference_quad_elementary(kind, mu, i, f, length, x):
     """The reference elementary quadrature: one layout at a time, nested by
     a level closure over that layout alone."""
     lay = oracle._layout_elementary(kind, mu, tuple(i), f.n, tuple(x), length)
@@ -311,19 +311,19 @@ def _frozen_quad_elementary(kind, mu, i, f, length, x):
             values = f.eval_many(oracle._points(lay.args(tuple(ys.T)), len(ys)))
             return (lay.scalar * lay.x_phase * phase * values).reshape(ts.shape)
 
-        return _frozen_quad_rows(batch, len(outer), lay.levels[m], lay.levels[m - 1], tuple(x))
+        return _reference_quad_rows(batch, len(outer), lay.levels[m], lay.levels[m - 1], tuple(x))
 
     return complex(level(1, np.empty((1, 0)))[0])
 
 
-def _frozen_quad_apply(family, mu, f, gamma, length, x):
+def _reference_quad_apply(family, mu, f, gamma, length, x):
     """The reference generator quadrature: one point, one elementary
     quadrature per multi-index, summed in (n, i) order."""
     x = tuple(x)
     if family == "a":
-        return _frozen_quad_apply("b+", mu, f, gamma, length, (-length / 2,) + x)
+        return _reference_quad_apply("b+", mu, f, gamma, length, (-length / 2,) + x)
     if family == "d":
-        return _frozen_quad_apply("b-", mu, f, gamma, length, x + (length / 2,))
+        return _reference_quad_apply("b-", mu, f, gamma, length, x + (length / 2,))
     N = f.n
     kind, indices, top, extra, scalar = {
         "b+": ("e_hat+", permutations, N, 0, 1.0),
@@ -339,7 +339,7 @@ def _frozen_quad_apply(family, mu, f, gamma, length, x):
         x = tuple(sorted(x, reverse=True))
     return scalar * sum(
         (
-            gamma**n * _frozen_quad_elementary(kind, mu, i, f, length, x)
+            gamma**n * _reference_quad_elementary(kind, mu, i, f, length, x)
             for n in range(top - extra + 1)
             for i in indices(range(1, top + 1), n + extra)
         ),
@@ -382,7 +382,7 @@ def test_batched_generators_are_the_per_layout_engine_to_the_bit(monkeypatch, ga
         monkeypatch.setattr(oracle, "_layout_elementary", recorded)
         got = oracle.quad_apply_many(family, 0.37, f, gamma, LENGTH, xs)
         monkeypatch.setattr(oracle, "_layout_elementary", build)
-        want = [_frozen_quad_apply(family, 0.37, f, gamma, LENGTH, x) for x in xs]
+        want = [_reference_quad_apply(family, 0.37, f, gamma, LENGTH, x) for x in xs]
         # repr tells every double apart, the sign of a zero too
         assert repr(got) == repr(want), family
         assert repr(oracle.quad_apply(family, 0.37, f, gamma, LENGTH, xs[0])) == repr(want[0])
@@ -424,23 +424,23 @@ def test_rows_of_many_intervals_are_each_interval_alone_to_the_bit():
     got = oracle._quad_rows(batch, lay, oracle._segments(intervals))
     for value, l in zip(got, lay):
         a, b, breaks = intervals[l]
-        want = _frozen_quad_rows(batch, 1, a, b, breaks)[0]
+        want = _reference_quad_rows(batch, 1, a, b, breaks)[0]
         assert repr(complex(value)) == repr(complex(want)), intervals[l]
     assert repr(adaptive_quad(integrand, 1.0, -1.0, (0.3,))) == repr(
-        complex(_frozen_quad_rows(batch, 1, 1.0, -1.0, (0.3,))[0])
+        complex(_reference_quad_rows(batch, 1, 1.0, -1.0, (0.3,))[0])
     )
 
 
 @pytest.mark.parametrize(
     "family, x",
     [
-        ("b+", (1.0, -2.0)),  # raised a bare IndexError
-        ("b+", (1.0, -2.0, 0.5, 3.0)),  # these three returned numbers
+        ("b+", (1.0, -2.0)),  # too short for the index range
+        ("b+", (1.0, -2.0, 0.5, 3.0)),  # wrong sizes the layouts would accept
         ("c+", (1.0, -2.0)),
         ("a", (1.0, -2.0, 0.5)),
         ("B", (1.0, -2.0)),
         ("C", ()),
-        ("A", (1.0, math.nan)),  # halved 20 times, then RuntimeError
+        ("A", (1.0, math.nan)),  # no step on a NaN interval ever converges
         ("c-", (math.inf,)),
         ("d", (-math.inf, 0.5)),
     ],
