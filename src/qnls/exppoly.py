@@ -335,12 +335,20 @@ def mul(f: ExpPolySum, g: ExpPolySum) -> ExpPolySum:
     return canonicalize(ExpPolySum(f.n, tuple(out)))
 
 
+def _check_slots(n: int, j: int, *bounds: Bound) -> None:
+    """Refuse a slot j, or a coordinate bound, outside 1..n."""
+    for k in (j, *(b.value for b in bounds if b.kind == "coordinate")):
+        if not 1 <= k <= n:
+            raise ValueError(f"slot {k} out of range 1..{n}")
+
+
 def derivative(f: ExpPolySum, j: int) -> ExpPolySum:
     """Exact d/dx_j (1-based j).
 
     >>> derivative(plane_wave((3.0,)), 1).eval((0.0,))
     3j
     """
+    _check_slots(f.n, j)
     out: list[ExpPolyTerm] = []
     for t in f.terms:
         muj = t.wavevector[j - 1]
@@ -467,6 +475,7 @@ def integrate(f: ExpPolySum, j: int, lower: Bound, upper: Bound) -> ExpPolySum:
     >>> integrate(f, 1, Bound.const(0.0), Bound.coord(2)).eval((9.0, 0.5))
     (0.5+0j)
     """
+    _check_slots(f.n, j, lower, upper)
     for b in (lower, upper):
         if b.kind == "coordinate" and b.value == j:
             raise ValueError("bound references the integration variable")
@@ -483,6 +492,7 @@ def substitute(f: ExpPolySum, j: int, b: Bound) -> ExpPolySum:
     >>> g.eval((0.0, 1.0)) == cmath.exp(7j)
     True
     """
+    _check_slots(f.n, j, b)
     if b.kind == "coordinate" and b.value == j:
         raise ValueError("self-substitution")
     return ExpPolySum(f.n, tuple(_at_bound(t, j, b, f.n) for t in f.terms))

@@ -10,12 +10,12 @@ action s_tau is entries'[sigma] = entries[tau^{-1} sigma], i.e.
 transpositions s_{j,gamma} = s_j - i gamma Delta_j, deformed words, and the
 symmetrizers are built from that single rule.
 
-Table entries are kept canonical: tables are summed only by orbit_add
-(both symmetrizers included), and each entry of a deformed transposition
-is what exppoly.combine makes of its parts in one merge (see combine for
-the rule).  So an entry of a deformed word applied to a regular orbit
-holds no more terms than there are orbit points, N!, however long the
-word.
+A sum merges once per entry: entry sigma of orbit_add (both symmetrizers
+included) and each entry of a deformed transposition is one
+exppoly.combine of its parts (see combine for the rule), so an entry of a
+deformed word on a regular orbit holds at most N! terms, however long the
+word.  Scaling does not merge: orbit_scale and mult_* scale each term, and
+an entry of divided_difference holds the terms of both entries it differs.
 
 Deformed words run on arrays.  s_{j,gamma} is linear with scalar weights:
 entry sigma of s_{j,gamma} o is swapped + (-i gamma / d)(here - swapped)
@@ -29,16 +29,16 @@ here), ((-1, 1/d, -i gamma), swapped)] to the bit: exppoly's written-out
 complex products, the same sums in the same order, exppoly's prune and
 the same term order; exppoly builds the entries at the end.  A step
 computes only the entries that the wanted ones depend on, so
-deformed_word_entries, which runs many relabelled tables together and
-keeps one entry of each (the orbit route), does a fraction of the work
-of apply_deformed_word.
+deformed_word_entries, which keeps one entry of each relabelled table (the
+orbit route), does a fraction of the work of apply_deformed_word.  Every
+set of words runs through _entries, the gamma-symmetrizer's N! together.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -130,11 +130,16 @@ def orbit_planewave(lam: tuple[complex, ...]) -> OrbitFunction:
     )
 
 
-def orbit_add(o1: OrbitFunction, o2: OrbitFunction) -> OrbitFunction:
-    """Entrywise sum, each entry merged in one pass by exppoly.combine."""
+def orbit_add(*tables: OrbitFunction) -> OrbitFunction:
+    """Entrywise sum of tables on one orbit: entry sigma is one
+    exppoly.combine over every table's entry sigma, in order."""
+    if not tables:
+        raise ValueError("orbit_add needs at least one table")
+    lam = tables[0].lam
+    if any(o.lam != lam for o in tables):
+        raise ValueError("tables on different orbits")
     return OrbitFunction(
-        o1.lam,
-        {s: exppoly.combine(p.n, [((), p), ((), o2.entries[s])]) for s, p in o1.entries.items()},
+        lam, {s: exppoly.combine(p.n, [((), o.entries[s]) for o in tables]) for s, p in tables[0].entries.items()}
     )
 
 
@@ -222,7 +227,7 @@ def _step(a: exppoly.SumArrays, state, here, swapped, factor, gamma_factor, top,
     return out, has, order
 
 
-# columns x entries of the tables that deformed_word_entries runs together
+# columns x entries of the tables that _entries runs together
 _BATCH = 1 << 18
 
 
@@ -267,9 +272,31 @@ def _run(o: OrbitFunction, pairs, gamma: float, wanted: np.ndarray):
     return state
 
 
-def deformed_transposition_momentum(
-    o: OrbitFunction, j: int, gamma: float
-) -> OrbitFunction:
+def _entries(o: OrbitFunction, pairs, gamma: float, rows: np.ndarray) -> list[ExpPolySum]:
+    """The entries at the positions rows (ascending, in all_permutations
+    order) of w_gamma act_table(tau, o) for each (tau, w) in pairs, table
+    after table, the tables run together in batches of at most _BATCH array
+    cells."""
+    a, pairs = o._arrays, list(pairs)
+    size = a.rank.shape[1]
+    per_batch = max(1, _BATCH // (size * max(1, len(a.degs))))
+    out = []
+    for start in range(0, len(pairs), per_batch):
+        batch = pairs[start:start + per_batch]
+        wanted = (np.arange(0, size * len(batch), size)[:, None] + rows).ravel()
+        out += a.to_sums(*_run(o, batch, gamma, wanted))
+    return out
+
+
+def _word_tables(o: OrbitFunction, words, gamma: float) -> list[OrbitFunction]:
+    """w_gamma o for each w in words, entries in the order of o's."""
+    perms = all_permutations(o.n)
+    values = _entries(o, [(identity(o.n), w) for w in words], gamma, np.arange(len(perms)))
+    tables = [dict(zip(perms, values[k:k + len(perms)])) for k in range(0, len(values), len(perms))]
+    return [OrbitFunction(o.lam, {s: table[s] for s in o.entries}) for table in tables]
+
+
+def deformed_transposition_momentum(o: OrbitFunction, j: int, gamma: float) -> OrbitFunction:
     """s_{j,gamma} = s_j - i gamma Delta_{j,j+1}."""
     return apply_deformed_word(o, simple(j, o.n), gamma)
 
@@ -277,58 +304,36 @@ def deformed_transposition_momentum(
 def apply_deformed_word(o: OrbitFunction, w: Permutation, gamma: float) -> OrbitFunction:
     """w_gamma: the product of deformed transpositions along a reduced word
     of w (well-defined independently of the word chosen)."""
-    perms = all_permutations(o.n)
-    values = o._arrays.to_sums(*_run(o, [(identity(o.n), w)], gamma, np.arange(len(perms))))
-    table = dict(zip(perms, values))
-    return OrbitFunction(o.lam, {s: table[s] for s in o.entries})
+    return _word_tables(o, [w], gamma)[0]
 
 
-def deformed_word_entries(
-    o: OrbitFunction, pairs, gamma: float, sigma: Permutation
-) -> list[ExpPolySum]:
-    """Entry sigma of w_gamma act_table(tau, o) for each (tau, w) in pairs,
-    the tables run together in batches of at most _BATCH array cells
+def deformed_word_entries(o: OrbitFunction, pairs, gamma: float, sigma: Permutation) -> list[ExpPolySum]:
+    """Entry sigma of w_gamma act_table(tau, o) for each (tau, w) in pairs
     (equal to apply_deformed_word(act_table(tau, o), w, gamma).entries[sigma])."""
-    pairs = list(pairs)
-    a = o._arrays
-    size = a.rank.shape[1]
-    per_batch = max(1, _BATCH // (size * max(1, len(a.degs))))
-    row = all_permutations(o.n).index(sigma)
-    out = []
-    for start in range(0, len(pairs), per_batch):
-        batch = pairs[start:start + per_batch]
-        out += a.to_sums(*_run(o, batch, gamma, np.arange(row, size * len(batch), size)))
-    return out
-
-
-def _average(perms, term: Callable[[Permutation], OrbitFunction]) -> OrbitFunction:
-    """(1/len(perms)) sum over w in perms of term(w), each table made as it
-    is added, in order, by orbit_add."""
-    return orbit_scale(1.0 / len(perms), reduce(orbit_add, map(term, perms)))
+    return _entries(o, pairs, gamma, np.array([all_permutations(o.n).index(sigma)]))
 
 
 def symmetrizer(o: OrbitFunction) -> OrbitFunction:
     """(1/N!) sum_w w, acting by table permutation."""
-    return _average(all_permutations(o.n), lambda w: act_table(w, o))
+    perms = all_permutations(o.n)
+    return orbit_scale(1.0 / len(perms), orbit_add(*(act_table(w, o) for w in perms)))
 
 
 def gamma_symmetrizer(o: OrbitFunction, gamma: float) -> OrbitFunction:
     """(1/N!) sum_w w_gamma, the gamma-deformed symmetrizer."""
-    return _average(all_permutations(o.n), lambda w: apply_deformed_word(o, w, gamma))
+    perms = all_permutations(o.n)
+    return orbit_scale(1.0 / len(perms), orbit_add(*_word_tables(o, perms, gamma)))
 
 
 def mult_symbol(o: OrbitFunction, j: int) -> OrbitFunction:
     """Multiplication by the symbol lambda_j: entry at sigma gains the
     factor (sigma lambda)_j."""
-    return OrbitFunction(
-        o.lam,
-        {s: exppoly.scale(o.point(s)[j - 1], p) for s, p in o.entries.items()},
-    )
+    if not 1 <= j <= o.n:
+        raise ValueError(f"symbol index {j} out of range 1..{o.n}")
+    return mult_scalar(o, lambda p: p[j - 1])
 
 
-def mult_scalar(
-    o: OrbitFunction, field: Callable[[tuple[complex, ...]], complex]
-) -> OrbitFunction:
+def mult_scalar(o: OrbitFunction, field: Callable[[tuple[complex, ...]], complex]) -> OrbitFunction:
     """Multiply entries[sigma] by field(sigma lambda)."""
     out = {}
     for s, p in o.entries.items():

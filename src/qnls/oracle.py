@@ -479,6 +479,8 @@ def fd_derivative(F: AlcoveFunction, j: int, x: tuple[float, ...]) -> complex:
     """Central finite difference of F in coordinate j at x, step 1e-4
     with one Richardson stage; refuses stencils that cross a wall."""
     x = tuple(x)
+    if not 1 <= j <= len(x):
+        raise ValueError(f"coordinate {j} out of range 1..{len(x)}")
     base, _ = ordering_permutation(x)
 
     def central(h: float) -> complex:

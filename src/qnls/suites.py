@@ -158,9 +158,9 @@ def _mult(weight):
 def _partial_symmetrizer(o: OrbitFunction, sub_n: int) -> OrbitFunction:
     """Average over the permutations of the first sub_n slots."""
     rest = tuple(range(sub_n + 1, o.n + 1))
-    return momrep._average(
-        all_permutations(sub_n), lambda w: momrep.act_table(Permutation(w.images + rest), o)
-    )
+    perms = all_permutations(sub_n)
+    tables = (momrep.act_table(Permutation(w.images + rest), o) for w in perms)
+    return momrep.orbit_scale(1.0 / len(perms), momrep.orbit_add(*tables))
 
 
 def _orbit_identities(n: int, gamma: float) -> dict[str, list]:
@@ -272,16 +272,15 @@ def _orbit_identities(n: int, gamma: float) -> dict[str, list]:
 
 
 def _side(terms, base: OrbitFunction) -> OrbitFunction:
-    """A linear combination of operator words applied to base."""
-    total = None
+    """A linear combination of operator words applied to base, summed in
+    one merge per entry; a lone word is returned as it is."""
+    tables = []
     for coefficient, *word in terms:
         o = base
         for op in reversed(word):
             o = op(o)
-        if coefficient != 1:
-            o = momrep.orbit_scale(coefficient, o)
-        total = o if total is None else momrep.orbit_add(total, o)
-    return total
+        tables.append(o if coefficient == 1 else momrep.orbit_scale(coefficient, o))
+    return tables[0] if len(tables) == 1 else momrep.orbit_add(*tables)
 
 
 def _orbit_checks(suite: str, n: int, gamma: float, base: OrbitFunction, xs):

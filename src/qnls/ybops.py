@@ -204,8 +204,8 @@ def _block_sum(
 ) -> dict[Permutation, ExpPolySum]:
     """The canonical sum over (weight, plan) blocks on each alcove in
     sigmas: the rows of every block merged, or where a row cannot be made,
-    every block's terms canonicalized."""
-    prepared = [(plan, _prepare(weight, plan, length)) for weight, plan in blocks]
+    every block's terms canonicalized.  A block of weight 0 adds nothing."""
+    prepared = [(plan, _prepare(weight, plan, length)) for weight, plan in blocks if weight]
     consts = {e: _bound(("const", e), length).value for e in (1, -1)}
     pieces = {}
     for sigma in sigmas:

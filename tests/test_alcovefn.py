@@ -88,6 +88,13 @@ def test_wall_jump_vanishes_for_analytic_function():
         assert abs(rec["residual"]) < 1e-12
 
 
+@pytest.mark.parametrize("j", (0, 3))
+def test_dunkl_refuses_an_index_outside_one_to_n(j):
+    F = alcovefn.from_analytic(exppoly.plane_wave((0.8, -0.5)))
+    with pytest.raises(ValueError, match="out of range"):
+        alcovefn.dunkl(F, j, 1.3)
+
+
 def test_dunkl_matches_momentum_formula_on_plane_waves():
     # d_{1,gamma} e^{i<lam,x>} = i lam_1 e + gamma contributions from walls;
     # on the one-particle-pair case compare against the explicit action

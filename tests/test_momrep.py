@@ -2,12 +2,13 @@
 
 import gc
 import random
+from functools import reduce
 
 import pytest
 
-from qnls import alcovefn, exppoly, momrep, wavefn
+from qnls import alcovefn, exppoly, momrep, suites, wavefn
 from qnls.bae import RapiditySet
-from qnls.symgroup import all_permutations, compose, identity, reduced_word, simple, transposition
+from qnls.symgroup import Permutation, all_permutations, compose, identity, reduced_word, simple, transposition
 
 LAM3 = (0.9, -0.2, 1.4)
 
@@ -170,12 +171,69 @@ def test_deformed_words_repeat_the_merge_bit_for_bit(n, gamma):
             assert repr(momrep.deformed_word_entries(o, [(identity(o.n), w)], gamma, sigma)[0]) == repr(want[sigma])
 
 
+# Sums of tables as they were made before orbit_add merged each entry once,
+# frozen as the reference: the tables added one at a time, each partial sum
+# merged by exppoly.combine, then scaled by 1 / (the number of tables).
+
+
+def _chain_add(o1, o2):
+    return momrep.OrbitFunction(
+        o1.lam, {s: exppoly.combine(p.n, [((), p), ((), o2.entries[s])]) for s, p in o1.entries.items()}
+    )
+
+
+def _chain_average(tables):
+    tables = list(tables)
+    return momrep.orbit_scale(1.0 / len(tables), reduce(_chain_add, tables))
+
+
+def _reference_gamma_symmetrizer(o, gamma):
+    return _chain_average(momrep.OrbitFunction(o.lam, _reference_word(o, w, gamma)) for w in all_permutations(o.n))
+
+
 def test_gamma_symmetrizer_repeats_the_merge_bit_for_bit():
     o = _seeded_orbit(3, 5)
-    want = momrep._average(
-        all_permutations(3), lambda w: momrep.OrbitFunction(o.lam, _reference_word(o, w, 0.8))
-    )
-    assert repr(momrep.gamma_symmetrizer(o, 0.8)) == repr(want)
+    assert repr(momrep.gamma_symmetrizer(o, 0.8)) == repr(_reference_gamma_symmetrizer(o, 0.8))
+
+
+def test_gamma_symmetrizer_in_batches_of_one_word_repeats_the_merge_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(momrep, "_BATCH", 1)
+    for n in (3, 4):
+        o = _seeded_orbit(n, 5)
+        assert repr(momrep.gamma_symmetrizer(o, 0.8)) == repr(_reference_gamma_symmetrizer(o, 0.8))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("gamma", (-0.7, 0.0, 1.3))
+def test_symmetrizers_repeat_the_chain_of_sums_bit_for_bit(n, gamma):
+    # on real and complex rapidities; the plain and the partial symmetrizer
+    # also on a deformed word's table, whose entries hold up to N! terms
+    lam = (-1.2, 1.4, -0.3, 0.5)[:n]
+    for o in (momrep.orbit_planewave(lam), _seeded_orbit(n, 3 * n)):
+        assert repr(momrep.gamma_symmetrizer(o, gamma)) == repr(_reference_gamma_symmetrizer(o, gamma))
+        perms, sub = all_permutations(n), all_permutations(n - 1)
+        for table in (o, momrep.apply_deformed_word(o, perms[-1], gamma)):
+            want = _chain_average(momrep.act_table(w, table) for w in perms)
+            assert repr(momrep.symmetrizer(table)) == repr(want)
+            want = _chain_average(momrep.act_table(Permutation(w.images + (n,)), table) for w in sub)
+            assert repr(suites._partial_symmetrizer(table, n - 1)) == repr(want)
+
+
+def test_orbit_add_refuses_tables_on_different_orbits_and_no_table():
+    with pytest.raises(ValueError):
+        momrep.orbit_add(momrep.orbit_planewave((0.3, -0.5)), momrep.orbit_planewave((0.9, -0.1)))
+    with pytest.raises(ValueError):
+        momrep.orbit_add()
+
+
+def test_mult_symbol_is_the_scalar_field_of_the_coordinate_and_refuses_other_indices():
+    o = _seeded_orbit(3, 8)
+    for j in (1, 2, 3):
+        want = {s: exppoly.scale(o.point(s)[j - 1], p) for s, p in o.entries.items()}
+        assert repr(momrep.mult_symbol(o, j).entries) == repr(want)
+    for j in (0, 4):
+        with pytest.raises(ValueError):
+            momrep.mult_symbol(o, j)
 
 
 def _assert_orbit_route_matches(gamma):

@@ -83,6 +83,13 @@ def test_fd_derivative_refuses_wall_crossing():
         oracle.fd_derivative(f, 1, (0.2, 0.2 + 1e-6))
 
 
+@pytest.mark.parametrize("j", (0, 3))
+def test_fd_derivative_refuses_a_coordinate_outside_one_to_n(j):
+    f = wavefn.prewavefunction(RapiditySet((0.8, -0.3), GAMMA, LENGTH))
+    with pytest.raises(ValueError, match="out of range"):
+        oracle.fd_derivative(f, j, (0.2, -0.4))
+
+
 def test_nesting_cap_enforced():
     lam = tuple(0.2 * j for j in range(1, oracle.QUAD_NEST_CAP + 2))
     f = alcovefn.from_analytic(exppoly.plane_wave(lam))

@@ -418,6 +418,28 @@ def test_block_engine_repeats_the_frozen_engine_on_signed_zeros_and_nonfinite_va
         _assert_engine_is_frozen(_family_blocks(family, 0.37, 2, GAMMA), alcovefn.from_analytic(p + exppoly.plane_wave((0.2, 0.6))))
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_block_engine_at_gamma_zero_repeats_the_frozen_engine(N):
+    # at gamma 0 (or -0.0) every block with an index has weight 0 and is
+    # skipped.  On finite operands the frozen engine's terms of those blocks
+    # hold no coefficient and the sums agree by repr; on a NaN or infinite
+    # operand they hold 0 * inf = NaN, which the skip leaves out, as the
+    # frozen engine does without those blocks
+    lam = (0.8, -0.3, 0.45)[:N]
+    psi = wavefn.prewavefunction(RapiditySet(lam, GAMMA, LENGTH))
+    operands = [psi, alcovefn.from_analytic(exppoly.plane_wave(lam))]
+    if N > 1:
+        operands.append(wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5, -0.3)[:N], GAMMA, LENGTH)))
+    for family, mu, f, gamma in product(("a", "d", "b+", "c-"), (0.37, lam[0], lam[0] + 3e-8), operands, (0.0, -0.0)):
+        _assert_engine_is_frozen(_family_blocks(family, mu, N, gamma), f)
+    for family, c in product(("a", "b+"), (math.nan, math.inf)):
+        blocks, f = _family_blocks(family, 0.37, N, 0.0), _scaled(psi, c)
+        sigmas = all_permutations(blocks[0][1].out_n)
+        got = repr(ybops._block_sum(blocks, f, sigmas, LENGTH))
+        assert got == repr(_frozen_block_sum([b for b in blocks if b[0]], f, sigmas, LENGTH))
+        assert got != repr(_frozen_block_sum(blocks, f, sigmas, LENGTH))
+
+
 def test_block_engine_sends_only_the_alcoves_of_a_falling_back_term_through_the_per_term_path(monkeypatch):
     # e_bar+ with index 1 reads operand piece (1, 2) only on output alcove
     # (1, 2), where y_1 runs above x_2; there the second wave's y wavenumber
