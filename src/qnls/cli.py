@@ -147,8 +147,8 @@ def _fmt_complex(v: complex) -> str:
 
 
 def _max_n(args) -> int:
-    """The effective max-n (--n wins over --max-n).  Below 2 several
-    suites would check nothing and still read as a pass."""
+    """The effective max-n (--n wins over --max-n).  One below 2 is
+    refused: no suite would check more than at 2, and Q-operator less."""
     max_n = args.n if args.n is not None else args.max_n
     if max_n < 2:
         raise ValueError(f"max-n must be at least 2, got {max_n}")
@@ -184,10 +184,12 @@ def _cmd_report(args) -> int:
     grouped = {name: [] for name in SUITES}
     for rec in _records(args, SUITES):
         grouped[rec.pop("suite")].append(rec)
-    report["suites"] = {
-        name: {"records": recs, "pass": all(rec["pass"] for rec in recs)}
-        for name, recs in grouped.items()
-    }
+    report["suites"] = {}
+    for name, recs in grouped.items():
+        row = suites.PARTICLES[name]
+        ns = row.ns(report["max_n"])
+        report["suites"][name] = {"records": recs, "pass": all(rec["pass"] for rec in recs),
+                                  "n_checked": [ns[0], ns[-1]], "n_reason": row.reason}
     report["pass"] = all(suite["pass"] for suite in report["suites"].values())
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     return EXIT_OK if report["pass"] else EXIT_IDENTITY_FAILURE

@@ -313,9 +313,11 @@ def deformed_word_entries(o: OrbitFunction, pairs, gamma: float, sigma: Permutat
     return _entries(o, pairs, gamma, np.array([all_permutations(o.n).index(sigma)]))
 
 
-def symmetrizer(o: OrbitFunction) -> OrbitFunction:
-    """(1/N!) sum_w w, acting by table permutation."""
-    perms = all_permutations(o.n)
+def symmetrizer(o: OrbitFunction, leading: int | None = None) -> OrbitFunction:
+    """(1/k!) sum_w w over the permutations w of the first k = leading slots
+    (by default all N), acting by table permutation."""
+    k = o.n if leading is None else leading
+    perms = [Permutation(w.images + tuple(range(k + 1, o.n + 1))) for w in all_permutations(k)]
     return orbit_scale(1.0 / len(perms), orbit_add(*(act_table(w, o) for w in perms)))
 
 

@@ -252,49 +252,48 @@ _KINDS = {
 
 
 def _layout_elementary(
-    kind: str, mu: complex, i: tuple[int, ...], N: int, x: tuple[float, ...], length: float
-) -> _Layout:
-    """Restated definitions; N is the input particle number."""
+    kind: str, mu: complex, i: tuple[int, ...], N: int, size: int, length: float
+) -> Callable[[tuple[float, ...]], _Layout]:
+    """Restated definitions; N is the input particle number and size the output's.
+    The function returned binds an output point x: only levels and phase need x."""
     if kind not in _KINDS:
         raise ValueError(f"unknown elementary kind {kind!r}")
     above, shift, below, fill = _KINDS[kind]
     # e_hat+/- index the input coordinates, every other kind those of x
-    top = N if kind.startswith("e_hat") else len(x)
+    top = N if kind.startswith("e_hat") else size
     if len(set(i)) != len(i) or any(not 1 <= p <= top for p in i):
         raise ValueError(f"multi-index entries must be distinct and in 1..{top}")
     if kind[0] == "E" and list(i) != sorted(i):
         raise ValueError("multi-index must be strictly increasing")
     half = length / 2
-
-    def end(e):
-        return x[0] if e == "x_1" else x[-1] if e == "x_N+1" else e * half
-
-    top = (end(above),) if above is not None else ()
-    bottom = (end(below),) if below is not None else ()
-    indexed = tuple(x[p - 1 + shift] for p in i)
-    levels = top + indexed + bottom
+    # each level, and each coordinate of the phase (the created one first,
+    # then the indexed ones x_{p + shift}), as a position in (L/2, -L/2) + x
+    where = {1: 0, -1: 1, "x_1": 2, "x_N+1": size + 1}
+    indexed = [p + 1 + shift for p in i]
+    levels = [k for k in (where.get(above), *indexed, where.get(below)) if k is not None]
+    phased = [where[e] for e in (above, below) if isinstance(e, str)] + indexed
     n_y = len(levels) - 1
     # ys[m] sits at position m of ys + x, x[r] at n_y + r
     if fill == "rest":
-        slots = [n_y + r - 1 for r in range(1, len(x) + 1) if r not in i]
+        slots = [n_y + r - 1 for r in range(1, size + 1) if r not in i]
         slots += list(range(n_y))
     else:
         own = {p: m + (fill == "own,top") for m, p in enumerate(i)}
-        slots = [
-            own[r] if r in own else n_y + r - 1 + shift
-            for r in range(1, N + (fill == "own"))
-        ]
+        slots = [own[r] if r in own else n_y + r - 1 + shift for r in range(1, N + (fill == "own"))]
         if fill == "own,top":
             slots.append(0)
         elif fill == "bottom,own":
             slots.insert(0, n_y - 1)
-    # the created coordinate first, then the indexed ones
-    created = [end(e) for e in (above, below) if isinstance(e, str)]
-    x_phase = cmath.exp(1j * mu * sum(created + list(indexed)))
     # one constant end gives exp(+/- i mu L/2); two cancel
     consts = [e for e in (above, below) if isinstance(e, int)]
     scalar = cmath.exp(consts[0] * 1j * mu * half) if len(consts) == 1 else 1.0 + 0j
-    return _Layout(levels, x, tuple(slots), x_phase, mu, scalar)
+
+    def bind(x: tuple[float, ...]) -> _Layout:
+        ext = (half, -half) + x
+        x_phase = cmath.exp(1j * mu * sum(ext[k] for k in phased))
+        return _Layout(tuple(ext[k] for k in levels), x, tuple(slots), x_phase, mu, scalar)
+
+    return bind
 
 
 def _quad_layouts(lays: Sequence[_Layout], f: AlcoveFunction) -> list[complex]:
@@ -361,7 +360,7 @@ def quad_elementary(
 ) -> complex:
     """Value at x of one elementary operator applied to f, by nested
     adaptive quadrature of the defining integral."""
-    return _quad_layouts([_layout_elementary(kind, mu, tuple(i), f.n, tuple(x), length)], f)[0]
+    return _quad_layouts([_layout_elementary(kind, mu, tuple(i), f.n, len(x), length)(tuple(x))], f)[0]
 
 
 def quad_apply_many(
@@ -420,7 +419,8 @@ def quad_apply_many(
     terms = [
         (n, i) for n in range(top - extra + 1) for i in indices(range(1, top + 1), n + extra)
     ]
-    layouts = [_layout_elementary(kind, mu, i, N, x, length) for x in xs for _, i in terms]
+    binds = [_layout_elementary(kind, mu, i, N, size[family], length) for _, i in terms]
+    layouts = [bind(x) for x in xs for bind in binds]
     values = iter(_quad_layouts(layouts, f))
     return [scalar * sum((gamma**n * next(values) for n, _ in terms), 0j) for _ in xs]
 

@@ -16,19 +16,54 @@ import random
 import sys
 import traceback
 from collections import Counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import alcovefn, bae, exppoly, momrep, oracle, wavefn, ybops
 from .alcovefn import AlcoveFunction, worst_residual
 from .momrep import OrbitFunction
-from .symgroup import Permutation, all_permutations, identity, transposition
+from .symgroup import Permutation, identity, transposition
 from .wavefn import RapiditySet
 
-__all__ = ["SUITES", "run_suite", "stream", "IDENTITY_TOL", "OPERATOR_TOL", "QUAD_TOL"]
+__all__ = ["SUITES", "PARTICLES", "run_suite", "stream", "IDENTITY_TOL", "OPERATOR_TOL", "QUAD_TOL"]
 
 IDENTITY_TOL = 1e-9
 OPERATOR_TOL = 1e-8
 QUAD_TOL = 1e-6
+
+
+class Particles(NamedTuple):
+    """A suite's row of the particle table: the smallest and largest n it
+    checks, and why it goes no higher.  The suite runs n from smallest up
+    to max(smallest, min(largest, max_n)); a fixed-input suite checks its
+    own inputs, of smallest to largest particles, at every max_n."""
+
+    smallest: int
+    largest: int
+    reason: str
+    fixed: bool = False
+
+    def ns(self, max_n: int) -> range:
+        """The particle numbers the suite checks at max_n."""
+        top = self.largest if self.fixed else max(self.smallest, min(self.largest, max_n))
+        return range(self.smallest, top + 1)
+
+
+# the particle table, one row per suite in run order; a cost is one run on 2
+# shared vCPUs (Python 3.11, numpy 2.4), where each row's largest n takes 0.3 s or less
+PARTICLES = {
+    "dAHA-axioms": Particles(2, 4, "cost: n=5 takes about 7 s"),
+    "appendix-A": Particles(3, 4, "every identity needs 3 particles; cost: n=5 takes about 10 s and 170 MB"),
+    "appendix-B": Particles(1, 3, "fixed inputs; its quadrature stops at oracle.QUAD_NEST_CAP", fixed=True),
+    "wavefunction-routes": Particles(2, 4, "cost: n=5 takes about 1 s"),
+    "QNLS-eigen": Particles(2, 3, "not raised yet: n=4 passes in 0.1 s and would add records"),
+    "ABA": Particles(2, 3, "on-shell quantum numbers are set for n = 2, 3 only"),
+    "nonsymmetric-YBA": Particles(2, 2, "cost: n=3 takes about 3 s; n=4 exceeds ybops.PARTICLE_CAP"),
+    "Q-operator": Particles(1, 2, "the TQ and Q records check one fixed 2-particle Bethe state"),
+    "oracle-crosscheck": Particles(2, 2, "fixed inputs; 3 particles take about 10 s of quadrature", fixed=True),
+}
+
+# the suites by name, registered by _suite in the order they are defined
+SUITES: dict[str, Callable[[int, float, float, int], Iterable[dict]]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +95,11 @@ def _gap(pairs, xs, scale: float | None = None) -> float:
             worst = max(worst, gap)
             seen = max(seen, abs(v1), abs(v2))
     return worst / (seen if scale is None else scale)
+
+
+def _relative(a: complex, b: complex) -> float:
+    """|a - b| relative to |a|, or to 1 if that is smaller."""
+    return abs(a - b) / max(abs(a), 1.0)
 
 
 def _op(family: str, nu: complex, F: AlcoveFunction, gamma: float, length: float):
@@ -107,18 +147,21 @@ def _applications(
     return apply
 
 
-def _suite(tol: float):
-    """Make a generator of checks into a suite of records.
+def _suite(name: str, tol: float):
+    """Register a generator of checks as the suite name in SUITES.
 
-    The generator yields (identity id, n, residual) or (identity id, n,
-    residual, tolerance).  A check passes when its residual is below its
-    tolerance, by default tol; a callable tolerance is the test itself.
+    The generator takes the n values of the suite's PARTICLES row where
+    the suite takes max_n; a fixed-input suite ignores them.  It yields
+    (identity id, n, residual) or (identity id, n, residual, tolerance).
+    A check passes when its residual is below its tolerance, by default
+    tol; a callable tolerance is the test itself.
     """
+    particles = PARTICLES[name]
 
     def wrap(checks):
         @functools.wraps(checks)
         def suite(max_n: int, gamma: float, length: float, seed: int) -> Iterator[dict]:
-            for identity_id, n, residual, *own in checks(max_n, gamma, length, seed):
+            for identity_id, n, residual, *own in checks(particles.ns(max_n), gamma, length, seed):
                 limit = own[0] if own else tol
                 yield {
                     "identity_id": identity_id,
@@ -129,6 +172,7 @@ def _suite(tol: float):
                     "pass": bool(limit(residual) if callable(limit) else residual < limit),
                 }
 
+        SUITES[name] = suite
         return suite
 
     return wrap
@@ -155,14 +199,6 @@ def _mult(weight):
     return lambda o: momrep.mult_scalar(o, weight)
 
 
-def _partial_symmetrizer(o: OrbitFunction, sub_n: int) -> OrbitFunction:
-    """Average over the permutations of the first sub_n slots."""
-    rest = tuple(range(sub_n + 1, o.n + 1))
-    perms = all_permutations(sub_n)
-    tables = (momrep.act_table(Permutation(w.images + rest), o) for w in perms)
-    return momrep.orbit_scale(1.0 / len(perms), momrep.orbit_add(*tables))
-
-
 def _orbit_identities(n: int, gamma: float) -> dict[str, list]:
     """The momentum-representation identities at n particles, by suite.
 
@@ -183,9 +219,7 @@ def _orbit_identities(n: int, gamma: float) -> dict[str, list]:
     def sym_kl(o):
         return momrep.orbit_add(o, momrep.act_table(transposition(k, l, n), o))
 
-    def psub(o):
-        return _partial_symmetrizer(o, n - 1)
-
+    psub = functools.partial(momrep.symmetrizer, leading=n - 1)
     mu = 0.23 + 0.11j
     return {
         "dAHA-axioms": [
@@ -300,12 +334,12 @@ def _orbit_checks(suite: str, n: int, gamma: float, base: OrbitFunction, xs):
 # ---------------------------------------------------------------------------
 
 
-@_suite(IDENTITY_TOL)
-def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int):
+@_suite("dAHA-axioms", IDENTITY_TOL)
+def suite_daha_axioms(ns: range, gamma: float, length: float, seed: int):
     """Defining relations of the deformed transpositions, their divided
     difference building blocks, the Dunkl-type operators, and the bridges
     between the momentum and position actions on plane waves."""
-    for n in range(2, min(max_n, 4) + 1):
+    for n in ns:
         lam = _seeded_lambda(n, seed)
         base = momrep.orbit_planewave(lam)
         xs = alcovefn.sample_interior(n, 4, length, seed)
@@ -363,19 +397,18 @@ def suite_daha_axioms(max_n: int, gamma: float, length: float, seed: int):
         )
 
 
-@_suite(IDENTITY_TOL)
-def suite_appendix_a(max_n: int, gamma: float, length: float, seed: int):
+@_suite("appendix-A", IDENTITY_TOL)
+def suite_appendix_a(ns: range, gamma: float, length: float, seed: int):
     """Identities of the divided-difference calculus in the momentum
-    representation, tested on plane-wave orbit tables.  Every identity
-    needs three particles, so a max_n below 3 still runs n = 3."""
-    for n in range(3, min(max(max_n, 3), 4) + 1):
+    representation, tested on plane-wave orbit tables."""
+    for n in ns:
         base = momrep.orbit_planewave(_seeded_lambda(n, seed, tag=1))
         xs = alcovefn.sample_interior(n, 4, length, seed)
         yield from _orbit_checks("appendix-A", n, gamma, base, xs)
 
 
-@_suite(IDENTITY_TOL)
-def suite_appendix_b(max_n: int, gamma: float, length: float, seed: int):
+@_suite("appendix-B", IDENTITY_TOL)
+def suite_appendix_b(ns: range, gamma: float, length: float, seed: int):
     """Adjointness, permutation equivariance, and the symmetric-restriction
     coincidence of the elementary integral operators."""
     lam = 0.41 + 0.17j
@@ -388,9 +421,7 @@ def suite_appendix_b(max_n: int, gamma: float, length: float, seed: int):
     def adjoint_gap(up_kind, down_kind, i, h):
         up = ybops.elementary_nonsymmetric_op(up_kind, lam, i, f, length)
         down = ybops.elementary_nonsymmetric_op(down_kind, lam.conjugate(), i, h, length)
-        lhs = oracle.inner_product(up, h, length)
-        rhs = oracle.inner_product(f, down, length)
-        return abs(lhs - rhs) / max(abs(lhs), 1.0)
+        return _relative(oracle.inner_product(up, h, length), oracle.inner_product(f, down, length))
 
     yield "elementary-adjointness", 1, worst_residual(
         adjoint_gap(up_kind, down_kind, i, h)
@@ -446,12 +477,12 @@ def suite_appendix_b(max_n: int, gamma: float, length: float, seed: int):
     )
 
 
-@_suite(wavefn.ROUTE_TOL)
-def suite_wavefunction_routes(max_n: int, gamma: float, length: float, seed: int):
+@_suite("wavefunction-routes", wavefn.ROUTE_TOL)
+def suite_wavefunction_routes(ns: range, gamma: float, length: float, seed: int):
     """Pointwise agreement of the independent constructions of the
     pre-wavefunction and the Bethe wavefunction, plus the degenerate
     coincident-pair limit against its closed form."""
-    for n in range(2, min(max_n, 4) + 1):
+    for n in ns:
         r = RapiditySet(_seeded_lambda(n, seed, tag=6), gamma, length)
         pts = alcovefn.sample_interior(n, 50, length, seed)
         pre_spread, bethe_spread = wavefn.assert_routes_agree(r, pts)
@@ -463,12 +494,12 @@ def suite_wavefunction_routes(max_n: int, gamma: float, length: float, seed: int
     yield "degenerate-pair-closed-form", 2, worst, QUAD_TOL
 
 
-@_suite(IDENTITY_TOL)
-def suite_qnls_eigen(max_n: int, gamma: float, length: float, seed: int):
+@_suite("QNLS-eigen", IDENTITY_TOL)
+def suite_qnls_eigen(ns: range, gamma: float, length: float, seed: int):
     """Eigenvalue problem for the pre-wavefunction and the Bethe
     wavefunction: Laplacian at coefficient level, derivative jumps on the
     walls, and the first-order eigen-system."""
-    for n in range(2, min(max_n, 3) + 1):
+    for n in ns:
         r = RapiditySet(_seeded_lambda(n, seed, tag=7), gamma, length)
         for name, F, with_dunkl in (
             ("qnls-eigen-prewavefunction", wavefn.prewavefunction(r), True),
@@ -477,15 +508,15 @@ def suite_qnls_eigen(max_n: int, gamma: float, length: float, seed: int):
             yield name, n, wavefn.verify_qnls(F, r, check_dunkl=with_dunkl)["max_residual"]
 
 
-@_suite(OPERATOR_TOL)
-def suite_aba(max_n: int, gamma: float, length: float, seed: int):
+@_suite("ABA", OPERATOR_TOL)
+def suite_aba(ns: range, gamma: float, length: float, seed: int):
     """Diagonal and off-diagonal actions of the symmetric generators on
     Bethe wavefunctions, the on-shell transfer eigenvalue, and the
     periodicity dichotomy."""
     if gamma <= 0:
         raise ValueError("this suite solves Bethe equations and needs gamma > 0")
     # off-shell diagonal and lowering actions
-    for n in range(2, min(max_n, 3) + 1):
+    for n in ns:
         lam = _seeded_lambda(n, seed, tag=8)
         r = RapiditySet(lam, gamma, length)
         Psi = wavefn.bethe_wavefunction(r)
@@ -495,13 +526,16 @@ def suite_aba(max_n: int, gamma: float, length: float, seed: int):
         def minor(*drop):
             return tuple(v for t, v in enumerate(lam) if t not in drop)
 
+        def plus(F, coeff, rapidities):
+            """F plus coeff times the Bethe wavefunction of the rapidities."""
+            Phi = wavefn.bethe_wavefunction(RapiditySet(rapidities, gamma, length))
+            return alcovefn.afn_add(F, alcovefn.afn_scale(coeff, Phi))
+
         # raising-free expansion of the A and D actions
         for family, sign in (("A", 1), ("D", -1)):
             lhs = ybops.apply_symmetric(family, mu, Psi, gamma, length)
             phase = cmath.exp(-1j * sign * mu * length / 2)
-            rhs = alcovefn.afn_scale(
-                momrep.tau_pm(mu, lam, gamma, sign) * phase, Psi
-            )
+            rhs = alcovefn.afn_scale(momrep.tau_pm(mu, lam, gamma, sign) * phase, Psi)
             for j in range(n):
                 rest = minor(j)
                 coeff = (
@@ -509,18 +543,12 @@ def suite_aba(max_n: int, gamma: float, length: float, seed: int):
                     * (sign * 1j * gamma / (lam[j] - mu))
                     * cmath.exp(-1j * sign * lam[j] * length / 2)
                 )
-                swapped = RapiditySet(rest + (mu,), gamma, length)
-                rhs = alcovefn.afn_add(
-                    rhs,
-                    alcovefn.afn_scale(coeff, wavefn.bethe_wavefunction(swapped)),
-                )
+                rhs = plus(rhs, coeff, rest + (mu,))
             name = "diagonal-action-raising" if family == "A" else "diagonal-action-lowering"
             yield name, n, _gap([(lhs, rhs)], pts)
 
         # expansion of gamma C
-        lhs = alcovefn.afn_scale(
-            gamma, ybops.apply_symmetric("C", mu, Psi, gamma, length)
-        )
+        lhs = alcovefn.afn_scale(gamma, ybops.apply_symmetric("C", mu, Psi, gamma, length))
         rhs = alcovefn.zero_function(n - 1)
         for j in range(n):
             rest = minor(j)
@@ -532,12 +560,7 @@ def suite_aba(max_n: int, gamma: float, length: float, seed: int):
                 * momrep.tau_pm(lam[j], rest, gamma, 1)
                 * cmath.exp(-1j * (lam[j] - mu) * length / 2)
             )
-            rhs = alcovefn.afn_add(
-                rhs,
-                alcovefn.afn_scale(
-                    coeff, wavefn.bethe_wavefunction(RapiditySet(rest, gamma, length))
-                ),
-            )
+            rhs = plus(rhs, coeff, rest)
         for j in range(n):
             for k in range(j + 1, n):
                 rest = minor(j, k)
@@ -549,18 +572,13 @@ def suite_aba(max_n: int, gamma: float, length: float, seed: int):
                     * momrep.tau_pm(lam[j], rest, gamma, 1)
                     * cmath.exp(-1j * (lam[j] - lam[k]) * length / 2)
                 )
-                swapped = RapiditySet(rest + (mu,), gamma, length)
-                rhs = alcovefn.afn_add(
-                    rhs,
-                    alcovefn.afn_scale(coeff, wavefn.bethe_wavefunction(swapped)),
-                )
+                rhs = plus(rhs, coeff, rest + (mu,))
         pts_low = alcovefn.sample_interior(n - 1, 10, length, seed)
         yield "offdiagonal-action-lowering", n, _gap([(lhs, rhs)], pts_low)
 
-    # on-shell transfer eigenvalue and periodicity
-    for n, twice in ((2, (3, 1)), (3, (4, 0, -2))):
-        if n > max_n:
-            continue
+    # on-shell transfer eigenvalue and periodicity, at fixed quantum numbers
+    for n in ns:
+        twice = {2: (3, 1), 3: (4, 0, -2)}[n]
         r = bae.solve_bae(bae.QuantumNumbers(twice), gamma, length)
         Psi = wavefn.bethe_wavefunction(r)
         pts = alcovefn.sample_interior(n, 30, length, seed)
@@ -577,8 +595,8 @@ def suite_aba(max_n: int, gamma: float, length: float, seed: int):
         yield "prewavefunction-nonperiodicity", n, per_psi["max_residual"], lambda res: res > 1e-3
 
 
-@_suite(OPERATOR_TOL)
-def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int):
+@_suite("nonsymmetric-YBA", OPERATOR_TOL)
+def suite_nonsymmetric_yba(ns: range, gamma: float, length: float, seed: int):
     """Exchange relations of the symmetric generators, their non-symmetric
     refinements on pre-wavefunction inputs, and the matrix Yang-Baxter
     equation."""
@@ -587,23 +605,12 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int):
 
     yield "r-matrix-yang-baxter", 2, ybops.ybe_check(lam, mu, gamma), 1e-13
 
-    n = 2 if max_n >= 2 else 1
-    r = RapiditySet(_seeded_lambda(n, seed, tag=9), gamma, length)
-    inputs = {"Psi": wavefn.bethe_wavefunction(r), "psi": wavefn.prewavefunction(r)}
-    # each residual is relative to the size of the input it acts on
-    ref_pts = alcovefn.sample_interior(n, 6, length, seed)
-    scales = {key: max([1.0] + [abs(F.eval(x)) for x in ref_pts]) for key, F in inputs.items()}
-
     def sub(F, G):
         return alcovefn.afn_add(F, alcovefn.afn_scale(-1.0, G))
 
     def xy(key, x, a, y, b):
         """The path of X_a Y_b acting on the input named key."""
         return (key, (y, b), (x, a))
-
-    def gap(lhs, rhs, key):
-        pts = alcovefn.sample_interior(lhs.n, 6, length, seed) if lhs.n else [()]
-        return _gap([(lhs, rhs)], pts, scales[key])
 
     def label(family):
         return family.replace("+", "plus").replace("-", "minus")
@@ -658,34 +665,39 @@ def suite_nonsymmetric_yba(max_n: int, gamma: float, length: float, seed: int):
             ("d", "a", ("c+", "b-", "c-", "b+")),
         )
     ]
-    # position transposition against double raising:
-    # s b_lam b_mu - b_mu b_lam = +-(i gamma/(lam-mu)) [b_lam, b_mu]
-    checks += [
-        (f"nonsymmetric-{label(fam)}-transposition-exchange", "psi",
-         [xy("psi", fam, lam, fam, mu), xy("psi", fam, mu, fam, lam)], c,
-         transposition(j_swap, j_swap + 1, n + 2))
-        for fam, j_swap, c in (("b-", n + 1, weight), ("b+", 1, -weight))
-    ]
-    apply = _applications(gamma, length, inputs, [p for check in checks for p in check[2]])
-    for name, key, paths, c, swap in checks:
-        v = [apply(p) for p in paths]
-        lhs = sub(v[0] if swap is None else alcovefn.act_position(swap, v[0]), v[1])
-        if c is None:
-            rhs = alcovefn.zero_function(lhs.n)
-        else:
-            rhs = alcovefn.afn_scale(c, sub(v[-2], v[-1]))
-        yield name, n, gap(lhs, rhs, key)
+    for n in ns:
+        r = RapiditySet(_seeded_lambda(n, seed, tag=9), gamma, length)
+        inputs = {"Psi": wavefn.bethe_wavefunction(r), "psi": wavefn.prewavefunction(r)}
+        # each residual is relative to the size of the input it acts on
+        ref_pts = alcovefn.sample_interior(n, 6, length, seed)
+        scales = {key: max([1.0] + [abs(F.eval(x)) for x in ref_pts]) for key, F in inputs.items()}
+        # position transposition against double raising:
+        # s b_lam b_mu - b_mu b_lam = +-(i gamma/(lam-mu)) [b_lam, b_mu]
+        swaps = [
+            (f"nonsymmetric-{label(fam)}-transposition-exchange", "psi",
+             [xy("psi", fam, lam, fam, mu), xy("psi", fam, mu, fam, lam)], c,
+             transposition(j_swap, j_swap + 1, n + 2))
+            for fam, j_swap, c in (("b-", n + 1, weight), ("b+", 1, -weight))
+        ]
+        apply = _applications(gamma, length, inputs, [p for check in checks + swaps for p in check[2]])
+        for name, key, paths, c, swap in checks + swaps:
+            v = [apply(p) for p in paths]
+            lhs = sub(v[0] if swap is None else alcovefn.act_position(swap, v[0]), v[1])
+            if c is None:
+                rhs = alcovefn.zero_function(lhs.n)
+            else:
+                rhs = alcovefn.afn_scale(c, sub(v[-2], v[-1]))
+            pts = alcovefn.sample_interior(lhs.n, 6, length, seed) if lhs.n else [()]
+            yield name, n, _gap([(lhs, rhs)], pts, scales[key])
 
 
-@_suite(OPERATOR_TOL)
-def suite_q_operator(max_n: int, gamma: float, length: float, seed: int):
+@_suite("Q-operator", OPERATOR_TOL)
+def suite_q_operator(ns: range, gamma: float, length: float, seed: int):
     """Quantum determinant and Q-operator identities."""
     if gamma <= 0:
         raise ValueError("this suite solves Bethe equations and needs gamma > 0")
     # quantum determinant acts as the constant e^{-gamma L / 2}
-    for n in (1, 2):
-        if n > max_n:
-            continue
+    for n in ns:
         Psi = wavefn.bethe_wavefunction(RapiditySet(_seeded_lambda(n, seed, tag=10), gamma, length))
         pts = alcovefn.sample_interior(n, 8, length, seed)
         want = alcovefn.afn_scale(math.exp(-gamma * length / 2), Psi)
@@ -702,7 +714,7 @@ def suite_q_operator(max_n: int, gamma: float, length: float, seed: int):
             cmath.exp(-1j * mu * length / 2) * ybops.q_operator_scalar(mu + 1j * gamma, r.lam)
             + cmath.exp(1j * mu * length / 2) * ybops.q_operator_scalar(mu - 1j * gamma, r.lam)
         )
-        return abs(lhs - rhs) / max(abs(lhs), 1.0)
+        return _relative(lhs, rhs)
 
     yield "tq-scalar-relation", 2, worst_residual(tq_gap(mu) for mu in (0.41, -0.93, 2.17)), 1e-10
 
@@ -720,17 +732,14 @@ def suite_q_operator(max_n: int, gamma: float, length: float, seed: int):
     yield "transfer-q-commutation", 2, _gap([(lhs, rhs)], pts, scale)
 
 
-@_suite(QUAD_TOL)
-def suite_oracle_crosscheck(max_n: int, gamma: float, length: float, seed: int):
+@_suite("oracle-crosscheck", QUAD_TOL)
+def suite_oracle_crosscheck(ns: range, gamma: float, length: float, seed: int):
     """The exact operator calculus against independent adaptive quadrature
     and finite differences."""
     mu = 0.37
     r2 = RapiditySet(_seeded_lambda(2, seed, tag=11), gamma, length)
     f2 = wavefn.prewavefunction(r2)
     Psi2 = wavefn.bethe_wavefunction(r2)
-
-    def relative(value, exact):
-        return abs(exact - value) / max(abs(exact), 1.0)
 
     cases = [
         ("b+", f2, 3), ("b-", f2, 3), ("a", f2, 2), ("d", f2, 2),
@@ -743,28 +752,15 @@ def suite_oracle_crosscheck(max_n: int, gamma: float, length: float, seed: int):
         label = fam.replace("+", "p").replace("-", "m")
         quad = oracle.quad_apply_many(fam, mu, f, gamma, length, pts)
         yield f"quadrature-crosscheck-{label}", f.n, worst_residual(
-            relative(q, exact.eval(x)) for q, x in zip(quad, pts)
+            _relative(exact.eval(x), q) for q, x in zip(quad, pts)
         )
 
     pts = alcovefn.sample_interior(2, 10, length, seed)
     yield "finite-difference-derivative", 2, worst_residual(
-        relative(oracle.fd_derivative(f2, j, x), exact.eval(x))
+        _relative(exact.eval(x), oracle.fd_derivative(f2, j, x))
         for j, exact in ((j, alcovefn.afn_derivative(f2, j)) for j in (1, 2))
         for x in pts
     )
-
-
-SUITES: dict[str, Callable[[int, float, float, int], Iterable[dict]]] = {
-    "dAHA-axioms": suite_daha_axioms,
-    "appendix-A": suite_appendix_a,
-    "appendix-B": suite_appendix_b,
-    "wavefunction-routes": suite_wavefunction_routes,
-    "QNLS-eigen": suite_qnls_eigen,
-    "ABA": suite_aba,
-    "nonsymmetric-YBA": suite_nonsymmetric_yba,
-    "Q-operator": suite_q_operator,
-    "oracle-crosscheck": suite_oracle_crosscheck,
-}
 
 
 def run_suite(

@@ -263,6 +263,34 @@ def test_appendix_a_checks_something_below_three_particles():
     assert records and all(rec["pass"] for rec in records)
 
 
+def test_each_suite_checks_the_particle_numbers_of_its_table_row():
+    assert list(suites.PARTICLES) == list(cli.SUITES)
+    records = {}
+    for max_n in (2, 3, 4, 5):
+        for name, row in suites.PARTICLES.items():
+            records[name, max_n] = cli.run_suite(name, max_n)
+            seen = {rec["n"] for rec in records[name, max_n]}
+            ns = set(row.ns(max_n))
+            # fixed-input suites check their own inputs, inside the row
+            assert seen <= ns if row.fixed else seen == ns, (name, max_n, seen)
+    # no row goes past 4, so max-n 5 checks what max-n 4 does
+    assert max(row.largest for row in suites.PARTICLES.values()) == 4
+    assert all(records[name, 5] == records[name, 4] for name in suites.PARTICLES)
+    assert [list(suites.PARTICLES["nonsymmetric-YBA"].ns(n)) for n in (2, 4)] == [[2], [2]]
+
+
+def test_report_carries_each_suite_row(tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["report", "--max-n", "4", "--out", str(out)]) == 0
+    entries = json.loads(out.read_text())["suites"]
+    assert sorted(entries) == sorted(suites.PARTICLES)
+    for name, row in suites.PARTICLES.items():
+        ns = row.ns(4)
+        assert entries[name]["n_checked"] == [ns[0], ns[-1]] and entries[name]["n_reason"] == row.reason
+        assert row.reason
+    assert entries["nonsymmetric-YBA"]["n_checked"] == [2, 2]
+
+
 def test_nonsymmetric_yba_applies_each_operator_once(monkeypatch):
     calls, held = [], []
     for name in ("apply_nonsymmetric", "apply_symmetric"):

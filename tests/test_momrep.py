@@ -6,7 +6,7 @@ from functools import reduce
 
 import pytest
 
-from qnls import alcovefn, exppoly, momrep, suites, wavefn
+from qnls import alcovefn, exppoly, momrep, wavefn
 from qnls.bae import RapiditySet
 from qnls.symgroup import Permutation, all_permutations, compose, identity, reduced_word, simple, transposition
 
@@ -216,7 +216,7 @@ def test_symmetrizers_repeat_the_chain_of_sums_bit_for_bit(n, gamma):
             want = _chain_average(momrep.act_table(w, table) for w in perms)
             assert repr(momrep.symmetrizer(table)) == repr(want)
             want = _chain_average(momrep.act_table(Permutation(w.images + (n,)), table) for w in sub)
-            assert repr(suites._partial_symmetrizer(table, n - 1)) == repr(want)
+            assert repr(momrep.symmetrizer(table, n - 1)) == repr(want)
 
 
 def test_orbit_add_refuses_tables_on_different_orbits_and_no_table():

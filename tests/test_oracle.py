@@ -100,7 +100,7 @@ def test_nesting_cap_enforced():
 def _pointwise_elementary(kind, mu, i, f, x):
     """The elementary quadrature nested one node at a time: adaptive_quad
     at every level, f evaluated point by point."""
-    lay = oracle._layout_elementary(kind, mu, i, f.n, x, LENGTH)
+    lay = oracle._layout_elementary(kind, mu, i, f.n, len(x), LENGTH)(x)
 
     def nest(m, ys):
         if m > len(lay.levels) - 1:
@@ -122,7 +122,7 @@ def _pointwise_elementary(kind, mu, i, f, x):
 def test_batched_elementary_matches_pointwise_nesting(kind, i, route, x, integrals):
     r = RapiditySet((0.8, -0.3, 0.45), GAMMA, LENGTH)
     f = wavefn.prewavefunction(r) if route == "pre" else wavefn.bethe_wavefunction(r)
-    assert len(oracle._layout_elementary(kind, 0.37, i, f.n, x, LENGTH).levels) - 1 == integrals
+    assert len(oracle._layout_elementary(kind, 0.37, i, f.n, len(x), LENGTH)(x).levels) - 1 == integrals
     batched = oracle.quad_elementary(kind, 0.37, i, f, LENGTH, x)
     pointwise = _pointwise_elementary(kind, 0.37, i, f, x)
     assert abs(batched - pointwise) <= 1e-12 * abs(pointwise)
@@ -245,7 +245,7 @@ def test_layout_table_matches_the_hand_written_layouts():
         for k in range(kind == "E_hat", top + 1):
             for i in choose(range(1, top + 1), k):
                 levels, args, x_phase, scalar = _reference_layout(kind, mu, i, N, x, LENGTH)
-                lay = oracle._layout_elementary(kind, mu, i, N, x, LENGTH)
+                lay = oracle._layout_elementary(kind, mu, i, N, len(x), LENGTH)(x)
                 ys = tuple(rng.uniform(-LENGTH / 2, LENGTH / 2) for _ in levels[1:])
                 # repr tells every double apart, the sign of a zero too
                 assert repr(lay.levels) == repr(levels), (kind, i)
@@ -302,7 +302,7 @@ def _reference_quad_rows(batch, count, a, b, breaks=()):
 def _reference_quad_elementary(kind, mu, i, f, length, x):
     """The reference elementary quadrature: one layout at a time, nested by
     a level closure over that layout alone."""
-    lay = oracle._layout_elementary(kind, mu, tuple(i), f.n, tuple(x), length)
+    lay = oracle._layout_elementary(kind, mu, tuple(i), f.n, len(x), length)(tuple(x))
     n_y = len(lay.levels) - 1
     if any(lay.levels[m] >= lay.levels[m - 1] for m in range(1, len(lay.levels))):
         return 0.0 + 0j
@@ -378,8 +378,13 @@ def test_batched_generators_are_the_per_layout_engine_to_the_bit(monkeypatch, ga
     build = oracle._layout_elementary
 
     def recorded(*args):
-        layouts.append(build(*args))
-        return layouts[-1]
+        bind = build(*args)
+
+        def bound(x):
+            layouts.append(bind(x))
+            return layouts[-1]
+
+        return bound
 
     r = RapiditySet(lam, gamma, LENGTH)
     pre, bethe = wavefn.prewavefunction(r), wavefn.bethe_wavefunction(r)
