@@ -179,6 +179,8 @@ def zero_function(n: int) -> AlcoveFunction:
 
 
 def build(pieces: Mapping[Permutation, ExpPolySum], continuous: bool = False) -> AlcoveFunction:
+    if not pieces:
+        raise ValueError("an alcove function needs its pieces")
     n = next(iter(pieces)).n
     return AlcoveFunction(n, dict(pieces), continuous)
 

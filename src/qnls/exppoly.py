@@ -8,11 +8,12 @@ all computed in closed form, so downstream identity checks are exact up to
 float rounding.
 
 Sums merge by one rule, combine's: canonicalize and merge_rows follow it,
-and so does the array form of many sums at once.  to_arrays reads sums
-into one coefficient array over their distinct monomials (SumArrays);
-a caller merges its entries with the written-out complex product
-(_times), SumArrays.prune and SumArrays.to_sums, bit for bit as combine
-would (the deformed words of momrep).
+and so does the array form of many plane-wave sums at once.  to_arrays
+reads plane-wave sums (each term one degree-0 monomial, any other term
+refused with ValueError) into one coefficient array over their distinct
+wavevectors (SumArrays); a caller merges its entries with the written-out
+complex product (_times), SumArrays.prune and SumArrays.to_sums, bit for
+bit as combine would (the deformed words of momrep).
 
 A sum is read at a point by eval, from a flat form of its terms cached
 on the sum at the first read (_flat): a plane-wave term (one degree-0
@@ -232,6 +233,8 @@ class ExpPolySum:
         array([1.+0.j, 1.+0.j])
         """
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError("dimension mismatch")
         waves, degs, coeffs, owner = self._packed
         if not len(waves):
             return np.zeros(len(X), dtype=complex)
@@ -524,6 +527,8 @@ def pullback(
     """
     if set(rows) != set(range(1, f.n + 1)):
         raise ValueError("rows must cover every input slot")
+    for p in {p for row in rows.values() for p in row}:
+        _check_slots(new_n, p)
     out: list[ExpPolyTerm] = []
     for t in f.terms:
         wv = [0j] * new_n
@@ -691,80 +696,71 @@ def merge_rows(n: int, rows: list[tuple[list[complex], complex]]) -> ExpPolySum:
 
 @dataclass(frozen=True)
 class SumArrays:
-    """Sums on n slots (entries, the last axis) over their distinct
-    monomials (columns): per column the index of its wavevector in waves
-    and its degree, the columns of one wavevector adjacent and by degree;
-    same_term marks pairs of columns of one wavevector (None when each
-    wavevector has one column).  Per column and entry: the coefficient,
-    real and imaginary parts on the first axis, 0.0 where absent; whether
-    the monomial is present; and the rank of its term in the entry's term
-    order, -1 where the entry has no term of that wavevector.  Made by
+    """Plane-wave sums on n slots (entries, the last axis) over their
+    distinct wavevectors (rows, waves).  Per wavevector and entry: the
+    coefficient, real and imaginary parts on the first axis, 0.0 where
+    absent, and the rank of its term in the entry's term order, -1 where
+    absent (a term is present exactly where its rank is >= 0).  Made by
     to_arrays; a caller merges the entries of these arrays by combine's
     rule with _times, prune and to_sums."""
 
     n: int
-    wave_of: tuple[int, ...]
-    degs: tuple[tuple[int, ...], ...]
     waves: tuple[tuple[complex, ...], ...]
-    same_term: np.ndarray | None
     coeffs: np.ndarray
-    present: np.ndarray
     rank: np.ndarray
 
-    def prune(self, coeffs: np.ndarray, present: np.ndarray, rank: np.ndarray):
-        """combine's floor on each entry of the arrays (coeffs, present,
-        rank) over all columns: a monomial at most PRUNE_TOL times the
-        entry's largest finite modulus is dropped (coefficient 0.0), a NaN
-        is kept, and a term left with no monomial loses its rank (-1)."""
+    def prune(self, coeffs: np.ndarray, rank: np.ndarray):
+        """combine's floor on each entry of the arrays (coeffs, rank): a term
+        whose modulus is at most PRUNE_TOL times the entry's largest finite
+        modulus is dropped (coefficient 0.0, rank -1), a NaN is kept."""
         # a finite coefficient whose modulus exceeds the float range reads as
         # infinite, as in combine: kept, and left out of the floor
         with np.errstate(over="ignore"):
             mag = np.hypot(*coeffs)
         floor = PRUNE_TOL * np.where(mag < np.inf, mag, 0.0).max(axis=0, initial=0.0)
         # present and not (mag <= floor), so that a NaN is kept
-        present = np.greater(present, mag <= floor)
-        terms = present if self.same_term is None else self.same_term @ present
-        return np.where(present, coeffs, 0.0), present, np.where(terms, rank, -1)
+        kept = np.greater(rank >= 0, mag <= floor)
+        return np.where(kept, coeffs, 0.0), np.where(kept, rank, -1)
 
-    def to_sums(self, coeffs: np.ndarray, present: np.ndarray, rank: np.ndarray) -> list[ExpPolySum]:
-        """The entries of the arrays (coeffs, present, rank) over all columns
-        as sums, terms in rank order, each term's monomials by degree; the
-        terms share the wavevector tuples of waves."""
-        width = len(self.degs)
-        key = np.where(present, rank * width + np.arange(width)[:, None], _LAST)
-        z = np.empty(present.shape, dtype=complex)
+    def to_sums(self, coeffs: np.ndarray, rank: np.ndarray) -> list[ExpPolySum]:
+        """The entries of the arrays (coeffs, rank) as sums, terms in rank
+        order; the terms share the wavevector tuples of waves."""
+        deg = (0,) * self.n
+        z = np.empty(rank.shape, dtype=complex)
         z.real, z.imag = coeffs
-        out = []
-        for order, count, values in zip(np.argsort(key, axis=0).T.tolist(), present.sum(axis=0).tolist(), z.T.tolist()):
-            terms = []
-            for m in order[:count]:
-                w = self.wave_of[m]
-                if terms and terms[-1][0] == w:
-                    terms[-1][1].append((self.degs[m], values[m]))
-                else:
-                    terms.append((w, [(self.degs[m], values[m])]))
-            out.append(ExpPolySum(self.n, tuple(ExpPolyTerm(self.n, self.waves[w], tuple(items)) for w, items in terms)))
-        return out
+        present = rank >= 0
+        order = np.argsort(np.where(present, rank, _LAST), axis=0).T.tolist()
+        return [
+            ExpPolySum(self.n, tuple(ExpPolyTerm(self.n, self.waves[w], ((deg, values[w]),)) for w in ws[:count]))
+            for ws, count, values in zip(order, present.sum(axis=0).tolist(), z.T.tolist())
+        ]
 
 
-# a sort key above every present monomial's
+# a sort key above every present term's
 _LAST = np.iinfo(np.int64).max
 
 
 def to_arrays(n: int, sums: list[ExpPolySum]) -> SumArrays:
-    """sums as arrays.  An entry's terms are read as combine merges one
-    part: the first term of a wavevector keeps its coefficients as they
-    are, a later term of the same wavevector adds its own, so a repeated
-    wavevector becomes one term (nothing is pruned).  Wavevectors are told
-    apart by their bits; non-finite ones, and two that are within MERGE_TOL
-    times the largest wavenumber in every slot (which combine might merge
-    into one term), are refused with ValueError."""
-    by_id, by_bits, waves, columns, rows = {}, {}, [], {}, []
-    for f in sums:
+    """Plane-wave sums as arrays.  Each term must be one degree-0 monomial;
+    any other term is refused with ValueError.  An entry's terms are read as
+    combine merges one part: the first term of a wavevector keeps its
+    coefficient as it is, a later term of the same wavevector adds its own,
+    so a repeated wavevector becomes one term (nothing is pruned).
+    Wavevectors are told apart by their bits; non-finite ones, and two that
+    are within MERGE_TOL times the largest wavenumber in every slot (which
+    combine might merge into one term), are refused with ValueError."""
+    by_id, by_bits, waves = {}, {}, []
+    # per term of an entry: its wavevector's index, the entry, its coefficient
+    # and its rank (its place in the entry's term order)
+    w_at, r_at, c_at, k_at = [], [], [], []
+    for r, f in enumerate(sums):
         if f.n != n:
             raise ValueError("dimension mismatch")
-        values, ranks = {}, {}
+        # wavevector index -> coefficient, in the order of the entry's terms
+        values = {}
         for t in f.terms:
+            if len(t.coeffs) != 1 or any(t.coeffs[0][0]):
+                raise ValueError("the array form reads plane-wave sums only: one degree-0 monomial per term")
             w = by_id.get(id(t.wavevector))
             if w is None:
                 w = by_id[id(t.wavevector)] = by_bits.setdefault(
@@ -772,13 +768,12 @@ def to_arrays(n: int, sums: list[ExpPolySum]) -> SumArrays:
                 )
                 if w == len(waves):
                     waves.append(t.wavevector)
-            fresh = w not in ranks
-            if fresh:
-                ranks[w] = len(ranks)
-            for deg, c in t.coeffs:
-                m = columns.setdefault((w, deg), len(columns))
-                values[m] = c if fresh else values.get(m, 0j) + c
-        rows.append((values, ranks))
+            c = t.coeffs[0][1]
+            values[w] = values[w] + c if w in values else c
+        w_at += values
+        r_at += [r] * len(values)
+        c_at += values.values()
+        k_at += range(len(values))
     W = np.array(waves, dtype=complex).reshape(len(waves), n)
     if not np.isfinite(W).all():
         raise ValueError("the array form needs finite wavevectors")
@@ -788,36 +783,11 @@ def to_arrays(n: int, sums: list[ExpPolySum]) -> SumArrays:
         # each wavevector is near itself
         if (abs(W[i:i + 64, None] - W) <= tol).all(axis=2).sum() > len(W[i:i + 64]):
             raise ValueError(f"two wavevectors are within {tol:.3g} of each other in every slot")
-
-    keys = sorted(columns)
-    position = np.empty(len(keys), dtype=int)
-    position[[columns[k] for k in keys]] = np.arange(len(keys))
-    wave_of = [w for w, _ in keys]
-    r_at, m_at, c_at, r_rank, w_rank, ranks_at = [], [], [], [], [], []
-    for r, (values, ranks) in enumerate(rows):
-        r_at += [r] * len(values)
-        m_at += values
-        c_at += values.values()
-        r_rank += [r] * len(ranks)
-        w_rank += ranks
-        ranks_at += ranks.values()
-    m_at = position[m_at]
-    z = np.zeros((len(keys), len(rows)), dtype=complex)
-    z[m_at, r_at] = c_at
-    present = np.zeros(z.shape, dtype=bool)
-    present[m_at, r_at] = True
-    wave_rank = np.full((len(waves), len(rows)), -1)
-    wave_rank[w_rank, r_rank] = ranks_at
-    return SumArrays(
-        n,
-        tuple(wave_of),
-        tuple(d for _, d in keys),
-        tuple(waves),
-        None if len(set(wave_of)) == len(keys) else np.equal.outer(wave_of, wave_of),
-        np.array((z.real, z.imag)),
-        present,
-        wave_rank[wave_of],
-    )
+    z = np.zeros((len(waves), len(sums)), dtype=complex)
+    z[w_at, r_at] = c_at
+    rank = np.full(z.shape, -1)
+    rank[w_at, r_at] = k_at
+    return SumArrays(n, tuple(waves), np.array((z.real, z.imag)), rank)
 
 
 def _times(re, im_signed: np.ndarray, y: np.ndarray) -> np.ndarray:

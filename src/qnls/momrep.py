@@ -20,18 +20,19 @@ an entry of divided_difference holds the terms of both entries it differs.
 Deformed words run on arrays.  s_{j,gamma} is linear with scalar weights:
 entry sigma of s_{j,gamma} o is swapped + (-i gamma / d)(here - swapped)
 with here = o[sigma], swapped = o[s_j sigma] and d = (sigma lambda)_j -
-(sigma lambda)_{j+1}.  A table is read once (and kept with it) by
-exppoly.to_arrays, on a plane-wave orbit over the N! orbit waves; it
-refuses wavevectors that combine might merge into one term.  Each
-letter of a reduced word is then a few array steps over all entries at
-once that repeat combine's merge of [((), swapped), ((1/d, -i gamma),
-here), ((-1, 1/d, -i gamma), swapped)] to the bit: exppoly's written-out
-complex products, the same sums in the same order, exppoly's prune and
-the same term order; exppoly builds the entries at the end.  A step
-computes only the entries that the wanted ones depend on, so
-deformed_word_entries, which keeps one entry of each relabelled table (the
-orbit route), does a fraction of the work of apply_deformed_word.  Every
-set of words runs through _entries, the gamma-symmetrizer's N! together.
+(sigma lambda)_{j+1}.  A table of plane-wave sums is read once (and kept
+with it) by exppoly.to_arrays, over its distinct wavevectors (the N! orbit
+waves); it refuses a polynomial term, and wavevectors that combine might
+merge into one term, with ValueError.  Each letter of a reduced word is
+then a few array steps over all entries at once that repeat combine's
+merge of [((), swapped), ((1/d, -i gamma), here), ((-1, 1/d, -i gamma),
+swapped)] to the bit: exppoly's written-out complex products, the same
+sums in the same order, exppoly's prune and the same term order; exppoly
+builds the entries at the end.  A step computes only the entries that the
+wanted ones depend on, so deformed_word_entries, which keeps one entry of
+each relabelled table (the orbit route), does a fraction of the work of
+apply_deformed_word.  Every set of words runs through _entries, the
+gamma-symmetrizer's N! together.
 """
 
 from __future__ import annotations
@@ -195,39 +196,37 @@ _MINUS = np.array([-0.0, 0.0]).reshape(2, 1, 1)
 
 
 def _step(a: exppoly.SumArrays, state, here, swapped, factor, gamma_factor, top, active):
-    """One letter: the entry at position here[k] of the state becomes
-    entry k of s_{j,gamma} applied to its table, with the entry at
-    position swapped[k] as its s_j partner, as exppoly.combine makes it
-    from [((), swapped), ((f, g), here), ((-1, f, g), swapped)] with
-    f = factor[:, k], g = -i gamma (gamma_factor None when g is zero).  A
-    part with a zero factor adds nothing; each entry is pruned against its
-    own largest finite coefficient; swapped's terms come first, then
+    """One letter: the entry at position here[k] of the state (coefficients,
+    ranks) becomes entry k of s_{j,gamma} applied to its table, with the
+    entry at position swapped[k] as its s_j partner, as exppoly.combine
+    makes it from [((), swapped), ((f, g), here), ((-1, f, g), swapped)]
+    with f = factor[:, k], g = -i gamma (gamma_factor None when g is zero).
+    A part with a zero factor adds nothing; each entry is pruned against
+    its own largest finite coefficient; swapped's terms come first, then
     here's new ones, whose ranks move up by top (above every rank held).
     Entries outside active (a mask, or None for all) stay as they are."""
-    c, present, rank = (x[..., here] for x in state)
-    cs, ps, ks = (x[..., swapped] for x in state)
-    out, has, order = cs, ps, ks
+    c, rank = (x[..., here] for x in state)
+    cs, ks = (x[..., swapped] for x in state)
+    out, order = cs, ks
     if gamma_factor is not None:
         fr, fs = factor[0], factor[1:, None, :]
         y = exppoly._times(fr, fs, np.array((c, exppoly._times(-1.0, _MINUS, cs))))
         vh, vn = exppoly._times(*gamma_factor, y)
-        qs = ks >= 0
-        # here's monomial: swapped's + it, 0j + it where swapped has the
-        # term but not the monomial, or it as it is where swapped lacks the term
+        qs, present = ks >= 0, rank >= 0
+        # here's term: swapped's + it, or it as it is where swapped lacks the term
         mid = np.where(present, np.where(qs, cs + vh, vh), cs)
-        out = np.where(ps, mid + vn, mid)
-        has = present | ps
-        order = np.where(qs, ks, rank + top)
+        out = np.where(qs, mid + vn, mid)
+        order = np.where(qs, ks, np.where(present, rank + top, -1))
         if not fr.all():
             live = (fr != 0) | (fs[1, 0] != 0)
-            out, has, order = np.where(live, out, cs), np.where(live, has, ps), np.where(live, order, ks)
-    out, has, order = a.prune(out, has, order)
+            out, order = np.where(live, out, cs), np.where(live, order, ks)
+    out, order = a.prune(out, order)
     if active is not None:
-        out, has, order = np.where(active, out, c), np.where(active, has, present), np.where(active, order, rank)
-    return out, has, order
+        out, order = np.where(active, out, c), np.where(active, order, rank)
+    return out, order
 
 
-# columns x entries of the tables that _entries runs together
+# wavevectors x entries of the tables that _entries runs together
 _BATCH = 1 << 18
 
 
@@ -258,7 +257,7 @@ def _run(o: OrbitFunction, pairs, gamma: float, wanted: np.ndarray):
         mask[sw[held[0]]] = True
         held.insert(0, np.flatnonzero(mask))
     rows = start[held[0]]
-    state = a.coeffs[..., rows], a.present[:, rows], a.rank[:, rows]
+    state = a.coeffs[..., rows], a.rank[:, rows]
     g = complex(-1j * gamma)
     gamma_factor = (g.real, np.array([-g.imag, g.imag]).reshape(2, 1, 1)) if g else None
     with np.errstate(all="ignore"):
@@ -279,7 +278,7 @@ def _entries(o: OrbitFunction, pairs, gamma: float, rows: np.ndarray) -> list[Ex
     cells."""
     a, pairs = o._arrays, list(pairs)
     size = a.rank.shape[1]
-    per_batch = max(1, _BATCH // (size * max(1, len(a.degs))))
+    per_batch = max(1, _BATCH // (size * max(1, len(a.waves))))
     out = []
     for start in range(0, len(pairs), per_batch):
         batch = pairs[start:start + per_batch]

@@ -538,6 +538,11 @@ def test_dunkl_is_the_act_position_body_to_the_bit():
             assert repr(got) == repr(_dunkl_through_act_position(F, j, gamma))
 
 
+def test_build_refuses_no_pieces():
+    with pytest.raises(ValueError):
+        alcovefn.build({})
+
+
 def test_eval_refuses_a_side_of_the_wrong_size():
     F = wavefn.prewavefunction(wavefn.RapiditySet((0.8, -0.45, 0.3), 1.3, 10.0))
     x = (0.3, -0.2, 0.1)

@@ -295,6 +295,23 @@ def test_substitute_refuses_a_slot_or_coordinate_bound_outside_one_to_n():
             exppoly.substitute(f, j, b)
 
 
+def test_pullback_refuses_an_output_slot_outside_one_to_new_n():
+    # slot 0 would write through index -1, slot 3 past the end; an empty
+    # sum is refused too, as the rows are checked once per call
+    for f in (exppoly.plane_wave((1.5,)), exppoly.zero(1)):
+        for p in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                exppoly.pullback(f, {1: {p: 1.0}}, 2)
+
+
+def test_eval_many_refuses_points_that_are_not_rows_of_length_n():
+    for f in (exppoly.plane_wave((2.0, -1.0)), exppoly.zero(2)):
+        for X in ([(0.3, 0.7, 99.0)], [(0.3,)], [0.3, 0.7], 0.3, np.zeros((1, 1, 2))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                f.eval_many(X)
+        assert f.eval_many(np.zeros((0, 2))).shape == (0,)
+
+
 def test_canonicalize_merges_cancellations():
     f = exppoly.plane_wave((0.5,))
     g = exppoly.scale(-1.0, f)
@@ -362,26 +379,39 @@ def test_merge_rows_is_canonicalize_of_the_plane_waves():
 
 
 def test_arrays_read_prune_and_build_each_sum_as_canonicalize():
-    # sums over a few far-apart wavevectors, repeated within a sum and with
-    # monomials of several degrees; coefficients with signed zeros, NaN,
-    # infinity, an overflowing modulus and ones below the floor.  Outside
-    # any np.errstate, so a lost guard shows as a RuntimeWarning
+    # plane-wave sums over a few far-apart wavevectors, repeated within a
+    # sum; coefficients with signed zeros, NaN, infinities, an overflowing
+    # modulus, ones below the floor and 0j; and the empty sum.  Outside any
+    # np.errstate, so a lost guard shows as a RuntimeWarning
     rng = random.Random(13)
     waves = [tuple(complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(2)) for _ in range(4)]
-    special = [complex(-0.0, 0.7), complex(math.nan, 1.0), complex(0.0, -math.inf), complex(1.5e308, 1.5e308), 1e-17, 0j]
+    special = [complex(-0.0, 0.7), complex(0.5, -0.0), complex(math.nan, 1.0), complex(0.0, -math.inf), complex(math.inf, 0.0),
+               complex(1.5e308, 1.5e308), 1e-17, 0j]
+    deg = (0, 0)
     sums = [exppoly.zero(2)]
     for _ in range(30):
         terms = []
-        for _ in range(rng.randint(1, 5)):
-            coeffs = {(rng.randint(0, 1), rng.randint(0, 1)): rng.choice(special) if rng.random() < 0.3 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(1, 3))}
-            terms.append(exppoly.ExpPolyTerm(2, rng.choice(waves), tuple(sorted(coeffs.items()))))
+        for _ in range(rng.randint(1, 6)):
+            c = rng.choice(special) if rng.random() < 0.3 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            terms.append(exppoly.ExpPolyTerm(2, rng.choice(waves), ((deg, c),)))
         sums.append(exppoly.ExpPolySum(2, tuple(terms)))
+    assert any(len({t.wavevector for t in f.terms}) < len(f.terms) for f in sums)
     a = exppoly.to_arrays(2, sums)
-    assert a.same_term is not None
-    got = a.to_sums(*a.prune(a.coeffs, a.present, a.rank))
+    got = a.to_sums(*a.prune(a.coeffs, a.rank))
     assert repr(got) == repr([exppoly.canonicalize(f) for f in sums])
     with pytest.raises(ValueError, match="dimension mismatch"):
         exppoly.to_arrays(2, [exppoly.plane_wave((1.0,))])
+    # a term with a degree-1 monomial, with two monomials, or with none
+    for coeffs in ((((1, 0), 1.0 + 0j),), ((deg, 1.0 + 0j), ((0, 1), 2.0 + 0j)), ()):
+        f = exppoly.ExpPolySum(2, (exppoly.ExpPolyTerm(2, waves[0], ((deg, 1.0 + 0j),)), exppoly.ExpPolyTerm(2, waves[1], coeffs)))
+        with pytest.raises(ValueError, match="plane-wave"):
+            exppoly.to_arrays(2, [exppoly.zero(2), f])
+    # a deformed word on an orbit table with a polynomial entry
+    o = momrep.orbit_planewave((0.3, -0.4))
+    entries = dict(o.entries)
+    entries[identity(2)] = exppoly.monomial((1, 0), 1.0, (0.3, -0.4))
+    with pytest.raises(ValueError, match="plane-wave"):
+        momrep.apply_deformed_word(momrep.OrbitFunction(o.lam, entries), simple(1, 2), 1.0)
 
 
 def test_canonicalize_merges_a_nonfinite_wavevector_only_with_its_equal():
