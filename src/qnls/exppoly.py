@@ -57,6 +57,7 @@ __all__ = [
     "canonicalize",
     "combine",
     "merge_rows",
+    "merge_row_arrays",
     "SumArrays",
     "to_arrays",
     "to_json",
@@ -692,6 +693,71 @@ def merge_rows(n: int, rows: list[tuple[list[complex], complex]]) -> ExpPolySum:
     deg = (0,) * n
     kept = zip(merged.values(), moduli)
     return ExpPolySum(n, tuple(ExpPolyTerm(n, tuple(wv), ((deg, c),)) for (wv, c), a in kept if not a <= floor))
+
+
+def merge_row_arrays(n: int, sets: np.ndarray, waves: np.ndarray, coeffs: np.ndarray, count: int) -> list[ExpPolySum]:
+    """merge_rows on many sets of rows at once, one sum per set 0..count-1:
+    row r is coeffs[r] e^{i <waves[:, r], x>} in set sets[r] (nondecreasing),
+    every wavenumber and coefficient of finite modulus, every coefficient
+    nonzero.  Per set, by combine's rules: the rows of one cell merge into
+    the first, which keeps its wavevector and coefficient as they are, the
+    others added in row order; then _floor's prune.  A set without rows is
+    the zero sum."""
+    terms, ends = [], [0] * (count + 1)
+    if len(coeffs):
+        # each set's cell from its largest wavenumber modulus (at least 1),
+        # taken only on the entries whose squares come near the set's largest
+        sq = waves.real * waves.real + waves.imag * waves.imag
+        top = np.zeros(count)
+        np.maximum.at(top, sets, sq.max(axis=0, initial=0.0))
+        near = sq >= top[sets] * (1 - 1e-9)
+        scale = np.ones(count)
+        np.maximum.at(scale, np.broadcast_to(sets, sq.shape)[near], np.hypot(waves.real[near], waves.imag[near]))
+        cell = (MERGE_TOL * scale / 2)[sets]
+        keys = np.concatenate(([sets], np.rint(waves.real / cell), np.rint(waves.imag / cell))).astype(np.int64)
+        # the rows of one (set, cell), grouped by a hash of their keys, checked
+        firsts, group = _groups(_MIX[: len(keys)] @ keys)
+        if (keys != np.take(keys, firsts[group], axis=1)).any():
+            firsts, group = _groups(keys)
+        total = coeffs[firsts]
+        later = np.ones(len(coeffs), dtype=bool)
+        later[firsts] = False
+        # unbuffered, so each group's rows add in row order
+        np.add.at(total, group[later], coeffs[later])
+        with np.errstate(over="ignore"):
+            mag = np.hypot(total.real, total.imag)
+        owner = sets[firsts]
+        floor = np.zeros(count)
+        np.maximum.at(floor, owner, np.where(mag < np.inf, mag, 0.0))
+        kept = np.flatnonzero(~(mag <= PRUNE_TOL * floor[owner]))
+        deg = (0,) * n
+        wvs = np.take(waves, firsts[kept], axis=1).T.tolist()
+        terms = [ExpPolyTerm(n, tuple(wv), ((deg, c),)) for wv, c in zip(wvs, total[kept].tolist())]
+        ends = np.searchsorted(owner[kept], np.arange(count + 1)).tolist()
+    return [ExpPolySum(n, tuple(terms[a:b])) for a, b in zip(ends, ends[1:])]
+
+
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each group of equal rows of keys (the last axis is
+    the row's), in row order, and each row's group."""
+    keys = keys.reshape(-1, keys.shape[-1])
+    order = np.lexsort(keys[::-1])
+    ordered = np.take(keys, order, axis=1)
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    # lexsort is stable: a group's first place holds its first row
+    firsts = order[head]
+    by_first = np.argsort(firsts)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    group = np.empty_like(order)
+    group[order] = rank[np.cumsum(head) - 1]
+    return firsts[by_first], group
+
+
+# odd multipliers of merge_row_arrays' key hash (int64, wrapping), one per
+# key: the set and two per wavenumber, for up to 64 slots
+_MIX = (np.arange(1, 130, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)).view(np.int64)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Sequence
@@ -261,6 +262,8 @@ def _layout_elementary(
     above, shift, below, fill = _KINDS[kind]
     # e_hat+/- index the input coordinates, every other kind those of x
     top = N if kind.startswith("e_hat") else size
+    if not all(isinstance(p, numbers.Integral) for p in i):
+        raise ValueError("multi-index entries must be integers")
     if len(set(i)) != len(i) or any(not 1 <= p <= top for p in i):
         raise ValueError(f"multi-index entries must be distinct and in 1..{top}")
     if kind[0] == "E" and list(i) != sorted(i):

@@ -21,10 +21,28 @@ integrating to c / (i mu) e^{i mu y} at each bound: the steps run on bare
 (wavevector, coefficient) rows with the float operations that exppoly's
 general steps (_embed, _exp_antiderivative, _at_bound) make on a plane
 wave, and exppoly.merge_rows merges an alcove's rows of every block at
-once.  An
-alcove where a term has a polynomial part, a y wavenumber below
+once.  An alcove where a term has a polynomial part, a y wavenumber below
 SMALL_WAVENUMBER_TOL or NaN, or a zero coefficient at any step is built
 term by term by exppoly's general steps and canonicalized.
+
+An application (one engine call over its alcoves) of at least ARRAY_ROWS
+raw rows makes its rows as arrays (_block_arrays): raw rows are, per
+alcove and segment, the operand piece's terms times 2^depth, known from
+the segment table before any row is made.  The table is kept per
+application shape (_SEGMENTS: the plan shapes of the nonzero-weight
+blocks and the alcoves), with the array layout of an application of one
+chunk per profile of operand term counts.  The arrays hold one seed per
+segment and operand term, the seeds of one depth together, in chunks of
+whole alcoves; each level splits every row into its upper and lower
+child, adjacent, so the rows keep _rows' order, and
+exppoly.merge_row_arrays merges each alcove by merge_rows' rule.  Every
+sum is _rows' to the bit (CPython's complex product and quotient written
+out in real parts, each factor exact up to the sign of a zero part, which
+_rows' 0j + erases); an alcove where a row fails one of
+_rows' checks or holds a part of _HUGE or more (NaN and infinity among
+them) takes the rows.  Smaller applications keep the rows, since below
+about 200 raw rows the arrays' fixed numpy cost per application exceeds
+what they save.
 
 Also here: the 4x4 R-matrix, the transfer matrix, the quantum determinant,
 and the Q-operator built from Dunkl-type operators.
@@ -33,8 +51,11 @@ and the Q-operator built from Dunkl-type operators.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -56,6 +77,7 @@ __all__ = [
     "q_operator_scalar",
     "q_operator_apply",
     "PARTICLE_CAP",
+    "ARRAY_ROWS",
 ]
 
 # exact application is refused above this many input particles; the output
@@ -204,18 +226,324 @@ def _block_sum(
 ) -> dict[Permutation, ExpPolySum]:
     """The canonical sum over (weight, plan) blocks on each alcove in
     sigmas: the rows of every block merged, or where a row cannot be made,
-    every block's terms canonicalized.  A block of weight 0 adds nothing."""
-    prepared = [(plan, _prepare(weight, plan, length)) for weight, plan in blocks if weight]
-    consts = {e: _bound(("const", e), length).value for e in (1, -1)}
-    pieces = {}
-    for sigma in sigmas:
-        alcove = [(block, g) for plan, block in prepared if (g := _geometry(plan, sigma)) is not None]
-        rows = _rows(alcove, f, consts)
-        if rows is None:
-            pieces[sigma] = exppoly.canonicalize(ExpPolySum(sigma.n, tuple(_terms(alcove, f, length))))
-        else:
-            pieces[sigma] = exppoly.merge_rows(sigma.n, rows)
-    return pieces
+    every block's terms canonicalized.  A block of weight 0 adds nothing.
+    An application of at least ARRAY_ROWS raw rows makes its rows as arrays."""
+    table, prepared = _application(blocks, sigmas, length)
+    run = _block_arrays if table.raw_rows(f) >= ARRAY_ROWS else _block_rows
+    return dict(zip(sigmas, run(table, prepared, f, length)))
+
+
+def _application(blocks, sigmas, length: float) -> tuple:
+    """The segment table of the nonzero-weight blocks on sigmas, and those
+    blocks prepared."""
+    blocks = [(plan, _prepare(weight, plan, length)) for weight, plan in blocks if weight]
+    return _segments([plan for plan, _ in blocks], sigmas), [block for _, block in blocks]
+
+
+def _block_rows(table, blocks, f: AlcoveFunction, length: float) -> list[ExpPolySum]:
+    """The table's alcove sums, each from its rows, or where a row cannot be
+    made, from its terms."""
+    consts = _consts(length)
+    return [_alcove_sum(table, k, blocks, f, length, consts) for k in range(len(table.alcoves))]
+
+
+def _consts(length: float) -> dict:
+    """The values of the constant levels +L/2 and -L/2, by their sign."""
+    return {e: _bound(("const", e), length).value for e in (1, -1)}
+
+
+def _alcove_sum(table, k: int, blocks, f: AlcoveFunction, length: float, consts: dict) -> ExpPolySum:
+    alcove = [(blocks[b], g) for b, g in table.alcoves[k]]
+    rows = _rows(alcove, f, consts)
+    if rows is None:
+        return exppoly.canonicalize(ExpPolySum(table.n, tuple(_terms(alcove, f, length))))
+    return exppoly.merge_rows(table.n, rows)
+
+
+# An application (one _block_sum) makes its rows as arrays from ARRAY_ROWS raw
+# rows on: per alcove and segment, the operand piece's terms times 2^depth,
+# summed.  Below that the arrays' fixed cost per application exceeds what they
+# save (see ROADMAP item 2 for the measured break-even).
+ARRAY_ROWS = 200
+# the array path runs whole alcoves in chunks of at most this many raw rows
+# (or one alcove), so that 5-particle inputs (2.16M raw rows for a) fit in
+# memory
+_CHUNK_ROWS = 1 << 15
+# every part of a wavenumber or coefficient the array path keeps is below this
+_HUGE = 2.0**990
+
+
+class _Chunk(NamedTuple):
+    """The layout of the rows of alcoves a0..a1 - 1: one seed per segment
+    and operand term, the seeds (the last axis of every array) ordered by
+    depth.  Rounds run innermost y first; bounds are (upper, lower)."""
+
+    a0: int
+    a1: int
+    src: np.ndarray  # per seed: its operand term
+    block: np.ndarray  # per seed: its block
+    alcove: np.ndarray  # per seed: its alcove, from a0
+    slot: np.ndarray  # per slot and seed: the operand slot it takes, -1 for none
+    live: np.ndarray  # per round and seed: whether the seed integrates
+    level: np.ndarray  # per round and seed: the slot of its y
+    top: np.ndarray  # per round, bound and seed: the bound is +L/2
+    end: np.ndarray  # ... the bound is a constant, in a live round
+    coord: np.ndarray  # ... the bound is a coordinate
+    hit: np.ndarray  # per coordinate, round, bound and seed: the bound is it
+    edges: list  # the first seed of each depth, and the end
+    seed: np.ndarray  # per row, each seed's rows together: its seed
+    take: np.ndarray | None  # the gather into _rows' order, None where the rows are in it
+    owner: np.ndarray  # per row in _rows' order: its alcove, from a0
+
+
+class _Segments:
+    """The blocks' plan shapes (nonzero weights only) on a list of alcoves.
+
+    alcoves: per alcove, (block index, geometry) of each block whose chain
+    decreases there.  per_term: per operand piece order, the raw rows each
+    of its terms makes (2^depth summed over the segments that read it).
+    chunks(counts): the _Chunk layouts of an application whose operand
+    pieces hold counts terms (in per_term's order), made from the segments'
+    arrays (_arrays, made at the first application that runs as arrays);
+    the layout of an application of one chunk is kept."""
+
+    def __init__(self, plans: list[_Plan], sigmas) -> None:
+        self.n = sigmas[0].n
+        self.shapes = [(plan.args, len(plan.levels) - 1) for plan in plans]
+        self.alcoves = [
+            [(b, g) for b, plan in enumerate(plans) if (g := _geometry(plan, sigma)) is not None]
+            for sigma in sigmas
+        ]
+        per_term: dict[tuple, int] = {}
+        for alcove in self.alcoves:
+            for _, geometry in alcove:
+                for order, bounds in geometry:
+                    per_term[order] = per_term.get(order, 0) + (1 << len(bounds))
+        self.per_term = list(per_term.items())
+        self._chunks: dict[bytes, list[_Chunk]] = {}
+
+    def raw_rows(self, f: AlcoveFunction) -> int:
+        return sum(k * len(f._by_order[order].terms) for order, k in self.per_term)
+
+    @cached_property
+    def _arrays(self) -> tuple:
+        """The segments in _rows' order as (alcove, block, operand order,
+        depth) columns; per round and bound (upper, lower) each segment's
+        bound code (a coordinate is its slot, +L/2 is 0 and -L/2 is -1); the
+        operand slot each block hands every slot (-1: none); the first
+        segment of each alcove."""
+        P = self.n
+        orders = {order: i for i, (order, _) in enumerate(self.per_term)}
+        depth = max([d for _, d in self.shapes], default=0)
+        slot = np.full((P + depth, len(self.shapes)), -1)
+        for b, (args, _) in enumerate(self.shapes):
+            for s, a in enumerate(args):
+                slot[a[1] - 1 if a[0] == "coord" else P + a[1] - 1, b] = s
+
+        def code(e):
+            return e[1] if e[0] == "coord" else (0 if e[1] > 0 else -1)
+
+        segments, codes = [], []
+        for k, alcove in enumerate(self.alcoves):
+            for b, geometry in alcove:
+                for order, bounds in geometry:
+                    segments.append((k, b, orders[order], len(bounds)))
+                    rounds = [(code(upper), code(lower)) for lower, upper in reversed(bounds)]
+                    codes.append(rounds + [(0, 0)] * (depth - len(bounds)))
+        segments = np.array(segments, dtype=np.int64).reshape(-1, 4).T
+        codes = np.array(codes, dtype=np.int64).reshape(len(codes), depth, 2).transpose(1, 2, 0)
+        starts = np.searchsorted(segments[0], np.arange(len(self.alcoves) + 1))
+        return (*segments, codes, slot, starts)
+
+    def chunks(self, counts: np.ndarray) -> Iterable[_Chunk]:
+        # an application of one chunk keeps its layout, a few term-count
+        # profiles per table; a larger one makes each chunk's as it goes
+        if sum(k * c for (_, k), c in zip(self.per_term, counts.tolist())) > _CHUNK_ROWS:
+            return self._layout(counts)
+        key = counts.tobytes()
+        if key not in self._chunks:
+            if len(self._chunks) >= 8:
+                self._chunks.clear()
+            self._chunks[key] = list(self._layout(counts))
+        return self._chunks[key]
+
+    def _layout(self, counts: np.ndarray) -> Iterator[_Chunk]:
+        P = self.n
+        alcove, block, order, depth, codes, slot, starts = self._arrays
+        offsets = np.cumsum(counts) - counts
+        raw = np.concatenate(([0], np.cumsum(counts[order] << depth)))[starts].tolist()
+        a0 = 0
+        while a0 < len(self.alcoves):
+            a1 = a0 + 1
+            while a1 < len(self.alcoves) and raw[a1 + 1] - raw[a0] <= _CHUNK_ROWS:
+                a1 += 1
+            seg = np.arange(starts[a0], starts[a1])
+            seg = seg[np.argsort(depth[seg], kind="stable")]
+            size = counts[order[seg]]
+            src = np.repeat(offsets[order[seg]] - np.cumsum(size) + size, size) + np.arange(size.sum())
+            seeds = np.repeat(seg, size)
+            d, code = depth[seeds], np.take(codes, seeds, axis=-1)
+            rounds = np.arange(len(code))[:, None]
+            live = rounds < d
+            # each segment's rows from their place in depth order
+            rows = size << depth[seg]
+            back = np.argsort(seg)
+            take = np.repeat((np.cumsum(rows) - rows)[back] - np.cumsum(rows[back]) + rows[back], rows[back])
+            take += np.arange(len(take))
+            yield _Chunk(
+                a0, a1, src, block[seeds], alcove[seeds] - a0, np.take(slot, block[seeds], axis=1), live,
+                P + np.maximum(d - 1 - rounds, 0), code == 0, live[:, None] & (code <= 0), code > 0,
+                np.arange(1, P + 1)[:, None, None, None] == code,
+                np.searchsorted(d, np.arange(d[-1] + 2 if len(d) else 1)).tolist(),
+                np.repeat(np.arange(len(d)), 1 << d),
+                None if (back == np.arange(len(back))).all() else take,
+                np.repeat(alcove[seg[back]] - a0, rows[back]),
+            )
+            a0 = a1
+
+
+# (plan shapes of the nonzero-weight blocks, alcoves) -> their segment table;
+# one entry per application shape, as _GEOMETRY holds one per plan shape
+_SEGMENTS: dict[tuple, _Segments] = {}
+
+
+def _segments(plans: list[_Plan], sigmas) -> _Segments:
+    key = (tuple((plan.out_n, plan.levels, plan.args) for plan in plans), tuple(s.images for s in sigmas))
+    table = _SEGMENTS.get(key)
+    if table is None:
+        table = _SEGMENTS[key] = _Segments(plans, sigmas)
+    return table
+
+
+def _block_arrays(table: _Segments, blocks, f: AlcoveFunction, length: float) -> list[ExpPolySum]:
+    """The table's alcove sums, the rows of whole alcoves made as arrays in
+    chunks; an alcove where a row fails one of _rows' checks, or holds a
+    part of _HUGE or more, takes _alcove_sum."""
+    # the operand pieces' plane-wave terms: wavenumbers (slots x terms, a zero
+    # slot last for the slots no operand slot takes) and coefficients; a
+    # piece with any other term makes no rows, and its alcoves take _alcove_sum
+    pieces = [f._by_order[o].terms for o, _ in table.per_term]
+    plane = [all(len(t.coeffs) == 1 and not any(t.coeffs[0][0]) for t in ts) for ts in pieces]
+    terms = [t for ts, ok in zip(pieces, plane) if ok for t in ts]
+    operand = np.zeros((f.n + 1, len(terms)), dtype=complex)
+    operand[: f.n] = np.array([t.wavevector for t in terms], dtype=complex).reshape(len(terms), f.n).T
+    coeffs = np.array([t.coeffs[0][1] for t in terms], dtype=complex)
+    # per block: its plane wave on every slot (slots x blocks), and its scalar
+    alcove, _, order, _, _, slot, _ = table._arrays
+    waves = np.zeros(slot.shape, dtype=complex)
+    for b, (_, wave, _, _) in enumerate(blocks):
+        waves[: len(wave), b] = wave
+    scalars = np.array([scalar for _, _, scalar, _ in blocks], dtype=complex)
+    consts = _consts(length)
+    failed = np.zeros(len(table.alcoves), dtype=bool)
+    failed[alcove[~np.array(plane, dtype=bool)[order]]] = True
+    sums = []
+    for chunk in table.chunks(np.array([len(ts) if ok else 0 for ts, ok in zip(pieces, plane)], dtype=np.int64)):
+        count = chunk.a1 - chunk.a0
+        with np.errstate(all="ignore"):
+            wv, c, bad = _seed_rows(chunk, table.n, np.take(waves, chunk.block, axis=1), np.take(operand, chunk.src, axis=1),
+                                    coeffs[chunk.src], scalars[chunk.block], consts)
+        bad = failed[chunk.a0:chunk.a1] | (np.bincount(chunk.alcove[bad], minlength=count) > 0)
+        if chunk.take is not None:
+            wv, c = np.take(wv, chunk.take, axis=1), c[chunk.take]
+        owner = chunk.owner
+        if bad.any():
+            keep = ~bad[owner]
+            owner, wv, c = owner[keep], np.compress(keep, wv, axis=1), c[keep]
+        merged = exppoly.merge_row_arrays(table.n, owner, wv, c, count)
+        for k in np.flatnonzero(bad).tolist():
+            merged[k] = _alcove_sum(table, chunk.a0 + k, blocks, f, length, consts)
+        sums += merged
+    return sums
+
+
+def _seed_rows(chunk: _Chunk, P: int, wave, operand, coeffs, scalar, consts: dict):
+    """A chunk's rows, _rows' float operations written out on arrays.  Per
+    seed (the last axis): its block's plane wave and scalar, its operand
+    term's wavenumbers and coefficient.  Returns the rows' wavevectors (P x
+    rows) and coefficients, each seed's rows together and in _rows' order
+    and the seeds in depth order, and whether each seed fails one of _rows'
+    checks or makes a part of _HUGE or more.
+
+    A zero part reaches a row only through _rows' 0j + on the value at a
+    bound, which makes it +0.0, and the sign of a zero factor changes no
+    other part; so past the seed's coefficient the factors and a = c / (i mu)
+    are exact up to the sign of a zero part, and _rows' a * (1.0 + 0j) is a."""
+    # exppoly._embed: a slot an operand slot takes holds that wavenumber, added
+    # to the block's where the block's is nonzero; the y slots follow the
+    # coordinates, and no integration changes them.  Parts below _HUGE keep
+    # every sum of them below 2^1000
+    m = np.take_along_axis(operand, chunk.slot, axis=0)
+    wave = np.where(chunk.slot < 0, wave, np.where(wave != 0, wave + m, m))
+    c = np.array(_mul(coeffs.real, coeffs.imag, scalar.real, scalar.imag))
+    bad = ~((abs(wave.real) < _HUGE) & (abs(wave.imag) < _HUGE)).all(axis=0)
+    # per round, the level's wavenumber mu, exppoly._exp_antiderivative's
+    # factor 1.0 / (1j * mu), and per bound the factor of _at_bound's value:
+    # the sign at a coordinate, sign * exp(1j * mu * end) at end -L/2 or +L/2
+    # (numpy's exp is cmath's, which a test pins, below the real part 709
+    # where cmath changes formula)
+    mu = np.take_along_axis(wave, chunk.level, axis=0)
+    bad |= (chunk.live & ~(np.hypot(mu.real, mu.imag) >= exppoly.SMALL_WAVENUMBER_TOL)).any(axis=0)
+    q = (-mu.imag, mu.real)
+    inv = _inverse(*q)
+    ends = np.where(chunk.top, consts[1].real, consts[-1].real)
+    z = (ends * q[0][:, None], ends * q[1][:, None])
+    bad |= (chunk.end & ~(z[0] < 700.0)).any(axis=(0, 1))
+    e = np.exp(_complex(*z))
+    sign = np.array([1.0, -1.0])[:, None]
+    f = (np.where(chunk.coord, sign, sign * e.real), np.where(chunk.coord, 0.0, sign * e.imag))
+    # (real, imaginary), and the same of i times it, on the first two axes
+    inv, f = (np.array((y, (-y[1], y[0]))) for y in (inv, f))
+    # what each bound adds to each coordinate: mu at its coordinate, -0.0
+    # (which adds nothing, to the bit) at the others
+    add = np.where(chunk.hit, mu[:, None], complex(-0.0, -0.0))
+    # the seeds of one depth together, each seed's rows on the axis before the
+    # seeds: every row becomes its upper and lower child, adjacent
+    cs, ws = [np.zeros((2, 0))], [np.zeros((P, 0), dtype=complex)]
+    for d, (lo, hi) in enumerate(zip(chunk.edges, chunk.edges[1:])):
+        if lo == hi:
+            continue
+        cd, wd = c[:, None, lo:hi], wave[:P, None, lo:hi]
+        for r in range(d):
+            a = _times(cd, inv[:, :, r, None, lo:hi])
+            cd = (0.0 + _times(a[:, :, None], f[:, :, r, None, :, lo:hi])).reshape(2, 2 << r, hi - lo)
+            wd = (wd[:, :, None] + add[:, r, None, :, lo:hi]).reshape(P, 2 << r, hi - lo)
+        cs.append(cd.transpose(0, 2, 1).reshape(2, -1))
+        ws.append(wd.transpose(0, 2, 1).reshape(P, (hi - lo) << d))
+    c = np.concatenate(cs, axis=1)
+    # a zero anywhere leaves a zero coefficient, a NaN or infinity one that is
+    # not finite
+    big = np.maximum(abs(c[0]), abs(c[1]))
+    bad[chunk.seed[~((big > 0) & (big < _HUGE))]] = True
+    return np.concatenate(ws, axis=1), _complex(*c), bad
+
+
+def _mul(ar, ai, br, bi):
+    """(ar + i ai) * (br + i bi) as CPython's complex product makes it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _inverse(br, bi):
+    """1.0 / (br + i bi) as CPython's complex quotient makes it (_Py_c_quot,
+    the numerator 1.0 + 0j) up to the sign of a zero part, for nonzero
+    finite divisors."""
+    wide = abs(br) >= abs(bi)
+    ratio = np.where(wide, bi / br, br / bi)
+    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+    return np.where(wide, 1.0, ratio) / denom, np.where(wide, -ratio, -1.0) / denom
+
+
+def _complex(re, im) -> np.ndarray:
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _times(x, y):
+    """x * y for x held as (real, imaginary) on its first axis, and y as
+    (y, i y), each (real, imaginary), on its first two: CPython's complex
+    product, each part a separate product and sum."""
+    return x[0] * y[0] + x[1] * y[1]
 
 
 _TOP, _BOTTOM = ("const", 1), ("const", -1)
@@ -242,6 +570,8 @@ def _plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan:
     symmetric = kind[0] == "E"
     # e_hat+/- index the input coordinates, every other kind the output ones
     top = out_n if symmetric or dn < 1 else N
+    if not all(isinstance(p, numbers.Integral) for p in i):
+        raise ValueError("multi-index entries must be integers")
     if len(set(i)) != len(i):
         raise ValueError("multi-index entries must be distinct")
     if any(not (1 <= p <= top) for p in i):
@@ -359,9 +689,16 @@ def _pin_last(p: ExpPolySum, value: float) -> ExpPolySum:
     return ExpPolySum(n, tuple(exppoly._at_bound(t, p.n, Bound.const(value), n) for t in p.terms))
 
 
+def _pinned(G: AlcoveFunction) -> int:
+    """G's particle number, which must be at least 1."""
+    if G.n == 0:
+        raise ValueError("a 0-particle function has no slot to pin")
+    return G.n
+
+
 def insert_top(G: AlcoveFunction, length: float) -> AlcoveFunction:
     """(x_1..x_{M-1}) -> G(x_1..x_{M-1}, L/2): pin the last slot at the top."""
-    M = G.n
+    M = _pinned(G)
     pieces = {}
     for sigma in all_permutations(M - 1):
         ext = Permutation((M, *sigma.images))
@@ -371,7 +708,7 @@ def insert_top(G: AlcoveFunction, length: float) -> AlcoveFunction:
 
 def insert_bottom(G: AlcoveFunction, length: float) -> AlcoveFunction:
     """(x_1..x_{M-1}) -> G(-L/2, x_1..x_{M-1}): pin the first slot at the bottom."""
-    M = G.n
+    M = _pinned(G)
     # slot 1 moves to the end, slot m to m - 1
     rotate = Permutation((M, *range(1, M)))
     pieces = {}

@@ -378,6 +378,38 @@ def test_merge_rows_is_canonicalize_of_the_plane_waves():
         assert repr(exppoly.merge_rows(2, rows)) == repr(want)
 
 
+@pytest.mark.parametrize("hashed", [True, False])
+def test_merge_row_arrays_is_merge_rows_per_set(monkeypatch, hashed):
+    # sets of rows over a few entries, with nearby copies that share a cell
+    # or sit across its edge, a cancelling row that the floor prunes, signed
+    # zeros, wavenumbers past 1 that set the cell, and sets without rows.
+    # Unhashed, every row has the same hash and the rows are grouped by
+    # their keys.  Outside any np.errstate, so a lost guard shows as a
+    # RuntimeWarning
+    if not hashed:
+        monkeypatch.setattr(exppoly, "_MIX", np.zeros_like(exppoly._MIX))
+    rng = random.Random(14)
+    entries = [complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(3)]
+    entries += [complex(-0.0, 0.5), complex(0.0, -0.0), complex(37.5, -4.0)]
+    sets = []
+    for k in range(8):
+        rows = []
+        for _ in range(rng.choice((0, 1, 5, 40))):
+            wv = [rng.choice(entries) for _ in range(3)]
+            if rng.random() < 0.3:
+                wv[rng.randrange(3)] += 1e-13 * rng.uniform(-40, 40)
+            rows.append((wv, complex(rng.choice((-0.0, rng.uniform(-1, 1))), rng.uniform(-1, 1))))
+        if rows:
+            rows.append((list(rows[0][0]), -rows[0][1] + 1e-17))
+        sets.append(rows)
+    owner = np.array([k for k, rows in enumerate(sets) for _ in rows], dtype=np.int64)
+    waves = np.array([wv for rows in sets for wv, _ in rows], dtype=complex).reshape(-1, 3).T
+    coeffs = np.array([c for rows in sets for _, c in rows], dtype=complex)
+    got = exppoly.merge_row_arrays(3, owner, waves, coeffs, len(sets))
+    assert [repr(f) for f in got] == [repr(exppoly.merge_rows(3, rows)) for rows in sets]
+    assert sum(len(f.terms) for f in got) < len(coeffs)
+
+
 def test_arrays_read_prune_and_build_each_sum_as_canonicalize():
     # plane-wave sums over a few far-apart wavevectors, repeated within a
     # sum; coefficients with signed zeros, NaN, infinities, an overflowing

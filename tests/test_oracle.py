@@ -284,6 +284,17 @@ def test_bad_multi_index_refused(kind, i):
         ybops._plan(kind, 0.3, i, f.n)
 
 
+def test_non_integer_multi_index_entry_refused():
+    # 1.0 passes the range check and would index as 1; a numpy integer is kept
+    f = alcovefn.from_analytic(exppoly.plane_wave((0.5, -0.2)))
+    x = (1.0, -2.0)
+    want = oracle.quad_elementary("e_bar+", 0.3, (1,), f, 10.0, x)
+    assert oracle.quad_elementary("e_bar+", 0.3, (np.int64(1),), f, 10.0, x) == want
+    for i in ((1.5,), (1.0,), (2, 1.0)):
+        with pytest.raises(ValueError, match="integers"):
+            oracle.quad_elementary("e_bar+", 0.3, i, f, 10.0, x)
+
+
 def _reference_quad_rows(batch, count, a, b, breaks=()):
     """The reference _quad_rows: count rows over one interval (a, b), one
     _adaptive call per sub-interval between cuts."""

@@ -4,6 +4,7 @@ import cmath
 import math
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
 from qnls import alcovefn, exppoly, oracle, wavefn, ybops
@@ -311,8 +312,12 @@ def _frozen_block_sum(blocks, f, sigmas, length):
 
 def _assert_engine_is_frozen(blocks, f, length=LENGTH):
     sigmas = all_permutations(blocks[0][1].out_n)
-    want = _frozen_block_sum(blocks, f, sigmas, length)
-    assert repr(ybops._block_sum(blocks, f, sigmas, length)) == repr(want)
+    want = repr(_frozen_block_sum(blocks, f, sigmas, length))
+    assert repr(ybops._block_sum(blocks, f, sigmas, length)) == want
+    # the rows and the arrays, each called directly, whatever the size
+    table, prepared = ybops._application(blocks, sigmas, length)
+    for run in (ybops._block_rows, ybops._block_arrays):
+        assert repr(dict(zip(sigmas, run(table, prepared, f, length)))) == want, run.__name__
 
 
 def _every_kind_and_index(N):
@@ -443,7 +448,8 @@ def test_block_engine_at_gamma_zero_repeats_the_frozen_engine(N):
 def test_block_engine_sends_only_the_alcoves_of_a_falling_back_term_through_the_per_term_path(monkeypatch):
     # e_bar+ with index 1 reads operand piece (1, 2) only on output alcove
     # (1, 2), where y_1 runs above x_2; there the second wave's y wavenumber
-    # is mu - mu = 0, so that alcove takes the per-term path and (2, 1) the rows
+    # is mu - mu = 0, so that alcove takes the per-term path and (2, 1) the
+    # rows, or the arrays
     mu = 0.37
     wave = exppoly.plane_wave((0.8, -0.3))
     f = alcovefn.AlcoveFunction(
@@ -453,7 +459,9 @@ def test_block_engine_sends_only_the_alcoves_of_a_falling_back_term_through_the_
     terms = ybops._terms
     monkeypatch.setattr(ybops, "_terms", lambda *args: calls.append(args) or terms(*args))
     _assert_engine_is_frozen([(0.8, ybops._plan("e_bar+", mu, (1,), 2))], f)
-    assert len(calls) == 1
+    # once each through _block_sum, the rows and the arrays, on one alcove
+    assert len(calls) == 3
+    assert calls[0] == calls[1] == calls[2]
 
 
 def test_geometry_is_kept_per_plan_shape_and_alcove():
@@ -466,3 +474,95 @@ def test_geometry_is_kept_per_plan_shape_and_alcove():
     ybops.apply_nonsymmetric("b+", 0.37, wavefn.prewavefunction(RapiditySet((0.2, 0.9), 0.4, 7.0)), GAMMA, 7.0)
     assert len(ybops._GEOMETRY) == size
     assert all(g is None or g for g in ybops._GEOMETRY.values())
+
+
+def test_arrays_integrate_plane_wave_edges_as_the_rows(monkeypatch):
+    # one y between +L/2 and -L/2 handed to operand slot 2, so each alcove
+    # splits it at both coordinates: coordinate and constant bounds.  Where
+    # a row fails one of _rows' checks or holds a NaN or an infinity, the
+    # arrays send its alcove to _alcove_sum; elsewhere they make it
+    # themselves, to the bit
+    plan = ybops._Plan(2, 0.0, (("const", 1), ("const", -1)), (("coord", 1), ("y", 1)))
+    sigmas = all_permutations(2)
+    calls = []
+    alcove_sum = ybops._alcove_sum
+    monkeypatch.setattr(ybops, "_alcove_sum", lambda *args: calls.append(args[1]) or alcove_sum(*args))
+    fell = []
+    for muj, c in [*_PLANE_WAVE_EDGES, (1 + 200j, 1.0)]:
+        f = alcovefn.from_analytic(exppoly.monomial((0, 0), c, (complex(-0.0, -0.0), muj)))
+        table, prepared = ybops._application([(1.0, plan)], sigmas, 8.0)
+        if muj == 1 + 200j:
+            # exp(1j mu 4) overflows: cmath raises, through the rows
+            with pytest.raises(OverflowError):
+                ybops._block_arrays(table, prepared, f, 8.0)
+            continue
+        calls.clear()
+        got = ybops._block_arrays(table, prepared, f, 8.0)
+        fell.append(len(calls))
+        assert repr(got) == repr(ybops._block_rows(table, prepared, f, 8.0)), (muj, c)
+    assert fell == [0, 2, 0, 0, 0, 2, 2, 2, 2]
+
+
+def test_numpy_exp_is_cmath_exp_where_the_arrays_read_it():
+    # the arrays take exp(1j * mu * end) from numpy, _rows from cmath: they
+    # agree to the bit on wavenumbers near the real axis and far from it,
+    # signed zeros included, at real parts below 700
+    rng = np.random.default_rng(7)
+    count = 200_000
+    z = rng.uniform(-700, 700, count) * rng.choice([0.0, 1e-3, 0.1, 1.0], count)
+    z = z + 1j * rng.uniform(-1000, 1000, count) * rng.choice([1e-8, 1e-2, 1.0], count)
+    z[:4] = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(3.0, -0.0), complex(-0.0, -2.5)]
+    assert repr(np.exp(z).tolist()) == repr([cmath.exp(v) for v in z.tolist()])
+
+
+def test_large_applications_run_as_arrays_with_a_kept_segment_table(monkeypatch):
+    calls = []
+    for name in ("_block_rows", "_block_arrays"):
+        run = getattr(ybops, name)
+        monkeypatch.setattr(ybops, name, lambda *args, run=run, name=name: calls.append(name) or run(*args))
+    small = wavefn.prewavefunction(RapiditySet((0.8, -0.3), GAMMA, LENGTH))
+    large = wavefn.prewavefunction(RapiditySet((0.8, -0.3, 0.45), GAMMA, LENGTH))
+    sigmas = all_permutations(4)
+    table = ybops._application(_family_blocks("b+", 0.37, 3, GAMMA), sigmas, LENGTH)[0]
+    assert table.raw_rows(large) >= ybops.ARRAY_ROWS
+    assert ybops._application(_family_blocks("b+", 0.37, 2, GAMMA), all_permutations(3), LENGTH)[0].raw_rows(small) < ybops.ARRAY_ROWS
+    ybops.apply_nonsymmetric("b+", 0.37, large, GAMMA, LENGTH)
+    ybops.apply_nonsymmetric("b+", 0.37, small, GAMMA, LENGTH)
+    assert calls == ["_block_arrays", "_block_rows"]
+    # another mu, weight, length or operand is the same application shape,
+    # with the same term counts: the table and its chunk layout are kept
+    tables, layouts = len(ybops._SEGMENTS), len(table._chunks)
+    other = wavefn.prewavefunction(RapiditySet((0.2, 0.9, -0.6), 0.4, 7.0))
+    ybops.apply_nonsymmetric("b+", -1.1, large, 0.4, LENGTH)
+    ybops.apply_nonsymmetric("b+", 0.37, other, GAMMA, 7.0)
+    assert calls == ["_block_arrays", "_block_rows", "_block_arrays", "_block_arrays"]
+    assert (len(ybops._SEGMENTS), len(table._chunks)) == (tables, layouts)
+    assert ybops._application(_family_blocks("b+", -1.1, 3, 0.4), sigmas, 7.0)[0] is table
+
+
+def test_arrays_run_in_chunks_of_whole_alcoves(monkeypatch):
+    # at most 50 raw rows per chunk (or one alcove): every chunk boundary
+    # falls between alcoves, and the sums are those of the rows
+    f = wavefn.prewavefunction(RapiditySet((0.8, -0.3, 0.45), GAMMA, LENGTH))
+    for family in ("b+", "a"):
+        table, prepared = ybops._application(_family_blocks(family, 0.37, 3, GAMMA), all_permutations(4 if family == "b+" else 3), LENGTH)
+        want = repr(ybops._block_rows(table, prepared, f, LENGTH))
+        for budget in (50, 1 << 15):
+            monkeypatch.setattr(ybops, "_CHUNK_ROWS", budget)
+            chunks = list(table.chunks(np.array([len(f._by_order[o].terms) for o, _ in table.per_term])))
+            assert len(chunks) > 1 if budget == 50 else len(chunks) == 1
+            assert repr(ybops._block_arrays(table, prepared, f, LENGTH)) == want
+
+
+def test_plan_refuses_a_non_integer_multi_index_entry():
+    assert ybops._plan("e_bar+", 0.3, (np.int64(1),), 2) == ybops._plan("e_bar+", 0.3, (1,), 2)
+    for i in ((1.5,), (1.0,), (2, 1.0)):
+        with pytest.raises(ValueError, match="integers"):
+            ybops._plan("e_bar+", 0.3, i, 2)
+
+
+def test_insertions_refuse_a_function_of_no_particles():
+    vacuum = alcovefn.build({Permutation(()): exppoly.constant(1.0, 0)})
+    for insert in (ybops.insert_top, ybops.insert_bottom):
+        with pytest.raises(ValueError, match="no slot to pin"):
+            insert(vacuum, LENGTH)
