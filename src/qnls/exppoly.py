@@ -705,20 +705,14 @@ def merge_row_arrays(n: int, sets: np.ndarray, waves: np.ndarray, coeffs: np.nda
     the zero sum."""
     terms, ends = [], [0] * (count + 1)
     if len(coeffs):
-        # each set's cell from its largest wavenumber modulus (at least 1),
-        # taken only on the entries whose squares come near the set's largest
-        sq = waves.real * waves.real + waves.imag * waves.imag
-        top = np.zeros(count)
-        np.maximum.at(top, sets, sq.max(axis=0, initial=0.0))
-        near = sq >= top[sets] * (1 - 1e-9)
+        # each set's cell from its largest wavenumber modulus, at least 1 (a
+        # row of no slots, as c+/- make on one particle, has no wavenumber)
         scale = np.ones(count)
-        np.maximum.at(scale, np.broadcast_to(sets, sq.shape)[near], np.hypot(waves.real[near], waves.imag[near]))
+        np.maximum.at(scale, sets, np.hypot(waves.real, waves.imag).max(axis=0, initial=0.0))
         cell = (MERGE_TOL * scale / 2)[sets]
         keys = np.concatenate(([sets], np.rint(waves.real / cell), np.rint(waves.imag / cell))).astype(np.int64)
-        # the rows of one (set, cell), grouped by a hash of their keys, checked
-        firsts, group = _groups(_MIX[: len(keys)] @ keys)
-        if (keys != np.take(keys, firsts[group], axis=1)).any():
-            firsts, group = _groups(keys)
+        # the rows of one (set, cell)
+        firsts, group = _groups(keys)
         total = coeffs[firsts]
         later = np.ones(len(coeffs), dtype=bool)
         later[firsts] = False
@@ -740,7 +734,6 @@ def merge_row_arrays(n: int, sets: np.ndarray, waves: np.ndarray, coeffs: np.nda
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each group of equal rows of keys (the last axis is
     the row's), in row order, and each row's group."""
-    keys = keys.reshape(-1, keys.shape[-1])
     order = np.lexsort(keys[::-1])
     ordered = np.take(keys, order, axis=1)
     head = np.ones(len(order), dtype=bool)
@@ -753,11 +746,6 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     group = np.empty_like(order)
     group[order] = rank[np.cumsum(head) - 1]
     return firsts[by_first], group
-
-
-# odd multipliers of merge_row_arrays' key hash (int64, wrapping), one per
-# key: the set and two per wavenumber, for up to 64 slots
-_MIX = (np.arange(1, 130, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)).view(np.int64)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ otherwise build at once.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -68,13 +69,9 @@ QUAD_NODES = 15
 QUAD_BATCH_POINTS = 2048
 
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    if count not in _NODE_CACHE:
-        _NODE_CACHE[count] = np.polynomial.legendre.leggauss(count)
-    return _NODE_CACHE[count]
+    return np.polynomial.legendre.leggauss(count)
 
 
 def _adaptive(

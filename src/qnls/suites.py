@@ -57,7 +57,7 @@ PARTICLES = {
     "wavefunction-routes": Particles(2, 4, "cost: n=5 takes about 1 s"),
     "QNLS-eigen": Particles(2, 3, "not raised yet: n=4 passes in 0.1 s and would add records"),
     "ABA": Particles(2, 3, "on-shell quantum numbers are set for n = 2, 3 only"),
-    "nonsymmetric-YBA": Particles(2, 2, "cost: n=3 takes about 3 s; n=4 exceeds ybops.PARTICLE_CAP"),
+    "nonsymmetric-YBA": Particles(2, 2, "cost: n=3 takes about 1.5 s; n=4 exceeds ybops.PARTICLE_CAP"),
     "Q-operator": Particles(1, 2, "the TQ and Q records check one fixed 2-particle Bethe state"),
     "oracle-crosscheck": Particles(2, 2, "fixed inputs; 3 particles take about 10 s of quadrature", fixed=True),
 }

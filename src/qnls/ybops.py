@@ -8,8 +8,9 @@ operand; its plane-wave prefactor follows from the levels.  One builder
 makes the blocks of every kind and one weighted sum evaluates them all.
 
 The engine works per output alcove.  Its geometry is made once per block
-shape and alcove and kept (_GEOMETRY): the unit step factors resolve to 0
-or 1 by the alcove ordering, and where all hold, each integration interval
+and alcove of an application shape, in that shape's segment table
+(_SEGMENTS, the engine's one cache): the unit step factors resolve to 0 or
+1 by the alcove ordering, and where all hold, each integration interval
 splits at the output coordinates inside it; on each segment the order of
 coordinates and y's is fixed, so the operand piece is known.  Each operand
 term takes one step into the integrand (slots relabelled, the block's
@@ -120,15 +121,10 @@ def _bound(entity, length: float) -> Bound:
     return Bound.coord(entity[1])
 
 
-# (out_n, levels, args, alcove) -> None where the chain does not decrease, else
-# one (operand piece order, per-level (lower, upper) entities) per segment combination
-_GEOMETRY: dict[tuple, list | None] = {}
-
-
 def _geometry(plan: _Plan, sigma: Permutation) -> list | None:
-    key = (plan.out_n, plan.levels, plan.args, sigma.images)
-    if (geometry := _GEOMETRY.get(key, False)) is not False:
-        return geometry
+    """None where the plan's chain does not decrease on the alcove sigma, else
+    one (operand piece order, per-level (lower, upper) entities) per segment
+    combination."""
     pos = {p: t for t, p in enumerate(sigma.images, start=1)}
     ranks = [_rank(e, pos, plan.out_n) for e in plan.levels]
     geometry = None
@@ -147,7 +143,6 @@ def _geometry(plan: _Plan, sigma: Permutation) -> list | None:
             argrank = [float(pos[a[1]]) if a[0] == "coord" else combo[a[1] - 1][2] for a in plan.args]
             order = tuple(s + 1 for s in sorted(range(len(plan.args)), key=argrank.__getitem__))
             geometry.append((order, tuple((lower, upper) for lower, upper, _ in combo)))
-    _GEOMETRY[key] = geometry
     return geometry
 
 
@@ -402,8 +397,8 @@ class _Segments:
             a0 = a1
 
 
-# (plan shapes of the nonzero-weight blocks, alcoves) -> their segment table;
-# one entry per application shape, as _GEOMETRY holds one per plan shape
+# (plan shapes of the nonzero-weight blocks, alcoves) -> their segment table,
+# the engine's one cache: one entry per application shape
 _SEGMENTS: dict[tuple, _Segments] = {}
 
 
@@ -734,29 +729,17 @@ def rmatrix(lam: complex, gamma: float) -> np.ndarray:
     return np.eye(4, dtype=complex) - (1j * gamma / lam) * _PERM4
 
 
-def _embed(R4: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Lift a two-site operator to sites (a, b) of C^2 x C^2 x C^2."""
-    out = np.zeros((8, 8), dtype=complex)
-    for row in range(8):
-        for col in range(8):
-            rbits = [(row >> s) & 1 for s in (2, 1, 0)]
-            cbits = [(col >> s) & 1 for s in (2, 1, 0)]
-            spectator = [s for s in range(3) if s not in (a, b)][0]
-            if rbits[spectator] != cbits[spectator]:
-                continue
-            r2 = 2 * rbits[a] + rbits[b]
-            c2 = 2 * cbits[a] + cbits[b]
-            out[row, col] = R4[r2, c2]
-    return out
+# the basis of C^2 x C^2 x C^2 with sites 2 and 3 swapped
+_SWAP23 = np.ix_([0, 2, 1, 3, 4, 6, 5, 7], [0, 2, 1, 3, 4, 6, 5, 7])
 
 
 def ybe_check(lam: complex, mu: complex, gamma: float) -> float:
     """Max-norm residual of R12(l-m) R13(l) R23(m) = R23(m) R13(l) R12(l-m)."""
     if lam == 0 or mu == 0 or lam == mu:
         raise ValueError("spectral parameters must be nonzero and distinct")
-    r12 = _embed(rmatrix(lam - mu, gamma), 0, 1)
-    r13 = _embed(rmatrix(lam, gamma), 0, 2)
-    r23 = _embed(rmatrix(mu, gamma), 1, 2)
+    r12 = np.kron(rmatrix(lam - mu, gamma), np.eye(2))
+    r13 = np.kron(rmatrix(lam, gamma), np.eye(2))[_SWAP23]
+    r23 = np.kron(np.eye(2), rmatrix(mu, gamma))
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     return float(np.max(np.abs(lhs - rhs)))

@@ -378,16 +378,11 @@ def test_merge_rows_is_canonicalize_of_the_plane_waves():
         assert repr(exppoly.merge_rows(2, rows)) == repr(want)
 
 
-@pytest.mark.parametrize("hashed", [True, False])
-def test_merge_row_arrays_is_merge_rows_per_set(monkeypatch, hashed):
+def test_merge_row_arrays_is_merge_rows_per_set():
     # sets of rows over a few entries, with nearby copies that share a cell
     # or sit across its edge, a cancelling row that the floor prunes, signed
     # zeros, wavenumbers past 1 that set the cell, and sets without rows.
-    # Unhashed, every row has the same hash and the rows are grouped by
-    # their keys.  Outside any np.errstate, so a lost guard shows as a
-    # RuntimeWarning
-    if not hashed:
-        monkeypatch.setattr(exppoly, "_MIX", np.zeros_like(exppoly._MIX))
+    # Outside any np.errstate, so a lost guard shows as a RuntimeWarning
     rng = random.Random(14)
     entries = [complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(3)]
     entries += [complex(-0.0, 0.5), complex(0.0, -0.0), complex(37.5, -4.0)]

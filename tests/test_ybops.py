@@ -393,7 +393,7 @@ def test_rows_integrate_plane_wave_edges_as_the_general_steps():
 
 def _family_blocks(family, mu, N, gamma):
     """The weighted blocks of a non-symmetric family, as apply_nonsymmetric sums them."""
-    kind, top = {"a": ("e_bar+", N), "d": ("e_bar-", N), "b+": ("e_hat+", N), "c-": ("e_check-", N - 1)}[family]
+    kind, top = {"a": ("e_bar+", N), "d": ("e_bar-", N), "b+": ("e_hat+", N), "c+": ("e_check+", N - 1), "c-": ("e_check-", N - 1)}[family]
     return [
         (gamma**n, ybops._plan(kind, mu, i, N))
         for n in range(top + 1)
@@ -465,15 +465,16 @@ def test_block_engine_sends_only_the_alcoves_of_a_falling_back_term_through_the_
 
 
 def test_geometry_is_kept_per_plan_shape_and_alcove():
+    # the geometry lives in the segment table of its application shape
     r = RapiditySet((0.8, -0.3), GAMMA, LENGTH)
     psi = wavefn.prewavefunction(r)
     ybops.apply_nonsymmetric("b+", 0.37, psi, GAMMA, LENGTH)
-    size = len(ybops._GEOMETRY)
+    size = len(ybops._SEGMENTS)
     # another mu, weight, length or operand is the same shape on the same alcoves
     ybops.apply_nonsymmetric("b+", -1.1, psi, 0.4, LENGTH)
     ybops.apply_nonsymmetric("b+", 0.37, wavefn.prewavefunction(RapiditySet((0.2, 0.9), 0.4, 7.0)), GAMMA, 7.0)
-    assert len(ybops._GEOMETRY) == size
-    assert all(g is None or g for g in ybops._GEOMETRY.values())
+    assert len(ybops._SEGMENTS) == size
+    assert all(g for table in ybops._SEGMENTS.values() for alcove in table.alcoves for _, g in alcove)
 
 
 def test_arrays_integrate_plane_wave_edges_as_the_rows(monkeypatch):
@@ -538,6 +539,17 @@ def test_large_applications_run_as_arrays_with_a_kept_segment_table(monkeypatch)
     assert calls == ["_block_arrays", "_block_rows", "_block_arrays", "_block_arrays"]
     assert (len(ybops._SEGMENTS), len(table._chunks)) == (tables, layouts)
     assert ybops._application(_family_blocks("b+", -1.1, 3, 0.4), sigmas, 7.0)[0] is table
+
+
+@pytest.mark.parametrize("family", ["a", "c+"])
+def test_arrays_are_the_rows_on_a_4_particle_operand(family):
+    # one chunk of thousands of raw rows, merged per alcove by their exact
+    # cell keys
+    f = wavefn.prewavefunction(RapiditySet((0.8, -0.45, 0.3, 1.1), GAMMA, LENGTH))
+    blocks = _family_blocks(family, 0.37, 4, GAMMA)
+    table, prepared = ybops._application(blocks, all_permutations(blocks[0][1].out_n), LENGTH)
+    assert table.raw_rows(f) == {"a": 32589, "c+": 9338}[family]
+    assert repr(ybops._block_arrays(table, prepared, f, LENGTH)) == repr(ybops._block_rows(table, prepared, f, LENGTH))
 
 
 def test_arrays_run_in_chunks_of_whole_alcoves(monkeypatch):
