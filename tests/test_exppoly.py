@@ -378,16 +378,22 @@ def test_merge_rows_is_canonicalize_of_the_plane_waves():
         assert repr(exppoly.merge_rows(2, rows)) == repr(want)
 
 
-def test_merge_row_arrays_is_merge_rows_per_set():
+@pytest.mark.parametrize("shared", [True, False])
+def test_merge_row_arrays_is_merge_rows_per_set(shared):
     # sets of rows over a few entries, with nearby copies that share a cell
     # or sit across its edge, a cancelling row that the floor prunes, signed
     # zeros, wavenumbers past 1 that set the cell, and sets without rows.
+    # Shared, every set draws from the same entries, so rows of different
+    # sets have equal cell keys but for the set; otherwise each set has
+    # entries of its own besides the signed zeros and the large one.
     # Outside any np.errstate, so a lost guard shows as a RuntimeWarning
     rng = random.Random(14)
-    entries = [complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(3)]
-    entries += [complex(-0.0, 0.5), complex(0.0, -0.0), complex(37.5, -4.0)]
+    special = [complex(-0.0, 0.5), complex(0.0, -0.0), complex(37.5, -4.0)]
+    common = [complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(3)]
     sets = []
     for k in range(8):
+        own = common if shared else [complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(3)]
+        entries = own + special
         rows = []
         for _ in range(rng.choice((0, 1, 5, 40))):
             wv = [rng.choice(entries) for _ in range(3)]
