@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import exppoly
-from .exppoly import Bound, ExpPolySum
+from .exppoly import Bound, ExpPolySum, ExpPolyTerm
 from .symgroup import Permutation, all_permutations, compose, reduced_word, simple, transposition
 
 __all__ = [
@@ -209,9 +209,29 @@ def afn_derivative(f: AlcoveFunction, j: int) -> AlcoveFunction:
 
 
 def act_analytic(w: Permutation, f: ExpPolySum) -> ExpPolySum:
-    """(w f)(x) = f(w^{-1} x) for analytic f: slot m is relabeled to w(m)."""
-    zeros = [0j] * f.n
-    return ExpPolySum(f.n, tuple(exppoly._embed(t, w.images, zeros, 1.0) for t in f.terms))
+    """(w f)(x) = f(w^{-1} x) for analytic f: slot m is relabeled to w(m).
+
+    Each term is exppoly._embed's relabelling by w with coefficient factor
+    1.0; a plane-wave term (one degree-0 monomial) is built directly, its
+    wavevector reordered and its coefficient c * 1.0, as _embed makes it."""
+    n = f.n
+    if w.n != n:
+        raise ValueError("size mismatch")
+    # slot w(r) of the relabelled term reads slot r of t
+    back = [0] * n
+    for r, s in enumerate(w.images):
+        back[s - 1] = r
+    deg = (0,) * n
+    terms = []
+    for t in f.terms:
+        coeffs = t.coeffs
+        if len(coeffs) == 1 and coeffs[0][0] == deg:
+            value = coeffs[0][1] * 1.0
+            wv = t.wavevector
+            terms.append(ExpPolyTerm(n, tuple([wv[r] for r in back]), ((deg, value),) if value else ()))
+        else:
+            terms.append(exppoly._embed(t, w.images, [0j] * n, 1.0))
+    return ExpPolySum(n, tuple(terms))
 
 
 def extend_symmetric(piece: ExpPolySum, continuous: bool) -> AlcoveFunction:
@@ -327,10 +347,17 @@ def reflection_integral(f: ExpPolySum, j: int, k: int) -> ExpPolySum:
 
     Substituting u = x_k + y turns the bounds into plain coordinates:
     the integrand becomes f with slot j -> x_j + x_k - u, slot k -> u.
+    A sum of plane waves is integrated as bare rows (_reflection_rows) and
+    merged by exppoly.merge_rows, bit for bit as the general path below.
     """
     n = f.n
+    for m in (j, k):
+        exppoly._check_slots(n, m)
     if j == k:
         raise ValueError("need j != k")
+    rows = _reflection_rows(f, j, k)
+    if rows is not None:
+        return exppoly.merge_rows(n, rows)
     u = n + 1
     rows = {m: {m: 1.0 + 0j} for m in range(1, n + 1)}
     rows[j] = {j: 1.0 + 0j, k: 1.0 + 0j, u: -1.0 + 0j}
@@ -338,6 +365,39 @@ def reflection_integral(f: ExpPolySum, j: int, k: int) -> ExpPolySum:
     g = exppoly.pullback(f, rows, n + 1)
     h = exppoly.integrate(g, u, Bound.coord(k), Bound.coord(j))
     return ExpPolySum(n, tuple(exppoly._truncate(t, n) for t in h.terms))
+
+
+def _reflection_rows(f: ExpPolySum, j: int, k: int) -> list | None:
+    """reflection_integral's (wavevector, coefficient) rows on n slots, the
+    upper and the lower bound of each term in turn, with the float
+    operations that pullback, _exp_antiderivative and _at_bound make on a
+    plane wave; None where a term is not one degree-0 monomial, has a zero
+    coefficient, or a u wavenumber below SMALL_WAVENUMBER_TOL (or NaN)."""
+    one, minus = 1.0 + 0j, -1.0 + 0j
+    # pullback adds mu_j and mu_k into the u slot in slot order
+    into_u = sorted(((j, minus), (k, one)))
+    deg = (0,) * f.n
+    rows = []
+    for t in f.terms:
+        if len(t.coeffs) != 1 or t.coeffs[0][0] != deg or not (c := 0j + t.coeffs[0][1]):
+            return None
+        mus = t.wavevector
+        # pullback: slot m keeps mu_m, slot k takes mu_j, u takes mu_k - mu_j
+        wv = [0j + m * one if m != 0 else 0j for m in mus]
+        muj = mus[j - 1]
+        wv[k - 1] = 0j + muj * one if muj != 0 else 0j
+        mu = 0j
+        for m, cp in into_u:
+            if mus[m - 1] != 0:
+                mu += mus[m - 1] * cp
+        if not abs(mu) >= exppoly.SMALL_WAVENUMBER_TOL or not (a := 0j + (1.0 * (1.0 / (1j * mu))) * c):
+            return None
+        # the antiderivative at x_u = x_j, then minus it at x_u = x_k
+        upper, lower = wv, wv.copy()
+        upper[j - 1] += mu
+        lower[k - 1] += mu
+        rows += ((upper, 0j + 1.0 * a), (lower, 0j + -1.0 * a))
+    return rows
 
 
 def deformed_transposition_position(f: ExpPolySum, j: int, gamma: float) -> ExpPolySum:
@@ -396,7 +456,10 @@ def sample_interior(
 def sample_wall(
     n: int, j: int, k: int, count: int, length: float, seed: int = DEFAULT_SEED
 ) -> list[WallSample]:
-    """Deterministic samples on V_jk with the other coordinates regular."""
+    """Deterministic samples on V_jk (1 <= j < k <= n) with the other
+    coordinates regular."""
+    if not (1 <= j < k <= n):
+        raise ValueError("need 1 <= j < k <= N")
     require_room(n, length)
     rng = random.Random(seed ^ (j * 1000003 + k))
     samples = []

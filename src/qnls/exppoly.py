@@ -91,10 +91,11 @@ DEGREE_CAP = 8
 # _build only drops zero coefficients and sorts the rest.
 # _embed takes a plane-wave term (one degree-0 monomial) in closed form, with the
 # general path's float operations and _build's checks; every other term takes
-# that path.  The Yang-Baxter block engine repeats, on bare (wavevector,
-# coefficient) rows, that closed form and the float operations that
-# _exp_antiderivative and _at_bound make on a plane wave, and merges the rows
-# with merge_rows, which builds terms only for the rows that survive
+# that path.  The Yang-Baxter block engine and alcovefn's reflection integral
+# repeat, on bare (wavevector, coefficient) rows, that closed form (or
+# pullback's) and the float operations that _exp_antiderivative and _at_bound
+# make on a plane wave, and merge the rows with merge_rows, which builds terms
+# only for the rows that survive; combine hands plane-wave sums to it too
 
 
 class DegreeCapError(ValueError):
@@ -314,9 +315,9 @@ def scale(c: complex, f: ExpPolySum) -> ExpPolySum:
     return ExpPolySum(
         f.n,
         tuple(
-            ExpPolyTerm(
-                t.n, t.wavevector, tuple((d, c * a) for d, a in t.coeffs)
-            )
+            ExpPolyTerm(t.n, t.wavevector, ((t.coeffs[0][0], c * t.coeffs[0][1]),))
+            if len(t.coeffs) == 1
+            else ExpPolyTerm(t.n, t.wavevector, tuple((d, c * a) for d, a in t.coeffs))
             for t in f.terms
         ),
     )
@@ -640,6 +641,8 @@ def combine(n: int, parts: Iterable[tuple[Iterable[complex], ExpPolySum]]) -> Ex
     keeps its wavevector; a close pair split by a cell edge stays two terms.
     Monomials below PRUNE_TOL times the largest finite coefficient are
     dropped; a coefficient of modulus past the float range is infinite.
+    Where every term is a plane wave (one degree-0 monomial), their scaled
+    coefficients are merged as rows by merge_rows, which is this rule.
     """
     scaled = []
     for factors, f in parts:
@@ -648,6 +651,17 @@ def combine(n: int, parts: Iterable[tuple[Iterable[complex], ExpPolySum]]) -> Ex
         factors = [complex(c) for c in factors]
         if all(factors):
             scaled.append((factors, f.terms))
+    deg = (0,) * n
+    if all(len(t.coeffs) == 1 and t.coeffs[0][0] == deg for _, terms in scaled for t in terms):
+        # plane waves only: merge_rows is this rule on their rows
+        rows = []
+        for factors, terms in scaled:
+            for t in terms:
+                a = t.coeffs[0][1]
+                for c in factors:
+                    a = c * a
+                rows.append((t.wavevector, a))
+        return merge_rows(n, rows)
     # each distinct entry is keyed once
     cells = _cell_keys({m for _, terms in scaled for t in terms for m in t.wavevector})
     # cell key -> (the representative's wavevector, its merged coefficients)
@@ -679,7 +693,8 @@ def combine(n: int, parts: Iterable[tuple[Iterable[complex], ExpPolySum]]) -> Ex
 
 def merge_rows(n: int, rows: list[tuple[list[complex], complex]]) -> ExpPolySum:
     """canonicalize of the plane waves c e^{i <wv, x>}, one per (wv, c) row on
-    n slots, each c nonzero, by combine's rules, building only the surviving terms."""
+    n slots, by combine's rules, building only the surviving terms (a zero c
+    is pruned, as combine prunes it)."""
     cells = _cell_keys({m for wv, _ in rows for m in wv})
     merged: dict[tuple, list] = {}
     for wv, c in rows:

@@ -551,3 +551,111 @@ def test_eval_refuses_a_side_of_the_wrong_size():
             F.eval(x, side=side)
         with pytest.raises(ValueError, match="size mismatch"):
             F.eval_many([x], side=side)
+
+
+def _general_act_analytic(w, f):
+    """act_analytic's general path: every term relabelled by exppoly._embed."""
+    return exppoly.ExpPolySum(f.n, tuple(exppoly._embed(t, w.images, [0j] * f.n, 1.0) for t in f.terms))
+
+
+def _general_reflection_integral(f, j, k):
+    """reflection_integral's general path: pullback, integrate, truncate."""
+    n = f.n
+    u = n + 1
+    rows = {m: {m: 1.0 + 0j} for m in range(1, n + 1)}
+    rows[j] = {j: 1.0 + 0j, k: 1.0 + 0j, u: -1.0 + 0j}
+    rows[k] = {u: 1.0 + 0j}
+    h = exppoly.integrate(exppoly.pullback(f, rows, u), u, exppoly.Bound.coord(k), exppoly.Bound.coord(j))
+    return exppoly.ExpPolySum(n, tuple(exppoly._truncate(t, n) for t in h.terms))
+
+
+def _waves(*terms):
+    """The 3-slot sum of (wavevector, coefficient) plane waves, as given."""
+    return exppoly.ExpPolySum(3, tuple(exppoly.ExpPolyTerm(3, tuple(map(complex, wv)), (((0, 0, 0), complex(c)),)) for wv, c in terms))
+
+
+def _direct_path_sums():
+    """(sum, how many of the six ordered pairs of slots 1..3 take the rows)."""
+    nan, inf = math.nan, math.inf
+    regular = (0.8, -0.45, 0.3)
+    psi = wavefn.prewavefunction(wavefn.RapiditySet((0.8 + 0.2j, -0.45 - 0.1j, 0.3), -0.7, 10.0))
+    for piece in list(psi.pieces.values())[::2]:
+        yield piece, 6
+    # signed zeros in coefficients and wavenumbers, complex wavenumbers
+    yield _waves(((complex(-0.0, 0.5), 0.8, complex(0.3, -0.0)), complex(-0.0, 1.0)),
+                 ((0.8, complex(-0.45, -0.0), -0.0), complex(1.0, -0.0)),
+                 ((0.8 + 0.2j, -0.45 - 0.1j, 0.3), complex(-0.0, -0.0) + 1e-300)), 6
+    # NaN and infinite coefficients; a zero one, alone or among plane waves
+    yield _waves((regular, nan), (regular, complex(inf, -0.0)), ((0.3, 0.8, -0.45), complex(-inf, nan))), 6
+    yield _waves((regular, 0j)), 0
+    yield _waves((regular, 1.0), ((0.3, 0.8, -0.45), complex(-0.0, 0.0))), 0
+    # non-finite wavenumbers on slot 3 and on every slot: a NaN u wavenumber
+    # (a NaN lam_j or lam_k, or inf - inf) falls back, an infinite one not
+    yield _waves(((0.8, -0.45, nan), 0.6 - 0.8j)), 2
+    for bad in (nan, inf, complex(-inf, 0.0)):
+        yield _waves(((bad, bad, bad), 0.6 - 0.8j)), 0
+    for bad in (inf, complex(-inf, 0.0)):
+        yield _waves(((0.8, -0.45, bad), 0.6 - 0.8j)), 6
+    # |lam_j - lam_k| below SMALL_WAVENUMBER_TOL (series) and at zero
+    # (polynomial) fall back
+    yield exppoly.plane_wave((0.5, 0.5 + 1e-8, 0.5 - 3e-7)), 0
+    yield exppoly.plane_wave((0.5, 0.5, 0.5)), 0
+    # psi at a coinciding pair: a piece of plane waves takes the rows on the
+    # pairs where no term has lam_j = lam_k, a piece with polynomial terms
+    # falls back
+    degenerate = wavefn.prewavefunction_degenerate(wavefn.RapiditySet((0.5, 0.5, -0.3), 1.0, 10.0))
+    yield from zip(degenerate.pieces.values(), [4, 2, 0, 0, 0, 0])
+
+
+def test_act_analytic_is_the_general_relabelling_to_the_bit():
+    cases = list(_direct_path_sums())
+    assert len(cases) == 21
+    for f, _ in cases:
+        for w in all_permutations(3):
+            assert repr(alcovefn.act_analytic(w, f)) == repr(_general_act_analytic(w, f)), (w, f)
+
+
+def test_act_analytic_refuses_a_permutation_of_another_size():
+    f = exppoly.plane_wave((0.8, -0.45, 0.3))
+    for w in [Permutation((2, 1)), identity(4)]:
+        with pytest.raises(ValueError, match="size mismatch"):
+            alcovefn.act_analytic(w, f)
+
+
+def test_reflection_integral_is_the_general_path_to_the_bit():
+    # every ordered pair, j > k included, whether it takes the rows or falls back
+    pairs = [(j, k) for j in range(1, 4) for k in range(1, 4) if j != k]
+    for f, direct in _direct_path_sums():
+        assert sum(alcovefn._reflection_rows(f, j, k) is not None for j, k in pairs) == direct, f
+        for j, k in pairs:
+            assert repr(alcovefn.reflection_integral(f, j, k)) == repr(_general_reflection_integral(f, j, k)), (f, j, k)
+
+
+@pytest.mark.parametrize("j, k", [(0, 2), (2, 4), (4, 1), (-1, 2), (1, 1)])
+def test_reflection_integral_refuses_a_slot_outside_one_to_n(j, k):
+    match = "need j != k" if j == k else "out of range"
+    for f in [exppoly.plane_wave((0.8, -0.45, 0.3)), exppoly.monomial((1, 0, 0), 1.0, (0.5, 0.5, 0.3))]:
+        with pytest.raises(ValueError, match=match):
+            alcovefn.reflection_integral(f, j, k)
+
+
+@pytest.mark.parametrize("gamma", [1.3, 0.0, -0.0, -0.7])
+def test_propagation_is_the_general_path_to_the_bit(monkeypatch, gamma):
+    cases = [
+        (0.8 + 0.2j, -0.45 - 0.1j, 0.3),
+        (complex(0.8, -0.0), complex(-0.0, 0.0), 0.3, -1.2),
+        (0.5, 0.5, -0.3),
+        (0.5, 0.5 + 1e-8, -0.3),
+    ]
+    for lam in cases:
+        psi = alcovefn.propagation(exppoly.plane_wave(lam), gamma)
+        with monkeypatch.context() as m:
+            m.setattr(alcovefn, "act_analytic", _general_act_analytic)
+            m.setattr(alcovefn, "reflection_integral", _general_reflection_integral)
+            assert repr(psi) == repr(alcovefn.propagation(exppoly.plane_wave(lam), gamma)), lam
+
+
+@pytest.mark.parametrize("j, k", [(1, 1), (2, 1), (1, 4), (0, 2)])
+def test_sample_wall_refuses_a_wall_outside_one_to_n(j, k):
+    with pytest.raises(ValueError, match="need 1 <= j < k <= N"):
+        alcovefn.sample_wall(3, j, k, 2, 8.0)

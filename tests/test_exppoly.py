@@ -558,6 +558,31 @@ def _scale_add_canonicalize(n, parts):
     return _canonicalize_keying_every_entry(total)
 
 
+def _plane_wave_parts():
+    """Parts whose terms are all plane waves, with signed zeros, non-finite
+    and underflowing coefficients and factors, and shared cells."""
+    nan, inf = math.nan, math.inf
+    psi = wavefn.prewavefunction(wavefn.RapiditySet((0.8 + 0.2j, -0.45 - 0.1j, 0.3), -0.7, 10.0))
+    pieces = list(psi.pieces.values())
+    yield 3, [((), p) for p in pieces]
+    yield 3, [((-0.7,), pieces[0]), ((), pieces[1]), ((-1.0, 1.0 / 3.0), pieces[0])]
+    wave = exppoly.plane_wave((0.5, -0.0))
+    signed = exppoly.ExpPolySum(2, (
+        exppoly.ExpPolyTerm(2, (complex(-0.0, 0.5), 0j), (((0, 0), complex(-0.0, 1.0)),)),
+        exppoly.ExpPolyTerm(2, (0.5 + 0j, -0.0 + 0j), (((0, 0), complex(2.0, -0.0)),)),
+    ))
+    odd = exppoly.ExpPolySum(2, (
+        exppoly.ExpPolyTerm(2, (0.5 + 0j, 1.0 + 0j), (((0, 0), complex(inf, -0.0)),)),
+        exppoly.ExpPolyTerm(2, (complex(nan, 0.0), 1.0 + 0j), (((0, 0), 1.0 + 0j),)),
+        exppoly.ExpPolyTerm(2, (0.7 + 0j, 1.0 + 0j), (((0, 0), 0j),)),
+        exppoly.ExpPolyTerm(2, (0.5 + 0j, 1.0 + 0j), (((0, 0), complex(nan, 1.0)),)),
+    ))
+    yield 2, [((), signed), ((-1.0,), signed), ((), wave), ((-0.0,), odd)]
+    yield 2, [((), odd), ((-1.0, inf), wave), ((1e-200, 1e-200), signed), ((), signed)]
+    yield 2, [((complex(-0.0, 1.0),), signed), ((nan,), wave), ((), odd), ((-1.0,), odd)]
+    yield 2, [((), exppoly.zero(2)), ((0.0,), wave)]
+
+
 def _combine_cases():
     nan, inf = math.nan, math.inf
     wave = exppoly.plane_wave((0.5, -0.0))
@@ -592,11 +617,14 @@ def _combine_cases():
     for f in _canonicalize_cases():
         yield f.n, [((), f), ((-1.0,), f)]
         yield f.n, [((0.5, 2j), f), ((), f), ((-1.0, 1.0 / 3.0), f)]
+    yield from _plane_wave_parts()
 
 
 def test_combine_is_the_scale_add_canonicalize_chain():
     cases = list(_combine_cases())
-    assert len(cases) == 56
+    # combine hands the cases whose terms are all plane waves to merge_rows
+    plane = [all(len(t.coeffs) == 1 and not any(t.coeffs[0][0]) for _, f in parts for t in f.terms) for _, parts in cases]
+    assert (len(cases), sum(plane)) == (62, 52)
     for n, parts in cases:
         want = repr(_scale_add_canonicalize(n, parts))
         assert repr(exppoly.combine(n, parts)) == want
@@ -605,6 +633,18 @@ def test_combine_is_the_scale_add_canonicalize_chain():
     with pytest.raises(ValueError, match="dimension mismatch"):
         exppoly.combine(2, [((), f), ((0.0,), exppoly.plane_wave((1.0,)))])
 
+
+def test_scale_of_one_monomial_is_the_general_one():
+    nan, inf = math.nan, math.inf
+    f = _random_sum(random.Random(4), 2, terms=4) + exppoly.ExpPolySum(2, (
+        exppoly.ExpPolyTerm(2, (0.5 + 0j, 1.0 + 0j), (((0, 0), complex(-0.0, inf)),)),
+        exppoly.ExpPolyTerm(2, (0.5 + 0j, 1.0 + 0j), (((1, 0), complex(nan, -0.0)),)),
+        exppoly.ExpPolyTerm(2, (0.5 + 0j, 1.0 + 0j), (((0, 0), 1.0 + 0j), ((0, 1), -0.0 + 0j))),
+    ))
+    for c in [0.8 - 0.3j, -1.0, complex(-0.0, 1.0), inf, nan, 1e-200, 2]:
+        want = exppoly.ExpPolySum(2, tuple(
+            exppoly.ExpPolyTerm(2, t.wavevector, tuple((d, complex(c) * a) for d, a in t.coeffs)) for t in f.terms))
+        assert repr(exppoly.scale(c, f)) == repr(want), c
 
 def _old_canonical_sum(*fs):
     total = exppoly.zero(fs[0].n)
