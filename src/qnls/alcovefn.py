@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import exppoly
-from .exppoly import Bound, ExpPolySum, ExpPolyTerm
+from .exppoly import Bound, ExpPolySum
 from .symgroup import Permutation, all_permutations, compose, reduced_word, simple, transposition
 
 __all__ = [
@@ -209,29 +209,10 @@ def afn_derivative(f: AlcoveFunction, j: int) -> AlcoveFunction:
 
 
 def act_analytic(w: Permutation, f: ExpPolySum) -> ExpPolySum:
-    """(w f)(x) = f(w^{-1} x) for analytic f: slot m is relabeled to w(m).
-
-    Each term is exppoly._embed's relabelling by w with coefficient factor
-    1.0; a plane-wave term (one degree-0 monomial) is built directly, its
-    wavevector reordered and its coefficient c * 1.0, as _embed makes it."""
-    n = f.n
-    if w.n != n:
+    """(w f)(x) = f(w^{-1} x) for analytic f: slot m is relabeled to w(m)."""
+    if w.n != f.n:
         raise ValueError("size mismatch")
-    # slot w(r) of the relabelled term reads slot r of t
-    back = [0] * n
-    for r, s in enumerate(w.images):
-        back[s - 1] = r
-    deg = (0,) * n
-    terms = []
-    for t in f.terms:
-        coeffs = t.coeffs
-        if len(coeffs) == 1 and coeffs[0][0] == deg:
-            value = coeffs[0][1] * 1.0
-            wv = t.wavevector
-            terms.append(ExpPolyTerm(n, tuple([wv[r] for r in back]), ((deg, value),) if value else ()))
-        else:
-            terms.append(exppoly._embed(t, w.images, [0j] * n, 1.0))
-    return ExpPolySum(n, tuple(terms))
+    return exppoly._relabel(f, w.images)
 
 
 def extend_symmetric(piece: ExpPolySum, continuous: bool) -> AlcoveFunction:
@@ -369,14 +350,16 @@ def reflection_integral(f: ExpPolySum, j: int, k: int) -> ExpPolySum:
 
 def _reflection_rows(f: ExpPolySum, j: int, k: int) -> list | None:
     """reflection_integral's (wavevector, coefficient) rows on n slots, the
-    upper and the lower bound of each term in turn, with the float
-    operations that pullback, _exp_antiderivative and _at_bound make on a
-    plane wave; None where a term is not one degree-0 monomial, has a zero
-    coefficient, or a u wavenumber below SMALL_WAVENUMBER_TOL (or NaN)."""
+    upper and the lower bound of each term in turn: pullback's wavevector on
+    n + 1 slots, the u slot last, integrated by exppoly._integrate_row.  None
+    where a term is not one degree-0 monomial, has a zero coefficient, or
+    _integrate_row refuses its row."""
+    n = f.n
     one, minus = 1.0 + 0j, -1.0 + 0j
     # pullback adds mu_j and mu_k into the u slot in slot order
     into_u = sorted(((j, minus), (k, one)))
-    deg = (0,) * f.n
+    bounds = (("coord", k), ("coord", j))
+    deg = (0,) * n
     rows = []
     for t in f.terms:
         if len(t.coeffs) != 1 or t.coeffs[0][0] != deg or not (c := 0j + t.coeffs[0][1]):
@@ -390,13 +373,10 @@ def _reflection_rows(f: ExpPolySum, j: int, k: int) -> list | None:
         for m, cp in into_u:
             if mus[m - 1] != 0:
                 mu += mus[m - 1] * cp
-        if not abs(mu) >= exppoly.SMALL_WAVENUMBER_TOL or not (a := 0j + (1.0 * (1.0 / (1j * mu))) * c):
+        wv.append(mu)
+        if (pair := exppoly._integrate_row(wv, c, n + 1, bounds, None)) is None:
             return None
-        # the antiderivative at x_u = x_j, then minus it at x_u = x_k
-        upper, lower = wv, wv.copy()
-        upper[j - 1] += mu
-        lower[k - 1] += mu
-        rows += ((upper, 0j + 1.0 * a), (lower, 0j + -1.0 * a))
+        rows += pair
     return rows
 
 

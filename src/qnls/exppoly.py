@@ -89,13 +89,15 @@ DEGREE_CAP = 8
 # rise or come from outside; where they come from a checked term and cannot
 # rise (derivative, exact antiderivative, substitution, relabelling),
 # _build only drops zero coefficients and sorts the rest.
-# _embed takes a plane-wave term (one degree-0 monomial) in closed form, with the
+# _embed and _relabel move a term's slots; both build it in _placed, which
+# takes a plane-wave term (one degree-0 monomial) in closed form, with the
 # general path's float operations and _build's checks; every other term takes
 # that path.  The Yang-Baxter block engine and alcovefn's reflection integral
 # repeat, on bare (wavevector, coefficient) rows, that closed form (or
-# pullback's) and the float operations that _exp_antiderivative and _at_bound
-# make on a plane wave, and merge the rows with merge_rows, which builds terms
-# only for the rows that survive; combine hands plane-wave sums to it too
+# pullback's), integrate each row with _integrate_row, the float operations
+# that _exp_antiderivative and _at_bound make on a plane wave, and merge the
+# rows with merge_rows, which builds terms only for the rows that survive;
+# combine hands plane-wave sums to it too
 
 
 class DegreeCapError(ValueError):
@@ -315,9 +317,9 @@ def scale(c: complex, f: ExpPolySum) -> ExpPolySum:
     return ExpPolySum(
         f.n,
         tuple(
-            ExpPolyTerm(t.n, t.wavevector, ((t.coeffs[0][0], c * t.coeffs[0][1]),))
-            if len(t.coeffs) == 1
-            else ExpPolyTerm(t.n, t.wavevector, tuple((d, c * a) for d, a in t.coeffs))
+            ExpPolyTerm(
+                t.n, t.wavevector, tuple((d, c * a) for d, a in t.coeffs)
+            )
             for t in f.terms
         ),
     )
@@ -473,6 +475,32 @@ def _integrate_term(
     return _at_bound(anti, j, upper, n), _at_bound(anti, j, lower, n, -1.0)
 
 
+def _integrate_row(wv: list[complex], c: complex, j: int, bounds, consts) -> list | None:
+    """_integrate_term on the plane wave c e^{i <wv, x>} over its last slot
+    j, as bare (wavevector, coefficient) rows on the slots before j: the
+    upper bound's row, then the lower's, with the float operations of
+    _exp_antiderivative, then _at_bound per bound.  bounds is (lower,
+    upper), each ("coord", k) for x_k or (kind, key) for the constant
+    consts[key].  None where |mu_j| is below SMALL_WAVENUMBER_TOL (or NaN)
+    or a coefficient is zero, which only the general path handles."""
+    muj = wv[j - 1]
+    if not abs(muj) >= SMALL_WAVENUMBER_TOL or not (a := 0j + (1.0 * (1.0 / (1j * muj))) * c):
+        return None
+    lower, upper = bounds
+    rows = []
+    for b, sign in ((upper, 1.0), (lower, -1.0)):
+        w = wv[: j - 1]
+        if b[0] == "coord":
+            w[b[1] - 1] += muj
+            value = 0j + sign * a
+        else:
+            value = 0j + a * (1.0 + 0j) * (sign * cmath.exp(1j * muj * consts[b[1]]))
+        if not value:
+            return None
+        rows.append((w, value))
+    return rows
+
+
 def integrate(f: ExpPolySum, j: int, lower: Bound, upper: Bound) -> ExpPolySum:
     """Definite integral over x_j between bounds free of x_j.
 
@@ -567,22 +595,45 @@ def _embed(
     term t with its slot r moved to slot slots[r], the slots distinct.
     This is pullback by a map of distinct unit rows, then mul by a plane
     wave, in one step."""
-    n = len(wavevector)
     wv = list(wavevector)
     for s, m in zip(slots, t.wavevector):
         # a zero entry takes m itself: a relabelled term shares the
         # wavenumber objects of t instead of holding fresh copies
         wv[s - 1] = wv[s - 1] + m if wv[s - 1] else m
-    if len(t.coeffs) == 1 and not any(t.coeffs[0][0]):
-        value = t.coeffs[0][1] * c
-        return ExpPolyTerm(n, tuple(wv), (((0,) * n, value),) if value else ())
-    coeffs: dict[tuple[int, ...], complex] = {}
-    for deg, a in t.coeffs:
-        d = [0] * n
-        for s, e in zip(slots, deg):
-            d[s - 1] = e
-        coeffs[tuple(d)] = a * c
-    return _build(n, wv, coeffs)
+    return _placed(len(wv), [t], [tuple(wv)], slots, c)[0]
+
+
+def _relabel(f: ExpPolySum, slots) -> ExpPolySum:
+    """f with slot r moved to slot slots[r], slots a permutation of 1..n:
+    _embed of every term with no plane wave and factor 1.0, each wavevector
+    read through the inverse permutation, which is made once per sum."""
+    n = f.n
+    back = [0] * n
+    for r, s in enumerate(slots):
+        back[s - 1] = r
+    return ExpPolySum(n, tuple(_placed(n, f.terms, [tuple([t.wavevector[r] for r in back]) for t in f.terms], slots, 1.0)))
+
+
+def _placed(n: int, terms, wvs, slots, c: complex) -> list[ExpPolyTerm]:
+    """c * t for each term t (all of one size), with its slot r moved to
+    slot slots[r], on n slots and its wavevector from wvs: a plane-wave term
+    (one degree-0 monomial) in closed form, with the general path's float
+    operations and _build's checks; any other term through _build."""
+    deg0, plane = (0,) * n, (0,) * terms[0].n if terms else ()
+    out = []
+    for t, wv in zip(terms, wvs):
+        if len(t.coeffs) == 1 and t.coeffs[0][0] == plane:
+            value = t.coeffs[0][1] * c
+            out.append(ExpPolyTerm(n, wv, ((deg0, value),) if value else ()))
+            continue
+        coeffs: dict[tuple[int, ...], complex] = {}
+        for deg, a in t.coeffs:
+            d = [0] * n
+            for s, e in zip(slots, deg):
+                d[s - 1] = e
+            coeffs[tuple(d)] = a * c
+        out.append(_build(n, wv, coeffs))
+    return out
 
 
 def _truncate(t: ExpPolyTerm, n: int) -> ExpPolyTerm:

@@ -51,7 +51,7 @@ class Particles(NamedTuple):
 # the particle table, one row per suite in run order; a cost is one run on 2
 # shared vCPUs (Python 3.11, numpy 2.4), where each row's largest n takes 0.3 s or less
 PARTICLES = {
-    "dAHA-axioms": Particles(2, 4, "cost: n=5 takes about 3 s"),
+    "dAHA-axioms": Particles(2, 4, "cost: n=5 takes about 4 s"),
     "appendix-A": Particles(3, 4, "every identity needs 3 particles; cost: n=5 takes about 10 s and 170 MB"),
     "appendix-B": Particles(1, 3, "fixed inputs; its quadrature stops at oracle.QUAD_NEST_CAP", fixed=True),
     "wavefunction-routes": Particles(2, 4, "cost: n=5 takes about 1 s"),

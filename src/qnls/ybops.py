@@ -21,7 +21,7 @@ regular and away from mu, every term is a plane wave c e^{i mu y},
 integrating to c / (i mu) e^{i mu y} at each bound: the steps run on bare
 (wavevector, coefficient) rows with the float operations that exppoly's
 general steps (_embed, _exp_antiderivative, _at_bound) make on a plane
-wave, and exppoly.merge_rows merges an alcove's rows of every block at
+wave, each integration by exppoly._integrate_row, and exppoly.merge_rows merges an alcove's rows of every block at
 once.  An alcove where a term has a polynomial part, a y wavenumber below
 SMALL_WAVENUMBER_TOL or NaN, or a zero coefficient at any step is built
 term by term by exppoly's general steps and canonicalized.
@@ -161,26 +161,14 @@ def _rows(blocks, f: AlcoveFunction, consts: dict) -> list | None:
                 for s, m in zip(slots, t.wavevector):
                     wv[s - 1] = wv[s - 1] + m if wv[s - 1] else m
                 level.append((wv, c))
-            # exppoly._exp_antiderivative, then _at_bound per bound, on a plane
-            # wave, innermost y first; each y is the last slot, so dropping it
-            # keeps the slots before it
+            # exppoly._integrate_row, innermost y first; each y is the last
+            # slot, so dropping it keeps the slots before it
             for j in range(P + len(bounds), P, -1):
-                lower, upper = bounds[j - P - 1]
                 step = []
                 for wv, c in level:
-                    muj = wv[j - 1]
-                    if not abs(muj) >= exppoly.SMALL_WAVENUMBER_TOL or not (a := 0j + (1.0 * (1.0 / (1j * muj))) * c):
+                    if (pair := exppoly._integrate_row(wv, c, j, bounds[j - P - 1], consts)) is None:
                         return None
-                    for b, sign in ((upper, 1.0), (lower, -1.0)):
-                        w = wv[: j - 1]
-                        if b[0] == "coord":
-                            w[b[1] - 1] += muj
-                            value = 0j + sign * a
-                        else:
-                            value = 0j + a * (1.0 + 0j) * (sign * cmath.exp(1j * muj * consts[b[1]]))
-                        if not value:
-                            return None
-                        step.append((w, value))
+                    step += pair
                 level = step
             rows += level
     return rows

@@ -634,18 +634,6 @@ def test_combine_is_the_scale_add_canonicalize_chain():
         exppoly.combine(2, [((), f), ((0.0,), exppoly.plane_wave((1.0,)))])
 
 
-def test_scale_of_one_monomial_is_the_general_one():
-    nan, inf = math.nan, math.inf
-    f = _random_sum(random.Random(4), 2, terms=4) + exppoly.ExpPolySum(2, (
-        exppoly.ExpPolyTerm(2, (0.5 + 0j, 1.0 + 0j), (((0, 0), complex(-0.0, inf)),)),
-        exppoly.ExpPolyTerm(2, (0.5 + 0j, 1.0 + 0j), (((1, 0), complex(nan, -0.0)),)),
-        exppoly.ExpPolyTerm(2, (0.5 + 0j, 1.0 + 0j), (((0, 0), 1.0 + 0j), ((0, 1), -0.0 + 0j))),
-    ))
-    for c in [0.8 - 0.3j, -1.0, complex(-0.0, 1.0), inf, nan, 1e-200, 2]:
-        want = exppoly.ExpPolySum(2, tuple(
-            exppoly.ExpPolyTerm(2, t.wavevector, tuple((d, complex(c) * a) for d, a in t.coeffs)) for t in f.terms))
-        assert repr(exppoly.scale(c, f)) == repr(want), c
-
 def _old_canonical_sum(*fs):
     total = exppoly.zero(fs[0].n)
     for f in fs:
