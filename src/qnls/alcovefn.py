@@ -147,8 +147,10 @@ class WallSample:
 
 
 def _order(x: tuple) -> tuple[int, ...]:
-    """The images of ordering_permutation(x)."""
-    return tuple(sorted(range(1, len(x) + 1), key=lambda j: -x[j - 1].real))
+    """The images of ordering_permutation(x): 1..n sorted by the keys
+    -x_j.real, read from one list (slot 0 unused) rather than a lambda."""
+    keys = [0.0] + [-v.real for v in x]
+    return tuple(sorted(range(1, len(x) + 1), key=keys.__getitem__))
 
 
 def _tied(x: tuple, order: tuple[int, ...]) -> bool:

@@ -18,8 +18,15 @@ bit as combine would (the deformed words of momrep).
 A sum is read at a point by eval, from a flat form of its terms cached
 on the sum at the first read (_flat): a plane-wave term (one degree-0
 monomial c) keeps its polynomial part 0j + c, any other term its
-monomials, and both keep their wavevector object.  eval_many reads many
-points at once from the terms packed into arrays (_packed).
+monomials, and both keep their wavevector object.  Sums on 1 to 4 slots,
+the particle numbers that the suites up to max-n 4, the cross-checks and
+qnls eval at N <= 4 read, each have a reader of their own (_READERS): it
+unpacks the point and each wavevector into locals and writes the phase
+sum out slot by slot, where the generic loop (_read_any, which every
+other n takes) spends most of a term on sum(map(...)).  The written-out
+sum is the left fold from int 0 that sum() makes, so both read the same
+value to the bit.  eval_many reads many points at once from the terms
+packed into arrays (_packed).
 
 >>> f = plane_wave((2.0, -1.0))          # e^{i(2 x1 - x2)}
 >>> g = derivative(f, 1)
@@ -161,6 +168,80 @@ def _build(n: int, wavevector, coeffs: dict[tuple[int, ...], complex]) -> ExpPol
     return ExpPolyTerm(n, tuple(wavevector[:n]), tuple(items))
 
 
+def _poly(coeffs, xv: tuple) -> complex:
+    """The monomials c * x**deg of a flat term summed in order from 0j."""
+    poly = 0j
+    for deg, c in coeffs:
+        if any(deg):
+            for xj, dj in zip(xv, deg):
+                if dj:
+                    c *= xj**dj
+        poly += c
+    return poly
+
+
+def _read_any(flat: tuple, xv: tuple) -> complex:
+    """The terms of a flat form read at xv and summed in order from 0j,
+    each phase summed slot by slot by sum() from int 0."""
+    total = 0j
+    for wave, poly, coeffs in flat:
+        if coeffs is not None:
+            poly = _poly(coeffs, xv)
+        total += poly * cmath.exp(1j * sum(map(operator.mul, wave, xv)))
+    return total
+
+
+# _read_any for n = 1..4 with the phase sum written out: the same left fold
+# from int 0 that sum() makes, so the same float operations in the same order
+
+
+def _read1(flat: tuple, xv: tuple) -> complex:
+    (x0,) = xv
+    exp = cmath.exp
+    total = 0j
+    for (w0,), poly, coeffs in flat:
+        if coeffs is not None:
+            poly = _poly(coeffs, xv)
+        total += poly * exp(1j * (0 + w0 * x0))
+    return total
+
+
+def _read2(flat: tuple, xv: tuple) -> complex:
+    x0, x1 = xv
+    exp = cmath.exp
+    total = 0j
+    for (w0, w1), poly, coeffs in flat:
+        if coeffs is not None:
+            poly = _poly(coeffs, xv)
+        total += poly * exp(1j * (0 + w0 * x0 + w1 * x1))
+    return total
+
+
+def _read3(flat: tuple, xv: tuple) -> complex:
+    x0, x1, x2 = xv
+    exp = cmath.exp
+    total = 0j
+    for (w0, w1, w2), poly, coeffs in flat:
+        if coeffs is not None:
+            poly = _poly(coeffs, xv)
+        total += poly * exp(1j * (0 + w0 * x0 + w1 * x1 + w2 * x2))
+    return total
+
+
+def _read4(flat: tuple, xv: tuple) -> complex:
+    x0, x1, x2, x3 = xv
+    exp = cmath.exp
+    total = 0j
+    for (w0, w1, w2, w3), poly, coeffs in flat:
+        if coeffs is not None:
+            poly = _poly(coeffs, xv)
+        total += poly * exp(1j * (0 + w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3))
+    return total
+
+
+_READERS = {1: _read1, 2: _read2, 3: _read3, 4: _read4}
+
+
 @dataclass(frozen=True)
 class ExpPolySum:
     """Finite sum of ExpPolyTerms over the same variable set."""
@@ -197,19 +278,12 @@ class ExpPolySum:
         )
 
     def _value(self, xv: tuple) -> complex:
-        """eval's body at a tuple xv of length n."""
-        total = 0j
-        for wave, poly, coeffs in self._flat:
-            if coeffs is not None:
-                poly = 0j
-                for deg, c in coeffs:
-                    if any(deg):
-                        for xj, dj in zip(xv, deg):
-                            if dj:
-                                c *= xj**dj
-                    poly += c
-            total += poly * cmath.exp(1j * sum(map(operator.mul, wave, xv)))
-        return total
+        """eval's body at a tuple xv of length n: the flat form read by the
+        reader of _READERS for n = 1..4, or else by the generic _read_any;
+        the readers are _read_any with the phase sum written out, the same
+        float operations in the same order, in about a quarter less time
+        per term."""
+        return _READERS.get(self.n, _read_any)(self._flat, xv)
 
     @cached_property
     def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

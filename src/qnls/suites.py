@@ -55,7 +55,7 @@ PARTICLES = {
     "appendix-A": Particles(3, 4, "every identity needs 3 particles; cost: n=5 takes about 10 s and 170 MB"),
     "appendix-B": Particles(1, 3, "fixed inputs; its quadrature stops at oracle.QUAD_NEST_CAP", fixed=True),
     "wavefunction-routes": Particles(2, 4, "cost: n=5 takes about 1 s"),
-    "QNLS-eigen": Particles(2, 3, "not raised yet: n=4 passes in 0.1 s and would add records"),
+    "QNLS-eigen": Particles(2, 4, "cost: n=5 takes about 1.1 s"),
     "ABA": Particles(2, 3, "on-shell quantum numbers are set for n = 2, 3 only"),
     "nonsymmetric-YBA": Particles(2, 2, "cost: n=3 takes about 1.5 s; n=4 exceeds ybops.PARTICLE_CAP"),
     "Q-operator": Particles(1, 2, "the TQ and Q records check one fixed 2-particle Bethe state"),

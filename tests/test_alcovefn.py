@@ -445,25 +445,92 @@ def _edge_value_case() -> alcovefn.AlcoveFunction:
     return alcovefn.build(pieces, continuous=True)
 
 
+def _signed_zero_piece(n: int, seed: int) -> exppoly.ExpPolySum:
+    """A piece on n slots whose wavenumbers and coefficients carry signed
+    zero parts: one-monomial degree-0 terms next to terms of several
+    monomials of mixed degrees (total degree up to 4)."""
+    rng = random.Random(seed)
+    zeros = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.7), 0j]
+
+    def number(spread):
+        if rng.random() < 0.4:
+            return rng.choice(zeros)
+        return complex(rng.uniform(-spread, spread), rng.uniform(-0.3, 0.3))
+
+    def degree():
+        picks = rng.choices(range(n), k=rng.randint(0, 4)) if n else []
+        return tuple(picks.count(j) for j in range(n))
+
+    terms = []
+    for k in range(8):
+        wave = tuple(number(2.0) for _ in range(n))
+        if k % 2:
+            coeffs = {degree(): number(1.0) for _ in range(3)}
+        else:
+            coeffs = {(0,) * n: number(1.0)}
+        terms.append(exppoly.ExpPolyTerm(n, wave, tuple(sorted(coeffs.items()))))
+    return exppoly.ExpPolySum(n, tuple(terms))
+
+
+@lru_cache(maxsize=None)
+def _reader_cases(n: int) -> tuple[alcovefn.AlcoveFunction, ...]:
+    """Pieces on n slots that no construction makes: _signed_zero_piece
+    alone, with one more term of a NaN, an infinite or an overflowing
+    coefficient (a plane-wave term or a mixed-degree one), and the empty
+    piece, spread over the alcoves of one function, or one function per
+    piece where there are fewer alcoves than pieces."""
+    nan, inf = math.nan, math.inf
+    base = _signed_zero_piece(n, 40 + n)
+    wave = tuple(complex(0.5 - j, 0.1) for j in range(n))
+    top = (1,) + (0,) * (n - 1) if n else ()
+    extras = [
+        {(0,) * n: complex(nan, 1.0)},
+        {(0,) * n: complex(inf, -inf)},
+        {(0,) * n: 2.0 + 0j, top: complex(-inf, 0.0)},
+        {(0,) * n: complex(1.5e308, 1.5e308)},
+    ]
+    pieces = [base, exppoly.zero(n)] + [
+        exppoly.ExpPolySum(n, base.terms + (exppoly.ExpPolyTerm(n, wave, tuple(sorted(c.items()))),))
+        for c in extras
+    ]
+    perms = all_permutations(n)
+    return tuple(
+        alcovefn.build({s: pieces[(k + shift) % len(pieces)] for k, s in enumerate(perms)}, continuous=True)
+        for shift in range(len(pieces) if len(perms) < len(pieces) else 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _wavefunctions_at_one_and_five() -> tuple[alcovefn.AlcoveFunction, ...]:
+    """A 1-particle Bethe wavefunction and a 5-particle pre-wavefunction
+    (120 terms per piece), the latter read by the generic loop."""
+    one = wavefn.RapiditySet((0.8 + 0.1j,), 1.3, 10.0)
+    five = wavefn.RapiditySet((0.8 + 0.1j, -0.45, 0.3, 1.1 - 0.2j, -1.2), 1.3, 10.0)
+    return (wavefn.bethe_wavefunction(one, "explicit"), wavefn.prewavefunction(five))
+
+
 @st.composite
 def _function_and_point(draw):
-    """A case of _eval_many_cases, the mixed-degree case or the edge-value
-    case, and a point of real or complex coordinates, at times with -0.0
-    parts and with one coordinate copied onto another (a tie)."""
+    """A case of _eval_many_cases, the mixed-degree case, the edge-value
+    case, a case of _wavefunctions_at_one_and_five or of _reader_cases at
+    n = 0, 1, 4 and 5, and a point of real or complex coordinates, at times
+    with -0.0 parts and with one coordinate copied onto another (a tie)."""
     cases = _eval_many_cases() + (_mixed_degree_case(), _edge_value_case())
+    cases += _wavefunctions_at_one_and_five()
+    cases += _reader_cases(0) + _reader_cases(1) + _reader_cases(4) + _reader_cases(5)
     F = draw(st.sampled_from(cases))
     part = st.one_of(st.floats(-5.0, 5.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
     coord = part
     if draw(st.booleans()):
         coord = st.builds(complex, part, part)
     x = draw(st.lists(coord, min_size=F.n, max_size=F.n))
-    if draw(st.booleans()):
+    if F.n >= 2 and draw(st.booleans()):
         a, b = draw(st.permutations(range(F.n)))[:2]
         x[b] = x[a]
     return F, tuple(x)
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=300)
 @given(_function_and_point())
 def test_eval_is_the_per_term_evaluation_to_the_bit(case):
     F, x = case
@@ -471,6 +538,11 @@ def test_eval_is_the_per_term_evaluation_to_the_bit(case):
     assert repr(F.eval(x)) == repr(_per_term_eval(F.pieces[sigma], x))
     for tau, piece in F.pieces.items():
         assert repr(F.eval(x, side=tau)) == repr(_per_term_eval(piece, x))
+
+
+def _order_by_lambda(x):
+    """The reference _order: a lambda key per coordinate."""
+    return tuple(sorted(range(1, len(x) + 1), key=lambda j: -x[j - 1].real))
 
 
 def _ordering_by_dict(x):
@@ -501,8 +573,9 @@ def _points_with_ties(draw):
 @example((complex(math.nan, 1.0), 0.2 + 0j, complex(-0.0, 0.0)))
 def test_ordering_is_the_dict_keyed_ordering(x):
     """Same order and tie flag on ties, signed zeros, NaN, infinities and
-    complex coordinates."""
+    complex coordinates, and the order of the lambda key."""
     assert alcovefn._ordering(x) == _ordering_by_dict(x)
+    assert alcovefn._order(x) == _order_by_lambda(x)
 
 
 def _dunkl_through_act_position(F, j, gamma):
