@@ -279,10 +279,7 @@ class ExpPolySum:
 
     def _value(self, xv: tuple) -> complex:
         """eval's body at a tuple xv of length n: the flat form read by the
-        reader of _READERS for n = 1..4, or else by the generic _read_any;
-        the readers are _read_any with the phase sum written out, the same
-        float operations in the same order, in about a quarter less time
-        per term."""
+        reader of _READERS for n, or else by _read_any."""
         return _READERS.get(self.n, _read_any)(self._flat, xv)
 
     @cached_property
