@@ -148,7 +148,7 @@ class WallSample:
 
 def _order(x: tuple) -> tuple[int, ...]:
     """The images of ordering_permutation(x): 1..n sorted by the keys
-    -x_j.real, read from one list (slot 0 unused) rather than a lambda."""
+    -x_j.real, read from one list (slot 0 unused)."""
     keys = [0.0] + [-v.real for v in x]
     return tuple(sorted(range(1, len(x) + 1), key=keys.__getitem__))
 

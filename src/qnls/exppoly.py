@@ -18,15 +18,16 @@ bit as combine would (the deformed words of momrep).
 A sum is read at a point by eval, from a flat form of its terms cached
 on the sum at the first read (_flat): a plane-wave term (one degree-0
 monomial c) keeps its polynomial part 0j + c, any other term its
-monomials, and both keep their wavevector object.  Sums on 1 to 4 slots,
-the particle numbers that the suites up to max-n 4, the cross-checks and
-qnls eval at N <= 4 read, each have a reader of their own (_READERS): it
-unpacks the point and each wavevector into locals and writes the phase
-sum out slot by slot, where the generic loop (_read_any, which every
-other n takes) spends most of a term on sum(map(...)).  The written-out
-sum is the left fold from int 0 that sum() makes, so both read the same
-value to the bit.  eval_many reads many points at once from the terms
-packed into arrays (_packed).
+monomials, and both keep their wavevector object.  Sums on 2 to 4 slots,
+which the suites, the route cross-checks and qnls eval read most, each
+have a reader of their own (_READERS): it unpacks the point and each
+wavevector into locals and writes the phase sum out slot by slot, where
+the generic loop (_read_any, which every other n takes) spends most of a
+term on reduce(add, map(mul, ...), 0).  Both make the phase as the same
+left fold from int 0 (the fold sum() made before CPython 3.14, which
+sums complex items with compensation), so both read the same value to
+the bit on every interpreter.  eval_many reads many points at once from
+the terms packed into arrays (_packed).
 
 >>> f = plane_wave((2.0, -1.0))          # e^{i(2 x1 - x2)}
 >>> g = derivative(f, 1)
@@ -40,7 +41,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -182,28 +183,17 @@ def _poly(coeffs, xv: tuple) -> complex:
 
 def _read_any(flat: tuple, xv: tuple) -> complex:
     """The terms of a flat form read at xv and summed in order from 0j,
-    each phase summed slot by slot by sum() from int 0."""
+    each phase summed slot by slot in a left fold from int 0."""
     total = 0j
     for wave, poly, coeffs in flat:
         if coeffs is not None:
             poly = _poly(coeffs, xv)
-        total += poly * cmath.exp(1j * sum(map(operator.mul, wave, xv)))
+        total += poly * cmath.exp(1j * reduce(operator.add, map(operator.mul, wave, xv), 0))
     return total
 
 
-# _read_any for n = 1..4 with the phase sum written out: the same left fold
-# from int 0 that sum() makes, so the same float operations in the same order
-
-
-def _read1(flat: tuple, xv: tuple) -> complex:
-    (x0,) = xv
-    exp = cmath.exp
-    total = 0j
-    for (w0,), poly, coeffs in flat:
-        if coeffs is not None:
-            poly = _poly(coeffs, xv)
-        total += poly * exp(1j * (0 + w0 * x0))
-    return total
+# _read_any for n = 2..4 with the phase fold written out, so the same float
+# operations in the same order; one slot gains too little to have its own
 
 
 def _read2(flat: tuple, xv: tuple) -> complex:
@@ -239,7 +229,7 @@ def _read4(flat: tuple, xv: tuple) -> complex:
     return total
 
 
-_READERS = {1: _read1, 2: _read2, 3: _read3, 4: _read4}
+_READERS = {2: _read2, 3: _read3, 4: _read4}
 
 
 @dataclass(frozen=True)

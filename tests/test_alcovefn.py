@@ -387,8 +387,10 @@ def test_eval_many_on_a_wall():
 
 def _per_term_eval(f, x):
     """Scalar evaluation as the engine did it term by term: each term's
-    monomials summed, times exp(i <mu, x>) with the phase summed by sum(),
-    and the terms summed by sum() from 0j."""
+    monomials summed, times exp(i <mu, x>) with the phase summed from int 0,
+    and the terms summed from 0j.  Both sums are written as plain left
+    folds, the sums sum() made before CPython 3.14 (which sums complex
+    items with compensation)."""
     xv = tuple(x)
 
     def term(t):
@@ -399,10 +401,15 @@ def _per_term_eval(f, x):
                 if dj:
                     m *= xj**dj
             poly += m
-        phase = sum(mj * xj for mj, xj in zip(t.wavevector, xv))
+        phase = 0
+        for mj, xj in zip(t.wavevector, xv):
+            phase = phase + mj * xj
         return poly * cmath.exp(1j * phase)
 
-    return sum((term(t) for t in f.terms), 0j)
+    total = 0j
+    for t in f.terms:
+        total = total + term(t)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -512,12 +519,11 @@ def _wavefunctions_at_one_and_five() -> tuple[alcovefn.AlcoveFunction, ...]:
 @st.composite
 def _function_and_point(draw):
     """A case of _eval_many_cases, the mixed-degree case, the edge-value
-    case, a case of _wavefunctions_at_one_and_five or of _reader_cases at
-    n = 0, 1, 4 and 5, and a point of real or complex coordinates, at times
-    with -0.0 parts and with one coordinate copied onto another (a tie)."""
+    case or a case of _wavefunctions_at_one_and_five, and a point of real or
+    complex coordinates, at times with -0.0 parts and with one coordinate
+    copied onto another (a tie)."""
     cases = _eval_many_cases() + (_mixed_degree_case(), _edge_value_case())
     cases += _wavefunctions_at_one_and_five()
-    cases += _reader_cases(0) + _reader_cases(1) + _reader_cases(4) + _reader_cases(5)
     F = draw(st.sampled_from(cases))
     part = st.one_of(st.floats(-5.0, 5.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
     coord = part
@@ -538,6 +544,37 @@ def test_eval_is_the_per_term_evaluation_to_the_bit(case):
     assert repr(F.eval(x)) == repr(_per_term_eval(F.pieces[sigma], x))
     for tau, piece in F.pieces.items():
         assert repr(F.eval(x, side=tau)) == repr(_per_term_eval(piece, x))
+
+
+def _reader_points(n: int) -> list[tuple]:
+    """Points on n slots: real and complex coordinates, all -0.0, all
+    complex(-0.0, 0.0), and a real point with a tie."""
+    rng = random.Random(60 + n)
+    real = tuple(rng.uniform(-5.0, 5.0) for _ in range(n))
+    points = [
+        real,
+        tuple(complex(rng.uniform(-5.0, 5.0), rng.uniform(-1.0, 1.0)) for _ in range(n)),
+        (-0.0,) * n,
+        (complex(-0.0, 0.0),) * n,
+    ]
+    if n >= 2:
+        points.append(real[:1] + real[:1] + real[2:])
+    return points
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_each_reader_is_the_per_term_evaluation_to_the_bit(n):
+    """The reader _value takes on n slots, and the generic loop, read every
+    piece of _reader_cases(n) at every point of _reader_points(n) as
+    _per_term_eval does, to the bit."""
+    readers = {exppoly._READERS.get(n, exppoly._read_any), exppoly._read_any}
+    for F in _reader_cases(n):
+        for piece in F.pieces.values():
+            for x in _reader_points(n):
+                want = repr(_per_term_eval(piece, x))
+                for read in readers:
+                    assert repr(read(piece._flat, x)) == want
+                assert repr(piece.eval(x)) == want
 
 
 def _order_by_lambda(x):
