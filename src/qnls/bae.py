@@ -12,12 +12,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .momrep import EPS_REG, tau_pm
+from .momrep import is_regular, tau_pm
 
 __all__ = [
     "QuantumNumbers",
@@ -117,27 +117,23 @@ def bae_residual(
 class RapiditySet:
     """Rapidities with the model parameters they live in.
 
-    regularity is the minimum pairwise gap |lam_j - lam_k|; on_shell may
-    only be set when the Bethe-equation residual is below ON_SHELL_TOL.
+    The rapidities must be finite; they may coincide (see is_regular).
+    on_shell may only be set when the Bethe-equation residual is below
+    ON_SHELL_TOL.
     """
 
     lam: tuple[complex, ...]
     gamma: float
     length: float
     on_shell: bool = False
-    regularity: float = field(init=False)
 
     def __post_init__(self) -> None:
         lam = tuple(complex(v) for v in self.lam)
         object.__setattr__(self, "lam", lam)
         if not 0 < self.length < math.inf:
             raise ValueError("length must be positive and finite")
-        gaps = [
-            abs(lam[a] - lam[b])
-            for a in range(len(lam))
-            for b in range(a + 1, len(lam))
-        ]
-        object.__setattr__(self, "regularity", min(gaps) if gaps else float("inf"))
+        if not all(map(cmath.isfinite, lam)):
+            raise ValueError("rapidities must be finite")
         if self.on_shell:
             res = max(
                 (abs(v) for v in bae_residual(lam, self.gamma, self.length)),
@@ -153,7 +149,8 @@ class RapiditySet:
         return len(self.lam)
 
     def is_regular(self) -> bool:
-        return self.regularity > EPS_REG
+        """momrep.is_regular: every pairwise gap above EPS_REG."""
+        return is_regular(self.lam)
 
 
 def log_bae_residual(

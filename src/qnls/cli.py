@@ -109,12 +109,9 @@ def _cmd_eval(args) -> int:
     else:
         raise ValueError("eval requires --lambda or --quantum-numbers")
     r = RapiditySet(lam, args.gamma, args.length)
-    if r.is_regular():
-        psi = wavefn.prewavefunction(r)
-    elif args.allow_degenerate:
-        psi = wavefn.prewavefunction_degenerate(r)
-    else:
+    if not (r.is_regular() or args.allow_degenerate):
         raise ValueError("degenerate rapidities; pass --allow-degenerate to evaluate the limit")
+    psi = wavefn.prewavefunction(r)
     Psi = alcovefn.symmetrize(psi)
     n = r.n
     points = alcovefn.sample_interior(n, args.count, args.length, args.seed)

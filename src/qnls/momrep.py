@@ -40,6 +40,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Callable, Mapping
 
 import numpy as np
@@ -51,6 +52,7 @@ from .symgroup import Permutation, all_permutations, compose, identity, reduced_
 __all__ = [
     "OrbitFunction",
     "EPS_REG",
+    "is_regular",
     "orbit_planewave",
     "act_table",
     "divided_difference",
@@ -67,20 +69,15 @@ __all__ = [
     "orbit_scale",
 ]
 
-# pairwise rapidity gaps below this make divided differences unreliable
+# pairwise rapidity gaps at or below this make divided differences unreliable
 EPS_REG = 1e-8
 
 
-def _check_regular(lam: tuple[complex, ...]) -> None:
-    if not all(map(cmath.isfinite, lam)):
-        raise ValueError("rapidities must be finite")
-    n = len(lam)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(lam[a] - lam[b]) < EPS_REG:
-                raise ValueError(
-                    f"degenerate rapidities: |lambda_{a+1} - lambda_{b+1}| < {EPS_REG}"
-                )
+def is_regular(lam: tuple[complex, ...]) -> bool:
+    """The one regularity rule: every rapidity finite and every pairwise
+    gap above EPS_REG.  Orbit tables, and the routes that divide by
+    rapidity differences, need it."""
+    return all(map(cmath.isfinite, lam)) and all(abs(a - b) > EPS_REG for a, b in combinations(lam, 2))
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,8 @@ class OrbitFunction:
     entries: Mapping[Permutation, ExpPolySum]
 
     def __post_init__(self) -> None:
-        _check_regular(self.lam)
+        if not is_regular(self.lam):
+            raise ValueError(f"rapidities must be finite with pairwise gaps above {EPS_REG}")
         if set(self.entries) != set(all_permutations(len(self.lam))):
             raise ValueError("orbit table must cover all of S_N")
 
@@ -124,7 +122,6 @@ class OrbitFunction:
 def orbit_planewave(lam: tuple[complex, ...]) -> OrbitFunction:
     """The seed orbit: entries[sigma] = exp(i <sigma lambda, x>)."""
     lam = tuple(complex(v) for v in lam)
-    _check_regular(lam)
     return OrbitFunction(
         lam,
         {s: exppoly.plane_wave(s.act_vector(lam)) for s in all_permutations(len(lam))},

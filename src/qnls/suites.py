@@ -488,7 +488,7 @@ def suite_wavefunction_routes(ns: range, gamma: float, length: float, seed: int)
         pre_spread, bethe_spread = wavefn.assert_routes_agree(r, pts)
         yield "prewavefunction-route-agreement", n, pre_spread
         yield "bethe-route-agreement", n, bethe_spread
-    F = wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5), gamma, length))
+    F = wavefn.prewavefunction(RapiditySet((0.5, 0.5), gamma, length))
     ref = wavefn.prewavefunction_coincident_pair(0.5, gamma)
     worst = _gap([(F, ref)], alcovefn.sample_interior(2, 20, length, seed), 1.0)
     yield "degenerate-pair-closed-form", 2, worst, QUAD_TOL

@@ -3,8 +3,11 @@
 The pre-wavefunction psi_lam is the image of the plane wave e^{i<lam,x>}
 under the propagation operator; the Bethe wavefunction Psi_lam is its
 position symmetrization.  psi comes with four constructions and Psi with
-three, each set agreeing pointwise.  At coinciding rapidities psi is
-exact too: the plane wave at the coinciding rapidities, propagated.
+three, each set agreeing pointwise.  The routes that never divide by a
+rapidity difference (propagation, creation, creation_plus, creationB)
+take coinciding rapidities as they are, and give the exact limit there:
+repeated clusters show up as polynomial prefactors.  The orbit,
+symmetrize and explicit routes refuse rapidities that are not regular.
 Verifiers cover the eigenvalue problem (Laplacian, derivative jumps,
 Dunkl eigen-system) and periodicity on the interval [-L/2, L/2].
 """
@@ -25,7 +28,6 @@ __all__ = [
     "RapiditySet",
     "RouteMismatchError",
     "prewavefunction",
-    "prewavefunction_degenerate",
     "prewavefunction_coincident_pair",
     "bethe_wavefunction",
     "assert_routes_agree",
@@ -55,7 +57,9 @@ class RouteMismatchError(AssertionError):
 def _require_regular(r: RapiditySet) -> None:
     if not r.is_regular():
         raise ValueError(
-            "degenerate rapidities: use prewavefunction_degenerate instead"
+            "coinciding rapidities: the orbit, symmetrize and explicit routes divide by"
+            " rapidity differences; propagation, creation, creation_plus and creationB"
+            " accept them"
         )
 
 
@@ -71,11 +75,19 @@ def prewavefunction(r: RapiditySet, route: str = "propagation") -> AlcoveFunctio
     deformed word is one deformed transposition on a shorter one.
     creation: fold b^-_{lam_N} ... b^-_{lam_1} onto the vacuum;
     creation_plus folds b^+_{lam_1} ... b^+_{lam_N} instead.
+    All but orbit take coinciding rapidities:
+
+    >>> r = RapiditySet((0.5, 0.5), 1.0, 10.0)
+    >>> F = prewavefunction(r)
+    >>> ref = prewavefunction_coincident_pair(0.5, 1.0)
+    >>> x = (-1.25, 2.5)
+    >>> abs(F.eval(x) - ref.eval(x)) < 1e-14
+    True
     """
-    _require_regular(r)
     if route == "propagation":
         return alcovefn.propagation(exppoly.plane_wave(r.lam), r.gamma)
     if route == "orbit":
+        _require_regular(r)
         perms = all_permutations(r.n)
         pieces = momrep.deformed_word_entries(
             momrep.orbit_planewave(r.lam), [(sigma.inverse(), sigma) for sigma in perms], r.gamma, identity(r.n)
@@ -89,25 +101,6 @@ def prewavefunction(r: RapiditySet, route: str = "propagation") -> AlcoveFunctio
             f = ybops.apply_nonsymmetric(family, mu, f, r.gamma, r.length)
         return f
     raise ValueError(f"unknown route {route!r}; choose from {PRE_ROUTES}")
-
-
-def prewavefunction_degenerate(r: RapiditySet) -> AlcoveFunction:
-    """psi_lam at coinciding rapidities, in closed form.
-
-    The propagation operator needs no regular rapidities, so its image of
-    the plane wave e^{i lam} is the exact limit; the repeated clusters
-    show up as polynomial prefactors.
-
-    >>> r = RapiditySet((0.5, 0.5), 1.0, 10.0)
-    >>> F = prewavefunction_degenerate(r)
-    >>> ref = prewavefunction_coincident_pair(0.5, 1.0)
-    >>> x = (-1.25, 2.5)
-    >>> abs(F.eval(x) - ref.eval(x)) < 1e-14
-    True
-    """
-    if r.is_regular():
-        raise ValueError("rapidities are regular; use prewavefunction")
-    return alcovefn.propagation(exppoly.plane_wave(r.lam), r.gamma)
 
 
 def prewavefunction_coincident_pair(lam: complex, gamma: float) -> AlcoveFunction:
@@ -133,12 +126,13 @@ def bethe_wavefunction(r: RapiditySet, route: str = "symmetrize") -> AlcoveFunct
     symmetrize: position-symmetrize psi_lam.
     explicit: (1/N!) sum_w G_gamma(w lam) e^{i <w lam, x>} on the
     fundamental alcove, extended by symmetry.
-    creationB: fold B_{lam_N} ... B_{lam_1} onto the vacuum.
+    creationB: fold B_{lam_N} ... B_{lam_1} onto the vacuum; the one
+    route that takes coinciding rapidities.
     """
-    _require_regular(r)
     if route == "symmetrize":
         return alcovefn.symmetrize(prewavefunction(r, "orbit"))
     if route == "explicit":
+        _require_regular(r)
         perms = all_permutations(r.n)
         waves = [w.act_vector(r.lam) for w in perms]
         parts = [((momrep.coeff_G(wl, r.gamma), 1.0 / len(perms)), exppoly.plane_wave(wl)) for wl in waves]

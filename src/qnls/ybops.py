@@ -9,14 +9,15 @@ makes the blocks of every kind and one weighted sum evaluates them all.
 
 The engine works per output alcove.  Its geometry is made once per block
 and alcove of an application shape, in that shape's segment table
-(_SEGMENTS, the engine's one cache): the unit step factors resolve to 0 or
-1 by the alcove ordering, and where all hold, each integration interval
-splits at the output coordinates inside it; on each segment the order of
-coordinates and y's is fixed, so the operand piece is known.  Each operand
-term takes one step into the integrand (slots relabelled, the block's
-plane wave added, the coefficient scaled by the block's weight and
-boundary scalar); each integration turns a term into one per bound and
-drops its y slot, the last one.  Where the operand's rapidities are
+(_SEGMENTS; each table also keeps its array layouts, _Segments._chunks):
+the unit step factors resolve to 0 or 1 by the alcove ordering, and where
+all hold, each integration interval splits at the output coordinates
+inside it; on each segment the order of coordinates and y's is fixed, so
+the operand piece is known.  Each operand term takes one step into the
+integrand (slots relabelled, the block's plane wave added, the
+coefficient scaled by the block's weight and boundary scalar); each
+integration turns a term into one per bound and drops its y slot, the
+last one.  Where the operand's rapidities are
 regular and away from mu, every term is a plane wave c e^{i mu y},
 integrating to c / (i mu) e^{i mu y} at each bound: the steps run on bare
 (wavevector, coefficient) rows with the float operations that exppoly's
@@ -246,7 +247,8 @@ def _alcove_sum(table, k: int, blocks, f: AlcoveFunction, length: float, consts:
 # An application (one _block_sum) makes its rows as arrays from ARRAY_ROWS raw
 # rows on: per alcove and segment, the operand piece's terms times 2^depth,
 # summed.  Below that the arrays' fixed cost per application exceeds what they
-# save (see ROADMAP item 2 for the measured break-even).
+# save (see the ROADMAP aim 1 record "Block engine applications as
+# depth-batched arrays" for the measured break-even).
 ARRAY_ROWS = 200
 # the array path runs whole alcoves in chunks of at most this many raw rows
 # (or one alcove), so that 5-particle inputs (2.16M raw rows for a) fit in
@@ -386,7 +388,7 @@ class _Segments:
 
 
 # (plan shapes of the nonzero-weight blocks, alcoves) -> their segment table,
-# the engine's one cache: one entry per application shape
+# one entry per application shape; each table keeps its own array layouts
 _SEGMENTS: dict[tuple, _Segments] = {}
 
 

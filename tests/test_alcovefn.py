@@ -251,7 +251,7 @@ def _eval_many_cases() -> tuple[alcovefn.AlcoveFunction, ...]:
         r = wavefn.RapiditySet(lam, 1.3, 10.0)
         cases += [wavefn.prewavefunction(r), wavefn.bethe_wavefunction(r, "explicit")]
     degenerate = wavefn.RapiditySet((0.5, 0.5, -0.3), 1.0, 10.0)
-    cases.append(wavefn.prewavefunction_degenerate(degenerate))
+    cases.append(wavefn.prewavefunction(degenerate))
     cases.append(wavefn.prewavefunction_coincident_pair(0.5, 1.0))
     return tuple(cases)
 
@@ -640,7 +640,7 @@ def test_dunkl_is_the_act_position_body_to_the_bit():
     cases = [
         (wavefn.prewavefunction(wavefn.RapiditySet((0.8, -0.45, 0.3), 1.3, 10.0)), 1.3),
         (wavefn.prewavefunction(wavefn.RapiditySet((0.8, -0.45, 0.3, 1.1), -0.7, 10.0)), -0.7),
-        (wavefn.prewavefunction_degenerate(wavefn.RapiditySet((0.5, 0.5, -0.3), 1.0, 10.0)), 1.0),
+        (wavefn.prewavefunction(wavefn.RapiditySet((0.5, 0.5, -0.3), 1.0, 10.0)), 1.0),
     ]
     for F, gamma in cases:
         for j in range(1, F.n + 1):
@@ -713,7 +713,7 @@ def _direct_path_sums():
     # psi at a coinciding pair: a piece of plane waves takes the rows on the
     # pairs where no term has lam_j = lam_k, a piece with polynomial terms
     # falls back
-    degenerate = wavefn.prewavefunction_degenerate(wavefn.RapiditySet((0.5, 0.5, -0.3), 1.0, 10.0))
+    degenerate = wavefn.prewavefunction(wavefn.RapiditySet((0.5, 0.5, -0.3), 1.0, 10.0))
     yield from zip(degenerate.pieces.values(), [4, 2, 0, 0, 0, 0])
 
 

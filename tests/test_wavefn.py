@@ -1,4 +1,4 @@
-"""Wavefunction constructions: routes, eigen checks, degenerate limits."""
+"""Wavefunction constructions: routes, eigen checks, coinciding rapidities."""
 
 import json
 import math
@@ -178,7 +178,7 @@ def test_bethe_wavefunction_is_symmetric():
 
 def test_degenerate_pair_matches_closed_form():
     rd = RapiditySet((0.5, 0.5), GAMMA, LENGTH)
-    F = wavefn.prewavefunction_degenerate(rd)
+    F = wavefn.prewavefunction(rd)
     ref = wavefn.prewavefunction_coincident_pair(0.5, GAMMA)
     for x in alcovefn.sample_interior(2, 20, LENGTH):
         assert abs(F.eval(x) - ref.eval(x)) < 1e-6
@@ -186,7 +186,7 @@ def test_degenerate_pair_matches_closed_form():
 
 @pytest.mark.parametrize("gamma", [1.0, 1.3])
 def test_degenerate_pair_is_exact(gamma):
-    F = wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5), gamma, LENGTH))
+    F = wavefn.prewavefunction(RapiditySet((0.5, 0.5), gamma, LENGTH))
     ref = wavefn.prewavefunction_coincident_pair(0.5, gamma)
     for x in alcovefn.sample_interior(2, 20, LENGTH):
         assert abs(F.eval(x) - ref.eval(x)) < 1e-13
@@ -205,15 +205,70 @@ def test_degenerate_limit_solves_qnls(lam, rearrangements):
     """The exact limit solves the eigenvalue problem (Dunkl included),
     and each piece carries one term per distinct rearrangement of lam."""
     r = RapiditySet(lam, 1.0, LENGTH)
-    F = wavefn.prewavefunction_degenerate(r)
+    F = wavefn.prewavefunction(r)
     assert wavefn.verify_qnls(F, r, check_dunkl=True)["max_residual"] < 1e-9
     assert max(len(piece.terms) for piece in F.pieces.values()) <= rearrangements
 
 
-def test_degenerate_rejected_by_exact_routes():
-    rd = RapiditySet((0.5, 0.5), GAMMA, LENGTH)
-    with pytest.raises(ValueError):
-        wavefn.prewavefunction(rd)
+COINCIDING = [
+    ((0.5, 0.5), 1.0),
+    ((0.5, 0.5, -0.3), 1.0),
+    ((0.4, 0.4, 0.4), 1.0),
+    ((0.3, 0.3, 0.3, 0.3), 1.0),
+    ((0.4 + 0.1j, 0.4 + 0.1j, -0.6, -0.6), 1.3),
+    ((0.5, 0.5, -0.3), -0.7),
+    ((0.5, 0.5, -0.3), 0.0),
+    ((0.2, 0.2, 0.2, 0.9, -0.4), 1.0),
+]
+
+
+@pytest.mark.parametrize("lam, gamma", COINCIDING)
+def test_routes_without_divided_differences_take_coinciding_rapidities(lam, gamma):
+    """creation and creation_plus equal propagation, and creationB the
+    symmetrized propagation psi, at coinciding rapidities; the default
+    route is the propagated plane wave itself."""
+    r = RapiditySet(lam, gamma, LENGTH)
+    psi = wavefn.prewavefunction(r)
+    assert repr(psi) == repr(alcovefn.propagation(exppoly.plane_wave(r.lam), gamma))
+    points = alcovefn.sample_interior(r.n, 20, LENGTH)
+    for route in ("creation", "creation_plus"):
+        assert _spread(wavefn.prewavefunction(r, route), psi, points) < 1e-13
+    Psi = wavefn.bethe_wavefunction(r, "creationB")
+    assert _spread(Psi, alcovefn.symmetrize(psi), points) < 1e-13
+
+
+@pytest.mark.parametrize("lam, gamma", COINCIDING)
+def test_routes_with_divided_differences_refuse_coinciding_rapidities(lam, gamma):
+    r = RapiditySet(lam, gamma, LENGTH)
+    for build, route in [
+        (wavefn.prewavefunction, "orbit"),
+        (wavefn.bethe_wavefunction, "symmetrize"),
+        (wavefn.bethe_wavefunction, "explicit"),
+    ]:
+        with pytest.raises(ValueError, match="creationB"):
+            build(r, route)
+
+
+@pytest.mark.parametrize("gap, regular", [(1e-8, False), (1.0000001e-8, True), (0.9999999e-8, False)])
+def test_one_regularity_rule_at_the_boundary(gap, regular):
+    """RapiditySet, the orbit tables and the orbit route draw the line at
+    the same gap: above momrep.EPS_REG is regular, at or below it is not."""
+    r = RapiditySet((0.0, gap, 0.7), GAMMA, LENGTH)
+    assert r.is_regular() is momrep.is_regular(r.lam) is regular
+    if regular:
+        momrep.orbit_planewave(r.lam)
+        wavefn.prewavefunction(r, "orbit")
+    else:
+        with pytest.raises(ValueError):
+            momrep.orbit_planewave(r.lam)
+        with pytest.raises(ValueError):
+            wavefn.prewavefunction(r, "orbit")
+
+
+def test_rapidity_set_refuses_nonfinite_rapidities():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RapiditySet((bad, 0.5), GAMMA, LENGTH)
 
 
 def test_periodicity_requires_on_shell():

@@ -206,7 +206,7 @@ def test_block_engine_matches_the_stepwise_reference(N):
     ]
     if N > 1:
         # coinciding rapidities: pieces with polynomial prefactors
-        degenerate = wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5, -0.3)[:N], GAMMA, LENGTH))
+        degenerate = wavefn.prewavefunction(RapiditySet((0.5, 0.5, -0.3)[:N], GAMMA, LENGTH))
         operands.append((0.37, degenerate, degenerate))
     weight = 0.8 - 0.3j
     # every multi-index: e_hat+/- index the input coordinates, the other
@@ -344,7 +344,7 @@ def test_block_engine_repeats_the_frozen_per_term_engine(N):
     operands = [(0.37, 0.8 - 0.3j, psi, Psi), (lam[0], 1.0, wave, wave), (lam[0] + 3e-8, 1.0, wave, wave)]
     operands.append((0.37, 0.0, psi, Psi))
     if N > 1:
-        degenerate = wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5, -0.3)[:N], GAMMA, LENGTH))
+        degenerate = wavefn.prewavefunction(RapiditySet((0.5, 0.5, -0.3)[:N], GAMMA, LENGTH))
         operands.append((0.37, 1.3, degenerate, degenerate))
     for (kind, i), (mu, weight, f_e, f_E) in product(_every_kind_and_index(N), operands):
         f = f_e if kind[0] == "e" else f_E
@@ -434,7 +434,7 @@ def test_block_engine_at_gamma_zero_repeats_the_frozen_engine(N):
     psi = wavefn.prewavefunction(RapiditySet(lam, GAMMA, LENGTH))
     operands = [psi, alcovefn.from_analytic(exppoly.plane_wave(lam))]
     if N > 1:
-        operands.append(wavefn.prewavefunction_degenerate(RapiditySet((0.5, 0.5, -0.3)[:N], GAMMA, LENGTH)))
+        operands.append(wavefn.prewavefunction(RapiditySet((0.5, 0.5, -0.3)[:N], GAMMA, LENGTH)))
     for family, mu, f, gamma in product(("a", "d", "b+", "c-"), (0.37, lam[0], lam[0] + 3e-8), operands, (0.0, -0.0)):
         _assert_engine_is_frozen(_family_blocks(family, mu, N, gamma), f)
     for family, c in product(("a", "b+"), (math.nan, math.inf)):
