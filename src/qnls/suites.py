@@ -491,7 +491,7 @@ def suite_wavefunction_routes(ns: range, gamma: float, length: float, seed: int)
     F = wavefn.prewavefunction(RapiditySet((0.5, 0.5), gamma, length))
     ref = wavefn.prewavefunction_coincident_pair(0.5, gamma)
     worst = _gap([(F, ref)], alcovefn.sample_interior(2, 20, length, seed), 1.0)
-    yield "degenerate-pair-closed-form", 2, worst, QUAD_TOL
+    yield "degenerate-pair-closed-form", 2, worst
 
 
 @_suite("QNLS-eigen", IDENTITY_TOL)
@@ -741,14 +741,10 @@ def suite_oracle_crosscheck(ns: range, gamma: float, length: float, seed: int):
     f2 = wavefn.prewavefunction(r2)
     Psi2 = wavefn.bethe_wavefunction(r2)
 
-    cases = [
-        ("b+", f2, 3), ("b-", f2, 3), ("a", f2, 2), ("d", f2, 2),
-        ("c+", f2, 1), ("c-", f2, 1),
-        ("A", Psi2, 2), ("B", Psi2, 3), ("C", Psi2, 1), ("D", Psi2, 2),
-    ]
-    for fam, f, out_n in cases:
+    for fam in ("b+", "b-", "a", "d", "c+", "c-", "A", "B", "C", "D"):
+        f = Psi2 if fam.isupper() else f2
         exact = _op(fam, mu, f, gamma, length)
-        pts = alcovefn.sample_interior(out_n, 20, length, seed) if out_n else [()]
+        pts = alcovefn.sample_interior(exact.n, 20, length, seed) if exact.n else [()]
         label = fam.replace("+", "p").replace("-", "m")
         quad = oracle.quad_apply_many(fam, mu, f, gamma, length, pts)
         yield f"quadrature-crosscheck-{label}", f.n, worst_residual(

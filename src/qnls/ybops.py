@@ -14,16 +14,16 @@ the unit step factors resolve to 0 or 1 by the alcove ordering, and where
 all hold, each integration interval splits at the output coordinates
 inside it; on each segment the order of coordinates and y's is fixed, so
 the operand piece is known.  Each operand term takes one step into the
-integrand (slots relabelled, the block's plane wave added, the
-coefficient scaled by the block's weight and boundary scalar); each
-integration turns a term into one per bound and drops its y slot, the
-last one.  Where the operand's rapidities are
-regular and away from mu, every term is a plane wave c e^{i mu y},
-integrating to c / (i mu) e^{i mu y} at each bound: the steps run on bare
-(wavevector, coefficient) rows with the float operations that exppoly's
-general steps (_embed, _exp_antiderivative, _at_bound) make on a plane
-wave, each integration by exppoly._integrate_row, and exppoly.merge_rows merges an alcove's rows of every block at
-once.  An alcove where a term has a polynomial part, a y wavenumber below
+integrand (slots relabelled, the block's plane wave added, the coefficient
+scaled by the block's weight and boundary scalar); each integration turns
+a term into one per bound and drops its y slot, the last one.  Where the
+operand's rapidities are regular and away from mu, every term is a plane
+wave c e^{i mu y}, integrating to c / (i mu) e^{i mu y} at each bound: the
+steps run on bare (wavevector, coefficient) rows with the float operations
+that exppoly's general steps (_embed, _exp_antiderivative, _at_bound) make
+on a plane wave, each integration by exppoly._integrate_row, and
+exppoly.merge_rows merges an alcove's rows of every block at once.  An
+alcove where a term has a polynomial part, a y wavenumber below
 SMALL_WAVENUMBER_TOL or NaN, or a zero coefficient at any step is built
 term by term by exppoly's general steps and canonicalized.
 
@@ -40,9 +40,10 @@ child, adjacent, so the rows keep _rows' order, and
 exppoly.merge_row_arrays merges each alcove by merge_rows' rule.  Every
 sum is _rows' to the bit (CPython's complex product and quotient written
 out in real parts, each factor exact up to the sign of a zero part, which
-_rows' 0j + erases); an alcove where a row fails one of
-_rows' checks or holds a part of _HUGE or more (NaN and infinity among
-them) takes the rows.  Smaller applications keep the rows, since below
+_rows' 0j + erases).  An application where an operand piece the table
+reads holds a term that is not a plane wave, or a row fails one of _rows'
+checks or holds a part of _HUGE or more (NaN and infinity among them),
+runs wholly as rows.  Smaller applications keep the rows, since below
 about 200 raw rows the arrays' fixed numpy cost per application exceeds
 what they save.
 
@@ -228,20 +229,20 @@ def _block_rows(table, blocks, f: AlcoveFunction, length: float) -> list[ExpPoly
     """The table's alcove sums, each from its rows, or where a row cannot be
     made, from its terms."""
     consts = _consts(length)
-    return [_alcove_sum(table, k, blocks, f, length, consts) for k in range(len(table.alcoves))]
+    sums = []
+    for alcove in table.alcoves:
+        alcove = [(blocks[b], g) for b, g in alcove]
+        rows = _rows(alcove, f, consts)
+        if rows is None:
+            sums.append(exppoly.canonicalize(ExpPolySum(table.n, tuple(_terms(alcove, f, length)))))
+        else:
+            sums.append(exppoly.merge_rows(table.n, rows))
+    return sums
 
 
 def _consts(length: float) -> dict:
     """The values of the constant levels +L/2 and -L/2, by their sign."""
     return {e: _bound(("const", e), length).value for e in (1, -1)}
-
-
-def _alcove_sum(table, k: int, blocks, f: AlcoveFunction, length: float, consts: dict) -> ExpPolySum:
-    alcove = [(blocks[b], g) for b, g in table.alcoves[k]]
-    rows = _rows(alcove, f, consts)
-    if rows is None:
-        return exppoly.canonicalize(ExpPolySum(table.n, tuple(_terms(alcove, f, length))))
-    return exppoly.merge_rows(table.n, rows)
 
 
 # An application (one _block_sum) makes its rows as arrays from ARRAY_ROWS raw
@@ -259,15 +260,13 @@ _HUGE = 2.0**990
 
 
 class _Chunk(NamedTuple):
-    """The layout of the rows of alcoves a0..a1 - 1: one seed per segment
+    """The layout of the rows of a run of whole alcoves: one seed per segment
     and operand term, the seeds (the last axis of every array) ordered by
     depth.  Rounds run innermost y first; bounds are (upper, lower)."""
 
-    a0: int
-    a1: int
+    alcoves: int  # how many it holds
     src: np.ndarray  # per seed: its operand term
     block: np.ndarray  # per seed: its block
-    alcove: np.ndarray  # per seed: its alcove, from a0
     slot: np.ndarray  # per slot and seed: the operand slot it takes, -1 for none
     live: np.ndarray  # per round and seed: whether the seed integrates
     level: np.ndarray  # per round and seed: the slot of its y
@@ -276,9 +275,8 @@ class _Chunk(NamedTuple):
     coord: np.ndarray  # ... the bound is a coordinate
     hit: np.ndarray  # per coordinate, round, bound and seed: the bound is it
     edges: list  # the first seed of each depth, and the end
-    seed: np.ndarray  # per row, each seed's rows together: its seed
     take: np.ndarray | None  # the gather into _rows' order, None where the rows are in it
-    owner: np.ndarray  # per row in _rows' order: its alcove, from a0
+    owner: np.ndarray  # per row in _rows' order: its alcove, from the run's first
 
 
 class _Segments:
@@ -376,11 +374,10 @@ class _Segments:
             take = np.repeat((np.cumsum(rows) - rows)[back] - np.cumsum(rows[back]) + rows[back], rows[back])
             take += np.arange(len(take))
             yield _Chunk(
-                a0, a1, src, block[seeds], alcove[seeds] - a0, np.take(slot, block[seeds], axis=1), live,
+                a1 - a0, src, block[seeds], np.take(slot, block[seeds], axis=1), live,
                 P + np.maximum(d - 1 - rounds, 0), code == 0, live[:, None] & (code <= 0), code > 0,
                 np.arange(1, P + 1)[:, None, None, None] == code,
                 np.searchsorted(d, np.arange(d[-1] + 2 if len(d) else 1)).tolist(),
-                np.repeat(np.arange(len(d)), 1 << d),
                 None if (back == np.arange(len(back))).all() else take,
                 np.repeat(alcove[seg[back]] - a0, rows[back]),
             )
@@ -402,43 +399,35 @@ def _segments(plans: list[_Plan], sigmas) -> _Segments:
 
 def _block_arrays(table: _Segments, blocks, f: AlcoveFunction, length: float) -> list[ExpPolySum]:
     """The table's alcove sums, the rows of whole alcoves made as arrays in
-    chunks; an alcove where a row fails one of _rows' checks, or holds a
-    part of _HUGE or more, takes _alcove_sum."""
-    # the operand pieces' plane-wave terms: wavenumbers (slots x terms, a zero
-    # slot last for the slots no operand slot takes) and coefficients; a
-    # piece with any other term makes no rows, and its alcoves take _alcove_sum
+    chunks; where an operand piece the table reads holds a term that is not
+    a plane wave, or a row fails one of _rows' checks or holds a part of
+    _HUGE or more, the whole application takes _block_rows."""
     pieces = [f._by_order[o].terms for o, _ in table.per_term]
-    plane = [all(len(t.coeffs) == 1 and not any(t.coeffs[0][0]) for t in ts) for ts in pieces]
-    terms = [t for ts, ok in zip(pieces, plane) if ok for t in ts]
+    terms = [t for ts in pieces for t in ts]
+    if not all(len(t.coeffs) == 1 and not any(t.coeffs[0][0]) for t in terms):
+        return _block_rows(table, blocks, f, length)
+    # the operand's wavenumbers (slots x terms, a zero slot last for the slots
+    # no operand slot takes) and coefficients
     operand = np.zeros((f.n + 1, len(terms)), dtype=complex)
     operand[: f.n] = np.array([t.wavevector for t in terms], dtype=complex).reshape(len(terms), f.n).T
     coeffs = np.array([t.coeffs[0][1] for t in terms], dtype=complex)
     # per block: its plane wave on every slot (slots x blocks), and its scalar
-    alcove, _, order, _, _, slot, _ = table._arrays
+    *_, slot, _ = table._arrays
     waves = np.zeros(slot.shape, dtype=complex)
     for b, (_, wave, _, _) in enumerate(blocks):
         waves[: len(wave), b] = wave
     scalars = np.array([scalar for _, _, scalar, _ in blocks], dtype=complex)
     consts = _consts(length)
-    failed = np.zeros(len(table.alcoves), dtype=bool)
-    failed[alcove[~np.array(plane, dtype=bool)[order]]] = True
     sums = []
-    for chunk in table.chunks(np.array([len(ts) if ok else 0 for ts, ok in zip(pieces, plane)], dtype=np.int64)):
-        count = chunk.a1 - chunk.a0
+    for chunk in table.chunks(np.array([len(ts) for ts in pieces], dtype=np.int64)):
         with np.errstate(all="ignore"):
             wv, c, bad = _seed_rows(chunk, table.n, np.take(waves, chunk.block, axis=1), np.take(operand, chunk.src, axis=1),
                                     coeffs[chunk.src], scalars[chunk.block], consts)
-        bad = failed[chunk.a0:chunk.a1] | (np.bincount(chunk.alcove[bad], minlength=count) > 0)
+        if bad:
+            return _block_rows(table, blocks, f, length)
         if chunk.take is not None:
             wv, c = np.take(wv, chunk.take, axis=1), c[chunk.take]
-        owner = chunk.owner
-        if bad.any():
-            keep = ~bad[owner]
-            owner, wv, c = owner[keep], np.compress(keep, wv, axis=1), c[keep]
-        merged = exppoly.merge_row_arrays(table.n, owner, wv, c, count)
-        for k in np.flatnonzero(bad).tolist():
-            merged[k] = _alcove_sum(table, chunk.a0 + k, blocks, f, length, consts)
-        sums += merged
+        sums += exppoly.merge_row_arrays(table.n, chunk.owner, wv, c, chunk.alcoves)
     return sums
 
 
@@ -447,8 +436,8 @@ def _seed_rows(chunk: _Chunk, P: int, wave, operand, coeffs, scalar, consts: dic
     seed (the last axis): its block's plane wave and scalar, its operand
     term's wavenumbers and coefficient.  Returns the rows' wavevectors (P x
     rows) and coefficients, each seed's rows together and in _rows' order
-    and the seeds in depth order, and whether each seed fails one of _rows'
-    checks or makes a part of _HUGE or more.
+    and the seeds in depth order, and whether any row fails one of _rows'
+    checks or holds a part of _HUGE or more.
 
     A zero part reaches a row only through _rows' 0j + on the value at a
     bound, which makes it +0.0, and the sign of a zero factor changes no
@@ -461,19 +450,19 @@ def _seed_rows(chunk: _Chunk, P: int, wave, operand, coeffs, scalar, consts: dic
     m = np.take_along_axis(operand, chunk.slot, axis=0)
     wave = np.where(chunk.slot < 0, wave, np.where(wave != 0, wave + m, m))
     c = np.array(_mul(coeffs.real, coeffs.imag, scalar.real, scalar.imag))
-    bad = ~((abs(wave.real) < _HUGE) & (abs(wave.imag) < _HUGE)).all(axis=0)
+    bad = not ((abs(wave.real) < _HUGE) & (abs(wave.imag) < _HUGE)).all()
     # per round, the level's wavenumber mu, exppoly._exp_antiderivative's
     # factor 1.0 / (1j * mu), and per bound the factor of _at_bound's value:
     # the sign at a coordinate, sign * exp(1j * mu * end) at end -L/2 or +L/2
     # (numpy's exp is cmath's, which a test pins, below the real part 709
     # where cmath changes formula)
     mu = np.take_along_axis(wave, chunk.level, axis=0)
-    bad |= (chunk.live & ~(np.hypot(mu.real, mu.imag) >= exppoly.SMALL_WAVENUMBER_TOL)).any(axis=0)
+    bad |= (chunk.live & ~(np.hypot(mu.real, mu.imag) >= exppoly.SMALL_WAVENUMBER_TOL)).any()
     q = (-mu.imag, mu.real)
     inv = _inverse(*q)
     ends = np.where(chunk.top, consts[1].real, consts[-1].real)
     z = (ends * q[0][:, None], ends * q[1][:, None])
-    bad |= (chunk.end & ~(z[0] < 700.0)).any(axis=(0, 1))
+    bad |= (chunk.end & ~(z[0] < 700.0)).any()
     e = np.exp(_complex(*z))
     sign = np.array([1.0, -1.0])[:, None]
     f = (np.where(chunk.coord, sign, sign * e.real), np.where(chunk.coord, 0.0, sign * e.imag))
@@ -499,7 +488,7 @@ def _seed_rows(chunk: _Chunk, P: int, wave, operand, coeffs, scalar, consts: dic
     # a zero anywhere leaves a zero coefficient, a NaN or infinity one that is
     # not finite
     big = np.maximum(abs(c[0]), abs(c[1]))
-    bad[chunk.seed[~((big > 0) & (big < _HUGE))]] = True
+    bad |= not ((big > 0) & (big < _HUGE)).all()
     return np.concatenate(ws, axis=1), _complex(*c), bad
 
 
@@ -588,10 +577,20 @@ def _plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan:
     return _Plan(out_n, mu, levels, args)
 
 
-def _nonsymmetric_sum(blocks, f: AlcoveFunction, length: float) -> AlcoveFunction:
-    out_n = blocks[0][1].out_n
-    pieces = _block_sum(blocks, f, all_permutations(out_n), length)
-    return AlcoveFunction(out_n, pieces, continuous=False)
+# family -> (elementary kind, index sets, offset of the index range from N,
+# extra indices, scalar of N or None): weight gamma^n (times the scalar) on n + extra indices
+_FAMILIES = {
+    "a": ("e_bar+", permutations, 0, 0, None),
+    "b+": ("e_hat+", permutations, 0, 0, None),
+    "b-": ("e_hat-", permutations, 0, 0, None),
+    "c+": ("e_check+", permutations, -1, 0, None),
+    "c-": ("e_check-", permutations, -1, 0, None),
+    "d": ("e_bar-", permutations, 0, 0, None),
+    "A": ("E_bar+", combinations, 0, 0, lambda N: 1.0),
+    "B": ("E_hat", combinations, 1, 1, lambda N: 1.0 / (N + 1)),
+    "C": ("E_check", combinations, -1, 0, float),
+    "D": ("E_bar-", combinations, 0, 0, lambda N: 1.0),
+}
 
 
 def elementary_nonsymmetric_op(
@@ -602,65 +601,49 @@ def elementary_nonsymmetric_op(
         raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
     if not kind.startswith("e_"):
         raise ValueError(f"unknown elementary kind {kind!r}")
-    return _nonsymmetric_sum([(1.0, _plan(kind, mu, tuple(i), f.n))], f, length)
+    return _assemble([(1.0, _plan(kind, mu, tuple(i), f.n))], f, length, False)
 
 
 def apply_nonsymmetric(
     family: str, mu: complex, f: AlcoveFunction, gamma: float, length: float
 ) -> AlcoveFunction:
     """The non-symmetric generators a, b+, b-, c+, c-, d."""
-    if f.n > PARTICLE_CAP:
-        raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
-    N = f.n
-    # family -> its elementary kind and index range; the weight is gamma^n
-    # on n indices
-    sums = {
-        "b+": ("e_hat+", N), "b-": ("e_hat-", N), "a": ("e_bar+", N), "d": ("e_bar-", N),
-        "c+": ("e_check+", N - 1), "c-": ("e_check-", N - 1),
-    }
-    if family not in sums:
-        raise ValueError(f"unknown family {family!r}")
-    if family in ("c+", "c-") and N == 0:
-        # annihilating the vacuum gives zero; keep the empty-variable space
-        return alcovefn.zero_function(0)
-    kind, top = sums[family]
-    blocks = [
-        (gamma**n, _plan(kind, mu, i, N))
-        for n in range(top + 1)
-        for i in permutations(range(1, top + 1), n)
-    ]
-    return _nonsymmetric_sum(blocks, f, length)
+    return _generator(family, False, mu, f, gamma, length)
 
 
 def apply_symmetric(
     family: str, mu: complex, F: AlcoveFunction, gamma: float, length: float
 ) -> AlcoveFunction:
     """The symmetric generators A, B, C, D on symmetric input."""
-    if F.n > PARTICLE_CAP:
+    return _generator(family, True, mu, F, gamma, length)
+
+
+def _generator(family: str, symmetric: bool, mu: complex, f: AlcoveFunction, gamma: float, length: float) -> AlcoveFunction:
+    """A family of _FAMILIES on f; the symmetric ones are upper case."""
+    if f.n > PARTICLE_CAP:
         raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
-    N = F.n
-    # family -> its elementary kind, index range, extra indices over the
-    # gamma power n, and scalar; the weight is gamma^n times the scalar
-    sums = {
-        "A": ("E_bar+", N, 0, 1.0),
-        "B": ("E_hat", N + 1, 1, 1.0 / (N + 1)),
-        "C": ("E_check", N - 1, 0, float(N)),
-        "D": ("E_bar-", N, 0, 1.0),
-    }
-    if family not in sums:
+    if family not in _FAMILIES or family.isupper() != symmetric:
         raise ValueError(f"unknown family {family!r}")
-    if family == "C" and N == 0:
-        # annihilating the vacuum gives zero; keep the empty-variable space
-        return alcovefn.zero_function(0)
-    kind, top, extra, scalar = sums[family]
+    kind, indices, top, extra, scalar = _FAMILIES[family]
+    top += f.n
     blocks = [
-        (gamma**n * scalar, _plan(kind, mu, i, N))
+        (gamma**n if scalar is None else gamma**n * scalar(f.n), _plan(kind, mu, i, f.n))
         for n in range(top - extra + 1)
-        for i in combinations(range(1, top + 1), n + extra)
+        for i in indices(range(1, top + 1), n + extra)
     ]
-    sigma = identity(blocks[0][1].out_n)
-    piece = _block_sum(blocks, F, [sigma], length)[sigma]
-    return alcovefn.extend_symmetric(piece, continuous=False)
+    # c+, c- and C annihilate the vacuum: zero, on the empty-variable space
+    return _assemble(blocks, f, length, symmetric) if blocks else alcovefn.zero_function(0)
+
+
+def _assemble(blocks, f: AlcoveFunction, length: float, symmetric: bool) -> AlcoveFunction:
+    """The blocks' sum on f on every output alcove, or on the fundamental
+    one extended by symmetry."""
+    out_n = blocks[0][1].out_n
+    sigmas = [identity(out_n)] if symmetric else all_permutations(out_n)
+    pieces = _block_sum(blocks, f, sigmas, length)
+    if symmetric:
+        return alcovefn.extend_symmetric(pieces[sigmas[0]], continuous=False)
+    return AlcoveFunction(out_n, pieces, continuous=False)
 
 
 # ---------------------------------------------------------------------------

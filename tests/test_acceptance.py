@@ -170,7 +170,7 @@ def test_criterion_11_degenerate_limit():
     worst = max(
         abs(F.eval(x) - ref.eval(x)) for x in alcovefn.sample_interior(2, 20, LENGTH)
     )
-    assert worst < 1e-6
+    assert worst < 1e-13
 
 
 def test_criterion_12_q_operator():

@@ -181,7 +181,7 @@ def test_degenerate_pair_matches_closed_form():
     F = wavefn.prewavefunction(rd)
     ref = wavefn.prewavefunction_coincident_pair(0.5, GAMMA)
     for x in alcovefn.sample_interior(2, 20, LENGTH):
-        assert abs(F.eval(x) - ref.eval(x)) < 1e-6
+        assert abs(F.eval(x) - ref.eval(x)) < 1e-13
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.3])

@@ -127,13 +127,20 @@ def test_elementary_op_rejects_bad_kind_and_index():
     for family in ("c+", "c-"):
         assert ybops.apply_nonsymmetric(family, 0.37, vacuum, GAMMA, LENGTH).n == 0
     assert ybops.apply_symmetric("C", 0.37, vacuum, GAMMA, LENGTH).n == 0
+    # each entry point refuses the other's families, and kinds
+    for apply, family in ((ybops.apply_symmetric, "b+"), (ybops.apply_nonsymmetric, "B"), (ybops.apply_nonsymmetric, "e_bar+")):
+        with pytest.raises(ValueError, match="unknown family"):
+            apply(family, 0.37, f, GAMMA, LENGTH)
 
 
 def test_particle_cap_enforced():
     lam = tuple(0.3 * j for j in range(1, ybops.PARTICLE_CAP + 2))
     f = alcovefn.from_analytic(exppoly.plane_wave(lam))
-    with pytest.raises(ValueError):
-        ybops.apply_nonsymmetric("a", 0.2, f, GAMMA, LENGTH)
+    for apply, family in ((ybops.apply_nonsymmetric, "a"), (ybops.apply_symmetric, "B")):
+        with pytest.raises(ValueError, match="capped at"):
+            apply(family, 0.2, f, GAMMA, LENGTH)
+    with pytest.raises(ValueError, match="capped at"):
+        ybops.elementary_nonsymmetric_op("e_bar+", 0.2, (1,), f, LENGTH)
 
 
 def _reference_plan_piece(plan, f, sigma, length):
@@ -392,12 +399,12 @@ def test_rows_integrate_plane_wave_edges_as_the_general_steps():
 
 
 def _family_blocks(family, mu, N, gamma):
-    """The weighted blocks of a non-symmetric family, as apply_nonsymmetric sums them."""
-    kind, top = {"a": ("e_bar+", N), "d": ("e_bar-", N), "b+": ("e_hat+", N), "c+": ("e_check+", N - 1), "c-": ("e_check-", N - 1)}[family]
+    """The weighted blocks of a non-symmetric family, read from ybops' family table."""
+    kind, indices, top, _, _ = ybops._FAMILIES[family]
     return [
         (gamma**n, ybops._plan(kind, mu, i, N))
-        for n in range(top + 1)
-        for i in permutations(range(1, top + 1), n)
+        for n in range(N + top + 1)
+        for i in indices(range(1, N + top + 1), n)
     ]
 
 
@@ -480,28 +487,32 @@ def test_geometry_is_kept_per_plan_shape_and_alcove():
 def test_arrays_integrate_plane_wave_edges_as_the_rows(monkeypatch):
     # one y between +L/2 and -L/2 handed to operand slot 2, so each alcove
     # splits it at both coordinates: coordinate and constant bounds.  Where
-    # a row fails one of _rows' checks or holds a NaN or an infinity, the
-    # arrays send its alcove to _alcove_sum; elsewhere they make it
+    # a row fails one of _rows' checks or holds a NaN or an infinity, or an
+    # operand piece holds a polynomial term, the arrays hand the whole
+    # application to _block_rows, once; elsewhere they make every row
     # themselves, to the bit
     plan = ybops._Plan(2, 0.0, (("const", 1), ("const", -1)), (("coord", 1), ("y", 1)))
     sigmas = all_permutations(2)
     calls = []
-    alcove_sum = ybops._alcove_sum
-    monkeypatch.setattr(ybops, "_alcove_sum", lambda *args: calls.append(args[1]) or alcove_sum(*args))
+    block_rows = ybops._block_rows
+    monkeypatch.setattr(ybops, "_block_rows", lambda *args: calls.append(args) or block_rows(*args))
+    operands = [exppoly.monomial((0, 0), c, (complex(-0.0, -0.0), muj)) for muj, c in _PLANE_WAVE_EDGES]
+    operands.append(exppoly.monomial((0, 1), 0.6 - 0.8j, (0.3, 1.5)) + exppoly.plane_wave((0.3, 1.5)))
     fell = []
-    for muj, c in [*_PLANE_WAVE_EDGES, (1 + 200j, 1.0)]:
-        f = alcovefn.from_analytic(exppoly.monomial((0, 0), c, (complex(-0.0, -0.0), muj)))
+    for p in operands:
+        f = alcovefn.from_analytic(p)
         table, prepared = ybops._application([(1.0, plan)], sigmas, 8.0)
-        if muj == 1 + 200j:
-            # exp(1j mu 4) overflows: cmath raises, through the rows
-            with pytest.raises(OverflowError):
-                ybops._block_arrays(table, prepared, f, 8.0)
-            continue
         calls.clear()
         got = ybops._block_arrays(table, prepared, f, 8.0)
         fell.append(len(calls))
-        assert repr(got) == repr(ybops._block_rows(table, prepared, f, 8.0)), (muj, c)
-    assert fell == [0, 2, 0, 0, 0, 2, 2, 2, 2]
+        assert repr(got) == repr(block_rows(table, prepared, f, 8.0)), p
+    assert fell == [0, 1, 0, 0, 0, 1, 1, 1, 1, 1]
+    # exp(1j mu 4) overflows: cmath raises, through the rows
+    f = alcovefn.from_analytic(exppoly.monomial((0, 0), 1.0, (complex(-0.0, -0.0), 1 + 200j)))
+    calls.clear()
+    with pytest.raises(OverflowError):
+        ybops._block_arrays(*ybops._application([(1.0, plan)], sigmas, 8.0), f, 8.0)
+    assert len(calls) == 1
 
 
 def test_numpy_exp_is_cmath_exp_where_the_arrays_read_it():
