@@ -214,17 +214,16 @@ def act_analytic(w: Permutation, f: ExpPolySum) -> ExpPolySum:
     """(w f)(x) = f(w^{-1} x) for analytic f: slot m is relabeled to w(m)."""
     if w.n != f.n:
         raise ValueError("size mismatch")
-    return exppoly._relabel(f, w.images)
+    return exppoly._relabel(f, [w.images])[0]
 
 
 def extend_symmetric(piece: ExpPolySum, continuous: bool) -> AlcoveFunction:
     """The symmetric function whose fundamental-alcove piece is piece: the
-    piece on the alcove labeled sigma is sigma applied to it."""
-    return AlcoveFunction(
-        piece.n,
-        {sigma: act_analytic(sigma, piece) for sigma in all_permutations(piece.n)},
-        continuous,
-    )
+    piece on the alcove labeled sigma is sigma applied to it, every sigma
+    in one relabelling."""
+    perms = all_permutations(piece.n)
+    moved = exppoly._relabel(piece, [sigma.images for sigma in perms])
+    return AlcoveFunction(piece.n, dict(zip(perms, moved)), continuous)
 
 
 def act_position(w: Permutation, F: AlcoveFunction) -> AlcoveFunction:
@@ -302,26 +301,23 @@ def dunkl(F: AlcoveFunction, j: int, gamma: float) -> AlcoveFunction:
     fundamental alcove it reduces to the plain derivative.
     """
     n = F.n
-    pieces = {s: exppoly.derivative(p, j) for s, p in F.pieces.items()}
-    for k in range(1, n + 1):
-        if k == j:
-            continue
-        # the sigma-piece of s_jk F: F's (s_jk sigma)-piece relabelled by s_jk,
-        # built only where the theta factor keeps it
-        w = transposition(j, k, n)
-        for sigma in pieces:
-            rank = sigma.inverse()
-            if k < j:
-                # theta(x_j - x_k): x_j above x_k in this alcove
-                active = rank(j) < rank(k)
-                coeff = -gamma
-            else:
-                # theta(x_k - x_j)
-                active = rank(k) < rank(j)
-                coeff = gamma
-            if active:
-                swapped = act_analytic(w, F.pieces[compose(w, sigma)])
-                pieces[sigma] = pieces[sigma] + exppoly.scale(coeff, swapped)
+    exppoly._check_slots(n, j)
+    # per k: s_jk, and the factor of the term its theta factor keeps
+    swaps = [(k, transposition(j, k, n), complex(-gamma if k < j else gamma)) for k in range(1, n + 1) if k != j]
+    pieces = {}
+    for sigma, p in F.pieces.items():
+        # sigma^{-1}, read as the place of each coordinate in the ordering
+        rank = sigma.images.index
+        terms = exppoly.derivative(p, j).terms
+        for k, w, c in swaps:
+            # theta(x_j - x_k) for k < j, theta(x_k - x_j) for k > j: kept
+            # where that coordinate is above the other in this alcove; the
+            # sigma-piece of s_jk F is F's (s_jk sigma)-piece relabelled by
+            # s_jk, and a zero factor adds nothing
+            if c != 0 and (rank(j) < rank(k) if k < j else rank(k) < rank(j)):
+                partner = F._by_order[tuple([w.images[v - 1] for v in sigma.images])]
+                terms += exppoly._scaled(c, act_analytic(w, partner).terms)
+        pieces[sigma] = ExpPolySum(n, terms)
     return AlcoveFunction(n, pieces, continuous=False)
 
 

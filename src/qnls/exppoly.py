@@ -97,15 +97,20 @@ DEGREE_CAP = 8
 # rise or come from outside; where they come from a checked term and cannot
 # rise (derivative, exact antiderivative, substitution, relabelling),
 # _build only drops zero coefficients and sorts the rest.
-# _embed and _relabel move a term's slots; both build it in _placed, which
-# takes a plane-wave term (one degree-0 monomial) in closed form, with the
-# general path's float operations and _build's checks; every other term takes
-# that path.  The Yang-Baxter block engine and alcovefn's reflection integral
-# repeat, on bare (wavevector, coefficient) rows, that closed form (or
-# pullback's), integrate each row with _integrate_row, the float operations
-# that _exp_antiderivative and _at_bound make on a plane wave, and merge the
-# rows with merge_rows, which builds terms only for the rows that survive;
-# combine hands plane-wave sums to it too
+# A plane-wave term (one degree-0 monomial c) skips _build wherever it is
+# moved or differentiated, with the general path's float operations in the
+# same order: derivative makes 0j + 1j * mu_j * c on its wavevector, _embed
+# builds it in closed form in _placed, and _relabel gathers each wavevector
+# through the inverse permutation and shares one coefficient tuple (c * 1.0)
+# among all the permutations it is given; scale multiplies a one-monomial
+# term without a loop (_scaled).  The Yang-Baxter block engine and
+# alcovefn's reflection integral repeat, on bare (wavevector, coefficient)
+# rows, the closed form of _placed (or pullback's), integrate each row with
+# _integrate_row, the float operations that _exp_antiderivative and
+# _at_bound make on a plane wave, and merge the rows with merge_rows, which
+# builds terms only for the rows that survive, keys them by their
+# wavevector where no cell holds two distinct entries, and keeps a term that
+# combine handed it unmerged and unscaled as it is
 
 
 class DegreeCapError(ValueError):
@@ -374,15 +379,17 @@ def scale(c: complex, f: ExpPolySum) -> ExpPolySum:
     c = complex(c)
     if c == 0:
         return zero(f.n)
-    # degrees and ordering are unchanged, so terms rebuild directly
-    return ExpPolySum(
-        f.n,
-        tuple(
-            ExpPolyTerm(
-                t.n, t.wavevector, tuple((d, c * a) for d, a in t.coeffs)
-            )
-            for t in f.terms
-        ),
+    return ExpPolySum(f.n, _scaled(c, f.terms))
+
+
+def _scaled(c: complex, terms) -> tuple[ExpPolyTerm, ...]:
+    """c * t for each term t, c a nonzero complex: degrees and ordering are
+    unchanged, so terms rebuild directly, a one-monomial term without a loop."""
+    return tuple(
+        ExpPolyTerm(t.n, t.wavevector, ((t.coeffs[0][0], c * t.coeffs[0][1]),))
+        if len(t.coeffs) == 1
+        else ExpPolyTerm(t.n, t.wavevector, tuple((d, c * a) for d, a in t.coeffs))
+        for t in terms
     )
 
 
@@ -417,9 +424,17 @@ def derivative(f: ExpPolySum, j: int) -> ExpPolySum:
     3j
     """
     _check_slots(f.n, j)
+    deg0 = (0,) * f.n
     out: list[ExpPolyTerm] = []
     for t in f.terms:
         muj = t.wavevector[j - 1]
+        if len(t.coeffs) == 1 and t.coeffs[0][0] == deg0:
+            # a plane wave: the general path's one sum, no term where mu_j
+            # is 0, and one without coefficients where the sum is zero
+            if muj != 0:
+                value = 0j + 1j * muj * t.coeffs[0][1]
+                out.append(ExpPolyTerm(t.n, t.wavevector, ((deg0, value),) if value else ()))
+            continue
         coeffs: dict[tuple[int, ...], complex] = {}
         for deg, c in t.coeffs:
             dj = deg[j - 1]
@@ -661,40 +676,53 @@ def _embed(
         # a zero entry takes m itself: a relabelled term shares the
         # wavenumber objects of t instead of holding fresh copies
         wv[s - 1] = wv[s - 1] + m if wv[s - 1] else m
-    return _placed(len(wv), [t], [tuple(wv)], slots, c)[0]
+    return _placed(len(wv), t, tuple(wv), slots, c)
 
 
-def _relabel(f: ExpPolySum, slots) -> ExpPolySum:
-    """f with slot r moved to slot slots[r], slots a permutation of 1..n:
-    _embed of every term with no plane wave and factor 1.0, each wavevector
-    read through the inverse permutation, which is made once per sum."""
+def _relabel(f: ExpPolySum, perms) -> list[ExpPolySum]:
+    """f with slot r moved to slot slots[r], for each permutation slots of
+    1..n in perms: _embed of every term with no plane wave and factor 1.0.
+    Each wavevector is read through the inverse permutation by one gather,
+    and a plane-wave term's coefficients are made once, for every slots."""
     n = f.n
-    back = [0] * n
-    for r, s in enumerate(slots):
-        back[s - 1] = r
-    return ExpPolySum(n, tuple(_placed(n, f.terms, [tuple([t.wavevector[r] for r in back]) for t in f.terms], slots, 1.0)))
-
-
-def _placed(n: int, terms, wvs, slots, c: complex) -> list[ExpPolyTerm]:
-    """c * t for each term t (all of one size), with its slot r moved to
-    slot slots[r], on n slots and its wavevector from wvs: a plane-wave term
-    (one degree-0 monomial) in closed form, with the general path's float
-    operations and _build's checks; any other term through _build."""
-    deg0, plane = (0,) * n, (0,) * terms[0].n if terms else ()
+    deg0 = (0,) * n
+    # per term: a plane wave's coefficients as _placed makes them, else None
+    plane = [
+        (((deg0, value),) if (value := t.coeffs[0][1] * 1.0) else ())
+        if len(t.coeffs) == 1 and t.coeffs[0][0] == deg0
+        else None
+        for t in f.terms
+    ]
     out = []
-    for t, wv in zip(terms, wvs):
-        if len(t.coeffs) == 1 and t.coeffs[0][0] == plane:
-            value = t.coeffs[0][1] * c
-            out.append(ExpPolyTerm(n, wv, ((deg0, value),) if value else ()))
-            continue
-        coeffs: dict[tuple[int, ...], complex] = {}
-        for deg, a in t.coeffs:
-            d = [0] * n
-            for s, e in zip(slots, deg):
-                d[s - 1] = e
-            coeffs[tuple(d)] = a * c
-        out.append(_build(n, wv, coeffs))
+    for slots in perms:
+        back = [0] * n
+        for r, s in enumerate(slots):
+            back[s - 1] = r
+        # itemgetter of one index returns the entry, not a tuple
+        gather = operator.itemgetter(*back) if n > 1 else tuple
+        out.append(ExpPolySum(n, tuple(
+            ExpPolyTerm(n, gather(t.wavevector), coeffs) if coeffs is not None
+            else _placed(n, t, gather(t.wavevector), slots, 1.0)
+            for t, coeffs in zip(f.terms, plane)
+        )))
     return out
+
+
+def _placed(n: int, t: ExpPolyTerm, wv: tuple, slots, c: complex) -> ExpPolyTerm:
+    """c * t with its slot r moved to slot slots[r], on n slots and with
+    wavevector wv: a plane-wave term (one degree-0 monomial) in closed form,
+    with the general path's float operations and _build's checks; any other
+    term through _build."""
+    if len(t.coeffs) == 1 and t.coeffs[0][0] == (0,) * t.n:
+        value = t.coeffs[0][1] * c
+        return ExpPolyTerm(n, wv, (((0,) * n, value),) if value else ())
+    coeffs: dict[tuple[int, ...], complex] = {}
+    for deg, a in t.coeffs:
+        d = [0] * n
+        for s, e in zip(slots, deg):
+            d[s - 1] = e
+        coeffs[tuple(d)] = a * c
+    return _build(n, wv, coeffs)
 
 
 def _truncate(t: ExpPolyTerm, n: int) -> ExpPolyTerm:
@@ -766,14 +794,15 @@ def combine(n: int, parts: Iterable[tuple[Iterable[complex], ExpPolySum]]) -> Ex
     deg = (0,) * n
     if all(len(t.coeffs) == 1 and t.coeffs[0][0] == deg for _, terms in scaled for t in terms):
         # plane waves only: merge_rows is this rule on their rows
-        rows = []
+        rows, sources = [], []
         for factors, terms in scaled:
             for t in terms:
                 a = t.coeffs[0][1]
                 for c in factors:
                     a = c * a
                 rows.append((t.wavevector, a))
-        return merge_rows(n, rows)
+            sources += terms
+        return _merge_rows(n, rows, sources)
     # each distinct entry is keyed once
     cells = _cell_keys({m for _, terms in scaled for t in terms for m in t.wavevector})
     # cell key -> (the representative's wavevector, its merged coefficients)
@@ -807,19 +836,34 @@ def merge_rows(n: int, rows: list[tuple[list[complex], complex]]) -> ExpPolySum:
     """canonicalize of the plane waves c e^{i <wv, x>}, one per (wv, c) row on
     n slots, by combine's rules, building only the surviving terms (a zero c
     is pruned, as combine prunes it)."""
+    return _merge_rows(n, rows, None)
+
+
+def _merge_rows(n: int, rows, sources: list[ExpPolyTerm] | None) -> ExpPolySum:
+    """merge_rows, where sources, if given, holds the term each row was read
+    from: a surviving row that merged with nothing and kept that term's
+    coefficient object is that term, not a new equal one."""
     cells = _cell_keys({m for wv, _ in rows for m in wv})
+    # where no two distinct entries share a cell, rows share one exactly
+    # where their wavevectors are equal, so the wavevector is the key
+    by_wave = len(set(cells.values())) == len(cells)
     merged: dict[tuple, list] = {}
-    for wv, c in rows:
-        key = tuple(map(cells.__getitem__, wv))
+    for r, (wv, c) in enumerate(rows):
+        wv = tuple(wv)
+        key = wv if by_wave else tuple(map(cells.__getitem__, wv))
         rep = merged.get(key)
         if rep is None:
-            merged[key] = [wv, c]
+            merged[key] = [wv, c, r]
         else:
             rep[1] = rep[1] + c
-    moduli, floor = _floor([c for _, c in merged.values()])
+    moduli, floor = _floor([c for _, c, _ in merged.values()])
     deg = (0,) * n
-    kept = zip(merged.values(), moduli)
-    return ExpPolySum(n, tuple(ExpPolyTerm(n, tuple(wv), ((deg, c),)) for (wv, c), a in kept if not a <= floor))
+    out = []
+    for (wv, c, r), a in zip(merged.values(), moduli):
+        if not a <= floor:
+            t = sources[r] if sources is not None else None
+            out.append(t if t is not None and c is t.coeffs[0][1] else ExpPolyTerm(n, wv, ((deg, c),)))
+    return ExpPolySum(n, tuple(out))
 
 
 def merge_row_arrays(n: int, sets: np.ndarray, waves: np.ndarray, coeffs: np.ndarray, count: int) -> list[ExpPolySum]:

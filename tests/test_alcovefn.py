@@ -664,8 +664,72 @@ def test_eval_refuses_a_side_of_the_wrong_size():
 
 
 def _general_act_analytic(w, f):
-    """act_analytic's general path: every term relabelled by exppoly._embed."""
-    return exppoly.ExpPolySum(f.n, tuple(exppoly._embed(t, w.images, [0j] * f.n, 1.0) for t in f.terms))
+    """act_analytic's general path: every monomial of every term relabelled,
+    times 1.0, then _build."""
+    terms = []
+    for t in f.terms:
+        coeffs = {}
+        for deg, a in t.coeffs:
+            d = [0] * f.n
+            for s, e in zip(w.images, deg):
+                d[s - 1] = e
+            coeffs[tuple(d)] = a * 1.0
+        terms.append(exppoly._build(f.n, w.act_vector(t.wavevector), coeffs))
+    return exppoly.ExpPolySum(f.n, tuple(terms))
+
+
+def _frozen_dunkl(F, j, gamma):
+    """dunkl as it was before each alcove's sum was built once: the
+    derivative, relabelling and scaling each through the general term path,
+    each kept partner added by its own sum."""
+    n = F.n
+    pieces = {}
+    for s, p in F.pieces.items():
+        out = []
+        for t in p.terms:
+            muj = t.wavevector[j - 1]
+            coeffs = {}
+            for deg, c in t.coeffs:
+                dj = deg[j - 1]
+                if dj:
+                    lower = deg[: j - 1] + (dj - 1,) + deg[j:]
+                    coeffs[lower] = coeffs.get(lower, 0j) + dj * c
+                if muj != 0:
+                    coeffs[deg] = coeffs.get(deg, 0j) + 1j * muj * c
+            if coeffs:
+                out.append(exppoly._build(t.n, t.wavevector, coeffs))
+        pieces[s] = exppoly.ExpPolySum(n, tuple(out))
+    for k in range(1, n + 1):
+        if k == j:
+            continue
+        w = transposition(j, k, n)
+        for sigma in pieces:
+            rank = sigma.inverse()
+            if k < j:
+                active = rank(j) < rank(k)
+                coeff = complex(-gamma)
+            else:
+                active = rank(k) < rank(j)
+                coeff = complex(gamma)
+            if active and coeff != 0:
+                swapped = _general_act_analytic(w, F.pieces[compose(w, sigma)])
+                scaled = tuple(exppoly.ExpPolyTerm(t.n, t.wavevector, tuple((d, coeff * a) for d, a in t.coeffs)) for t in swapped.terms)
+                pieces[sigma] = pieces[sigma] + exppoly.ExpPolySum(n, scaled)
+    return alcovefn.AlcoveFunction(n, pieces, continuous=False)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.0, -0.7, 1.3])
+def test_dunkl_is_the_general_term_path_to_the_bit(gamma):
+    # a regular psi of plane waves, a degenerate one with polynomial terms,
+    # and the ends of the zero-factor branch
+    cases = [
+        wavefn.prewavefunction(wavefn.RapiditySet((0.8 + 0.2j, -0.45 - 0.1j, 0.3, 1.1), 1.0, 10.0)),
+        wavefn.prewavefunction(wavefn.RapiditySet((0.5, 0.5, -0.3), 1.0, 10.0)),
+        wavefn.prewavefunction(wavefn.RapiditySet((0.4, 0.4, 0.4), -0.7, 10.0)),
+    ]
+    for F in cases:
+        for j in range(1, F.n + 1):
+            assert repr(alcovefn.dunkl(F, j, gamma)) == repr(_frozen_dunkl(F, j, gamma)), (F.n, j)
 
 
 def _general_reflection_integral(f, j, k):

@@ -224,6 +224,172 @@ def test_embed_of_one_monomial_is_the_general_one():
                     assert repr(exppoly._embed(t, slots, wavevector, c)) == repr(want), (t, slots, wavevector, c)
 
 
+# The general term paths as they were before plane-wave terms took paths of
+# their own; each direct path is pinned to one of them by repr
+
+
+def _frozen_derivative(f, j):
+    """derivative's general path: every term through a coefficient dict and
+    _build."""
+    out = []
+    for t in f.terms:
+        muj = t.wavevector[j - 1]
+        coeffs = {}
+        for deg, c in t.coeffs:
+            dj = deg[j - 1]
+            if dj:
+                lower = deg[: j - 1] + (dj - 1,) + deg[j:]
+                coeffs[lower] = coeffs.get(lower, 0j) + dj * c
+            if muj != 0:
+                coeffs[deg] = coeffs.get(deg, 0j) + 1j * muj * c
+        if coeffs:
+            out.append(exppoly._build(t.n, t.wavevector, coeffs))
+    return exppoly.ExpPolySum(f.n, tuple(out))
+
+
+def _frozen_scale(c, f):
+    """scale's general path: every term's monomials multiplied in one loop."""
+    c = complex(c)
+    if c == 0:
+        return exppoly.zero(f.n)
+    return exppoly.ExpPolySum(f.n, tuple(exppoly.ExpPolyTerm(t.n, t.wavevector, tuple((d, c * a) for d, a in t.coeffs)) for t in f.terms))
+
+
+def _frozen_merge_rows(n, rows):
+    """merge_rows with every row keyed by its entries' cell keys."""
+    cells = exppoly._cell_keys({m for wv, _ in rows for m in wv})
+    merged = {}
+    for wv, c in rows:
+        key = tuple(map(cells.__getitem__, wv))
+        rep = merged.get(key)
+        if rep is None:
+            merged[key] = [wv, c]
+        else:
+            rep[1] = rep[1] + c
+    moduli, floor = exppoly._floor([c for _, c in merged.values()])
+    deg = (0,) * n
+    kept = zip(merged.values(), moduli)
+    return exppoly.ExpPolySum(n, tuple(exppoly.ExpPolyTerm(n, tuple(wv), ((deg, c),)) for (wv, c), a in kept if not a <= floor))
+
+
+_ODD_COEFFICIENTS = [0.6 - 0.8j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.7),
+                     complex(0.7, -0.0), complex(math.nan, 1.0), complex(math.inf, -0.0), complex(-math.inf, math.inf), 1e-200]
+
+
+def _plane_wave_mix(n, rng):
+    """A sum on n slots of plane waves with every coefficient of
+    _ODD_COEFFICIENTS and wavenumbers 0, -0.0, complex, tiny and NaN, one
+    term with polynomial monomials and one with no monomials."""
+    entries = [0j, complex(-0.0, 0.0), complex(-0.0, -0.0), 0.8 - 0.3j, complex(-0.45, -0.0), 1e-200, complex(math.nan, 0.0)]
+    terms = [exppoly.ExpPolyTerm(n, tuple(rng.choice(entries) for _ in range(n)), (((0,) * n, c),)) for c in _ODD_COEFFICIENTS]
+    if n:
+        deg = tuple(rng.randint(0, 2) for _ in range(n))
+        terms.append(exppoly._term(n, tuple(rng.choice(entries[3:5]) for _ in range(n)), {deg: 0.5 - 0.25j, (0,) * n: -1.5}))
+    terms.append(exppoly.ExpPolyTerm(n, (0.3 + 0j,) * n, ()))
+    return exppoly.ExpPolySum(n, tuple(terms))
+
+
+def test_derivative_of_a_plane_wave_is_the_general_one():
+    # mu_j of 0, -0.0, complex(-0.0, -0.0), complex, tiny and NaN, times
+    # zero, signed-zero, NaN, infinite and underflowing coefficients
+    rng = random.Random("derivative")
+    mus = [0j, complex(-0.0, 0.0), complex(-0.0, -0.0), 0.8 - 0.3j, complex(-0.45, -0.0), 1e-200, complex(math.nan, 0.0), complex(math.inf, 0.0)]
+    for n in (1, 2, 3):
+        cases = [_plane_wave_mix(n, rng) for _ in range(4)]
+        for j in range(1, n + 1):
+            for mu in mus:
+                wave = [complex(rng.uniform(-1, 1), rng.choice([-0.0, 0.0, 0.3])) for _ in range(n)]
+                wave[j - 1] = mu
+                cases.append(exppoly.ExpPolySum(n, tuple(exppoly.ExpPolyTerm(n, tuple(wave), (((0,) * n, c),)) for c in _ODD_COEFFICIENTS)))
+            for f in cases:
+                got = exppoly.derivative(f, j)
+                assert repr(got) == repr(_frozen_derivative(f, j)), (f, j)
+                # a plane wave keeps its wavevector object
+                wave = {id(t.wavevector) for t in f.terms}
+                assert all(id(t.wavevector) in wave for t in got.terms)
+
+
+def test_scale_is_the_general_one():
+    rng = random.Random("scale")
+    scalars = [0.8 - 0.3j, -1.0, complex(-0.0, -1.0), complex(-1.0, 0.0), 1e-200, 1e200, math.nan, math.inf, complex(0.0, -math.inf), 0.0, -0.0, 0j]
+    for n in (0, 1, 2, 3):
+        f = _plane_wave_mix(n, rng)
+        many = exppoly.ExpPolySum(n, tuple(exppoly.ExpPolyTerm(n, t.wavevector, (((1,) + (0,) * (n - 1), 2.0),) + t.coeffs) for t in f.terms[:6] if n))
+        for c in scalars:
+            for g in (f, many, exppoly.zero(n)):
+                assert repr(exppoly.scale(c, g)) == repr(_frozen_scale(c, g)), (c, g)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_relabelling_every_permutation_at_once_is_one_relabelling_per_permutation(n):
+    # each relabelling of many equals the one-permutation call and, term by
+    # term, _embed's general path; a plane wave's coefficients are shared
+    f = _plane_wave_mix(n, random.Random(f"relabel {n}"))
+    perms = [w.images for w in all_permutations(n)]
+    got = exppoly._relabel(f, perms)
+    assert len(got) == len(perms)
+    for g, slots in zip(got, perms):
+        assert repr(g) == repr(exppoly._relabel(f, [slots])[0])
+        assert repr(g) == repr(exppoly.ExpPolySum(n, tuple(_general_embed(t, slots, [0j] * n, 1.0) for t in f.terms)))
+    plane = [k for k, t in enumerate(f.terms) if len(t.coeffs) == 1 and not any(t.coeffs[0][0])]
+    assert len(plane) == len(_ODD_COEFFICIENTS)
+    assert all(g.terms[k].coeffs is got[0].terms[k].coeffs for g in got for k in plane)
+
+
+def _merge_rows_cases():
+    """(rows on 2 slots, whether no two distinct entries share a cell)."""
+    nan, inf = math.nan, math.inf
+    nan_wave = complex(nan, 0.0)
+    a, b, c = 0.8 - 0.3j, complex(-0.45, -0.0), 0.25 + 0j
+    # repeated wavevectors, as tuples and as lists, signed zeros that are
+    # one entry, a cancellation the floor prunes
+    yield [((a, b), 1.0), ([a, b], 0.5j), ((b, a), -2.0), ((0j, a), complex(-0.0, 1.0)), ((complex(-0.0, 0.0), a), 2.0),
+           ((b, a), complex(2.0, 1e-17)), ((c, c), 3.0)], True
+    # two distinct entries in one cell, merged, and either on its own
+    yield [((0.5, a), 1.0), ((0.5 + 1e-13, a), 2.0), ((a, 0.5 + 1e-13), 0.25), ((a, b), 1.0), ((b, a), -1.0)], False
+    # NaN entries: one object twice, merged, an equal one apart; infinite
+    # entries, equal ones merged
+    yield [((nan_wave, a), 1.0), ((nan_wave, a), 2.0), ((complex(nan, 0.0), a), 3.0), ((complex(inf, 0.0), b), 1.0),
+           ((complex(inf, -0.0), b), complex(nan, 1.0)), ((a, b), complex(0.0, -inf))], True
+    # a NaN entry beside two distinct entries of one cell
+    yield [((nan_wave, 0.5), 1.0), ((nan_wave, 0.5 + 1e-13), 2.0), ((0.5, nan_wave), 1.0)], False
+    # an overflowing modulus next to ones it would otherwise prune
+    yield [((0.5, 0.2), complex(1.5e308, 1.5e308)), ((0.7, 0.2), 1.0), ((0.5, 0.2), 1.0)], True
+    yield [], True
+
+
+def test_merge_rows_keyed_by_wavevector_is_the_cell_keyed_merge():
+    cases = list(_merge_rows_cases())
+    for rows, by_wave in cases:
+        cells = exppoly._cell_keys({m for wv, _ in rows for m in wv})
+        assert (len(set(cells.values())) == len(cells)) == by_wave
+        assert repr(exppoly.merge_rows(2, rows)) == repr(_frozen_merge_rows(2, rows)), rows
+    assert {by_wave for _, by_wave in cases} == {True, False}
+
+
+def test_a_merged_term_is_its_source_only_where_it_was_neither_merged_nor_scaled():
+    reused = 0
+    for rows, _ in _merge_rows_cases():
+        f = exppoly.ExpPolySum(2, tuple(exppoly.ExpPolyTerm(2, tuple(wv), (((0, 0), c),)) for wv, c in rows))
+        cells = exppoly._cell_keys({m for wv, _ in rows for m in wv})
+        keys = [tuple(map(cells.__getitem__, t.wavevector)) for t in f.terms]
+        alone = [t for t, key in zip(f.terms, keys) if keys.count(key) == 1]
+        for g in (exppoly.canonicalize(f), exppoly.combine(2, [((), f), ((), exppoly.zero(2))])):
+            assert repr(g) == repr(_frozen_merge_rows(2, rows))
+            # the terms alone in their cells that survive are f's, the rest new
+            kept = [t for t in g.terms if any(t is s for s in f.terms)]
+            assert all(any(t is s for s in alone) for t in kept)
+            assert len(kept) == sum(any(repr(t) == repr(s) for t in g.terms) for s in alone)
+            reused += len(kept)
+        # scaled, or merged by merge_rows: every term is new
+        for g in (exppoly.combine(2, [((1.0,), f)]), exppoly.merge_rows(2, rows)):
+            assert not any(t is s for t in g.terms for s in f.terms)
+    assert reused
+    f = exppoly.plane_wave((0.5, 0.25)) + exppoly.plane_wave((0.75, 0.25)) + exppoly.plane_wave((0.5, 0.25))
+    g = exppoly.canonicalize(f)
+    assert g.terms[0] is not f.terms[0] and g.terms[1] is f.terms[1]
+
+
 def _gauss_legendre(func, a, b, nodes=60):
     """The nodes-point Gauss-Legendre rule for func over [a, b], and the
     same rule for |func|, the scale its error is measured against."""

@@ -176,14 +176,6 @@ def test_bethe_wavefunction_is_symmetric():
         assert abs(Psi.eval(x) - Psi.eval((x[1], x[0]))) < 1e-12
 
 
-def test_degenerate_pair_matches_closed_form():
-    rd = RapiditySet((0.5, 0.5), GAMMA, LENGTH)
-    F = wavefn.prewavefunction(rd)
-    ref = wavefn.prewavefunction_coincident_pair(0.5, GAMMA)
-    for x in alcovefn.sample_interior(2, 20, LENGTH):
-        assert abs(F.eval(x) - ref.eval(x)) < 1e-13
-
-
 @pytest.mark.parametrize("gamma", [1.0, 1.3])
 def test_degenerate_pair_is_exact(gamma):
     F = wavefn.prewavefunction(RapiditySet((0.5, 0.5), gamma, LENGTH))
