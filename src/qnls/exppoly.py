@@ -683,7 +683,7 @@ def _relabel(f: ExpPolySum, perms) -> list[ExpPolySum]:
     """f with slot r moved to slot slots[r], for each permutation slots of
     1..n in perms: _embed of every term with no plane wave and factor 1.0.
     Each wavevector is read through the inverse permutation by one gather,
-    and a plane-wave term's coefficients are made once, for every slots."""
+    and a plane-wave term's coefficients are made once for all of perms."""
     n = f.n
     deg0 = (0,) * n
     # per term: a plane wave's coefficients as _placed makes them, else None

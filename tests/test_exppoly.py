@@ -305,8 +305,8 @@ def test_derivative_of_a_plane_wave_is_the_general_one():
                 got = exppoly.derivative(f, j)
                 assert repr(got) == repr(_frozen_derivative(f, j)), (f, j)
                 # a plane wave keeps its wavevector object
-                wave = {id(t.wavevector) for t in f.terms}
-                assert all(id(t.wavevector) in wave for t in got.terms)
+                kept = {id(t.wavevector) for t in f.terms}
+                assert all(id(t.wavevector) in kept for t in got.terms)
 
 
 def test_scale_is_the_general_one():
