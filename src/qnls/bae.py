@@ -77,8 +77,8 @@ class QuantumNumbers:
     def from_values(cls, values: Sequence[float]) -> "QuantumNumbers":
         doubled = []
         for v in values:
-            if not math.isfinite(v):
-                raise ValueError(f"quantum number {v} is not finite")
+            if not math.isfinite(2 * v):
+                raise ValueError(f"quantum number {v} is not finite or too large to double")
             t = round(2 * v)
             if abs(2 * v - t) > 1e-9:
                 raise ValueError(f"{v} is neither integer nor half-integer")

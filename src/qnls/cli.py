@@ -315,7 +315,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command][0](args)
-    except ValueError as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -9,11 +9,12 @@ float rounding.
 
 Sums merge by one rule, combine's: canonicalize and merge_rows follow it,
 and so does the array form of many plane-wave sums at once.  to_arrays
-reads plane-wave sums (each term one degree-0 monomial, any other term
-refused with ValueError) into one coefficient array over their distinct
-wavevectors (SumArrays); a caller merges its entries with the written-out
-complex product (_times), SumArrays.prune and SumArrays.to_sums, bit for
-bit as combine would (the deformed words of momrep).
+reads plane-wave sums over wavevectors that its caller names, rows in the
+caller's order, into a coefficient array and a rank array; a term that is
+not one degree-0 monomial, or whose wavevector is not named, is refused
+with ValueError.  A caller merges their entries with the written-out
+complex product (_times), prune and to_sums, bit for bit as combine would
+(the deformed words of momrep, over the orbit's points).
 
 A sum is read at a point by eval, from a flat form of its terms cached
 on the sum at the first read (_flat): a plane-wave term (one degree-0
@@ -66,8 +67,9 @@ __all__ = [
     "combine",
     "merge_rows",
     "merge_row_arrays",
-    "SumArrays",
     "to_arrays",
+    "prune",
+    "to_sums",
     "to_json",
     "from_json",
     "MERGE_TOL",
@@ -919,86 +921,18 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return firsts[by_first], group
 
 
-@dataclass(frozen=True)
-class SumArrays:
-    """Plane-wave sums on n slots (entries, the last axis) over their
-    distinct wavevectors (rows, waves).  Per wavevector and entry: the
+def to_arrays(n: int, sums: list[ExpPolySum], waves: list[tuple[complex, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Plane-wave sums (entries, the last axis) as arrays over the
+    wavevectors waves (rows, in their order): per row and entry, the
     coefficient, real and imaginary parts on the first axis, 0.0 where
     absent, and the rank of its term in the entry's term order, -1 where
-    absent (a term is present exactly where its rank is >= 0).  Made by
-    to_arrays; a caller merges the entries of these arrays by combine's
-    rule with _times, prune and to_sums."""
-
-    n: int
-    waves: tuple[tuple[complex, ...], ...]
-    coeffs: np.ndarray
-    rank: np.ndarray
-
-    def prune(self, coeffs: np.ndarray, rank: np.ndarray):
-        """combine's floor on each entry of the arrays (coeffs, rank): a term
-        whose modulus is at most PRUNE_TOL times the entry's largest finite
-        modulus is dropped (coefficient 0.0, rank -1), a NaN is kept."""
-        # a finite coefficient whose modulus exceeds the float range reads as
-        # infinite, as in combine: kept, and left out of the floor
-        with np.errstate(over="ignore"):
-            mag = np.hypot(*coeffs)
-        floor = PRUNE_TOL * np.where(mag < np.inf, mag, 0.0).max(axis=0, initial=0.0)
-        # present and not (mag <= floor), so that a NaN is kept
-        kept = np.greater(rank >= 0, mag <= floor)
-        return np.where(kept, coeffs, 0.0), np.where(kept, rank, -1)
-
-    def to_sums(self, coeffs: np.ndarray, rank: np.ndarray) -> list[ExpPolySum]:
-        """The entries of the arrays (coeffs, rank) as sums, terms in rank
-        order; the terms share the wavevector tuples of waves."""
-        deg = (0,) * self.n
-        z = np.empty(rank.shape, dtype=complex)
-        z.real, z.imag = coeffs
-        present = rank >= 0
-        order = np.argsort(np.where(present, rank, _LAST), axis=0).T.tolist()
-        return [
-            ExpPolySum(self.n, tuple(ExpPolyTerm(self.n, self.waves[w], ((deg, values[w]),)) for w in ws[:count]))
-            for ws, count, values in zip(order, present.sum(axis=0).tolist(), z.T.tolist())
-        ]
-
-
-# a sort key above every present term's
-_LAST = np.iinfo(np.int64).max
-
-
-def to_arrays(n: int, sums: list[ExpPolySum]) -> SumArrays:
-    """Plane-wave sums as arrays.  Each term must be one degree-0 monomial;
-    any other term is refused with ValueError.  An entry's terms are read as
-    combine merges one part: the first term of a wavevector keeps its
-    coefficient as it is, a later term of the same wavevector adds its own,
-    so a repeated wavevector becomes one term (nothing is pruned).
-    Wavevectors are told apart by their bits; non-finite ones, and two that
-    are within MERGE_TOL times the largest wavenumber in every slot (which
-    combine might merge into one term), are refused with ValueError."""
-    by_id, by_bits, waves = {}, {}, []
-    # per term of an entry: its wavevector's index, the entry, its coefficient
-    # and its rank (its place in the entry's term order)
-    w_at, r_at, c_at, k_at = [], [], [], []
-    for r, f in enumerate(sums):
-        if f.n != n:
-            raise ValueError("dimension mismatch")
-        # wavevector index -> coefficient, in the order of the entry's terms
-        values = {}
-        for t in f.terms:
-            if len(t.coeffs) != 1 or any(t.coeffs[0][0]):
-                raise ValueError("the array form reads plane-wave sums only: one degree-0 monomial per term")
-            w = by_id.get(id(t.wavevector))
-            if w is None:
-                w = by_id[id(t.wavevector)] = by_bits.setdefault(
-                    np.array(t.wavevector, dtype=complex).tobytes(), len(waves)
-                )
-                if w == len(waves):
-                    waves.append(t.wavevector)
-            c = t.coeffs[0][1]
-            values[w] = values[w] + c if w in values else c
-        w_at += values
-        r_at += [r] * len(values)
-        c_at += values.values()
-        k_at += range(len(values))
+    absent.  A term that is not one degree-0 monomial, or whose wavevector
+    does not equal one of waves, is refused with ValueError.  An entry's
+    terms are read as combine merges one part: the first term of a
+    wavevector keeps its coefficient, a later one adds its own (nothing is
+    pruned).  Non-finite waves, and two within MERGE_TOL times the largest
+    wavenumber of each other in every slot (equal ones too: combine might
+    merge them into one term), are refused with ValueError."""
     W = np.array(waves, dtype=complex).reshape(len(waves), n)
     if not np.isfinite(W).all():
         raise ValueError("the array form needs finite wavevectors")
@@ -1008,11 +942,66 @@ def to_arrays(n: int, sums: list[ExpPolySum]) -> SumArrays:
         # each wavevector is near itself
         if (abs(W[i:i + 64, None] - W) <= tol).all(axis=2).sum() > len(W[i:i + 64]):
             raise ValueError(f"two wavevectors are within {tol:.3g} of each other in every slot")
+    # a term's row, by the value of its wavevector (no two waves are equal)
+    row = {wave: w for w, wave in enumerate(waves)}
+    # per term of an entry: its row, the entry, its coefficient and its rank
+    # (its place in the entry's term order)
+    w_at, r_at, c_at, k_at = [], [], [], []
+    for r, f in enumerate(sums):
+        if f.n != n:
+            raise ValueError("dimension mismatch")
+        # row -> coefficient, in the order of the entry's terms
+        values = {}
+        for t in f.terms:
+            if len(t.coeffs) != 1 or any(t.coeffs[0][0]):
+                raise ValueError("the array form reads plane-wave sums only: one degree-0 monomial per term")
+            w = row.get(t.wavevector)
+            if w is None:
+                raise ValueError("the array form reads terms on the named wavevectors only")
+            c = t.coeffs[0][1]
+            values[w] = values[w] + c if w in values else c
+        w_at += values
+        r_at += [r] * len(values)
+        c_at += values.values()
+        k_at += range(len(values))
     z = np.zeros((len(waves), len(sums)), dtype=complex)
     z[w_at, r_at] = c_at
     rank = np.full(z.shape, -1)
     rank[w_at, r_at] = k_at
-    return SumArrays(n, tuple(waves), np.array((z.real, z.imag)), rank)
+    return np.array((z.real, z.imag)), rank
+
+
+def prune(coeffs: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """combine's floor on each entry (column) of the arrays (coeffs, rank)
+    of to_arrays: a term whose modulus is at most PRUNE_TOL times the
+    entry's largest finite modulus is dropped (coefficient 0.0, rank -1), a
+    NaN is kept."""
+    # a finite coefficient whose modulus exceeds the float range reads as
+    # infinite, as in combine: kept, and left out of the floor
+    with np.errstate(over="ignore"):
+        mag = np.hypot(*coeffs)
+    floor = PRUNE_TOL * np.where(mag < np.inf, mag, 0.0).max(axis=0, initial=0.0)
+    # present and not (mag <= floor), so that a NaN is kept
+    kept = np.greater(rank >= 0, mag <= floor)
+    return np.where(kept, coeffs, 0.0), np.where(kept, rank, -1)
+
+
+def to_sums(n: int, waves: list[tuple[complex, ...]], coeffs: np.ndarray, rank: np.ndarray) -> list[ExpPolySum]:
+    """The entries of the arrays (coeffs, rank) of to_arrays over waves as
+    sums, terms in rank order; the terms share the tuples of waves."""
+    deg = (0,) * n
+    z = np.empty(rank.shape, dtype=complex)
+    z.real, z.imag = coeffs
+    present = rank >= 0
+    order = np.argsort(np.where(present, rank, _LAST), axis=0).T.tolist()
+    return [
+        ExpPolySum(n, tuple(ExpPolyTerm(n, waves[w], ((deg, values[w]),)) for w in ws[:count]))
+        for ws, count, values in zip(order, present.sum(axis=0).tolist(), z.T.tolist())
+    ]
+
+
+# a sort key above every present term's
+_LAST = np.iinfo(np.int64).max
 
 
 def _times(re, im_signed: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -20,15 +20,17 @@ an entry of divided_difference holds the terms of both entries it differs.
 Deformed words run on arrays.  s_{j,gamma} is linear with scalar weights:
 entry sigma of s_{j,gamma} o is swapped + (-i gamma / d)(here - swapped)
 with here = o[sigma], swapped = o[s_j sigma] and d = (sigma lambda)_j -
-(sigma lambda)_{j+1}.  A table of plane-wave sums is read once (and kept
-with it) by exppoly.to_arrays, over its distinct wavevectors (the N! orbit
-waves); it refuses a polynomial term, and wavevectors that combine might
-merge into one term, with ValueError.  Each letter of a reduced word is
-then a few array steps over all entries at once that repeat combine's
-merge of [((), swapped), ((1/d, -i gamma), here), ((-1, 1/d, -i gamma),
-swapped)] to the bit: exppoly's written-out complex products, the same
-sums in the same order, exppoly's prune and the same term order; exppoly
-builds the entries at the end.  A step computes only the entries that the
+(sigma lambda)_{j+1}.  Each table names its orbit points once (_points,
+in all_permutations order), and exppoly.to_arrays reads its plane-wave
+sums over them once (kept with it): the arrays are N! points by N!
+entries, indexed like the entries.  The read refuses a polynomial term, a
+term on any other wavevector, and orbit points that combine might merge
+into one term, with ValueError.  Each letter of a reduced word is then a
+few array steps over all entries at once that repeat combine's merge of
+[((), swapped), ((1/d, -i gamma), here), ((-1, 1/d, -i gamma), swapped)]
+to the bit: exppoly's written-out complex products, the same sums in the
+same order, exppoly.prune and the same term order; exppoly.to_sums builds
+the entries at the end.  A step computes only the entries that the
 wanted ones depend on, so deformed_word_entries, which keeps one entry of
 each relabelled table (the orbit route), does a fraction of the work of
 apply_deformed_word.  Every set of words runs through _entries, the
@@ -88,6 +90,9 @@ class OrbitFunction:
     entries: Mapping[Permutation, ExpPolySum]
 
     def __post_init__(self) -> None:
+        # complex, as the orbit's plane waves carry it: the orbit points are
+        # the wavevectors that deformed words read and build
+        object.__setattr__(self, "lam", tuple(map(complex, self.lam)))
         if not is_regular(self.lam):
             raise ValueError(f"rapidities must be finite with pairwise gaps above {EPS_REG}")
         if set(self.entries) != set(all_permutations(len(self.lam))):
@@ -102,17 +107,22 @@ class OrbitFunction:
         return sigma.act_vector(self.lam)
 
     @cached_property
-    def _arrays(self) -> exppoly.SumArrays:
-        """The table as arrays, entries in all_permutations order, read once
-        for deformed words."""
-        return exppoly.to_arrays(self.n, [self.entries[s] for s in all_permutations(self.n)])
+    def _points(self) -> list[tuple[complex, ...]]:
+        """The orbit points, in all_permutations order: the rows of _arrays,
+        whose columns (the entries) and _weights follow the same order."""
+        return list(map(self.point, all_permutations(self.n)))
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table as arrays over _points, read once for deformed words."""
+        return exppoly.to_arrays(self.n, [self.entries[s] for s in all_permutations(self.n)], self._points)
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        """weights[:, j] holds 1 / ((rho lam)_j - (rho lam)_{j+1}) for each
-        entry rho of _arrays (j = 0: 1) as its real part, minus its
-        imaginary part and its imaginary part."""
-        points = list(map(self.point, all_permutations(self.n)))
+        """weights[:, j] holds 1 / (p_j - p_{j+1}) for each orbit point p of
+        _points (j = 0: 1) as its real part, minus its imaginary part and
+        its imaginary part."""
+        points = self._points
         weights = np.array([[1.0 + 0j] * len(points)] + [
             [complex(1.0 / (p[j - 1] - p[j])) for p in points] for j in range(1, self.n)
         ])
@@ -192,7 +202,7 @@ def _products(left: np.ndarray) -> np.ndarray:
 _MINUS = np.array([-0.0, 0.0]).reshape(2, 1, 1)
 
 
-def _step(a: exppoly.SumArrays, state, here, swapped, factor, gamma_factor, top, active):
+def _step(state, here, swapped, factor, gamma_factor, top, active):
     """One letter: the entry at position here[k] of the state (coefficients,
     ranks) becomes entry k of s_{j,gamma} applied to its table, with the
     entry at position swapped[k] as its s_j partner, as exppoly.combine
@@ -217,7 +227,7 @@ def _step(a: exppoly.SumArrays, state, here, swapped, factor, gamma_factor, top,
         if not fr.all():
             live = (fr != 0) | (fs[1, 0] != 0)
             out, order = np.where(live, out, cs), np.where(live, order, ks)
-    out, order = a.prune(out, order)
+    out, order = exppoly.prune(out, order)
     if active is not None:
         out, order = np.where(active, out, c), np.where(active, order, rank)
     return out, order
@@ -234,8 +244,7 @@ def _run(o: OrbitFunction, pairs, gamma: float, wanted: np.ndarray):
     words run right to left, one array step per position for all the
     tables at once; a step makes only the entries that the wanted ones
     depend on, found from the last step back."""
-    a, weights, n = o._arrays, o._weights, o.n
-    size = a.rank.shape[1]
+    (coeffs, rank), weights, n, size = o._arrays, o._weights, o.n, len(o._points)
     taus = np.array([tau.images for tau, _ in pairs], dtype=int).reshape(-1, n) - 1
     start = _products(np.argsort(taus, axis=1)).ravel()
     swaps = _group(n)[2]
@@ -254,7 +263,7 @@ def _run(o: OrbitFunction, pairs, gamma: float, wanted: np.ndarray):
         mask[sw[held[0]]] = True
         held.insert(0, np.flatnonzero(mask))
     rows = start[held[0]]
-    state = a.coeffs[..., rows], a.rank[:, rows]
+    state = coeffs[..., rows], rank[:, rows]
     g = complex(-1j * gamma)
     gamma_factor = (g.real, np.array([-g.imag, g.imag]).reshape(2, 1, 1)) if g else None
     with np.errstate(all="ignore"):
@@ -263,8 +272,7 @@ def _run(o: OrbitFunction, pairs, gamma: float, wanted: np.ndarray):
             js = js[after // size]
             active = None if js.all() else js > 0
             here, swapped = np.searchsorted(before, after), np.searchsorted(before, sw[after])
-            top = len(a.waves) << t
-            state = _step(a, state, here, swapped, weights[:, js, after % size], gamma_factor, top, active)
+            state = _step(state, here, swapped, weights[:, js, after % size], gamma_factor, size << t, active)
     return state
 
 
@@ -273,14 +281,13 @@ def _entries(o: OrbitFunction, pairs, gamma: float, rows: np.ndarray) -> list[Ex
     order) of w_gamma act_table(tau, o) for each (tau, w) in pairs, table
     after table, the tables run together in batches of at most _BATCH array
     cells."""
-    a, pairs = o._arrays, list(pairs)
-    size = a.rank.shape[1]
-    per_batch = max(1, _BATCH // (size * max(1, len(a.waves))))
+    pairs, size = list(pairs), len(o._points)
+    per_batch = max(1, _BATCH // (size * size))
     out = []
     for start in range(0, len(pairs), per_batch):
         batch = pairs[start:start + per_batch]
         wanted = (np.arange(0, size * len(batch), size)[:, None] + rows).ravel()
-        out += a.to_sums(*_run(o, batch, gamma, wanted))
+        out += exppoly.to_sums(o.n, o._points, *_run(o, batch, gamma, wanted))
     return out
 
 

@@ -97,6 +97,26 @@ def test_infinite_quantum_number_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        # --out in a missing directory, or a directory: the file does not open
+        ["verify", "--suite", "QNLS-eigen", "--max-n", "2", "--out", "{missing}"],
+        ["report", "--max-n", "2", "--out", "{missing}"],
+        ["eval", "--lambda", "0.8,-0.45", "--out", "{dir}"],
+        # a phase past the float range, and a quantum number whose double is
+        ["eval", "--lambda", "0.5+800i,0.3", "--count", "3"],
+        ["solve", "--quantum-numbers", "1e308,-0.5"],
+    ),
+    ids=("verify-out", "report-out", "eval-out", "eval-overflow", "solve-overflow"),
+)
+def test_command_errors_exit_one_with_a_message(tmp_path, capsys, argv):
+    argv = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path) for a in argv]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _run_qnls(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """The qnls command in a subprocess, so a command that never returns
     fails its test at the timeout instead of hanging the run."""

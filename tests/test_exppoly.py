@@ -577,12 +577,11 @@ def test_merge_row_arrays_is_merge_rows_per_set(shared):
     assert sum(len(f.terms) for f in got) < len(coeffs)
 
 
-def test_arrays_read_prune_and_build_each_sum_as_canonicalize():
+def _plane_wave_sums(seed):
     # plane-wave sums over a few far-apart wavevectors, repeated within a
     # sum; coefficients with signed zeros, NaN, infinities, an overflowing
-    # modulus, ones below the floor and 0j; and the empty sum.  Outside any
-    # np.errstate, so a lost guard shows as a RuntimeWarning
-    rng = random.Random(13)
+    # modulus, ones below the floor and 0j; and the empty sum
+    rng = random.Random(seed)
     waves = [tuple(complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)) for _ in range(2)) for _ in range(4)]
     special = [complex(-0.0, 0.7), complex(0.5, -0.0), complex(math.nan, 1.0), complex(0.0, -math.inf), complex(math.inf, 0.0),
                complex(1.5e308, 1.5e308), 1e-17, 0j]
@@ -594,23 +593,61 @@ def test_arrays_read_prune_and_build_each_sum_as_canonicalize():
             c = rng.choice(special) if rng.random() < 0.3 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             terms.append(exppoly.ExpPolyTerm(2, rng.choice(waves), ((deg, c),)))
         sums.append(exppoly.ExpPolySum(2, tuple(terms)))
+    return waves, sums
+
+
+def test_arrays_read_prune_and_build_each_sum_as_canonicalize():
+    # outside any np.errstate, so a lost guard shows as a RuntimeWarning
+    waves, sums = _plane_wave_sums(13)
+    deg = (0, 0)
     assert any(len({t.wavevector for t in f.terms}) < len(f.terms) for f in sums)
-    a = exppoly.to_arrays(2, sums)
-    got = a.to_sums(*a.prune(a.coeffs, a.rank))
+    a = exppoly.to_arrays(2, sums, waves)
+    got = exppoly.to_sums(2, waves, *exppoly.prune(*a))
     assert repr(got) == repr([exppoly.canonicalize(f) for f in sums])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        exppoly.to_arrays(2, [exppoly.plane_wave((1.0,))])
+        exppoly.to_arrays(2, [exppoly.plane_wave((1.0,))], waves)
     # a term with a degree-1 monomial, with two monomials, or with none
     for coeffs in ((((1, 0), 1.0 + 0j),), ((deg, 1.0 + 0j), ((0, 1), 2.0 + 0j)), ()):
         f = exppoly.ExpPolySum(2, (exppoly.ExpPolyTerm(2, waves[0], ((deg, 1.0 + 0j),)), exppoly.ExpPolyTerm(2, waves[1], coeffs)))
         with pytest.raises(ValueError, match="plane-wave"):
-            exppoly.to_arrays(2, [exppoly.zero(2), f])
+            exppoly.to_arrays(2, [exppoly.zero(2), f], waves)
     # a deformed word on an orbit table with a polynomial entry
     o = momrep.orbit_planewave((0.3, -0.4))
     entries = dict(o.entries)
     entries[identity(2)] = exppoly.monomial((1, 0), 1.0, (0.3, -0.4))
     with pytest.raises(ValueError, match="plane-wave"):
         momrep.apply_deformed_word(momrep.OrbitFunction(o.lam, entries), simple(1, 2), 1.0)
+
+
+def test_array_rows_follow_the_named_waves():
+    # a named wave that no sum holds is a row with no term
+    waves, sums = _plane_wave_sums(17)
+    waves.append((3.0 + 0j, -3.0 + 0j))
+    coeffs, rank = exppoly.to_arrays(2, sums, waves)
+    assert (rank[-1] == -1).all() and not coeffs[:, -1].any()
+    back, back_rank = exppoly.to_arrays(2, sums, waves[::-1])
+    assert repr(back.tolist()) == repr(coeffs[:, ::-1].tolist())
+    assert (back_rank == rank[::-1]).all()
+    got = exppoly.to_sums(2, waves[::-1], *exppoly.prune(back, back_rank))
+    assert repr(got) == repr(exppoly.to_sums(2, waves, *exppoly.prune(coeffs, rank)))
+
+
+def test_arrays_refuse_a_term_off_the_named_waves():
+    waves, sums = _plane_wave_sums(19)
+    f = next(f for f in sums if f.terms)
+    with pytest.raises(ValueError, match="named"):
+        exppoly.to_arrays(2, sums, [w for w in waves if w != f.terms[0].wavevector])
+
+
+@pytest.mark.parametrize("zero", (0.0, -0.0))
+def test_arrays_refuse_named_waves_equal_by_value(zero):
+    # a repeated wave, and 0.0 against -0.0: one row each would hold the
+    # other's terms, so the close-pair rule refuses them, read or not
+    wave = (complex(zero, 0.5), 1.5 + 0j)
+    for waves in ([wave, wave], [wave, (complex(-zero, 0.5), 1.5 + 0j)]):
+        for sums in ([], [exppoly.plane_wave(wave)]):
+            with pytest.raises(ValueError, match="within"):
+                exppoly.to_arrays(2, sums, waves)
 
 
 def test_canonicalize_merges_a_nonfinite_wavevector_only_with_its_equal():

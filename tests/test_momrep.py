@@ -273,6 +273,16 @@ def test_deformed_words_read_an_overflowing_modulus_as_infinite():
     _assert_words_match(momrep.orbit_scale(complex(1.5e308, 1.5e308), o), 1.3)
 
 
+@pytest.mark.parametrize("gamma", (-0.7, 0.0, 1.3))
+def test_deformed_words_on_empty_entries_repeat_the_merge(gamma):
+    # every orbit point is a row of the arrays, also one that no entry
+    # holds: here every entry is empty, then the entry of one point
+    o = _seeded_orbit(3, 7)
+    empty = o.point(identity(3))
+    _assert_words_match(momrep.orbit_scale(0.0, o), gamma)
+    _assert_words_match(momrep.mult_scalar(o, lambda p: 0.0 if p == empty else 1.0), gamma)
+
+
 def test_deformed_words_prune_each_entry_against_its_own_largest_coefficient():
     # one orbit point weighs 1e20, so most entries hold nothing above
     # PRUNE_TOL times the table's largest coefficient
@@ -318,6 +328,19 @@ def test_deformed_words_refuse_wavevectors_that_could_share_a_cell():
 def test_orbit_planewave_refuses_nonfinite_rapidities(bad):
     with pytest.raises(ValueError):
         momrep.orbit_planewave((bad, 0.5))
+
+
+def test_a_table_on_real_rapidities_holds_them_as_complex():
+    # the orbit points are the wavevectors that deformed words read and
+    # build, complex as orbit_planewave makes them, so a table made from
+    # its entries on the rapidities as given acts as orbit_planewave's
+    lam = (0.9, -0.2, 1.4)
+    o = momrep.orbit_planewave(lam)
+    table = momrep.OrbitFunction(lam, o.entries)
+    assert repr(table.lam) == repr(o.lam)
+    for w in all_permutations(3):
+        assert repr(momrep.apply_deformed_word(table, w, 1.3).entries) == repr(momrep.apply_deformed_word(o, w, 1.3).entries)
+    assert repr(momrep.divided_difference(table, 1, 2).entries) == repr(momrep.divided_difference(o, 1, 2).entries)
 
 
 @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
