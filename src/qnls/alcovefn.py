@@ -271,15 +271,24 @@ def wall_jump(
     """
     if not (1 <= j < k <= F.n):
         raise ValueError("need 1 <= j < k <= N")
+    # (d_j - d_k) of each side piece, made once: a wall's samples fall in
+    # a few alcove pairs
+    slopes: dict[Permutation, ExpPolySum] = {}
+
+    def slope(sigma: Permutation) -> ExpPolySum:
+        if sigma not in slopes:
+            piece = F.pieces[sigma]
+            slopes[sigma] = exppoly.derivative(piece, j) - exppoly.derivative(piece, k)
+        return slopes[sigma]
+
     reports = []
     for sample in samples:
         if sample.j != j or sample.k != k:
             raise ValueError("sample belongs to a different wall")
         plus, minus = _side_orderings(sample)
-        up, down = F.pieces[plus], F.pieces[minus]
-        lim_p = (exppoly.derivative(up, j) - exppoly.derivative(up, k)).eval(sample.x)
-        lim_m = (exppoly.derivative(down, j) - exppoly.derivative(down, k)).eval(sample.x)
-        target = 2 * gamma * up.eval(sample.x)
+        lim_p = slope(plus).eval(sample.x)
+        lim_m = slope(minus).eval(sample.x)
+        target = 2 * gamma * F.pieces[plus].eval(sample.x)
         reports.append(
             {
                 "x": sample.x,

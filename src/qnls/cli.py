@@ -81,36 +81,52 @@ def _check_n(args, count: int, what: str) -> None:
         raise ValueError(f"--n {args.n} does not match {count} {what}")
 
 
-def _solve(args) -> RapiditySet:
-    """The Bethe roots for --quantum-numbers, checked against --n; a
-    solver that does not converge raises RuntimeError."""
+def _quantum_numbers(args) -> bae.QuantumNumbers:
+    """--quantum-numbers, checked against --n."""
     qn = bae.QuantumNumbers.from_values([float(v) for v in args.quantum_numbers.split(",")])
     _check_n(args, qn.n, "quantum numbers")
-    return bae.solve_bae(qn, args.gamma, args.length)
+    return qn
 
 
 def _cmd_solve(args) -> int:
     if args.quantum_numbers is None:
         raise ValueError("solve requires --quantum-numbers")
-    r = _solve(args)
-    residual = max(abs(v) for v in bae.bae_residual(r.lam, r.gamma, r.length))
-    _emit(bae.solution_to_json(r, residual, bae.solve_bae.last_iterations), args.out)
+    qn = _quantum_numbers(args)
+    with _writer(args.out) as write:
+        # a solver that does not converge raises RuntimeError
+        r = bae.solve_bae(qn, args.gamma, args.length)
+        residual = max(abs(v) for v in bae.bae_residual(r.lam, r.gamma, r.length))
+        write(bae.solution_to_json(r, residual, bae.solve_bae.last_iterations))
     return EXIT_OK
+
+
+def _rapidities(args, lam) -> RapiditySet:
+    """lam as a RapiditySet, refused if degenerate without --allow-degenerate."""
+    r = RapiditySet(lam, args.gamma, args.length)
+    if not (r.is_regular() or args.allow_degenerate):
+        raise ValueError("degenerate rapidities; pass --allow-degenerate to evaluate the limit")
+    return r
 
 
 def _cmd_eval(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.lam is not None:
-        lam = args.lam
-        _check_n(args, len(lam), "rapidities")
+        _check_n(args, len(args.lam), "rapidities")
+        r = _rapidities(args, args.lam)
     elif args.quantum_numbers is not None:
-        lam = _solve(args).lam
+        qn = _quantum_numbers(args)
     else:
         raise ValueError("eval requires --lambda or --quantum-numbers")
-    r = RapiditySet(lam, args.gamma, args.length)
-    if not (r.is_regular() or args.allow_degenerate):
-        raise ValueError("degenerate rapidities; pass --allow-degenerate to evaluate the limit")
+    with _writer(args.out) as write:
+        if args.lam is None:
+            r = _rapidities(args, bae.solve_bae(qn, args.gamma, args.length).lam)
+        _tabulate(args, r, write)
+    return EXIT_OK
+
+
+def _tabulate(args, r: RapiditySet, write) -> None:
+    """Write psi and Psi of r at --count seeded interior points as CSV."""
     psi = wavefn.prewavefunction(r)
     Psi = alcovefn.symmetrize(psi)
     n = r.n
@@ -120,7 +136,7 @@ def _cmd_eval(args) -> int:
         f"# gamma={args.gamma!r}",
         f"# length={args.length!r}",
         f"# seed={args.seed}",
-        "# lambda=" + ",".join(_fmt_complex(v) for v in lam),
+        "# lambda=" + ",".join(_fmt_complex(v) for v in r.lam),
         ",".join(
             [f"x{j}" for j in range(1, n + 1)]
             + ["re_pre", "im_pre", "re_sym", "im_sym"]
@@ -135,8 +151,7 @@ def _cmd_eval(args) -> int:
                 + [f"{vp.real:.17g}", f"{vp.imag:.17g}", f"{vs.real:.17g}", f"{vs.imag:.17g}"]
             )
         )
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    write("\n".join(lines))
 
 
 def _fmt_complex(v: complex) -> str:
@@ -178,17 +193,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     report = {"max_n": _max_n(args), "gamma": args.gamma, "length": args.length, "seed": args.seed}
-    grouped = {name: [] for name in SUITES}
-    for rec in _records(args, SUITES):
-        grouped[rec.pop("suite")].append(rec)
-    report["suites"] = {}
-    for name, recs in grouped.items():
-        row = suites.PARTICLES[name]
-        ns = row.ns(report["max_n"])
-        report["suites"][name] = {"records": recs, "pass": all(rec["pass"] for rec in recs),
-                                  "n_checked": [ns[0], ns[-1]], "n_reason": row.reason}
-    report["pass"] = all(suite["pass"] for suite in report["suites"].values())
-    _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
+    with _writer(args.out) as write:
+        grouped = {name: [] for name in SUITES}
+        for rec in _records(args, SUITES):
+            grouped[rec.pop("suite")].append(rec)
+        report["suites"] = {}
+        for name, recs in grouped.items():
+            row = suites.PARTICLES[name]
+            ns = row.ns(report["max_n"])
+            report["suites"][name] = {"records": recs, "pass": all(rec["pass"] for rec in recs),
+                                      "n_checked": [ns[0], ns[-1]], "n_reason": row.reason}
+        report["pass"] = all(suite["pass"] for suite in report["suites"].values())
+        write(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if report["pass"] else EXIT_IDENTITY_FAILURE
 
 
@@ -210,11 +226,6 @@ def _writer(out: str | None):
                 os.close(devnull)
 
         yield write
-
-
-def _emit(text: str, out: str | None) -> None:
-    with _writer(out) as write:
-        write(text)
 
 
 # add_argument keywords of each option, by long name

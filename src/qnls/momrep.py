@@ -34,7 +34,11 @@ the entries at the end.  A step computes only the entries that the
 wanted ones depend on, so deformed_word_entries, which keeps one entry of
 each relabelled table (the orbit route), does a fraction of the work of
 apply_deformed_word.  Every set of words runs through _entries, the
-gamma-symmetrizer's N! together.
+gamma-symmetrizer's N! together.  The index work of a run (the start
+gather, the reduced words, the entries each step holds and their
+partners) depends on N, the (tau, w) pairs and the wanted entries alone:
+_schedule, a bounded cache, keeps it per those, and _run does only the
+arithmetic, one _step per letter.
 """
 
 from __future__ import annotations
@@ -237,14 +241,19 @@ def _step(state, here, swapped, factor, gamma_factor, top, active):
 _BATCH = 1 << 18
 
 
-def _run(o: OrbitFunction, pairs, gamma: float, wanted: np.ndarray):
-    """The entries at the positions wanted (ascending) of w_gamma
-    act_table(tau, o) for each (tau, w) in pairs, the tables' entries
-    placed one table after another, as arrays.  The letters of the reduced
-    words run right to left, one array step per position for all the
-    tables at once; a step makes only the entries that the wanted ones
-    depend on, found from the last step back."""
-    (coeffs, rank), weights, n, size = o._arrays, o._weights, o.n, len(o._points)
+@lru_cache(maxsize=128)
+def _schedule(n: int, pairs: tuple, rows: tuple) -> tuple:
+    """The index work of _run for the entries at the positions rows of
+    w_gamma act_table(tau, o) for each (tau, w) in pairs, on any table o of
+    n particles and any gamma, the tables' entries placed one table after
+    another: the positions in o of the entries held before the first letter,
+    and per letter of the reduced words, right to left, _step's here,
+    swapped and active and the columns of o._weights it reads (a letter j
+    at orbit point p: j * N! + p).  A step makes only the entries that the
+    wanted ones depend on, found from the last step back.  Every array is
+    read-only.  Kept per (n, pairs, rows), which recur across tables and
+    gammas (qnls verify --max-n 3 makes 58 runs of 7 schedules)."""
+    size = len(all_permutations(n))
     taus = np.array([tau.images for tau, _ in pairs], dtype=int).reshape(-1, n) - 1
     start = _products(np.argsort(taus, axis=1)).ravel()
     swaps = _group(n)[2]
@@ -256,45 +265,59 @@ def _run(o: OrbitFunction, pairs, gamma: float, wanted: np.ndarray):
     ]
     partner = [(offsets + swaps[js]).ravel() for js in letters]
     # held[t]: the entries held before step t; the last is wanted
-    held = [wanted]
+    held = [(offsets + rows).ravel()]
     for sw in reversed(partner):
         mask = np.zeros(len(start), dtype=bool)
         mask[held[0]] = True
         mask[sw[held[0]]] = True
         held.insert(0, np.flatnonzero(mask))
-    rows = start[held[0]]
-    state = coeffs[..., rows], rank[:, rows]
+    steps = []
+    for t, (js, sw) in enumerate(zip(letters, partner)):
+        before, after = held[t], held[t + 1]
+        js = js[after // size]
+        steps.append((np.searchsorted(before, after), np.searchsorted(before, sw[after]),
+                      None if js.all() else js > 0, js * size + after % size))
+    gather = start[held[0]]
+    for a in (gather, *(a for step in steps for a in step if a is not None)):
+        a.flags.writeable = False
+    return gather, tuple(steps)
+
+
+def _run(o: OrbitFunction, pairs: tuple, gamma: float, rows: tuple):
+    """The entries at the positions rows (ascending) of w_gamma
+    act_table(tau, o) for each (tau, w) in pairs, the tables' entries
+    placed one table after another, as arrays.  The letters of the reduced
+    words run right to left, one array step per position for all the
+    tables at once, on _schedule's indices."""
+    gather, steps = _schedule(o.n, pairs, rows)
+    (coeffs, rank), size = o._arrays, len(o._points)
+    weights = o._weights.reshape(3, -1)
+    state = coeffs[..., gather], rank[:, gather]
     g = complex(-1j * gamma)
     gamma_factor = (g.real, np.array([-g.imag, g.imag]).reshape(2, 1, 1)) if g else None
     with np.errstate(all="ignore"):
-        for t, (js, sw) in enumerate(zip(letters, partner)):
-            before, after = held[t], held[t + 1]
-            js = js[after // size]
-            active = None if js.all() else js > 0
-            here, swapped = np.searchsorted(before, after), np.searchsorted(before, sw[after])
-            state = _step(state, here, swapped, weights[:, js, after % size], gamma_factor, size << t, active)
+        for t, (here, swapped, active, columns) in enumerate(steps):
+            state = _step(state, here, swapped, weights[:, columns], gamma_factor, size << t, active)
     return state
 
 
-def _entries(o: OrbitFunction, pairs, gamma: float, rows: np.ndarray) -> list[ExpPolySum]:
+def _entries(o: OrbitFunction, pairs, gamma: float, rows: tuple) -> list[ExpPolySum]:
     """The entries at the positions rows (ascending, in all_permutations
     order) of w_gamma act_table(tau, o) for each (tau, w) in pairs, table
     after table, the tables run together in batches of at most _BATCH array
     cells."""
-    pairs, size = list(pairs), len(o._points)
+    pairs, size = tuple(pairs), len(o._points)
     per_batch = max(1, _BATCH // (size * size))
     out = []
     for start in range(0, len(pairs), per_batch):
-        batch = pairs[start:start + per_batch]
-        wanted = (np.arange(0, size * len(batch), size)[:, None] + rows).ravel()
-        out += exppoly.to_sums(o.n, o._points, *_run(o, batch, gamma, wanted))
+        out += exppoly.to_sums(o.n, o._points, *_run(o, pairs[start:start + per_batch], gamma, rows))
     return out
 
 
 def _word_tables(o: OrbitFunction, words, gamma: float) -> list[OrbitFunction]:
     """w_gamma o for each w in words, entries in the order of o's."""
     perms = all_permutations(o.n)
-    values = _entries(o, [(identity(o.n), w) for w in words], gamma, np.arange(len(perms)))
+    values = _entries(o, [(identity(o.n), w) for w in words], gamma, tuple(range(len(perms))))
     tables = [dict(zip(perms, values[k:k + len(perms)])) for k in range(0, len(values), len(perms))]
     return [OrbitFunction(o.lam, {s: table[s] for s in o.entries}) for table in tables]
 
@@ -313,7 +336,7 @@ def apply_deformed_word(o: OrbitFunction, w: Permutation, gamma: float) -> Orbit
 def deformed_word_entries(o: OrbitFunction, pairs, gamma: float, sigma: Permutation) -> list[ExpPolySum]:
     """Entry sigma of w_gamma act_table(tau, o) for each (tau, w) in pairs
     (equal to apply_deformed_word(act_table(tau, o), w, gamma).entries[sigma])."""
-    return _entries(o, pairs, gamma, np.array([all_permutations(o.n).index(sigma)]))
+    return _entries(o, pairs, gamma, (all_permutations(o.n).index(sigma),))
 
 
 def symmetrizer(o: OrbitFunction, leading: int | None = None) -> OrbitFunction:

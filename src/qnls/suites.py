@@ -526,10 +526,14 @@ def suite_aba(ns: range, gamma: float, length: float, seed: int):
         def minor(*drop):
             return tuple(v for t, v in enumerate(lam) if t not in drop)
 
+        # the A and D expansions ask for the same rest + (mu,) sets
+        built: dict[tuple, AlcoveFunction] = {}
+
         def plus(F, coeff, rapidities):
             """F plus coeff times the Bethe wavefunction of the rapidities."""
-            Phi = wavefn.bethe_wavefunction(RapiditySet(rapidities, gamma, length))
-            return alcovefn.afn_add(F, alcovefn.afn_scale(coeff, Phi))
+            if rapidities not in built:
+                built[rapidities] = wavefn.bethe_wavefunction(RapiditySet(rapidities, gamma, length))
+            return alcovefn.afn_add(F, alcovefn.afn_scale(coeff, built[rapidities]))
 
         # raising-free expansion of the A and D actions
         for family, sign in (("A", 1), ("D", -1)):

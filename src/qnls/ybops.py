@@ -7,9 +7,13 @@ A block is its chain of integration levels and the arguments it hands the
 operand; its plane-wave prefactor follows from the levels.  One builder
 makes the blocks of every kind and one weighted sum evaluates them all.
 
-The engine works per output alcove.  Its geometry is made once per block
-and alcove of an application shape, in that shape's segment table
-(_SEGMENTS; each table also keeps its array layouts, _Segments._chunks):
+The engine works per output alcove.  An application's shape (the kind
+and multi-index of each nonzero-weight block, the input particle number
+and whether the family is symmetric) fixes everything but mu, the
+weights and L: its mu-free plans, its output alcoves and its segment
+table (_Segments, which also keeps its array layouts), kept per shape by
+_table, a bounded cache; per call only each block's plane wave and scalar
+are made (_prepare).  The table holds each block's geometry per alcove:
 the unit step factors resolve to 0 or 1 by the alcove ordering, and where
 all hold, each integration interval splits at the output coordinates
 inside it; on each segment the order of coordinates and y's is fixed, so
@@ -30,22 +34,20 @@ term by term by exppoly's general steps and canonicalized.
 An application (one engine call over its alcoves) of at least ARRAY_ROWS
 raw rows makes its rows as arrays (_block_arrays): raw rows are, per
 alcove and segment, the operand piece's terms times 2^depth, known from
-the segment table before any row is made.  The table is kept per
-application shape (_SEGMENTS: the plan shapes of the nonzero-weight
-blocks and the alcoves), with the array layout of an application of one
-chunk per profile of operand term counts.  The arrays hold one seed per
-segment and operand term, the seeds of one depth together, in chunks of
-whole alcoves; each level splits every row into its upper and lower
-child, adjacent, so the rows keep _rows' order, and
-exppoly.merge_row_arrays merges each alcove by merge_rows' rule.  Every
-sum is _rows' to the bit (CPython's complex product and quotient written
-out in real parts, each factor exact up to the sign of a zero part, which
-_rows' 0j + erases).  An application where an operand piece the table
-reads holds a term that is not a plane wave, or a row fails one of _rows'
-checks or holds a part of _HUGE or more (NaN and infinity among them),
-runs wholly as rows.  Smaller applications keep the rows, since below
-about 200 raw rows the arrays' fixed numpy cost per application exceeds
-what they save.
+the segment table before any row is made.  The table keeps the array
+layout of an application of one chunk per profile of operand term
+counts.  The arrays hold one seed per segment and operand term, the
+seeds of one depth together, in chunks of whole alcoves; each level
+splits every row into its upper and lower child, adjacent, so the rows
+keep _rows' order, and exppoly.merge_row_arrays merges each alcove by
+merge_rows' rule.  Every sum is _rows' to the bit (CPython's complex
+product and quotient written out in real parts, each factor exact up to
+the sign of a zero part, which _rows' 0j + erases).  An application
+where an operand piece the table reads holds a term that is not a plane
+wave, or a row fails one of _rows' checks or holds a part of _HUGE or
+more (NaN and infinity among them), runs wholly as rows.  Smaller
+applications keep the rows, since below about 200 raw rows the arrays'
+fixed numpy cost per application exceeds what they save.
 
 Also here: the 4x4 R-matrix, the transfer matrix, the quantum determinant,
 and the Q-operator built from Dunkl-type operators.
@@ -56,7 +58,7 @@ from __future__ import annotations
 import cmath
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, NamedTuple
 
@@ -91,7 +93,7 @@ PARTICLE_CAP = 4
 # ---------------------------------------------------------------------------
 # the nested-integral engine
 #
-# A plan is one elementary block with parameter mu on out_n coordinates:
+# A plan is one elementary block on out_n coordinates, mu-free:
 #   levels   strictly decreasing chain of entities; integration variable y_m
 #            lives on (levels[m], levels[m-1])
 #   args     what each operand slot receives: a coordinate or a y
@@ -105,7 +107,6 @@ PARTICLE_CAP = 4
 @dataclass(frozen=True)
 class _Plan:
     out_n: int
-    mu: complex
     levels: tuple
     args: tuple
 
@@ -189,9 +190,10 @@ def _terms(blocks, f: AlcoveFunction, length: float) -> list[ExpPolyTerm]:
     return terms
 
 
-def _prepare(weight: complex, plan: _Plan, length: float) -> tuple:
-    """(out_n, plane wave on coordinates and y's, scalar, slot of each operand slot)."""
-    P, mu, n_y = plan.out_n, plan.mu, len(plan.levels) - 1
+def _prepare(weight: complex, plan: _Plan, mu: complex, length: float) -> tuple:
+    """(out_n, plane wave on coordinates and y's, scalar, slot of each
+    operand slot) of the block with parameter mu."""
+    P, n_y = plan.out_n, len(plan.levels) - 1
     # the block's plane wave on the coordinates and the y's (slot P + m)
     wave = [0j] * (P + n_y)
     for e in plan.levels:
@@ -207,22 +209,19 @@ def _prepare(weight: complex, plan: _Plan, length: float) -> tuple:
 
 
 def _block_sum(
-    blocks: list[tuple[complex, _Plan]], f: AlcoveFunction, sigmas, length: float
+    kind: str, blocks: list[tuple[complex, tuple]], mu: complex, f: AlcoveFunction, length: float, symmetric: bool
 ) -> dict[Permutation, ExpPolySum]:
-    """The canonical sum over (weight, plan) blocks on each alcove in
-    sigmas: the rows of every block merged, or where a row cannot be made,
-    every block's terms canonicalized.  A block of weight 0 adds nothing.
-    An application of at least ARRAY_ROWS raw rows makes its rows as arrays."""
-    table, prepared = _application(blocks, sigmas, length)
+    """The canonical sum over the (weight, multi-index) blocks of kind with
+    parameter mu on each output alcove (on the fundamental one if
+    symmetric): the rows of every block merged, or where a row cannot be
+    made, every block's terms canonicalized.  A block of weight 0 adds
+    nothing.  An application of at least ARRAY_ROWS raw rows makes its rows
+    as arrays.  The multi-indices must be valid (_checked)."""
+    blocks = [(weight, i) for weight, i in blocks if weight]
+    table = _table(kind, tuple(i for _, i in blocks), f.n, symmetric)
+    prepared = [_prepare(weight, plan, mu, length) for (weight, _), plan in zip(blocks, table.plans)]
     run = _block_arrays if table.raw_rows(f) >= ARRAY_ROWS else _block_rows
-    return dict(zip(sigmas, run(table, prepared, f, length)))
-
-
-def _application(blocks, sigmas, length: float) -> tuple:
-    """The segment table of the nonzero-weight blocks on sigmas, and those
-    blocks prepared."""
-    blocks = [(plan, _prepare(weight, plan, length)) for weight, plan in blocks if weight]
-    return _segments([plan for plan, _ in blocks], sigmas), [block for _, block in blocks]
+    return dict(zip(table.sigmas, run(table, prepared, f, length)))
 
 
 def _block_rows(table, blocks, f: AlcoveFunction, length: float) -> list[ExpPolySum]:
@@ -280,7 +279,8 @@ class _Chunk(NamedTuple):
 
 
 class _Segments:
-    """The blocks' plan shapes (nonzero weights only) on a list of alcoves.
+    """The plans of an application's blocks (nonzero weights only) on its
+    output alcoves sigmas.
 
     alcoves: per alcove, (block index, geometry) of each block whose chain
     decreases there.  per_term: per operand piece order, the raw rows each
@@ -290,8 +290,8 @@ class _Segments:
     arrays (_arrays, made at the first application that runs as arrays);
     the layout of an application of one chunk is kept."""
 
-    def __init__(self, plans: list[_Plan], sigmas) -> None:
-        self.n = sigmas[0].n
+    def __init__(self, plans: tuple[_Plan, ...], sigmas: tuple[Permutation, ...]) -> None:
+        self.plans, self.sigmas, self.n = plans, sigmas, sigmas[0].n
         self.shapes = [(plan.args, len(plan.levels) - 1) for plan in plans]
         self.alcoves = [
             [(b, g) for b, plan in enumerate(plans) if (g := _geometry(plan, sigma)) is not None]
@@ -384,17 +384,17 @@ class _Segments:
             a0 = a1
 
 
-# (plan shapes of the nonzero-weight blocks, alcoves) -> their segment table,
-# one entry per application shape; each table keeps its own array layouts
-_SEGMENTS: dict[tuple, _Segments] = {}
-
-
-def _segments(plans: list[_Plan], sigmas) -> _Segments:
-    key = (tuple((plan.out_n, plan.levels, plan.args) for plan in plans), tuple(s.images for s in sigmas))
-    table = _SEGMENTS.get(key)
-    if table is None:
-        table = _SEGMENTS[key] = _Segments(plans, sigmas)
-    return table
+@lru_cache(maxsize=256)
+def _table(kind: str, indices: tuple, n: int, symmetric: bool) -> _Segments:
+    """The segment table of the blocks of kind with multi-indices indices on
+    n input particles, on the fundamental output alcove if symmetric, else
+    on all of them.  Kept per shape, since mu, the weights and L do not
+    enter (qnls verify --max-n 3 makes 231 applications of 73 shapes); the
+    caller checks the multi-indices first, since a key of (1.0,) would find
+    (1,)'s entry."""
+    out_n = n + _SHAPES[kind][0]
+    sigmas = (identity(out_n),) if symmetric else all_permutations(out_n)
+    return _Segments(tuple(_plan(kind, i, n) for i in indices), sigmas)
 
 
 def _block_arrays(table: _Segments, blocks, f: AlcoveFunction, length: float) -> list[ExpPolySum]:
@@ -533,25 +533,33 @@ _SHAPES = {
 }
 
 
-def _plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan:
-    """The block of an elementary kind on N input particles."""
+def _checked(kind: str, i: tuple[int, ...], N: int) -> tuple[int, int]:
+    """(output particle number, top index) of an elementary kind on N input
+    particles; ValueError unless i is one of its multi-indices."""
     if kind not in _SHAPES:
         raise ValueError(f"unknown elementary kind {kind!r}")
-    dn, above, below = _SHAPES[kind]
+    dn = _SHAPES[kind][0]
     out_n = N + dn
     if out_n < 0:
         raise ValueError(f"{kind} needs at least {-dn} input particle")
-    symmetric = kind[0] == "E"
     # e_hat+/- index the input coordinates, every other kind the output ones
-    top = out_n if symmetric or dn < 1 else N
+    top = out_n if kind[0] == "E" or dn < 1 else N
     if not all(isinstance(p, numbers.Integral) for p in i):
         raise ValueError("multi-index entries must be integers")
     if len(set(i)) != len(i):
         raise ValueError("multi-index entries must be distinct")
     if any(not (1 <= p <= top) for p in i):
         raise ValueError(f"multi-index entry out of range 1..{top}")
-    if symmetric and list(i) != sorted(i):
+    if kind[0] == "E" and list(i) != sorted(i):
         raise ValueError("multi-index must be strictly increasing")
+    return out_n, top
+
+
+def _plan(kind: str, i: tuple[int, ...], N: int) -> _Plan:
+    """The block of an elementary kind on N input particles."""
+    out_n, top = _checked(kind, i, N)
+    _, above, below = _SHAPES[kind]
+    symmetric = kind[0] == "E"
     # e_hat+ creates coordinate 1 below the others, e_hat- coordinate N+1 above
     shift = 1 if kind == "e_hat+" else 0
     if kind == "e_hat+":
@@ -563,7 +571,7 @@ def _plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan:
     if symmetric:
         # the remaining coordinates, then the y's
         args = (*(("coord", r) for r in range(1, out_n + 1) if r not in i), *ys)
-        return _Plan(out_n, mu, levels, args)
+        return _Plan(out_n, levels, args)
     # slot r takes the y of its index, if it has one; e_check+ hands the top
     # y to one more slot at the end, e_check- the bottom y to one at the front
     own = ys[1:] if kind == "e_check+" else ys
@@ -574,7 +582,7 @@ def _plan(kind: str, mu: complex, i: tuple[int, ...], N: int) -> _Plan:
         args = (*args, ys[0])
     elif kind == "e_check-":
         args = (ys[-1], *args)
-    return _Plan(out_n, mu, levels, args)
+    return _Plan(out_n, levels, args)
 
 
 # family -> (elementary kind, index sets, offset of the index range from N,
@@ -601,7 +609,9 @@ def elementary_nonsymmetric_op(
         raise ValueError(f"exact application capped at {PARTICLE_CAP} particles")
     if not kind.startswith("e_"):
         raise ValueError(f"unknown elementary kind {kind!r}")
-    return _assemble([(1.0, _plan(kind, mu, tuple(i), f.n))], f, length, False)
+    i = tuple(i)
+    _checked(kind, i, f.n)
+    return _assemble(kind, [(1.0, i)], mu, f, length, False)
 
 
 def apply_nonsymmetric(
@@ -627,22 +637,21 @@ def _generator(family: str, symmetric: bool, mu: complex, f: AlcoveFunction, gam
     kind, indices, top, extra, scalar = _FAMILIES[family]
     top += f.n
     blocks = [
-        (gamma**n if scalar is None else gamma**n * scalar(f.n), _plan(kind, mu, i, f.n))
+        (gamma**n if scalar is None else gamma**n * scalar(f.n), i)
         for n in range(top - extra + 1)
         for i in indices(range(1, top + 1), n + extra)
     ]
     # c+, c- and C annihilate the vacuum: zero, on the empty-variable space
-    return _assemble(blocks, f, length, symmetric) if blocks else alcovefn.zero_function(0)
+    return _assemble(kind, blocks, mu, f, length, symmetric) if blocks else alcovefn.zero_function(0)
 
 
-def _assemble(blocks, f: AlcoveFunction, length: float, symmetric: bool) -> AlcoveFunction:
+def _assemble(kind: str, blocks, mu: complex, f: AlcoveFunction, length: float, symmetric: bool) -> AlcoveFunction:
     """The blocks' sum on f on every output alcove, or on the fundamental
     one extended by symmetry."""
-    out_n = blocks[0][1].out_n
-    sigmas = [identity(out_n)] if symmetric else all_permutations(out_n)
-    pieces = _block_sum(blocks, f, sigmas, length)
+    out_n = f.n + _SHAPES[kind][0]
+    pieces = _block_sum(kind, blocks, mu, f, length, symmetric)
     if symmetric:
-        return alcovefn.extend_symmetric(pieces[sigmas[0]], continuous=False)
+        return alcovefn.extend_symmetric(pieces[identity(out_n)], continuous=False)
     return AlcoveFunction(out_n, pieces, continuous=False)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qnls import bae, cli, suites, wavefn, ybops
+from qnls import bae, cli, momrep, suites, wavefn, ybops
 
 
 def test_parse_complex():
@@ -115,6 +115,29 @@ def test_command_errors_exit_one_with_a_message(tmp_path, capsys, argv):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_out_that_does_not_open_stops_each_command_before_its_work(tmp_path, monkeypatch, capsys):
+    # no suite runs, nothing is solved and no wavefunction is built
+    ran = []
+    for name in list(suites.SUITES):
+        monkeypatch.setitem(suites.SUITES, name, lambda *args, name=name: ran.append(name) or [])
+    for module, name in ((bae, "solve_bae"), (wavefn, "prewavefunction")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: ran.append(name) / 0)
+    missing = str(tmp_path / "missing" / "x")
+    for argv in (
+        ["report", "--max-n", "4"],
+        ["verify", "--max-n", "4"],
+        ["solve", "--quantum-numbers", "-0.5,0.5"],
+        ["eval", "--quantum-numbers", "-0.5,0.5"],
+        ["eval", "--lambda", "0.8,-0.45"],
+    ):
+        assert cli.main([*argv, "--out", missing]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err and ran == [], argv
+    # the same report with a file that opens runs every suite
+    assert cli.main(["report", "--max-n", "4", "--out", str(tmp_path / "r.json")]) == 0
+    assert ran == list(suites.SUITES)
 
 
 def _run_qnls(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
@@ -479,3 +502,15 @@ def test_output_is_deterministic(tmp_path):
 
 def test_no_command_prints_usage():
     assert cli.main([]) == 1
+
+
+def test_every_suite_gives_the_same_records_with_cold_and_warm_caches():
+    # the kept block-engine shapes and deformed-word schedules hold index
+    # work alone: a suite that meets them warm gives the records it gives
+    # after they are cleared
+    for name in suites.SUITES:
+        ybops._table.cache_clear()
+        momrep._schedule.cache_clear()
+        cold = json.dumps(cli.run_suite(name, 3, 1.0, 10.0), sort_keys=True)
+        assert json.dumps(cli.run_suite(name, 3, 1.0, 10.0), sort_keys=True) == cold, name
+    assert ybops._table.cache_info().hits and momrep._schedule.cache_info().hits

@@ -723,8 +723,8 @@ def _canonicalize_cases():
     yield f + alcovefn.act_analytic(Permutation((2, 3, 1)), f) + alcovefn.act_analytic(Permutation((3, 1, 2)), f)
     psi = wavefn.prewavefunction(wavefn.RapiditySet((0.8, -0.3, 0.45), 1.0, 10.0))
     for i in ((2,), (3, 1)):
-        plan = ybops._plan("e_bar+", 0.37, i, 3)
-        block = ybops._prepare(0.8, plan, 10.0)
+        plan = ybops._plan("e_bar+", i, 3)
+        block = ybops._prepare(0.8, plan, 0.37, 10.0)
         for sigma in all_permutations(3):
             geometry = ybops._geometry(plan, sigma)
             yield exppoly.ExpPolySum(3, tuple(ybops._terms([(block, geometry)], psi, 10.0) if geometry else ()))

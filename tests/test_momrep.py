@@ -171,6 +171,33 @@ def test_deformed_words_repeat_the_merge_bit_for_bit(n, gamma):
             assert repr(momrep.deformed_word_entries(o, [(identity(o.n), w)], gamma, sigma)[0]) == repr(want[sigma])
 
 
+def test_kept_schedules_are_read_only_shared_and_bounded():
+    # a schedule holds index work alone: another table or gamma reads the
+    # kept one and gets what a fresh one gives
+    w = Permutation((3, 1, 2))
+    momrep._schedule.cache_clear()
+    momrep.apply_deformed_word(_seeded_orbit(3, 4), w, 1.3)
+    o = _seeded_orbit(3, 7)
+    for gamma in (-0.7, 0.0):
+        kept = repr(momrep.apply_deformed_word(o, w, gamma).entries)
+        assert kept == repr(_reference_word(o, w, gamma))
+    info = momrep._schedule.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    gather, steps = momrep._schedule(3, ((identity(3), w),), tuple(range(6)))
+    arrays = [gather, *(a for step in steps for a in step if a is not None)]
+    assert len(steps) == 2 and all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        gather[0] = 1
+    # past its size the cache drops its oldest entries
+    size = info.maxsize
+    assert size is not None and size < 1000
+    subsets = [tuple(k for k in range(6) if mask >> k & 1) for mask in range(1, 64)]
+    for u in all_permutations(3):
+        for rows in subsets:
+            momrep._schedule(3, ((identity(3), u),), rows)
+    assert 6 * len(subsets) > size == momrep._schedule.cache_info().currsize
+
+
 # Sums of tables as they were made before orbit_add merged each entry once,
 # frozen as the reference: the tables added one at a time, each partial sum
 # merged by exppoly.combine, then scaled by 1 / (the number of tables).

@@ -281,7 +281,7 @@ def test_bad_multi_index_refused(kind, i):
     with pytest.raises(ValueError, match="multi-index"):
         oracle.quad_elementary(kind, 0.3, i, f, 10.0, x)
     with pytest.raises(ValueError, match="multi-index"):
-        ybops._plan(kind, 0.3, i, f.n)
+        ybops._plan(kind, i, f.n)
 
 
 def test_non_integer_multi_index_entry_refused():

@@ -143,7 +143,7 @@ def test_particle_cap_enforced():
         ybops.elementary_nonsymmetric_op("e_bar+", 0.2, (1,), f, LENGTH)
 
 
-def _reference_plan_piece(plan, f, sigma, length):
+def _reference_plan_piece(plan, mu, f, sigma, length):
     """A plan's piece on alcove sigma built step by step from the public
     exppoly operations: pullback, mul by the plane-wave prefactor, one
     integrate per y, canonicalize, and a truncation of the y slots."""
@@ -157,11 +157,11 @@ def _reference_plan_piece(plan, f, sigma, length):
     wv = [0j] * ext_n
     for e in plan.levels:
         if e[0] == "coord":
-            wv[e[1] - 1] += plan.mu
+            wv[e[1] - 1] += mu
     for m in range(1, n_y + 1):
-        wv[P + m - 1] -= plan.mu
+        wv[P + m - 1] -= mu
     sign = -sum(e[1] for e in plan.levels if e[0] == "const")
-    prefwave = exppoly.scale(cmath.exp(-1j * sign * plan.mu * length / 2), exppoly.plane_wave(wv))
+    prefwave = exppoly.scale(cmath.exp(-1j * sign * mu * length / 2), exppoly.plane_wave(wv))
     per_interval = []
     for m in range(1, n_y + 1):
         ru, rl = ranks[m - 1], ranks[m]
@@ -227,12 +227,12 @@ def test_block_engine_matches_the_stepwise_reference(N):
         cases += [(kind, i) for k in range(dn == 1, top + 1) for i in combinations(range(1, top + 1), k)]
     for (kind, i), (mu, f_e, f_E) in product(cases, operands):
         f = f_e if kind[0] == "e" else f_E
-        plan = ybops._plan(kind, mu, i, N)
+        plan = ybops._plan(kind, i, N)
         sigmas = all_permutations(plan.out_n)
-        engine = ybops._block_sum([(weight, plan)], f, sigmas, LENGTH)
+        engine = ybops._block_sum(kind, [(weight, i)], mu, f, LENGTH, False)
         worst, size = 0.0, 0.0
         for sigma in sigmas:
-            want = exppoly.scale(weight, _reference_plan_piece(plan, f, sigma, LENGTH))
+            want = exppoly.scale(weight, _reference_plan_piece(plan, mu, f, sigma, LENGTH))
             for x in _alcove_points(sigma, 3, LENGTH, seed=N):
                 a, b = want.eval(x), engine[sigma].eval(x)
                 worst, size = max(worst, abs(a - b)), max(size, abs(a))
@@ -253,7 +253,7 @@ def test_degree_cap_reached_through_the_block_engine():
 # at a time, every block's terms on an alcove canonicalized together.
 
 
-def _frozen_plan_piece(plan, weight, f, sigma, length):
+def _frozen_plan_piece(plan, mu, weight, f, sigma, length):
     P = plan.out_n
     pos = {p: t for t, p in enumerate(sigma.images, start=1)}
     ranks = [ybops._rank(e, pos, P) for e in plan.levels]
@@ -261,7 +261,6 @@ def _frozen_plan_piece(plan, weight, f, sigma, length):
         return []
     n_y = len(plan.levels) - 1
     ext_n = P + n_y
-    mu = plan.mu
     wv = [0j] * ext_n
     for e in plan.levels:
         if e[0] == "coord":
@@ -308,23 +307,34 @@ def _frozen_plan_piece(plan, weight, f, sigma, length):
     return terms
 
 
-def _frozen_block_sum(blocks, f, sigmas, length):
+def _frozen_block_sum(kind, blocks, mu, f, length):
+    """The frozen engine's sums of the (weight, multi-index) blocks of kind
+    on every output alcove."""
+    plans = [(weight, ybops._plan(kind, i, f.n)) for weight, i in blocks]
     return {
         sigma: exppoly.canonicalize(exppoly.ExpPolySum(
-            sigma.n, tuple(t for weight, plan in blocks for t in _frozen_plan_piece(plan, weight, f, sigma, length))
+            sigma.n, tuple(t for weight, plan in plans for t in _frozen_plan_piece(plan, mu, weight, f, sigma, length))
         ))
-        for sigma in sigmas
+        for sigma in all_permutations(f.n + ybops._SHAPES[kind][0])
     }
 
 
-def _assert_engine_is_frozen(blocks, f, length=LENGTH):
-    sigmas = all_permutations(blocks[0][1].out_n)
-    want = repr(_frozen_block_sum(blocks, f, sigmas, length))
-    assert repr(ybops._block_sum(blocks, f, sigmas, length)) == want
+def _application(kind, blocks, mu, n, length):
+    """The kept segment table of the nonzero-weight (weight, multi-index)
+    blocks of kind on n input particles, on every output alcove, and those
+    blocks prepared: what _block_sum hands _block_rows or _block_arrays."""
+    blocks = [(weight, i) for weight, i in blocks if weight]
+    table = ybops._table(kind, tuple(i for _, i in blocks), n, False)
+    return table, [ybops._prepare(weight, plan, mu, length) for (weight, _), plan in zip(blocks, table.plans)]
+
+
+def _assert_engine_is_frozen(kind, blocks, mu, f, length=LENGTH):
+    want = repr(_frozen_block_sum(kind, blocks, mu, f, length))
+    assert repr(ybops._block_sum(kind, blocks, mu, f, length, False)) == want
     # the rows and the arrays, each called directly, whatever the size
-    table, prepared = ybops._application(blocks, sigmas, length)
+    table, prepared = _application(kind, blocks, mu, f.n, length)
     for run in (ybops._block_rows, ybops._block_arrays):
-        assert repr(dict(zip(sigmas, run(table, prepared, f, length)))) == want, run.__name__
+        assert repr(dict(zip(table.sigmas, run(table, prepared, f, length)))) == want, run.__name__
 
 
 def _every_kind_and_index(N):
@@ -355,7 +365,7 @@ def test_block_engine_repeats_the_frozen_per_term_engine(N):
         operands.append((0.37, 1.3, degenerate, degenerate))
     for (kind, i), (mu, weight, f_e, f_E) in product(_every_kind_and_index(N), operands):
         f = f_e if kind[0] == "e" else f_E
-        _assert_engine_is_frozen([(weight, ybops._plan(kind, mu, i, N))], f)
+        _assert_engine_is_frozen(kind, [(weight, i)], mu, f)
 
 
 # plane waves at the edges of the rows' closed form, as (integrated
@@ -398,14 +408,11 @@ def test_rows_integrate_plane_wave_edges_as_the_general_steps():
     assert made == 52
 
 
-def _family_blocks(family, mu, N, gamma):
-    """The weighted blocks of a non-symmetric family, read from ybops' family table."""
+def _family_blocks(family, N, gamma):
+    """The kind and the (weight, multi-index) blocks of a non-symmetric
+    family, read from ybops' family table."""
     kind, indices, top, _, _ = ybops._FAMILIES[family]
-    return [
-        (gamma**n, ybops._plan(kind, mu, i, N))
-        for n in range(N + top + 1)
-        for i in indices(range(1, N + top + 1), n)
-    ]
+    return kind, [(gamma**n, i) for n in range(N + top + 1) for i in indices(range(1, N + top + 1), n)]
 
 
 def _scaled(f, c):
@@ -422,12 +429,12 @@ def test_block_engine_repeats_the_frozen_engine_on_signed_zeros_and_nonfinite_va
         + exppoly.plane_wave((complex(-0.3, -0.0), 0.45))
     )
     for gamma in (-0.7, complex(-0.0, 1.0)):
-        _assert_engine_is_frozen(_family_blocks(family, complex(0.37, -0.0), 2, gamma), signed)
+        _assert_engine_is_frozen(*_family_blocks(family, 2, gamma), complex(0.37, -0.0), signed)
     for c in (nan, inf, -inf, complex(0.0, -inf), complex(nan, 1.0)):
-        _assert_engine_is_frozen(_family_blocks(family, 0.37, 2, GAMMA), _scaled(psi, c))
+        _assert_engine_is_frozen(*_family_blocks(family, 2, GAMMA), 0.37, _scaled(psi, c))
     # a NaN wavenumber, and a lone monomial of nonzero degree
     for p in (exppoly.plane_wave((complex(nan, 0.0), 0.45)), exppoly.monomial((1, 0), 0.7, (0.8, -0.3))):
-        _assert_engine_is_frozen(_family_blocks(family, 0.37, 2, GAMMA), alcovefn.from_analytic(p + exppoly.plane_wave((0.2, 0.6))))
+        _assert_engine_is_frozen(*_family_blocks(family, 2, GAMMA), 0.37, alcovefn.from_analytic(p + exppoly.plane_wave((0.2, 0.6))))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -443,13 +450,12 @@ def test_block_engine_at_gamma_zero_repeats_the_frozen_engine(N):
     if N > 1:
         operands.append(wavefn.prewavefunction(RapiditySet((0.5, 0.5, -0.3)[:N], GAMMA, LENGTH)))
     for family, mu, f, gamma in product(("a", "d", "b+", "c-"), (0.37, lam[0], lam[0] + 3e-8), operands, (0.0, -0.0)):
-        _assert_engine_is_frozen(_family_blocks(family, mu, N, gamma), f)
+        _assert_engine_is_frozen(*_family_blocks(family, N, gamma), mu, f)
     for family, c in product(("a", "b+"), (math.nan, math.inf)):
-        blocks, f = _family_blocks(family, 0.37, N, 0.0), _scaled(psi, c)
-        sigmas = all_permutations(blocks[0][1].out_n)
-        got = repr(ybops._block_sum(blocks, f, sigmas, LENGTH))
-        assert got == repr(_frozen_block_sum([b for b in blocks if b[0]], f, sigmas, LENGTH))
-        assert got != repr(_frozen_block_sum(blocks, f, sigmas, LENGTH))
+        (kind, blocks), f = _family_blocks(family, N, 0.0), _scaled(psi, c)
+        got = repr(ybops._block_sum(kind, blocks, 0.37, f, LENGTH, False))
+        assert got == repr(_frozen_block_sum(kind, [b for b in blocks if b[0]], 0.37, f, LENGTH))
+        assert got != repr(_frozen_block_sum(kind, blocks, 0.37, f, LENGTH))
 
 
 def test_block_engine_sends_only_the_alcoves_of_a_falling_back_term_through_the_per_term_path(monkeypatch):
@@ -465,7 +471,7 @@ def test_block_engine_sends_only_the_alcoves_of_a_falling_back_term_through_the_
     calls = []
     terms = ybops._terms
     monkeypatch.setattr(ybops, "_terms", lambda *args: calls.append(args) or terms(*args))
-    _assert_engine_is_frozen([(0.8, ybops._plan("e_bar+", mu, (1,), 2))], f)
+    _assert_engine_is_frozen("e_bar+", [(0.8, (1,))], mu, f)
     # once each through _block_sum, the rows and the arrays, on one alcove
     assert len(calls) == 3
     assert calls[0] == calls[1] == calls[2]
@@ -473,15 +479,39 @@ def test_block_engine_sends_only_the_alcoves_of_a_falling_back_term_through_the_
 
 def test_geometry_is_kept_per_plan_shape_and_alcove():
     # the geometry lives in the segment table of its application shape
-    r = RapiditySet((0.8, -0.3), GAMMA, LENGTH)
-    psi = wavefn.prewavefunction(r)
+    psi = wavefn.prewavefunction(RapiditySet((0.8, -0.3), GAMMA, LENGTH))
+    ybops._table.cache_clear()
     ybops.apply_nonsymmetric("b+", 0.37, psi, GAMMA, LENGTH)
-    size = len(ybops._SEGMENTS)
-    # another mu, weight, length or operand is the same shape on the same alcoves
+    # another mu, a nonzero gamma, another length or operand is the same
+    # shape, one entry
     ybops.apply_nonsymmetric("b+", -1.1, psi, 0.4, LENGTH)
+    ybops.apply_nonsymmetric("b+", 0.37, psi, -0.7, LENGTH)
     ybops.apply_nonsymmetric("b+", 0.37, wavefn.prewavefunction(RapiditySet((0.2, 0.9), 0.4, 7.0)), GAMMA, 7.0)
-    assert len(ybops._SEGMENTS) == size
-    assert all(g for table in ybops._SEGMENTS.values() for alcove in table.alcoves for _, g in alcove)
+    info = ybops._table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    # gamma 0 (or -0.0) weighs every block with an index 0: a shape of its own
+    for gamma in (0.0, -0.0):
+        ybops.apply_nonsymmetric("b+", 0.37, psi, gamma, LENGTH)
+    info = ybops._table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
+    kind, blocks = _family_blocks("b+", 2, GAMMA)
+    for indices in (tuple(i for _, i in blocks), ((),)):
+        table = ybops._table(kind, indices, 2, False)
+        assert len(table.plans) == len(indices)
+        assert all(g for alcove in table.alcoves for _, g in alcove)
+    assert ybops._table.cache_info().misses == 2
+
+
+def test_a_kept_shape_does_not_let_a_bad_multi_index_through():
+    # (1.0,) and np.int64(1) hash as 1 does: the multi-index is checked
+    # before the kept shape is looked up
+    f = alcovefn.from_analytic(exppoly.plane_wave((0.5, -0.2)))
+    want = repr(ybops.elementary_nonsymmetric_op("e_bar+", 0.3, (1,), f, LENGTH))
+    assert repr(ybops.elementary_nonsymmetric_op("e_bar+", 0.3, (np.int64(1),), f, LENGTH)) == want
+    for i, match in (((1.0,), "integers"), ((True, 2.0), "integers"), ((1, 1), "distinct"), ((3,), "range"), ((0,), "range")):
+        with pytest.raises(ValueError, match=match):
+            ybops.elementary_nonsymmetric_op("e_bar+", 0.3, i, f, LENGTH)
+    assert repr(ybops.elementary_nonsymmetric_op("e_bar+", 0.3, [1], f, LENGTH)) == want
 
 
 def test_arrays_integrate_plane_wave_edges_as_the_rows(monkeypatch):
@@ -491,8 +521,8 @@ def test_arrays_integrate_plane_wave_edges_as_the_rows(monkeypatch):
     # operand piece holds a polynomial term, the arrays hand the whole
     # application to _block_rows, once; elsewhere they make every row
     # themselves, to the bit
-    plan = ybops._Plan(2, 0.0, (("const", 1), ("const", -1)), (("coord", 1), ("y", 1)))
-    sigmas = all_permutations(2)
+    plan = ybops._Plan(2, (("const", 1), ("const", -1)), (("coord", 1), ("y", 1)))
+    table, prepared = ybops._Segments((plan,), all_permutations(2)), [ybops._prepare(1.0, plan, 0.0, 8.0)]
     calls = []
     block_rows = ybops._block_rows
     monkeypatch.setattr(ybops, "_block_rows", lambda *args: calls.append(args) or block_rows(*args))
@@ -501,7 +531,6 @@ def test_arrays_integrate_plane_wave_edges_as_the_rows(monkeypatch):
     fell = []
     for p in operands:
         f = alcovefn.from_analytic(p)
-        table, prepared = ybops._application([(1.0, plan)], sigmas, 8.0)
         calls.clear()
         got = ybops._block_arrays(table, prepared, f, 8.0)
         fell.append(len(calls))
@@ -511,7 +540,7 @@ def test_arrays_integrate_plane_wave_edges_as_the_rows(monkeypatch):
     f = alcovefn.from_analytic(exppoly.monomial((0, 0), 1.0, (complex(-0.0, -0.0), 1 + 200j)))
     calls.clear()
     with pytest.raises(OverflowError):
-        ybops._block_arrays(*ybops._application([(1.0, plan)], sigmas, 8.0), f, 8.0)
+        ybops._block_arrays(table, prepared, f, 8.0)
     assert len(calls) == 1
 
 
@@ -534,22 +563,21 @@ def test_large_applications_run_as_arrays_with_a_kept_segment_table(monkeypatch)
         monkeypatch.setattr(ybops, name, lambda *args, run=run, name=name: calls.append(name) or run(*args))
     small = wavefn.prewavefunction(RapiditySet((0.8, -0.3), GAMMA, LENGTH))
     large = wavefn.prewavefunction(RapiditySet((0.8, -0.3, 0.45), GAMMA, LENGTH))
-    sigmas = all_permutations(4)
-    table = ybops._application(_family_blocks("b+", 0.37, 3, GAMMA), sigmas, LENGTH)[0]
+    table = _application(*_family_blocks("b+", 3, GAMMA), 0.37, 3, LENGTH)[0]
     assert table.raw_rows(large) >= ybops.ARRAY_ROWS
-    assert ybops._application(_family_blocks("b+", 0.37, 2, GAMMA), all_permutations(3), LENGTH)[0].raw_rows(small) < ybops.ARRAY_ROWS
+    assert _application(*_family_blocks("b+", 2, GAMMA), 0.37, 2, LENGTH)[0].raw_rows(small) < ybops.ARRAY_ROWS
     ybops.apply_nonsymmetric("b+", 0.37, large, GAMMA, LENGTH)
     ybops.apply_nonsymmetric("b+", 0.37, small, GAMMA, LENGTH)
     assert calls == ["_block_arrays", "_block_rows"]
     # another mu, weight, length or operand is the same application shape,
     # with the same term counts: the table and its chunk layout are kept
-    tables, layouts = len(ybops._SEGMENTS), len(table._chunks)
+    tables, layouts = ybops._table.cache_info().misses, len(table._chunks)
     other = wavefn.prewavefunction(RapiditySet((0.2, 0.9, -0.6), 0.4, 7.0))
     ybops.apply_nonsymmetric("b+", -1.1, large, 0.4, LENGTH)
     ybops.apply_nonsymmetric("b+", 0.37, other, GAMMA, 7.0)
     assert calls == ["_block_arrays", "_block_rows", "_block_arrays", "_block_arrays"]
-    assert (len(ybops._SEGMENTS), len(table._chunks)) == (tables, layouts)
-    assert ybops._application(_family_blocks("b+", -1.1, 3, 0.4), sigmas, 7.0)[0] is table
+    assert (ybops._table.cache_info().misses, len(table._chunks)) == (tables, layouts)
+    assert _application(*_family_blocks("b+", 3, 0.4), -1.1, 3, 7.0)[0] is table
 
 
 @pytest.mark.parametrize("family", ["a", "c+"])
@@ -557,8 +585,7 @@ def test_arrays_are_the_rows_on_a_4_particle_operand(family):
     # one chunk of thousands of raw rows, merged per alcove by their exact
     # cell keys
     f = wavefn.prewavefunction(RapiditySet((0.8, -0.45, 0.3, 1.1), GAMMA, LENGTH))
-    blocks = _family_blocks(family, 0.37, 4, GAMMA)
-    table, prepared = ybops._application(blocks, all_permutations(blocks[0][1].out_n), LENGTH)
+    table, prepared = _application(*_family_blocks(family, 4, GAMMA), 0.37, 4, LENGTH)
     assert table.raw_rows(f) == {"a": 32589, "c+": 9338}[family]
     assert repr(ybops._block_arrays(table, prepared, f, LENGTH)) == repr(ybops._block_rows(table, prepared, f, LENGTH))
 
@@ -568,7 +595,7 @@ def test_arrays_run_in_chunks_of_whole_alcoves(monkeypatch):
     # falls between alcoves, and the sums are those of the rows
     f = wavefn.prewavefunction(RapiditySet((0.8, -0.3, 0.45), GAMMA, LENGTH))
     for family in ("b+", "a"):
-        table, prepared = ybops._application(_family_blocks(family, 0.37, 3, GAMMA), all_permutations(4 if family == "b+" else 3), LENGTH)
+        table, prepared = _application(*_family_blocks(family, 3, GAMMA), 0.37, 3, LENGTH)
         want = repr(ybops._block_rows(table, prepared, f, LENGTH))
         for budget in (50, 1 << 15):
             monkeypatch.setattr(ybops, "_CHUNK_ROWS", budget)
@@ -578,10 +605,10 @@ def test_arrays_run_in_chunks_of_whole_alcoves(monkeypatch):
 
 
 def test_plan_refuses_a_non_integer_multi_index_entry():
-    assert ybops._plan("e_bar+", 0.3, (np.int64(1),), 2) == ybops._plan("e_bar+", 0.3, (1,), 2)
+    assert ybops._plan("e_bar+", (np.int64(1),), 2) == ybops._plan("e_bar+", (1,), 2)
     for i in ((1.5,), (1.0,), (2, 1.0)):
         with pytest.raises(ValueError, match="integers"):
-            ybops._plan("e_bar+", 0.3, i, 2)
+            ybops._plan("e_bar+", i, 2)
 
 
 def test_insertions_refuse_a_function_of_no_particles():
